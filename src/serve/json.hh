@@ -1,18 +1,21 @@
 /**
  * @file
- * Minimal JSON reader/writer for the serve layer's wire format.
+ * Minimal JSON reader/writer for the serve layer's on-disk formats.
  *
- * The daemon's job specs and responses are small, flat-ish documents, so
- * this is a deliberately small recursive-descent parser over an
- * owning value tree — not a general-purpose JSON library. Scope:
- * objects, arrays, strings (with \uXXXX escapes decoded to UTF-8),
- * numbers (doubles, with an exact-integer accessor), booleans, null.
- * Rejects trailing garbage, caps nesting depth, and throws
- * std::runtime_error with a byte offset on malformed input — a network
- * peer must never be able to crash the daemon with a weird payload.
+ * Result cache entries (serve/result_cache.hh) and the RunResult codec
+ * (serve/result_codec.hh) are small, flat-ish documents, so this is a
+ * deliberately small recursive-descent parser over an owning value
+ * tree — not a general-purpose JSON library. Scope: objects, arrays,
+ * strings (with \uXXXX escapes decoded to UTF-8), numbers (doubles,
+ * with an exact-integer accessor), booleans, null. Entries are read
+ * back from disk, where they may be truncated, corrupted or hand-edited,
+ * so the reader treats its input as hostile: it rejects trailing
+ * garbage, caps nesting depth, and throws std::runtime_error with a
+ * byte offset on malformed input, never crashing on a weird payload.
  *
  * The writer escapes control characters and always emits valid UTF-8
- * passthrough; numbers print round-trip-exactly.
+ * passthrough; numbers print round-trip-exactly. jsonQuote is also the
+ * string escape of the tacsim-sweep-v1 report (sim/sweep.hh).
  */
 
 #ifndef TACSIM_SERVE_JSON_HH

@@ -1,7 +1,7 @@
 /**
  * @file
  * Canonical content hash of one experiment point — the single identity
- * every layer of the serve stack agrees on.
+ * every layer that reuses results agrees on.
  *
  * A "point" is everything that determines a simulation's outcome:
  *
@@ -14,8 +14,7 @@
  *
  * pointKey() digests all of that into 64 hex chars. The same key is
  * used by the in-process sweep memo (sim/sweep.hh), the on-disk result
- * cache (serve/result_cache.hh), the daemon's in-flight dedup
- * (serve/server.hh), and the `point_key` field on every
+ * cache (serve/result_cache.hh), and the `point_key` field on every
  * tacsim-sweep-v1 run record — so a result computed anywhere is
  * recognizable everywhere.
  */

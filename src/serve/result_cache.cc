@@ -240,15 +240,12 @@ ResultCache::lookup(const std::string &pointKey, CacheEntry &out)
 {
     std::lock_guard<std::mutex> lk(mutex_);
     auto it = index_.find(pointKey);
-    if (it == index_.end()) {
-        ++misses_;
+    if (it == index_.end())
         return false;
-    }
 
     std::string bytes;
     if (!readFile(objectPath(pointKey), bytes)) {
         // Stale index: the object vanished underneath us.
-        ++misses_;
         ++corruptMisses_;
         dropEntryLocked(pointKey, "object file missing (stale index)");
         writeIndexLocked();
@@ -256,7 +253,6 @@ ResultCache::lookup(const std::string &pointKey, CacheEntry &out)
     }
     std::string why;
     if (!decodeEntry(bytes, out, why) || out.pointKey != pointKey) {
-        ++misses_;
         ++corruptMisses_;
         dropEntryLocked(pointKey,
                         why.empty() ? "point key mismatch" : why.c_str());
@@ -292,7 +288,6 @@ ResultCache::store(const CacheEntry &entry)
     index_[entry.pointKey] =
         IndexEntry{bytes.size(), nextSeq_++};
     totalBytes_ += bytes.size();
-    ++stores_;
     if (maxBytes_ != 0)
         evictOverLocked(maxBytes_);
     writeIndexLocked();

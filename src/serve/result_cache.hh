@@ -10,7 +10,7 @@
  * where <key> is a serve::pointKey (64 hex chars — everything that
  * determines the simulation's outcome: canonical config text, workload
  * content, budgets) and <seq> is a persisted logical access counter
- * giving LRU order across daemon restarts.
+ * giving LRU order across processes that reopen the store.
  *
  * Entry files are self-verifying:
  *
@@ -18,7 +18,7 @@
  *   payload  a JSON object: {"schema", "point_key", "run" (the
  *            tacsim-sweep-v1-style run record), "result" (exact
  *            RunResult codec), "stats_dump" (canonical dumpRunResult
- *            text, served back byte-identically)}
+ *            text, returned byte-identically on a hit)}
  *
  * The CRC (trace::crc32, the same IEEE polynomial the trace and
  * checkpoint containers use) covers the payload, so truncation and bit
@@ -112,11 +112,9 @@ class ResultCache
      */
     std::size_t verify();
 
-    // Monotonic counters for the daemon's /metrics endpoint.
+    // Monotonic counters since this instance opened the store.
     std::uint64_t hits() const { return hits_; }
-    std::uint64_t misses() const { return misses_; }
     std::uint64_t corruptMisses() const { return corruptMisses_; }
-    std::uint64_t stores() const { return stores_; }
     std::uint64_t evictions() const { return evictions_; }
 
   private:
@@ -140,8 +138,7 @@ class ResultCache
     std::map<std::string, IndexEntry> index_;
     std::uint64_t nextSeq_ = 1;
     std::uint64_t totalBytes_ = 0;
-    std::uint64_t hits_ = 0, misses_ = 0, corruptMisses_ = 0,
-                  stores_ = 0, evictions_ = 0;
+    std::uint64_t hits_ = 0, corruptMisses_ = 0, evictions_ = 0;
 };
 
 /**

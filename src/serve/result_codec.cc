@@ -23,37 +23,8 @@ runResultToJson(const RunResult &r)
 {
     JsonObject o;
     o["benchmark"] = JsonValue(r.benchmark);
-    o["instructions"] = JsonValue(r.instructions);
-    o["cycles"] = JsonValue(r.cycles);
-    o["ipc"] = JsonValue(r.ipc);
-    o["events"] = JsonValue(r.events);
-    o["stlb_mpki"] = JsonValue(r.stlbMpki);
-    o["l2_replay_mpki"] = JsonValue(r.l2ReplayMpki);
-    o["l2_nonreplay_mpki"] = JsonValue(r.l2NonReplayMpki);
-    o["l2_ptl1_mpki"] = JsonValue(r.l2Ptl1Mpki);
-    o["llc_replay_mpki"] = JsonValue(r.llcReplayMpki);
-    o["llc_nonreplay_mpki"] = JsonValue(r.llcNonReplayMpki);
-    o["llc_ptl1_mpki"] = JsonValue(r.llcPtl1Mpki);
-    o["stall_t"] = JsonValue(r.stallT);
-    o["stall_r"] = JsonValue(r.stallR);
-    o["stall_n"] = JsonValue(r.stallN);
-    o["avg_stall_per_walk"] = JsonValue(r.avgStallPerWalk);
-    o["avg_stall_per_replay"] = JsonValue(r.avgStallPerReplay);
-    o["avg_stall_per_nonreplay"] = JsonValue(r.avgStallPerNonReplay);
-    o["max_stall_per_walk"] = JsonValue(r.maxStallPerWalk);
-    o["max_stall_per_replay"] = JsonValue(r.maxStallPerReplay);
-    o["leaf_l1d"] = JsonValue(r.leafL1D);
-    o["leaf_l2c"] = JsonValue(r.leafL2C);
-    o["leaf_llc"] = JsonValue(r.leafLLC);
-    o["leaf_dram"] = JsonValue(r.leafDram);
-    o["replay_l1d"] = JsonValue(r.replayL1D);
-    o["replay_l2c"] = JsonValue(r.replayL2C);
-    o["replay_llc"] = JsonValue(r.replayLLC);
-    o["replay_dram"] = JsonValue(r.replayDram);
-    o["leaf_onchip_hit_rate"] = JsonValue(r.leafOnChipHitRate);
-    o["atp_issued"] = JsonValue(r.atpIssued);
-    o["atp_useful"] = JsonValue(r.atpUseful);
-    o["tempo_issued"] = JsonValue(r.tempoIssued);
+    for (const RunResultField &f : kRunResultFields)
+        o[f.name] = f.u64 ? JsonValue(r.*f.u64) : JsonValue(r.*f.f64);
     JsonArray tc, ti;
     for (std::uint64_t v : r.threadCycles)
         tc.push_back(JsonValue(v));
@@ -71,38 +42,13 @@ runResultFromJson(const JsonValue &v)
         throw std::runtime_error("result codec: expected an object");
     RunResult r;
     r.benchmark = require(v, "benchmark").asString();
-    r.instructions = require(v, "instructions").asU64();
-    r.cycles = require(v, "cycles").asU64();
-    r.ipc = require(v, "ipc").asNumber();
-    r.events = require(v, "events").asU64();
-    r.stlbMpki = require(v, "stlb_mpki").asNumber();
-    r.l2ReplayMpki = require(v, "l2_replay_mpki").asNumber();
-    r.l2NonReplayMpki = require(v, "l2_nonreplay_mpki").asNumber();
-    r.l2Ptl1Mpki = require(v, "l2_ptl1_mpki").asNumber();
-    r.llcReplayMpki = require(v, "llc_replay_mpki").asNumber();
-    r.llcNonReplayMpki = require(v, "llc_nonreplay_mpki").asNumber();
-    r.llcPtl1Mpki = require(v, "llc_ptl1_mpki").asNumber();
-    r.stallT = require(v, "stall_t").asU64();
-    r.stallR = require(v, "stall_r").asU64();
-    r.stallN = require(v, "stall_n").asU64();
-    r.avgStallPerWalk = require(v, "avg_stall_per_walk").asNumber();
-    r.avgStallPerReplay = require(v, "avg_stall_per_replay").asNumber();
-    r.avgStallPerNonReplay =
-        require(v, "avg_stall_per_nonreplay").asNumber();
-    r.maxStallPerWalk = require(v, "max_stall_per_walk").asU64();
-    r.maxStallPerReplay = require(v, "max_stall_per_replay").asU64();
-    r.leafL1D = require(v, "leaf_l1d").asNumber();
-    r.leafL2C = require(v, "leaf_l2c").asNumber();
-    r.leafLLC = require(v, "leaf_llc").asNumber();
-    r.leafDram = require(v, "leaf_dram").asNumber();
-    r.replayL1D = require(v, "replay_l1d").asNumber();
-    r.replayL2C = require(v, "replay_l2c").asNumber();
-    r.replayLLC = require(v, "replay_llc").asNumber();
-    r.replayDram = require(v, "replay_dram").asNumber();
-    r.leafOnChipHitRate = require(v, "leaf_onchip_hit_rate").asNumber();
-    r.atpIssued = require(v, "atp_issued").asU64();
-    r.atpUseful = require(v, "atp_useful").asU64();
-    r.tempoIssued = require(v, "tempo_issued").asU64();
+    for (const RunResultField &f : kRunResultFields) {
+        const JsonValue &field = require(v, f.name);
+        if (f.u64)
+            r.*f.u64 = field.asU64();
+        else
+            r.*f.f64 = field.asNumber();
+    }
     for (const JsonValue &e : require(v, "thread_cycles").asArray())
         r.threadCycles.push_back(e.asU64());
     for (const JsonValue &e : require(v, "thread_instructions").asArray())

@@ -1,6 +1,6 @@
 /**
  * @file
- * Exact JSON codec for RunResult — the serve layer's interchange form.
+ * Exact JSON codec for RunResult — the form the result cache stores.
  *
  * Unlike the human-facing tacsim-sweep-v1 report (which rounds doubles
  * to %.6g for readability), this codec must round-trip: a RunResult
@@ -8,9 +8,11 @@
  * indistinguishable from the freshly computed one, or a cache hit
  * would produce a different canonical stats dump than the run it
  * memoizes. Doubles therefore serialize with full precision
- * (serve/json.hh prints %.17g) and every field of RunResult is
- * covered; decode rejects missing fields rather than defaulting them,
- * so the codec and the struct cannot drift apart silently.
+ * (serve/json.hh prints %.17g). The scalar metrics are the rows of
+ * kRunResultFields (sim/runner.hh), the table the stats dump walks
+ * too, so the codec covers every metric by construction; decode
+ * rejects missing fields rather than defaulting them, so an entry
+ * written before a metric existed is refused, never read as zero.
  */
 
 #ifndef TACSIM_SERVE_RESULT_CODEC_HH

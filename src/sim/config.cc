@@ -2,6 +2,8 @@
 
 #include <cstdio>
 
+#include "obs/path.hh"
+
 namespace tacsim {
 
 namespace {
@@ -64,6 +66,18 @@ emitGeometry(std::string &out, const char *prefix, const CacheGeometry &g)
 }
 
 } // namespace
+
+SystemConfig
+configForPoint(SystemConfig cfg, const std::string &key)
+{
+    cfg.obs.timeseriesPath =
+        obs::expandPointPath(cfg.obs.timeseriesPath, key);
+    cfg.obs.chromeTracePath =
+        obs::expandPointPath(cfg.obs.chromeTracePath, key);
+    if (cfg.obs.label.empty())
+        cfg.obs.label = key;
+    return cfg;
+}
 
 void
 applyTranslationAware(SystemConfig &cfg,

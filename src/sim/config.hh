@@ -183,6 +183,13 @@ void applyTranslationAware(SystemConfig &cfg,
                            const TranslationAwareOptions &opts = {});
 
 /**
+ * @p cfg with its observability outputs bound to one point: every
+ * "{key}" in the output paths becomes obs::sanitizeKey(@p key), and an
+ * empty obs label becomes @p key (see ObsConfig).
+ */
+SystemConfig configForPoint(SystemConfig cfg, const std::string &key);
+
+/**
  * Canonical, behavior-complete text form of a SystemConfig: one
  * "key value" line per field that can change simulation results, in a
  * fixed order, with doubles printed round-trip-exactly. Two configs

@@ -2,7 +2,6 @@
 
 #include <cstdlib>
 
-#include "obs/path.hh"
 #include "sim/checkpoint.hh"
 #include "sim/verify.hh"
 
@@ -189,57 +188,78 @@ runSpec(const SystemConfig &cfg, const std::string &spec,
     return runSpecMix(cfg, specs, instructions, warmup);
 }
 
+namespace {
+
+std::vector<std::unique_ptr<Workload>>
+makeWorkloads(const SystemConfig &cfg, const std::vector<std::string> &specs)
+{
+    std::vector<std::unique_ptr<Workload>> wls;
+    wls.reserve(specs.size());
+    for (std::size_t t = 0; t < specs.size(); ++t)
+        wls.push_back(makeWorkloadFromSpec(specs[t], cfg.seed + t));
+    return wls;
+}
+
+/** The default run label: the workloads' names joined with "-". */
+std::string
+joinedNames(const std::vector<std::unique_ptr<Workload>> &workloads)
+{
+    std::string label;
+    for (std::size_t t = 0; t < workloads.size(); ++t) {
+        if (t)
+            label += "-";
+        label += workloads[t]->name();
+    }
+    return label;
+}
+
+/**
+ * One run's machine, built the same way by every entry point, so
+ * checkpoint save/restore runs see the same machine as a
+ * straight-through run. Any "{key}" still in the obs output paths
+ * expands with the run label (the sweep runner substitutes its more
+ * specific sweep key before this point). Verify builds attach a
+ * verify::Checker to every run, not just to tests that attach one by
+ * hand; walking a mapped page table is side-effect free, so results
+ * are unchanged.
+ */
+class RunMachine
+{
+  public:
+    /** @p name labels the result; empty joins the workload names. */
+    RunMachine(const SystemConfig &cfg,
+               std::vector<std::unique_ptr<Workload>> workloads,
+               const std::string &name = "")
+        : label_(name.empty() ? joinedNames(workloads) : name),
+          sys_(configForPoint(cfg, label_), std::move(workloads))
+    {
+#ifdef TACSIM_VERIFY_ENABLED
+        sys_.attachChecker(&checker_);
+#endif
+    }
+
+    System &sys() { return sys_; }
+    RunResult result() { return collectResult(sys_, label_); }
+
+  private:
+    // label_ is declared first: it reads the workloads before sys_
+    // takes them.
+    std::string label_;
+    System sys_;
+#ifdef TACSIM_VERIFY_ENABLED
+    verify::Checker checker_{sys_};
+#endif
+};
+
+} // namespace
+
 RunResult
 runSpecMix(const SystemConfig &cfg, const std::vector<std::string> &specs,
            std::uint64_t instructionsPerThread, std::uint64_t warmup)
 {
-    std::vector<std::unique_ptr<Workload>> wls;
-    wls.reserve(specs.size());
-    for (std::size_t t = 0; t < specs.size(); ++t)
-        wls.push_back(makeWorkloadFromSpec(specs[t], cfg.seed + t));
-    return runWorkloads(cfg, std::move(wls), "", instructionsPerThread,
-                        warmup);
+    return runWorkloads(cfg, makeWorkloads(cfg, specs), "",
+                        instructionsPerThread, warmup);
 }
-
-namespace {
-
-struct BuiltSystem
-{
-    std::unique_ptr<System> sys;
-    std::string label;
-};
-
-/** Build a System for a spec mix exactly the way runSpecMix would,
- *  including obs-path expansion, so checkpoint save/restore runs see
- *  the same machine as a straight-through run. */
-BuiltSystem
-buildSpecMixSystem(const SystemConfig &cfg,
-                   const std::vector<std::string> &specs)
-{
-    std::vector<std::unique_ptr<Workload>> wls;
-    wls.reserve(specs.size());
-    for (std::size_t t = 0; t < specs.size(); ++t)
-        wls.push_back(makeWorkloadFromSpec(specs[t], cfg.seed + t));
-
-    std::string label;
-    for (std::size_t t = 0; t < wls.size(); ++t) {
-        if (t)
-            label += "-";
-        label += wls[t]->name();
-    }
-
-    SystemConfig runCfg = cfg;
-    runCfg.obs.timeseriesPath =
-        obs::expandPointPath(runCfg.obs.timeseriesPath, label);
-    runCfg.obs.chromeTracePath =
-        obs::expandPointPath(runCfg.obs.chromeTracePath, label);
-    if (runCfg.obs.label.empty())
-        runCfg.obs.label = label;
-
-    return {std::make_unique<System>(runCfg, std::move(wls)), label};
-}
-
-} // namespace
 
 RunResult
 runSpecMixCheckpointed(const SystemConfig &cfg,
@@ -252,19 +272,15 @@ runSpecMixCheckpointed(const SystemConfig &cfg,
     if (warmup == 0)
         warmup = defaultWarmup();
 
-    BuiltSystem built = buildSpecMixSystem(cfg, specs);
-    System &sys = *built.sys;
-#ifdef TACSIM_VERIFY_ENABLED
-    verify::Checker checker(sys);
-    sys.attachChecker(&checker);
-#endif
+    RunMachine m(cfg, makeWorkloads(cfg, specs));
+    System &sys = m.sys();
     sys.run(warmup);
     // saveCheckpoint quiesces first; the measured run then continues
     // from the same drained boundary a restored run starts at.
     saveCheckpoint(ckptPath, sys);
     sys.resetStats();
     sys.run(instructionsPerThread);
-    return collectResult(sys, built.label);
+    return m.result();
 }
 
 RunResult
@@ -276,16 +292,12 @@ runSpecMixFromCheckpoint(const SystemConfig &cfg,
     if (instructionsPerThread == 0)
         instructionsPerThread = defaultInstructions();
 
-    BuiltSystem built = buildSpecMixSystem(cfg, specs);
-    System &sys = *built.sys;
-#ifdef TACSIM_VERIFY_ENABLED
-    verify::Checker checker(sys);
-    sys.attachChecker(&checker);
-#endif
+    RunMachine m(cfg, makeWorkloads(cfg, specs));
+    System &sys = m.sys();
     loadCheckpoint(ckptPath, sys);
     sys.resetStats();
     sys.run(instructionsPerThread);
-    return collectResult(sys, built.label);
+    return m.result();
 }
 
 RunResult
@@ -299,37 +311,10 @@ runWorkloads(const SystemConfig &cfg,
     if (warmup == 0)
         warmup = defaultWarmup();
 
-    std::string label = name;
-    if (label.empty()) {
-        for (std::size_t t = 0; t < workloads.size(); ++t) {
-            if (t)
-                label += "-";
-            label += workloads[t]->name();
-        }
-    }
-
-    // Expand any "{key}" still present in the obs output paths with the
-    // run label (the sweep runner substitutes its more specific sweep
-    // key before this point; a plain runner call lands here directly).
-    SystemConfig runCfg = cfg;
-    runCfg.obs.timeseriesPath =
-        obs::expandPointPath(runCfg.obs.timeseriesPath, label);
-    runCfg.obs.chromeTracePath =
-        obs::expandPointPath(runCfg.obs.chromeTracePath, label);
-    if (runCfg.obs.label.empty())
-        runCfg.obs.label = label;
-
-    System sys(runCfg, std::move(workloads));
-#ifdef TACSIM_VERIFY_ENABLED
-    // Verify builds check the whole hierarchy periodically on every
-    // run, not just in tests that attach a checker by hand; walking a
-    // mapped page table is side-effect free, so results are unchanged.
-    verify::Checker checker(sys);
-    sys.attachChecker(&checker);
-#endif
-    sys.warmup(warmup);
-    sys.run(instructionsPerThread);
-    return collectResult(sys, label);
+    RunMachine m(cfg, std::move(workloads), name);
+    m.sys().warmup(warmup);
+    m.sys().run(instructionsPerThread);
+    return m.result();
 }
 
 double

@@ -75,6 +75,64 @@ struct RunResult
     }
 };
 
+/** One scalar metric of RunResult: its external name and its member
+ *  (exactly one of u64 / f64 is set). */
+struct RunResultField
+{
+    constexpr RunResultField(const char *n, std::uint64_t RunResult::*m)
+        : name(n), u64(m)
+    {}
+    constexpr RunResultField(const char *n, double RunResult::*m)
+        : name(n), f64(m)
+    {}
+
+    const char *name;
+    std::uint64_t RunResult::*u64 = nullptr;
+    double RunResult::*f64 = nullptr;
+};
+
+/**
+ * Every scalar metric of RunResult, in stats-dump order. The stats dump
+ * (sim/stats_dump.hh), the exact JSON codec (serve/result_codec.hh) and
+ * the tests walk this table, so adding a metric means a member, one row
+ * here and its computation in collectResult. `benchmark` and the
+ * per-thread vectors are not scalars; each consumer writes them around
+ * the table.
+ */
+inline constexpr RunResultField kRunResultFields[] = {
+    {"instructions", &RunResult::instructions},
+    {"cycles", &RunResult::cycles},
+    {"events", &RunResult::events},
+    {"ipc", &RunResult::ipc},
+    {"stlb_mpki", &RunResult::stlbMpki},
+    {"l2_replay_mpki", &RunResult::l2ReplayMpki},
+    {"l2_nonreplay_mpki", &RunResult::l2NonReplayMpki},
+    {"l2_ptl1_mpki", &RunResult::l2Ptl1Mpki},
+    {"llc_replay_mpki", &RunResult::llcReplayMpki},
+    {"llc_nonreplay_mpki", &RunResult::llcNonReplayMpki},
+    {"llc_ptl1_mpki", &RunResult::llcPtl1Mpki},
+    {"stall_t", &RunResult::stallT},
+    {"stall_r", &RunResult::stallR},
+    {"stall_n", &RunResult::stallN},
+    {"avg_stall_per_walk", &RunResult::avgStallPerWalk},
+    {"avg_stall_per_replay", &RunResult::avgStallPerReplay},
+    {"avg_stall_per_nonreplay", &RunResult::avgStallPerNonReplay},
+    {"max_stall_per_walk", &RunResult::maxStallPerWalk},
+    {"max_stall_per_replay", &RunResult::maxStallPerReplay},
+    {"leaf_l1d", &RunResult::leafL1D},
+    {"leaf_l2c", &RunResult::leafL2C},
+    {"leaf_llc", &RunResult::leafLLC},
+    {"leaf_dram", &RunResult::leafDram},
+    {"leaf_onchip_hit_rate", &RunResult::leafOnChipHitRate},
+    {"replay_l1d", &RunResult::replayL1D},
+    {"replay_l2c", &RunResult::replayL2C},
+    {"replay_llc", &RunResult::replayLLC},
+    {"replay_dram", &RunResult::replayDram},
+    {"atp_issued", &RunResult::atpIssued},
+    {"atp_useful", &RunResult::atpUseful},
+    {"tempo_issued", &RunResult::tempoIssued},
+};
+
 /** Default measured instructions per thread (env TACSIM_INSTRUCTIONS). */
 std::uint64_t defaultInstructions();
 /** Default warm-up instructions per thread (env TACSIM_WARMUP). */

@@ -42,37 +42,12 @@ dumpRunResult(const RunResult &r)
     std::string out;
     out.reserve(1024);
     emit(out, "benchmark", r.benchmark);
-    emit(out, "instructions", r.instructions);
-    emit(out, "cycles", r.cycles);
-    emit(out, "events", r.events);
-    emit(out, "ipc", r.ipc);
-    emit(out, "stlb_mpki", r.stlbMpki);
-    emit(out, "l2_replay_mpki", r.l2ReplayMpki);
-    emit(out, "l2_nonreplay_mpki", r.l2NonReplayMpki);
-    emit(out, "l2_ptl1_mpki", r.l2Ptl1Mpki);
-    emit(out, "llc_replay_mpki", r.llcReplayMpki);
-    emit(out, "llc_nonreplay_mpki", r.llcNonReplayMpki);
-    emit(out, "llc_ptl1_mpki", r.llcPtl1Mpki);
-    emit(out, "stall_t", r.stallT);
-    emit(out, "stall_r", r.stallR);
-    emit(out, "stall_n", r.stallN);
-    emit(out, "avg_stall_per_walk", r.avgStallPerWalk);
-    emit(out, "avg_stall_per_replay", r.avgStallPerReplay);
-    emit(out, "avg_stall_per_nonreplay", r.avgStallPerNonReplay);
-    emit(out, "max_stall_per_walk", r.maxStallPerWalk);
-    emit(out, "max_stall_per_replay", r.maxStallPerReplay);
-    emit(out, "leaf_l1d", r.leafL1D);
-    emit(out, "leaf_l2c", r.leafL2C);
-    emit(out, "leaf_llc", r.leafLLC);
-    emit(out, "leaf_dram", r.leafDram);
-    emit(out, "leaf_onchip_hit_rate", r.leafOnChipHitRate);
-    emit(out, "replay_l1d", r.replayL1D);
-    emit(out, "replay_l2c", r.replayL2C);
-    emit(out, "replay_llc", r.replayLLC);
-    emit(out, "replay_dram", r.replayDram);
-    emit(out, "atp_issued", r.atpIssued);
-    emit(out, "atp_useful", r.atpUseful);
-    emit(out, "tempo_issued", r.tempoIssued);
+    for (const RunResultField &f : kRunResultFields) {
+        if (f.u64)
+            emit(out, f.name, r.*f.u64);
+        else
+            emit(out, f.name, r.*f.f64);
+    }
     for (std::size_t t = 0; t < r.threadCycles.size(); ++t) {
         const std::string key = "thread" + std::to_string(t);
         emit(out, (key + "_cycles").c_str(), r.threadCycles[t]);

@@ -10,8 +10,9 @@
  *  - determinism tests: the same point run twice (serially and across
  *    the sweep thread pool) must produce byte-identical dumps.
  *
- * The format is strict "key value\n" lines in a fixed field order.
- * Doubles are printed with "%.12g" — the simulation is deterministic, so
+ * The format is strict "key value\n" lines in a fixed field order:
+ * benchmark, the kRunResultFields rows (sim/runner.hh), then per-thread
+ * cycles and instructions. Doubles are printed with "%.12g" — the simulation is deterministic, so
  * equal runs produce bit-equal doubles and therefore byte-equal text.
  */
 

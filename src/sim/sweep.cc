@@ -10,7 +10,7 @@
 #include <utility>
 
 #include "common/host.hh"
-#include "obs/path.hh"
+#include "serve/json.hh"
 #include "serve/point_key.hh"
 #include "sim/stats_dump.hh"
 #include "sim/topology.hh"
@@ -18,51 +18,6 @@
 namespace tacsim {
 
 namespace {
-
-/**
- * Expand "{key}" in a point's obs output paths with the sweep key.
- * Sweep keys are unique per point (the benchmark label is not — a
- * baseline/proposed pair shares it), so concurrent points under
- * TACSIM_JOBS never collide on an output file.
- */
-SystemConfig
-configForPoint(const SystemConfig &cfg, const std::string &key)
-{
-    SystemConfig out = cfg;
-    out.obs.timeseriesPath =
-        obs::expandPointPath(out.obs.timeseriesPath, key);
-    out.obs.chromeTracePath =
-        obs::expandPointPath(out.obs.chromeTracePath, key);
-    if (out.obs.label.empty())
-        out.obs.label = key;
-    return out;
-}
-
-/** Minimal JSON string escape (quotes, backslash, control chars). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
 
 /** NaN-safe number formatting: JSON has no NaN, emit null. */
 std::string
@@ -190,6 +145,9 @@ SweepRunner::addMix(const std::string &key, const SystemConfig &cfg,
             job.benchmark += "-";
         job.benchmark += benchmarkName(mix[t]);
     }
+    // Obs paths expand with the sweep key, not the benchmark label: keys
+    // are unique per point (a baseline/proposed pair shares a label), so
+    // concurrent points under TACSIM_JOBS never collide on a file.
     job.fn = [cfg = configForPoint(cfg, key), mix = std::move(mix),
               instr = job.instructions, warm = job.warmup] {
         return runMix(cfg, mix, instr, warm);
@@ -372,7 +330,7 @@ SweepRunner::writeJson(const std::string &path, const std::string &title,
 
     std::fprintf(f, "{\n");
     std::fprintf(f, "  \"schema\": \"tacsim-sweep-v1\",\n");
-    std::fprintf(f, "  \"title\": \"%s\",\n", jsonEscape(title).c_str());
+    std::fprintf(f, "  \"title\": %s,\n", serve::jsonQuote(title).c_str());
     std::fprintf(f, "  \"jobs\": %u,\n", threads_);
     std::fprintf(f, "  \"points\": %zu,\n", jobs_.size());
 
@@ -380,13 +338,13 @@ SweepRunner::writeJson(const std::string &path, const std::string &title,
     for (std::size_t i = 0; i < rows.size(); ++i) {
         const ReportRow &r = rows[i];
         std::fprintf(f,
-                     "%s\n    {\"series\": \"%s\", \"label\": \"%s\", "
-                     "\"measured\": %s, \"paper\": %s, \"unit\": \"%s\"}",
-                     i ? "," : "", jsonEscape(r.series).c_str(),
-                     jsonEscape(r.label).c_str(),
+                     "%s\n    {\"series\": %s, \"label\": %s, "
+                     "\"measured\": %s, \"paper\": %s, \"unit\": %s}",
+                     i ? "," : "", serve::jsonQuote(r.series).c_str(),
+                     serve::jsonQuote(r.label).c_str(),
                      jsonNumber(r.measured).c_str(),
                      jsonNumber(r.paper).c_str(),
-                     jsonEscape(r.unit).c_str());
+                     serve::jsonQuote(r.unit).c_str());
     }
     std::fprintf(f, "\n  ],\n");
 
@@ -395,20 +353,20 @@ SweepRunner::writeJson(const std::string &path, const std::string &title,
     for (std::size_t i = 0; i < all.size(); ++i) {
         const SweepOutcome &o = *all[i];
         const std::string err =
-            o.ok ? "null" : "\"" + jsonEscape(o.error) + "\"";
+            o.ok ? "null" : serve::jsonQuote(o.error);
         std::fprintf(
             f,
-            "%s\n    {\"key\": \"%s\", \"point_key\": \"%s\", "
-            "\"benchmark\": \"%s\", "
-            "\"topology\": \"%s\", "
+            "%s\n    {\"key\": %s, \"point_key\": %s, "
+            "\"benchmark\": %s, "
+            "\"topology\": %s, "
             "\"instructions\": %llu, \"warmup\": %llu, \"seed\": %llu, "
             "\"ok\": %s, \"cached\": %s, \"wall_ms\": %s, "
             "\"cycles\": %llu, "
             "\"ipc\": %s, \"error\": %s}",
-            i ? "," : "", jsonEscape(o.key).c_str(),
-            jsonEscape(o.pointKey).c_str(),
-            jsonEscape(o.benchmark).c_str(),
-            jsonEscape(o.topology).c_str(),
+            i ? "," : "", serve::jsonQuote(o.key).c_str(),
+            serve::jsonQuote(o.pointKey).c_str(),
+            serve::jsonQuote(o.benchmark).c_str(),
+            serve::jsonQuote(o.topology).c_str(),
             static_cast<unsigned long long>(o.instructions),
             static_cast<unsigned long long>(o.warmup),
             static_cast<unsigned long long>(o.seed),

@@ -75,8 +75,8 @@ struct SweepOutcome
 /**
  * Persistent result store the runner can consult before simulating a
  * point. Keys are canonical content hashes (serve::pointKey), so a
- * cache populated by any process — a previous run, the serve daemon, a
- * different machine — is valid here. Implementations must be
+ * cache populated by any process — an earlier sweep, another figure
+ * binary, a different machine — is valid here. Implementations must be
  * thread-safe: the pool calls lookup()/store() concurrently. The
  * canonical implementation is serve::ResultCache's adapter
  * (serve/result_cache.hh).

@@ -14,7 +14,9 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -22,6 +24,7 @@
 #include "serve/result_cache.hh"
 #include "serve/result_codec.hh"
 #include "sim/stats_dump.hh"
+#include "test_util.hh"
 
 namespace tacsim {
 namespace {
@@ -35,23 +38,33 @@ tmpDir(const std::string &stem)
     return dir;
 }
 
-/** A fully populated synthetic result, distinct per @p salt. */
+/** True when a 12-significant-digit print of @p v reads back as @p v. */
+bool
+exactIn12Digits(double v)
+{
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.12g", v);
+    return std::strtod(buf, nullptr) == v;
+}
+
+/**
+ * A synthetic result, distinct per @p salt, with every kRunResultFields
+ * row set to its own value that 12 significant digits cannot hold: a
+ * codec that dropped later digits would change every field.
+ */
 RunResult
 makeResult(unsigned salt)
 {
     RunResult r;
     r.benchmark = "synthetic" + std::to_string(salt);
-    r.instructions = 20000 + salt;
-    r.cycles = 100000 + 7 * salt;
-    r.ipc = static_cast<double>(r.instructions) /
-        static_cast<double>(r.cycles);
-    r.stlbMpki = 1.25 + salt;
-    r.l2ReplayMpki = 0.5 * salt;
-    r.llcReplayMpki = 0.25 * salt;
-    r.llcPtl1Mpki = 0.125 * salt;
-    r.stallT = 0.1;
-    r.stallR = 0.2;
-    r.stallN = 0.3;
+    std::uint64_t row = 0;
+    for (const RunResultField &f : kRunResultFields) {
+        ++row;
+        if (f.u64) // 16 digits, still exact in a double (< 2^53)
+            r.*f.u64 = (std::uint64_t{1} << 52) + 1000 * salt + row;
+        else
+            r.*f.f64 = std::sqrt(2.0) * double(row) + double(salt);
+    }
     r.threadCycles = {r.cycles};
     r.threadInstructions = {r.instructions};
     return r;
@@ -86,13 +99,15 @@ objectPath(const std::string &dir, const std::string &key)
 TEST(ResultCodec, RoundTripsEveryFieldExactly)
 {
     const RunResult a = makeResult(3);
+    for (const RunResultField &f : kRunResultFields) {
+        if (f.u64)
+            EXPECT_GE(a.*f.u64, 1000000000000u) << f.name; // 13+ digits
+        else
+            EXPECT_FALSE(exactIn12Digits(a.*f.f64)) << f.name;
+    }
     const RunResult b = serve::runResultFromJson(
         serve::parseJson(serve::runResultToJson(a).dump()));
-    // dumpRunResult covers every reported field with full precision, so
-    // byte-identical dumps mean the codec lost nothing.
-    EXPECT_EQ(dumpRunResult(a), dumpRunResult(b));
-    EXPECT_EQ(a.threadCycles, b.threadCycles);
-    EXPECT_EQ(a.threadInstructions, b.threadInstructions);
+    test::expectSameResult(a, b);
 }
 
 TEST(ResultCodec, RejectsMissingFields)
@@ -119,7 +134,7 @@ TEST(ResultCache, StoreLookupRoundTrip)
     EXPECT_EQ(out.pointKey, in.pointKey);
     EXPECT_EQ(out.statsDump, in.statsDump); // byte-identical replay
     EXPECT_EQ(out.runRecord, in.runRecord);
-    EXPECT_EQ(dumpRunResult(out.result), dumpRunResult(in.result));
+    test::expectSameResult(out.result, in.result);
     EXPECT_EQ(cache.hits(), 1u);
 }
 
@@ -304,7 +319,7 @@ TEST(ResultCache, SweepAdapterRoundTrips)
     EXPECT_FALSE(adapter.lookup(key, out));
     adapter.store(key, in, dumpRunResult(in));
     ASSERT_TRUE(adapter.lookup(key, out));
-    EXPECT_EQ(dumpRunResult(out), dumpRunResult(in));
+    test::expectSameResult(out, in);
 
     // The synthesized run record carries the point key.
     serve::CacheEntry entry;

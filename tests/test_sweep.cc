@@ -3,21 +3,29 @@
  * Tests for the parallel sweep runner: determinism under parallelism
  * (parallel results identical to a serial run), per-job exception
  * capture, registration-order reporting, memoization, TACSIM_JOBS
- * parsing and the JSON report writer.
+ * parsing, the JSON report writer, and attached result caches (in
+ * memory, and an on-disk store reopened between runners).
  */
 
 #include <gtest/gtest.h>
+
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 
+#include "serve/result_cache.hh"
+#include "sim/stats_dump.hh"
 #include "sim/sweep.hh"
+#include "test_util.hh"
 
 namespace tacsim {
 namespace {
@@ -40,25 +48,6 @@ addPoints(SweepRunner &sw)
     }
 }
 
-/** Field-by-field identity of everything a report could consume. */
-void
-expectSameResult(const RunResult &a, const RunResult &b)
-{
-    EXPECT_EQ(a.benchmark, b.benchmark);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.instructions, b.instructions);
-    EXPECT_EQ(a.ipc, b.ipc);
-    EXPECT_EQ(a.stlbMpki, b.stlbMpki);
-    EXPECT_EQ(a.l2ReplayMpki, b.l2ReplayMpki);
-    EXPECT_EQ(a.llcReplayMpki, b.llcReplayMpki);
-    EXPECT_EQ(a.llcPtl1Mpki, b.llcPtl1Mpki);
-    EXPECT_EQ(a.stallT, b.stallT);
-    EXPECT_EQ(a.stallR, b.stallR);
-    EXPECT_EQ(a.stallN, b.stallN);
-    EXPECT_EQ(a.threadCycles, b.threadCycles);
-    EXPECT_EQ(a.threadInstructions, b.threadInstructions);
-}
-
 TEST(Sweep, ParallelMatchesSerial)
 {
     SweepRunner serial(1);
@@ -70,7 +59,7 @@ TEST(Sweep, ParallelMatchesSerial)
     for (int i = 0; i < 4; ++i) {
         const std::string key = "p" + std::to_string(i);
         SCOPED_TRACE(key);
-        expectSameResult(serial.result(key), parallel.result(key));
+        test::expectSameResult(serial.result(key), parallel.result(key));
     }
 }
 
@@ -217,7 +206,7 @@ TEST(Sweep, SamePointUnderTwoNamesRunsOnce)
     EXPECT_EQ(sw.points(), 1u);
     sw.run();
     // Both names resolve to the one result.
-    expectSameResult(sw.result("first"), sw.result("alias"));
+    test::expectSameResult(sw.result("first"), sw.result("alias"));
     const SweepOutcome *o = sw.outcome("alias");
     ASSERT_NE(o, nullptr);
     EXPECT_TRUE(o->ok);
@@ -291,34 +280,36 @@ class MemoryCache : public SweepCache
     std::map<std::string, RunResult> store_;
 };
 
-TEST(Sweep, AttachedCacheServesRepeatPointsWithoutSimulating)
+/**
+ * The attachCache contract over any SweepCache: a first runner
+ * simulates the point and stores it; a second runner, over the cache
+ * @p open returns for it, is served the identical result without
+ * simulating and flags it cached in its outcome and JSON report.
+ */
+void
+expectRepeatPointIsServedFromCache(const std::function<SweepCache &()> &open)
 {
-    MemoryCache cache;
     SystemConfig cfg;
-
     SweepRunner first(1);
-    first.attachCache(&cache);
+    first.attachCache(&open());
     first.addSpec("p", cfg, "mcf", kInstr, kWarm);
     first.run();
+    first.attachCache(nullptr); // open() may close this cache below
     const SweepOutcome *cold = first.outcome("p");
     ASSERT_NE(cold, nullptr);
     EXPECT_TRUE(cold->ok);
     EXPECT_FALSE(cold->cached);
-    EXPECT_EQ(cache.stores, 1);
-    EXPECT_FALSE(cache.lastDump.empty());
 
-    // A second runner over the same point is served from the cache:
-    // no new store, identical result, cached flagged in the outcome.
     SweepRunner second(1);
-    second.attachCache(&cache);
+    second.attachCache(&open());
     second.addSpec("p", cfg, "mcf", kInstr, kWarm);
     second.run();
     const SweepOutcome *warm = second.outcome("p");
     ASSERT_NE(warm, nullptr);
     EXPECT_TRUE(warm->ok);
     EXPECT_TRUE(warm->cached);
-    EXPECT_EQ(cache.stores, 1);
-    expectSameResult(cold->result, warm->result);
+    test::expectSameResult(cold->result, warm->result);
+    EXPECT_EQ(dumpRunResult(warm->result), dumpRunResult(cold->result));
 
     // The JSON report records the hit.
     const std::string path =
@@ -329,6 +320,38 @@ TEST(Sweep, AttachedCacheServesRepeatPointsWithoutSimulating)
     ss << f.rdbuf();
     EXPECT_NE(ss.str().find("\"cached\": true"), std::string::npos);
     std::remove(path.c_str());
+}
+
+TEST(Sweep, AttachedCacheServesRepeatPointsWithoutSimulating)
+{
+    {
+        SCOPED_TRACE("in-memory cache");
+        MemoryCache cache;
+        expectRepeatPointIsServedFromCache(
+            [&cache]() -> SweepCache & { return cache; });
+        EXPECT_EQ(cache.stores, 1); // the cached run stored nothing
+        EXPECT_FALSE(cache.lastDump.empty());
+    }
+    {
+        // The on-disk store, reopened for the second runner as a new
+        // process would open it.
+        SCOPED_TRACE("result cache directory, reopened");
+        const std::string dir = ::testing::TempDir() +
+            "tacsim_sweep_store_" + std::to_string(::getpid());
+        std::remove((dir + "/index.txt").c_str());
+        std::unique_ptr<serve::ResultCache> store;
+        std::unique_ptr<serve::ResultCacheSweepAdapter> adapter;
+        expectRepeatPointIsServedFromCache([&]() -> SweepCache & {
+            adapter.reset();
+            store.reset();
+            store = std::make_unique<serve::ResultCache>(dir);
+            adapter =
+                std::make_unique<serve::ResultCacheSweepAdapter>(*store);
+            return *adapter;
+        });
+        EXPECT_EQ(store->entries(), 1u);
+        EXPECT_EQ(store->hits(), 1u);
+    }
 }
 
 TEST(Sweep, MixPointsRunThroughThePool)

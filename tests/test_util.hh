@@ -1,17 +1,23 @@
 /**
  * @file
  * Shared helpers for unit tests: a scriptable memory device that records
- * the requests it receives, and request factories.
+ * the requests it receives, request factories, and a field-by-field
+ * RunResult comparison.
  */
 
 #ifndef TACSIM_TESTS_TEST_UTIL_HH
 #define TACSIM_TESTS_TEST_UTIL_HH
 
+#include <gtest/gtest.h>
+
+#include <bit>
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "common/event_queue.hh"
 #include "mem/request.hh"
+#include "sim/runner.hh"
 
 namespace tacsim::test {
 
@@ -90,6 +96,27 @@ drain(EventQueue &eq, std::uint64_t maxSteps = 1u << 20)
 {
     while (!eq.empty() && maxSteps--)
         eq.step();
+}
+
+/**
+ * Expect @p a and @p b to agree on every RunResult field: the label,
+ * each kRunResultFields row (doubles bit for bit, so a lossy copy cannot
+ * hide behind a rounded print) and the per-thread vectors.
+ */
+inline void
+expectSameResult(const RunResult &a, const RunResult &b)
+{
+    EXPECT_EQ(a.benchmark, b.benchmark);
+    for (const RunResultField &f : kRunResultFields) {
+        if (f.u64)
+            EXPECT_EQ(a.*f.u64, b.*f.u64) << f.name;
+        else
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(a.*f.f64),
+                      std::bit_cast<std::uint64_t>(b.*f.f64))
+                << f.name << ": " << a.*f.f64 << " vs " << b.*f.f64;
+    }
+    EXPECT_EQ(a.threadCycles, b.threadCycles);
+    EXPECT_EQ(a.threadInstructions, b.threadInstructions);
 }
 
 } // namespace tacsim::test

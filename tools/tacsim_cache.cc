@@ -9,8 +9,8 @@
  *   gc      evict least-recently-used entries down to a byte budget
  *
  * All commands operate on a cache directory directly — run them
- * against a live daemon's directory only between requests (the index
- * rewrite is atomic, but gc under a writer is a race you lose).
+ * against a directory a sweep is writing to only between sweeps (the
+ * index rewrite is atomic, but gc under a writer is a race you lose).
  */
 
 #include <cstdio>
