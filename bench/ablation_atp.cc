@@ -37,9 +37,10 @@ main(int argc, char **argv)
         for (Benchmark b : subset) {
             const std::string bname = benchmarkName(b);
             Variant vv = v;
-            registerCase(std::string("ablation_atp/") + v.name + "/" +
-                             bname,
-                         [vv, b, bname] {
+            const std::string key =
+                std::string("ablation_atp/") + v.name + "/" + bname;
+            registerCase(key,
+                         [key, vv, b, bname] {
                              const RunResult &base = cachedRun(
                                  "base/" + bname, baselineConfig(), b);
                              SystemConfig cfg = baselineConfig();
@@ -50,7 +51,7 @@ main(int argc, char **argv)
                              cfg.atpLlc = vv.atpLlc;
                              cfg.tempo = vv.tempo;
                              cfg.dram.tempo = vv.tempo;
-                             RunResult r = runBenchmark(cfg, b);
+                             const RunResult &r = cachedRun(key, cfg, b);
                              const double sp = speedup(base, r);
                              addRow(vv.name, bname, (sp - 1) * 100,
                                     std::nan(""), "%");

@@ -21,12 +21,13 @@ main(int argc, char **argv)
     for (unsigned walkers : {1u, 2u, 4u, 8u}) {
         for (Benchmark b : subset) {
             const std::string bname = benchmarkName(b);
-            registerCase("ablation_walker/walkers" +
-                             std::to_string(walkers) + "/" + bname,
-                         [walkers, b, bname] {
+            const std::string key = "ablation_walker/walkers" +
+                std::to_string(walkers) + "/" + bname;
+            registerCase(key,
+                         [key, walkers, b, bname] {
                              SystemConfig cfg = baselineConfig();
                              cfg.ptw.maxConcurrentWalks = walkers;
-                             RunResult r = runBenchmark(cfg, b);
+                             const RunResult &r = cachedRun(key, cfg, b);
                              addRow("walkers=" + std::to_string(walkers),
                                     bname, r.ipc, std::nan(""), "IPC");
                          });
@@ -48,12 +49,13 @@ main(int argc, char **argv)
         for (Benchmark b : subset) {
             const std::string bname = benchmarkName(b);
             PscCfg pc = p;
-            registerCase(std::string("ablation_walker/") + p.name + "/" +
-                             bname,
-                         [pc, b, bname] {
+            const std::string key =
+                std::string("ablation_walker/") + p.name + "/" + bname;
+            registerCase(key,
+                         [key, pc, b, bname] {
                              SystemConfig cfg = baselineConfig();
                              cfg.ptw.pscSizes = pc.sizes;
-                             RunResult r = runBenchmark(cfg, b);
+                             const RunResult &r = cachedRun(key, cfg, b);
                              addRow(pc.name, bname, r.ipc, std::nan(""),
                                     "IPC");
                          });

@@ -145,33 +145,40 @@ sweep()
     return globalSweep();
 }
 
-/** Phase 1: register one simulation point for the parallel sweep. */
+/** Phase 1: register one simulation point for the parallel sweep
+ *  (every thread of @p cfg runs @p b). */
 inline void
 registerPoint(const std::string &key, const SystemConfig &cfg, Benchmark b,
               std::uint64_t instructions = 0, std::uint64_t warmup = 0)
 {
-    sweep().add(key, cfg, b, instructions, warmup);
+    sweep().add(key, cfg,
+                std::vector<std::string>(cfg.threads(), benchmarkName(b)),
+                instructions, warmup);
 }
 
-/** Phase 1: register a multi-thread mix point. */
+/** Phase 1: register a multi-thread mix point (thread t runs mix[t]). */
 inline void
 registerMixPoint(const std::string &key, const SystemConfig &cfg,
-                 std::vector<Benchmark> mix,
+                 const std::vector<Benchmark> &mix,
                  std::uint64_t instructions = 0, std::uint64_t warmup = 0)
 {
-    sweep().addMix(key, cfg, std::move(mix), instructions, warmup);
+    std::vector<std::string> specs;
+    for (Benchmark b : mix)
+        specs.push_back(benchmarkName(b));
+    sweep().add(key, cfg, std::move(specs), instructions, warmup);
 }
 
 /**
- * Memoized per-benchmark run (configs hashed by caller-chosen key).
- * Pre-registered keys return the sweep's result; unknown keys register
- * and execute on the spot (serial fallback).
+ * Memoized run of one point under a caller-chosen key, unique per
+ * point. Pre-registered keys return the sweep's result; unknown keys
+ * register and execute on the spot (serial fallback). Either way the
+ * point is listed in the JSON report.
  */
 inline const RunResult &
 cachedRun(const std::string &key, const SystemConfig &cfg, Benchmark b,
           std::uint64_t instructions = 0, std::uint64_t warmup = 0)
 {
-    sweep().add(key, cfg, b, instructions, warmup);
+    registerPoint(key, cfg, b, instructions, warmup);
     return sweep().result(key);
 }
 

@@ -32,7 +32,8 @@ main(int argc, char **argv)
 
                          SystemConfig cb = baselineConfig();
                          cb.llcDeadBlock = true;
-                         RunResult rcb = runBenchmark(cb, b);
+                         const RunResult &rcb =
+                             cachedRun("cbpred/" + name, cb, b);
 
                          const RunResult &rp = cachedRun(
                              "prop/" + name, proposedConfig(), b);

@@ -32,17 +32,18 @@ main(int argc, char **argv)
                 // CSALT on the strong (DRRIP+SHiP) baseline.
                 SystemConfig cs = baselineConfig();
                 cs.llcCsalt = true;
-                RunResult rcs = runBenchmark(cs, b);
+                const RunResult &rcs = cachedRun("csalt/" + name, cs, b);
 
                 // CSALT over a weak LRU baseline (the CSALT paper's own
                 // setting, corroborated by §V-B).
                 SystemConfig lru = baselineConfig();
                 lru.l2Policy = PolicyKind::LRU;
                 lru.llcPolicy = PolicyKind::LRU;
-                RunResult rlru = runBenchmark(lru, b);
+                const RunResult &rlru = cachedRun("lru/" + name, lru, b);
                 SystemConfig lruCs = lru;
                 lruCs.llcCsalt = true;
-                RunResult rlruCs = runBenchmark(lruCs, b);
+                const RunResult &rlruCs =
+                    cachedRun("lru-csalt/" + name, lruCs, b);
 
                 const RunResult &rp =
                     cachedRun("prop/" + name, proposedConfig(), b);

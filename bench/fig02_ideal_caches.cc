@@ -65,7 +65,8 @@ main(int argc, char **argv)
                     cachedRun("base/" + name, baselineConfig(), b);
                 SystemConfig cfg = baselineConfig();
                 vp->apply(cfg);
-                RunResult r = runBenchmark(cfg, b);
+                const RunResult &r = cachedRun(
+                    std::string("fig02/") + vp->name + "/" + name, cfg, b);
                 const double s = speedup(base, r);
                 addRow(vp->name, name, (s - 1) * 100, std::nan(""), "%");
                 speedups.push_back(s);

@@ -29,10 +29,10 @@ main(int argc, char **argv)
                 std::string("fig04/") + pname + "/" + bname;
             PolicyKind k = kind;
             std::string pn = pname;
-            registerCase(key, [k, pn, b, bname] {
+            registerCase(key, [key, k, pn, b, bname] {
                 SystemConfig cfg = baselineConfig();
                 cfg.llcPolicy = k;
-                RunResult r = runBenchmark(cfg, b);
+                const RunResult &r = cachedRun(key, cfg, b);
                 addRow(pn, bname, r.llcPtl1Mpki, std::nan(""), "MPKI");
                 series[pn].push_back(r.llcPtl1Mpki);
             });

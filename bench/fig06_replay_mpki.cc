@@ -28,11 +28,13 @@ main(int argc, char **argv)
             const std::string bname = benchmarkName(b);
             PolicyKind k = kind;
             std::string pn = pname;
-            registerCase(std::string("fig06/") + pname + "/" + bname,
-                         [k, pn, b, bname] {
+            const std::string key =
+                std::string("fig06/") + pname + "/" + bname;
+            registerCase(key,
+                         [key, k, pn, b, bname] {
                              SystemConfig cfg = baselineConfig();
                              cfg.llcPolicy = k;
-                             RunResult r = runBenchmark(cfg, b);
+                             const RunResult &r = cachedRun(key, cfg, b);
                              addRow(pn, bname, r.llcReplayMpki,
                                     std::nan(""), "MPKI");
                              series[pn].push_back(r.llcReplayMpki);

@@ -40,12 +40,14 @@ main(int argc, char **argv)
         for (Benchmark b : subset) {
             const std::string bname = benchmarkName(b);
             Pf pf = p;
-            registerCase(std::string("fig08/") + p.name + "/" + bname,
-                         [pf, b, bname] {
+            const std::string key =
+                std::string("fig08/") + p.name + "/" + bname;
+            registerCase(key,
+                         [key, pf, b, bname] {
                              SystemConfig cfg = baselineConfig();
                              cfg.l1Prefetcher = pf.l1;
                              cfg.l2Prefetcher = pf.l2;
-                             RunResult r = runBenchmark(cfg, b);
+                             const RunResult &r = cachedRun(key, cfg, b);
                              addRow(pf.name, bname, r.llcReplayMpki,
                                     std::nan(""), "MPKI");
                              series[pf.name].push_back(r.llcReplayMpki);

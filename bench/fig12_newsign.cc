@@ -42,13 +42,15 @@ main(int argc, char **argv)
         for (Benchmark b : subset) {
             const std::string bname = benchmarkName(b);
             Variant vv = v;
-            registerCase(std::string("fig12/") + v.name + "/" + bname,
-                         [vv, b, bname] {
+            const std::string key =
+                std::string("fig12/") + v.name + "/" + bname;
+            registerCase(key,
+                         [key, vv, b, bname] {
                              SystemConfig cfg = baselineConfig();
                              cfg.llcPolicy = vv.kind;
                              cfg.llcOpts.newSignatures = vv.newSig;
                              cfg.llcOpts.translationRrpv0 = vv.tr0;
-                             RunResult r = runBenchmark(cfg, b);
+                             const RunResult &r = cachedRun(key, cfg, b);
                              addRow(vv.name, bname, r.llcPtl1Mpki,
                                     std::nan(""), "MPKI");
                              series[vv.name].push_back(r.llcPtl1Mpki);

@@ -40,18 +40,22 @@ main(int argc, char **argv)
         for (Benchmark b : subset) {
             const std::string bname = benchmarkName(b);
             Pf pf = p;
-            registerCase(std::string("fig15/") + p.name + "/" + bname,
-                         [pf, b, bname] {
+            const std::string key =
+                std::string("fig15/") + p.name + "/" + bname;
+            registerCase(key,
+                         [key, pf, b, bname] {
                              SystemConfig base = baselineConfig();
                              base.l1Prefetcher = pf.l1;
                              base.l2Prefetcher = pf.l2;
-                             RunResult rb = runBenchmark(base, b);
+                             const RunResult &rb =
+                                 cachedRun(key + "/base", base, b);
 
                              SystemConfig enh = base;
                              TranslationAwareOptions o;
                              o.tempo = true;
                              applyTranslationAware(enh, o);
-                             RunResult re = runBenchmark(enh, b);
+                             const RunResult &re =
+                                 cachedRun(key + "/proposed", enh, b);
 
                              const double sp = speedup(rb, re);
                              addRow(pf.name, bname, (sp - 1) * 100,

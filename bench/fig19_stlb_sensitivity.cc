@@ -26,18 +26,21 @@ main(int argc, char **argv)
     for (std::uint32_t entries : sizes) {
         for (Benchmark b : subset) {
             const std::string bname = benchmarkName(b);
-            registerCase("fig19/stlb" + std::to_string(entries) + "/" +
-                             bname,
-                         [entries, b, bname] {
+            const std::string key =
+                "fig19/stlb" + std::to_string(entries) + "/" + bname;
+            registerCase(key,
+                         [key, entries, b, bname] {
                              SystemConfig base = baselineConfig();
                              base.stlbEntries = entries;
-                             RunResult rb = runBenchmark(base, b);
+                             const RunResult &rb =
+                                 cachedRun(key + "/base", base, b);
 
                              SystemConfig enh = base;
                              TranslationAwareOptions o;
                              o.tempo = true;
                              applyTranslationAware(enh, o);
-                             RunResult re = runBenchmark(enh, b);
+                             const RunResult &re =
+                                 cachedRun(key + "/proposed", enh, b);
 
                              const double sp = speedup(rb, re);
                              addRow("STLB=" + std::to_string(entries),

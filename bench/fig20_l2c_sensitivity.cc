@@ -35,20 +35,23 @@ main(int argc, char **argv)
         for (Benchmark b : subset) {
             const std::string bname = benchmarkName(b);
             Geom gg = g;
-            registerCase("fig20/l2_" + std::to_string(g.sizeKb) + "K/" +
-                             bname,
-                         [gg, b, bname] {
+            const std::string key =
+                "fig20/l2_" + std::to_string(g.sizeKb) + "K/" + bname;
+            registerCase(key,
+                         [key, gg, b, bname] {
                              SystemConfig base = baselineConfig();
                              base.l2.sizeBytes = gg.sizeKb * 1024;
                              base.l2.ways = gg.ways;
                              base.l2.latency = gg.latency;
-                             RunResult rb = runBenchmark(base, b);
+                             const RunResult &rb =
+                                 cachedRun(key + "/base", base, b);
 
                              SystemConfig enh = base;
                              TranslationAwareOptions o;
                              o.tempo = true;
                              applyTranslationAware(enh, o);
-                             RunResult re = runBenchmark(enh, b);
+                             const RunResult &re =
+                                 cachedRun(key + "/proposed", enh, b);
 
                              const double sp = speedup(rb, re);
                              addRow("L2C=" + std::to_string(gg.sizeKb) +

@@ -34,20 +34,23 @@ main(int argc, char **argv)
         for (Benchmark b : subset) {
             const std::string bname = benchmarkName(b);
             Geom gg = g;
-            registerCase("fig21/llc_" + std::to_string(g.sizeMb) + "M/" +
-                             bname,
-                         [gg, b, bname] {
+            const std::string key =
+                "fig21/llc_" + std::to_string(g.sizeMb) + "M/" + bname;
+            registerCase(key,
+                         [key, gg, b, bname] {
                              SystemConfig base = baselineConfig();
                              base.llcPerCore.sizeBytes =
                                  gg.sizeMb * 1024 * 1024;
                              base.llcPerCore.latency = gg.latency;
-                             RunResult rb = runBenchmark(base, b);
+                             const RunResult &rb =
+                                 cachedRun(key + "/base", base, b);
 
                              SystemConfig enh = base;
                              TranslationAwareOptions o;
                              o.tempo = true;
                              applyTranslationAware(enh, o);
-                             RunResult re = runBenchmark(enh, b);
+                             const RunResult &re =
+                                 cachedRun(key + "/proposed", enh, b);
 
                              const double sp = speedup(rb, re);
                              addRow("LLC=" + std::to_string(gg.sizeMb) +

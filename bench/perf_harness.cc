@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "common/host.hh"
+#include "serve/json.hh"
 #include "sim/config.hh"
 #include "sim/sweep.hh"
 #include "trace/reader.hh"
@@ -113,20 +114,6 @@ parseArgs(int argc, char **argv)
     return o;
 }
 
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        if (static_cast<unsigned char>(c) >= 0x20)
-            out += c;
-    }
-    return out;
-}
-
 } // namespace
 
 int
@@ -178,8 +165,8 @@ main(int argc, char **argv)
             p.benchmark = traceName;
             p.config = cfgName;
             p.key = "trace/" + std::string(cfgName);
-            sweep.addSpec(p.key, *cfg, "trace:" + opt.trace,
-                          opt.instructions, opt.warmup);
+            sweep.add(p.key, *cfg, {"trace:" + opt.trace},
+                      opt.instructions, opt.warmup);
             points.push_back(std::move(p));
         }
     } else {
@@ -192,7 +179,8 @@ main(int argc, char **argv)
                 p.benchmark = name;
                 p.config = cfgName;
                 p.key = name + "/" + cfgName;
-                sweep.add(p.key, *cfg, b, opt.instructions, opt.warmup);
+                sweep.add(p.key, *cfg, {name}, opt.instructions,
+                          opt.warmup);
                 points.push_back(std::move(p));
             }
         }
@@ -220,10 +208,10 @@ main(int argc, char **argv)
     std::fprintf(f, "{\n  \"schema\": \"tacsim-bench-v1\",\n");
     std::fprintf(f, "  \"title\": \"tacsim engine throughput\",\n");
     std::fprintf(f,
-                 "  \"host\": {\"cpus\": %u, \"compiler\": \"%s\", "
-                 "\"os\": \"%s\"},\n",
-                 hostCpus(), jsonEscape(hostCompiler()).c_str(),
-                 jsonEscape(hostOs()).c_str());
+                 "  \"host\": {\"cpus\": %u, \"compiler\": %s, "
+                 "\"os\": %s},\n",
+                 hostCpus(), serve::jsonQuote(hostCompiler()).c_str(),
+                 serve::jsonQuote(hostOs()).c_str());
     std::fprintf(f,
                  "  \"budget\": {\"instructions\": %llu, "
                  "\"warmup\": %llu},\n",
@@ -237,13 +225,13 @@ main(int argc, char **argv)
         if (!o || !o->ok) {
             anyFailed = true;
             std::fprintf(f,
-                         "%s\n    {\"key\": \"%s\", \"benchmark\": "
-                         "\"%s\", \"config\": \"%s\", \"ok\": false, "
-                         "\"error\": \"%s\"}",
-                         i ? "," : "", jsonEscape(p.key).c_str(),
-                         jsonEscape(p.benchmark).c_str(),
-                         jsonEscape(p.config).c_str(),
-                         jsonEscape(o ? o->error : "not run").c_str());
+                         "%s\n    {\"key\": %s, \"benchmark\": %s, "
+                         "\"config\": %s, \"ok\": false, "
+                         "\"error\": %s}",
+                         i ? "," : "", serve::jsonQuote(p.key).c_str(),
+                         serve::jsonQuote(p.benchmark).c_str(),
+                         serve::jsonQuote(p.config).c_str(),
+                         serve::jsonQuote(o ? o->error : "not run").c_str());
             std::fprintf(stderr, "tacsim-perf: point %s FAILED: %s\n",
                          p.key.c_str(),
                          o ? o->error.c_str() : "not run");
@@ -261,14 +249,14 @@ main(int argc, char **argv)
         totalInstructions += simInstr;
         std::fprintf(
             f,
-            "%s\n    {\"key\": \"%s\", \"benchmark\": \"%s\", "
-            "\"config\": \"%s\", \"ok\": true, \"wall_ms\": %.3f, "
+            "%s\n    {\"key\": %s, \"benchmark\": %s, "
+            "\"config\": %s, \"ok\": true, \"wall_ms\": %.3f, "
             "\"events\": %llu, \"events_per_sec\": %.1f, "
             "\"sim_kips\": %.2f, \"peak_rss_kb\": %llu, "
             "\"cycles\": %llu, \"ipc\": %.6f}",
-            i ? "," : "", jsonEscape(p.key).c_str(),
-            jsonEscape(p.benchmark).c_str(),
-            jsonEscape(p.config).c_str(), o->wallMs,
+            i ? "," : "", serve::jsonQuote(p.key).c_str(),
+            serve::jsonQuote(p.benchmark).c_str(),
+            serve::jsonQuote(p.config).c_str(), o->wallMs,
             static_cast<unsigned long long>(o->result.events), evPerSec,
             kips, static_cast<unsigned long long>(o->peakRssKb),
             static_cast<unsigned long long>(o->result.cycles),

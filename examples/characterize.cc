@@ -21,7 +21,7 @@ main()
                 "L2.ptl1", "LLC.rep", "LLC.nrep", "LLC.ptl1", "IPC");
     for (Benchmark b : kAllBenchmarks) {
         SystemConfig cfg;
-        RunResult r = runBenchmark(cfg, b);
+        RunResult r = runSpecMix(cfg, {benchmarkName(b)});
         const TableTwoRow &p = paperTableTwo(b);
         std::printf("%-10s %8.2f %8.2f | %8.2f %8.2f %8.2f | %8.2f %8.2f "
                     "%8.2f | %6.3f\n",

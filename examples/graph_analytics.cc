@@ -36,13 +36,13 @@ main(int argc, char **argv)
 
     for (Benchmark b : graphs) {
         SystemConfig base;
-        RunResult rb = runBenchmark(base, b, instr, warm);
+        RunResult rb = runSpecMix(base, {benchmarkName(b)}, instr, warm);
 
         SystemConfig enh = base;
         TranslationAwareOptions opts;
         opts.tempo = true;
         applyTranslationAware(enh, opts);
-        RunResult re = runBenchmark(enh, b, instr, warm);
+        RunResult re = runSpecMix(enh, {benchmarkName(b)}, instr, warm);
 
         auto stallPct = [](const RunResult &r, std::uint64_t stall) {
             return r.cycles ? 100.0 * double(stall) / double(r.cycles)

@@ -66,7 +66,7 @@ main(int argc, char **argv)
     for (auto [l2name, tdrrip] : l2s)
         for (const LlcChoice &llc : llcs)
             sweep.add(std::string(l2name) + "/" + llc.name,
-                      makeConfig(tdrrip, llc), bench);
+                      makeConfig(tdrrip, llc), {benchmarkName(bench)});
 
     // Phase 2: execute across the pool.
     std::printf("benchmark: %s (%zu configs on %u threads)\n",

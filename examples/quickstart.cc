@@ -21,8 +21,8 @@ main()
     opts.tempo = true;
     applyTranslationAware(enhanced, opts);
 
-    RunResult base = runBenchmark(baseline, Benchmark::pr);
-    RunResult enh = runBenchmark(enhanced, Benchmark::pr);
+    RunResult base = runSpecMix(baseline, {"pr"});
+    RunResult enh = runSpecMix(enhanced, {"pr"});
 
     std::printf("pr: baseline IPC %.3f, enhanced IPC %.3f, "
                 "speedup %+.2f%%\n",

@@ -273,7 +273,7 @@ class Cache : public MemDevice, public PrefetchIssuer
 
     /**
      * Checkpoint the array contents, replacement-policy training state
-     * and arbitration counters (tacsim-ckpt-v1). Only legal when no miss
+     * and arbitration counters (tacsim-ckpt-v2). Only legal when no miss
      * is outstanding (post-quiesce): MSHRs and the pending queue are
      * never serialized. Attached prefetchers and recall profilers are
      * unsupported and make save/load throw.

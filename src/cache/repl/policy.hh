@@ -127,7 +127,7 @@ class ReplPolicy
     virtual void resetStats() {}
 
     /**
-     * Checkpoint the policy's training state (tacsim-ckpt-v1): RRPVs,
+     * Checkpoint the policy's training state (tacsim-ckpt-v2): RRPVs,
      * SHCT, set-dueling PSEL, randomized-victim RNG. The default throws
      * so a policy without support (Hawkeye's OPTgen history, dead-block
      * and CSALT wrappers) fails a checkpoint attempt loudly instead of

@@ -1,7 +1,7 @@
 /**
  * @file
  * Byte-stream serialization primitives for simulation checkpoints
- * (tacsim-ckpt-v1, sim/checkpoint.hh).
+ * (tacsim-ckpt-v2, sim/checkpoint.hh).
  *
  * The encoding is deliberately dumb: fixed-width little-endian integers
  * and length-prefixed byte strings, no varints, no alignment. Checkpoint

@@ -118,7 +118,7 @@ class Core
     bool robEmpty() const { return count_ == 0; }
 
     /**
-     * Checkpoint the architectural cursor (tacsim-ckpt-v1). Only legal
+     * Checkpoint the architectural cursor (tacsim-ckpt-v2). Only legal
      * when the ROB is empty (post-quiesce): with all entries retired,
      * the sequence cursors fully determine future behaviour — stale
      * rob_ ring contents are unreachable because the only cross-retire

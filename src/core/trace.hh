@@ -64,7 +64,7 @@ class Workload
     virtual Addr footprint() const = 0;
 
     /**
-     * Checkpoint seams (tacsim-ckpt-v1). A workload's generator state
+     * Checkpoint seams (tacsim-ckpt-v2). A workload's generator state
      * must round-trip exactly: after loadState the stream it produces is
      * identical to the one the saved instance would have produced. The
      * default implementations throw, so a workload type that never

@@ -110,7 +110,7 @@ class Dram : public MemDevice
     void checkInvariants() const;
 
     /**
-     * Checkpoint bank/bus timing state (tacsim-ckpt-v1). Times are
+     * Checkpoint bank/bus timing state (tacsim-ckpt-v2). Times are
      * absolute cycles; the owner restores the event-queue clock to the
      * same instant, so they remain directly comparable after restore.
      */

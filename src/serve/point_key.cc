@@ -98,14 +98,6 @@ pointKey(const SystemConfig &cfg, const std::vector<std::string> &specs,
 }
 
 std::string
-pointKey(const SystemConfig &cfg, const std::string &spec,
-         std::uint64_t instructions, std::uint64_t warmup)
-{
-    const std::vector<std::string> specs(cfg.threads(), spec);
-    return pointKey(cfg, specs, instructions, warmup);
-}
-
-std::string
 warmKey(const SystemConfig &cfg, const std::vector<std::string> &specs,
         std::uint64_t warmup)
 {

@@ -45,16 +45,13 @@ std::string pointKey(const SystemConfig &cfg,
                      const std::vector<std::string> &specs,
                      std::uint64_t instructions, std::uint64_t warmup);
 
-/** Single-spec convenience: every thread runs @p spec. */
-std::string pointKey(const SystemConfig &cfg, const std::string &spec,
-                     std::uint64_t instructions, std::uint64_t warmup);
-
 /**
  * Identity of a *warmed machine state* rather than a finished result:
  * like pointKey but excluding the measured-instruction budget. Two
  * points that differ only in how long they measure share warm state,
  * which is what makes a checkpoint (sim/checkpoint.hh) reusable across
- * measurement budgets.
+ * measurement budgets. It is the stamp inside every checkpoint the
+ * runner writes (sim/runner.hh RunCheckpoint).
  */
 std::string warmKey(const SystemConfig &cfg,
                     const std::vector<std::string> &specs,

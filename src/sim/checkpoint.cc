@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/serialize.hh"
-#include "sim/config.hh"
 #include "sim/system.hh"
 #include "trace/format.hh"
 
@@ -73,17 +72,16 @@ getU64le(const unsigned char in[8])
 } // namespace
 
 void
-saveCheckpoint(const std::string &path, System &sys)
+saveCheckpoint(const std::string &path, System &sys,
+               const std::string &key)
 {
     sys.quiesce();
 
     SerialWriter w;
     sys.saveState(w);
 
-    const std::string cfgText = canonicalConfigText(sys.config());
-
     std::uint32_t crc = 0;
-    crc = trace::crc32(crc, cfgText.data(), cfgText.size());
+    crc = trace::crc32(crc, key.data(), key.size());
     crc = trace::crc32(crc, w.bytes().data(), w.bytes().size());
 
     FilePtr f(std::fopen(path.c_str(), "wb"));
@@ -95,9 +93,9 @@ saveCheckpoint(const std::string &path, System &sys)
     unsigned char u32buf[4], u64buf[8];
     putU32le(u32buf, kCheckpointVersion);
     writeAll(f.get(), u32buf, sizeof(u32buf), path);
-    putU64le(u64buf, cfgText.size());
+    putU64le(u64buf, key.size());
     writeAll(f.get(), u64buf, sizeof(u64buf), path);
-    writeAll(f.get(), cfgText.data(), cfgText.size(), path);
+    writeAll(f.get(), key.data(), key.size(), path);
     putU64le(u64buf, w.size());
     writeAll(f.get(), u64buf, sizeof(u64buf), path);
     writeAll(f.get(), w.bytes().data(), w.size(), path);
@@ -109,7 +107,8 @@ saveCheckpoint(const std::string &path, System &sys)
 }
 
 void
-loadCheckpoint(const std::string &path, System &sys)
+loadCheckpoint(const std::string &path, System &sys,
+               const std::string &key)
 {
     FilePtr f(std::fopen(path.c_str(), "rb"));
     if (!f)
@@ -119,7 +118,7 @@ loadCheckpoint(const std::string &path, System &sys)
     readAll(f.get(), magic.data(), magic.size(), path);
     if (magic != kCkptMagic)
         throw std::runtime_error("checkpoint: " + path +
-                                 " is not a tacsim-ckpt-v1 file");
+                                 " is not a tacsim checkpoint");
 
     unsigned char u32buf[4], u64buf[8];
     readAll(f.get(), u32buf, sizeof(u32buf), path);
@@ -130,14 +129,14 @@ loadCheckpoint(const std::string &path, System &sys)
             std::to_string(version));
 
     readAll(f.get(), u64buf, sizeof(u64buf), path);
-    const std::uint64_t cfgLen = getU64le(u64buf);
-    // Sanity cap: a canonical config dump is a few KiB. A corrupt length
-    // field must not drive a multi-GiB allocation.
-    if (cfgLen > (1u << 20))
+    const std::uint64_t keyLen = getU64le(u64buf);
+    // Sanity cap: a point key is 64 hex chars. A corrupt length field
+    // must not drive a multi-GiB allocation.
+    if (keyLen > 1024)
         throw std::runtime_error("checkpoint: " + path +
-                                 " has an implausible config length");
-    std::string cfgText(static_cast<std::size_t>(cfgLen), '\0');
-    readAll(f.get(), cfgText.data(), cfgText.size(), path);
+                                 " has an implausible key length");
+    std::string savedKey(static_cast<std::size_t>(keyLen), '\0');
+    readAll(f.get(), savedKey.data(), savedKey.size(), path);
 
     readAll(f.get(), u64buf, sizeof(u64buf), path);
     const std::uint64_t payloadLen = getU64le(u64buf);
@@ -151,18 +150,17 @@ loadCheckpoint(const std::string &path, System &sys)
     readAll(f.get(), u32buf, sizeof(u32buf), path);
     const std::uint32_t storedCrc = getU32le(u32buf);
     std::uint32_t crc = 0;
-    crc = trace::crc32(crc, cfgText.data(), cfgText.size());
+    crc = trace::crc32(crc, savedKey.data(), savedKey.size());
     crc = trace::crc32(crc, payload.data(), payload.size());
     if (crc != storedCrc)
         throw std::runtime_error("checkpoint: " + path +
                                  " failed CRC verification");
 
-    const std::string want = canonicalConfigText(sys.config());
-    if (cfgText != want)
+    if (savedKey != key)
         throw std::runtime_error(
             "checkpoint: " + path +
-            " was saved from a different configuration; rebuild the "
-            "System with the checkpoint's config before restoring");
+            " was saved from a different point (config, workloads or "
+            "warm-up budget); restore it into the point that saved it");
 
     SerialReader r(payload);
     sys.loadState(r);

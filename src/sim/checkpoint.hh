@@ -1,23 +1,25 @@
 /**
  * @file
- * The `tacsim-ckpt-v1` on-disk checkpoint container.
+ * The `tacsim-ckpt-v2` on-disk checkpoint container.
  *
  * Layout (all integers little-endian):
  *
  *   header   8B magic "TACCKPT1"
- *            u32 version (= 1)
- *            u64 configLen, then configLen bytes of
- *                canonicalConfigText (sim/config.hh) of the saved system
+ *            u32 version (= 2)
+ *            u64 keyLen, then keyLen bytes of the point key the caller
+ *                stamped the file with (the runner uses serve::warmKey)
  *            u64 payloadLen
  *   payload  payloadLen bytes of System::saveState output
- *   footer   u32 CRC-32 (IEEE) of config text + payload bytes
+ *   footer   u32 CRC-32 (IEEE) of key + payload bytes
  *
- * The embedded config text is the compatibility stamp: loadCheckpoint
- * refuses to restore into a System whose canonical config differs from
- * the saver's, because state layouts (set counts, way counts, ROB
- * geometry) are config-derived and a silent mismatch would corrupt the
- * restored machine. The CRC rejects truncation and bit rot before any
- * payload byte is interpreted.
+ * The key is the compatibility stamp: loadCheckpoint refuses to restore
+ * a file whose key differs from the caller's. serve::warmKey hashes the
+ * canonical config, the per-thread workload specs and the warm-up
+ * budget, so a checkpoint restores only into the point that saved it.
+ * A config stamp alone is not enough: the six graph benchmarks share
+ * one state layout, so a `pr` machine would restore silently as `cc`.
+ * The CRC rejects truncation and bit rot before any payload byte is
+ * interpreted.
  *
  * Checkpoints are only written at quiesce() boundaries (System::saveState
  * enforces this), which is what makes restore deterministic: a
@@ -36,22 +38,24 @@ namespace tacsim {
 
 class System;
 
-constexpr std::uint32_t kCheckpointVersion = 1;
+constexpr std::uint32_t kCheckpointVersion = 2;
 
 /**
- * Quiesce @p sys and write a tacsim-ckpt-v1 file to @p path.
- * Throws std::runtime_error on I/O failure or when the system holds
- * state that cannot be checkpointed (see System::saveState).
+ * Quiesce @p sys and write a tacsim-ckpt-v2 file stamped with @p key to
+ * @p path. Throws std::runtime_error on I/O failure or when the system
+ * holds state that cannot be checkpointed (see System::saveState).
  */
-void saveCheckpoint(const std::string &path, System &sys);
+void saveCheckpoint(const std::string &path, System &sys,
+                    const std::string &key);
 
 /**
- * Restore @p sys from a tacsim-ckpt-v1 file. @p sys must be freshly
- * built with the same configuration the checkpoint was saved from;
- * throws std::runtime_error on magic/version/CRC/config mismatch or a
- * malformed payload.
+ * Restore @p sys from a tacsim-ckpt-v2 file. @p sys must be freshly
+ * built for the point the checkpoint was saved from, and @p key must
+ * equal the saver's stamp; throws std::runtime_error on
+ * magic/version/CRC/key mismatch or a malformed payload.
  */
-void loadCheckpoint(const std::string &path, System &sys);
+void loadCheckpoint(const std::string &path, System &sys,
+                    const std::string &key);
 
 } // namespace tacsim
 

@@ -109,7 +109,7 @@ canonicalConfigText(const SystemConfig &cfg)
 {
     std::string out;
     out.reserve(2048);
-    out += "tacsim-config-v1\n";
+    out += "tacsim-config-v2\n";
 
     emit(out, "num_cores", std::uint64_t{cfg.numCores});
     emit(out, "threads_per_core", std::uint64_t{cfg.threadsPerCore});
@@ -189,7 +189,6 @@ canonicalConfigText(const SystemConfig &cfg)
     emit(out, "vm.host_huge_pages_2m", cfg.vm.hostHugePages2M);
     emit(out, "vm.host_huge_pages_1g", cfg.vm.hostHugePages1G);
 
-    emit(out, "workload", cfg.workload);
     emit(out, "seed", cfg.seed);
 
     return out;

@@ -147,15 +147,6 @@ struct SystemConfig
 
     VmConfig vm;
 
-    /**
-     * Workload override. Empty (default) runs the benchmark passed to
-     * the runner/sweep; otherwise a workload spec replaces it on every
-     * thread: a Table-II benchmark name ("mcf") or "trace:<path>" to
-     * replay a recorded `tacsim-trace-v1` file (see src/trace/ and
-     * makeWorkloadFromSpec).
-     */
-    std::string workload;
-
     ObsConfig obs;
 
     std::uint64_t seed = 1;
@@ -195,7 +186,7 @@ SystemConfig configForPoint(SystemConfig cfg, const std::string &key);
  * fixed order, with doubles printed round-trip-exactly. Two configs
  * produce the same text iff they simulate identically, which makes this
  * the config component of serve::pointKey (the content-addressed result
- * cache) and the compatibility stamp inside tacsim-ckpt-v1 checkpoints.
+ * cache) and of serve::warmKey, the stamp inside tacsim-ckpt-v2 checkpoints.
  * Observability sinks (ObsConfig) are deliberately excluded: they alter
  * outputs on disk, never simulated behavior.
  */

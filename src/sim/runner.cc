@@ -1,7 +1,9 @@
 #include "sim/runner.hh"
 
 #include <cstdlib>
+#include <stdexcept>
 
+#include "serve/point_key.hh"
 #include "sim/checkpoint.hh"
 #include "sim/verify.hh"
 
@@ -157,37 +159,6 @@ collectResult(System &sys, const std::string &name)
     return r;
 }
 
-RunResult
-runBenchmark(const SystemConfig &cfg, Benchmark b,
-             std::uint64_t instructions, std::uint64_t warmup)
-{
-    std::vector<Benchmark> mix(cfg.threads(), b);
-    return runMix(cfg, mix, instructions, warmup);
-}
-
-RunResult
-runMix(const SystemConfig &cfg, const std::vector<Benchmark> &mix,
-       std::uint64_t instructionsPerThread, std::uint64_t warmup)
-{
-    // The config's workload spec, when set, overrides the benchmark
-    // selection on every thread (e.g. "trace:<path>" replays a recorded
-    // trace through an otherwise unchanged experiment).
-    std::vector<std::string> specs;
-    specs.reserve(mix.size());
-    for (Benchmark b : mix)
-        specs.push_back(cfg.workload.empty() ? benchmarkName(b)
-                                             : cfg.workload);
-    return runSpecMix(cfg, specs, instructionsPerThread, warmup);
-}
-
-RunResult
-runSpec(const SystemConfig &cfg, const std::string &spec,
-        std::uint64_t instructions, std::uint64_t warmup)
-{
-    std::vector<std::string> specs(cfg.threads(), spec);
-    return runSpecMix(cfg, specs, instructions, warmup);
-}
-
 namespace {
 
 std::vector<std::unique_ptr<Workload>>
@@ -200,7 +171,7 @@ makeWorkloads(const SystemConfig &cfg, const std::vector<std::string> &specs)
     return wls;
 }
 
-/** The default run label: the workloads' names joined with "-". */
+/** The run label: the workloads' names joined with "-". */
 std::string
 joinedNames(const std::vector<std::unique_ptr<Workload>> &workloads)
 {
@@ -214,107 +185,68 @@ joinedNames(const std::vector<std::unique_ptr<Workload>> &workloads)
 }
 
 /**
- * One run's machine, built the same way by every entry point, so
- * checkpoint save/restore runs see the same machine as a
- * straight-through run. Any "{key}" still in the obs output paths
- * expands with the run label (the sweep runner substitutes its more
- * specific sweep key before this point). Verify builds attach a
- * verify::Checker to every run, not just to tests that attach one by
- * hand; walking a mapped page table is side-effect free, so results
- * are unchanged.
+ * The one run protocol behind both entry points. Build the machine; any
+ * "{key}" still in the obs output paths expands with the run label (the
+ * sweep runner substitutes its more specific sweep key before this
+ * point). Then restore @p ckpt.load, or else warm up and optionally
+ * save to @p ckpt.save (saving quiesces first, so the measured run
+ * continues from the same drained boundary a restored run starts at);
+ * then reset the statistics and measure. With no checkpoint path this
+ * is exactly System::warmup() + run(). @p stamp is the checkpoint's
+ * point identity (serve::warmKey). Verify builds attach a
+ * verify::Checker to every run; walking a mapped page table is
+ * side-effect free, so results are unchanged.
  */
-class RunMachine
+RunResult
+runPoint(const SystemConfig &cfg,
+         std::vector<std::unique_ptr<Workload>> workloads,
+         std::uint64_t instructionsPerThread, std::uint64_t warmup,
+         const RunCheckpoint &ckpt, const std::string &stamp)
 {
-  public:
-    /** @p name labels the result; empty joins the workload names. */
-    RunMachine(const SystemConfig &cfg,
-               std::vector<std::unique_ptr<Workload>> workloads,
-               const std::string &name = "")
-        : label_(name.empty() ? joinedNames(workloads) : name),
-          sys_(configForPoint(cfg, label_), std::move(workloads))
-    {
+    const std::string label = joinedNames(workloads);
+    System sys(configForPoint(cfg, label), std::move(workloads));
 #ifdef TACSIM_VERIFY_ENABLED
-        sys_.attachChecker(&checker_);
+    verify::Checker checker(sys);
+    sys.attachChecker(&checker);
 #endif
+    if (!ckpt.load.empty()) {
+        loadCheckpoint(ckpt.load, sys, stamp);
+    } else {
+        sys.run(warmup ? warmup : defaultWarmup());
+        if (!ckpt.save.empty())
+            saveCheckpoint(ckpt.save, sys, stamp);
     }
-
-    System &sys() { return sys_; }
-    RunResult result() { return collectResult(sys_, label_); }
-
-  private:
-    // label_ is declared first: it reads the workloads before sys_
-    // takes them.
-    std::string label_;
-    System sys_;
-#ifdef TACSIM_VERIFY_ENABLED
-    verify::Checker checker_{sys_};
-#endif
-};
+    sys.resetStats();
+    sys.run(instructionsPerThread ? instructionsPerThread
+                                  : defaultInstructions());
+    return collectResult(sys, label);
+}
 
 } // namespace
 
 RunResult
 runSpecMix(const SystemConfig &cfg, const std::vector<std::string> &specs,
-           std::uint64_t instructionsPerThread, std::uint64_t warmup)
+           std::uint64_t instructionsPerThread, std::uint64_t warmup,
+           const RunCheckpoint &ckpt)
 {
-    return runWorkloads(cfg, makeWorkloads(cfg, specs), "",
-                        instructionsPerThread, warmup);
-}
-
-RunResult
-runSpecMixCheckpointed(const SystemConfig &cfg,
-                       const std::vector<std::string> &specs,
-                       std::uint64_t instructionsPerThread,
-                       std::uint64_t warmup, const std::string &ckptPath)
-{
-    if (instructionsPerThread == 0)
-        instructionsPerThread = defaultInstructions();
-    if (warmup == 0)
-        warmup = defaultWarmup();
-
-    RunMachine m(cfg, makeWorkloads(cfg, specs));
-    System &sys = m.sys();
-    sys.run(warmup);
-    // saveCheckpoint quiesces first; the measured run then continues
-    // from the same drained boundary a restored run starts at.
-    saveCheckpoint(ckptPath, sys);
-    sys.resetStats();
-    sys.run(instructionsPerThread);
-    return m.result();
-}
-
-RunResult
-runSpecMixFromCheckpoint(const SystemConfig &cfg,
-                         const std::vector<std::string> &specs,
-                         std::uint64_t instructionsPerThread,
-                         const std::string &ckptPath)
-{
-    if (instructionsPerThread == 0)
-        instructionsPerThread = defaultInstructions();
-
-    RunMachine m(cfg, makeWorkloads(cfg, specs));
-    System &sys = m.sys();
-    loadCheckpoint(ckptPath, sys);
-    sys.resetStats();
-    sys.run(instructionsPerThread);
-    return m.result();
+    if (!ckpt.save.empty() && !ckpt.load.empty())
+        throw std::invalid_argument(
+            "runSpecMix: a run either saves or loads a checkpoint, not "
+            "both");
+    const std::string stamp = ckpt.save.empty() && ckpt.load.empty()
+        ? std::string()
+        : serve::warmKey(cfg, specs, warmup);
+    return runPoint(cfg, makeWorkloads(cfg, specs), instructionsPerThread,
+                    warmup, ckpt, stamp);
 }
 
 RunResult
 runWorkloads(const SystemConfig &cfg,
              std::vector<std::unique_ptr<Workload>> workloads,
-             const std::string &name, std::uint64_t instructionsPerThread,
-             std::uint64_t warmup)
+             std::uint64_t instructionsPerThread, std::uint64_t warmup)
 {
-    if (instructionsPerThread == 0)
-        instructionsPerThread = defaultInstructions();
-    if (warmup == 0)
-        warmup = defaultWarmup();
-
-    RunMachine m(cfg, std::move(workloads), name);
-    m.sys().warmup(warmup);
-    m.sys().run(instructionsPerThread);
-    return m.result();
+    return runPoint(cfg, std::move(workloads), instructionsPerThread,
+                    warmup, {}, "");
 }
 
 double

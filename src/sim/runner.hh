@@ -1,7 +1,7 @@
 /**
  * @file
- * One-call experiment runner: build a System for a benchmark (or mix),
- * warm up, measure, and collapse the component statistics into the
+ * One-call experiment runner: build a System for one workload spec per
+ * thread, warm up, measure, and collapse the component statistics into the
  * metrics the paper reports (IPC, per-class MPKIs, ROB-stall breakdown,
  * leaf-translation response distribution, prefetch accuracy).
  *
@@ -138,64 +138,47 @@ std::uint64_t defaultInstructions();
 /** Default warm-up instructions per thread (env TACSIM_WARMUP). */
 std::uint64_t defaultWarmup();
 
-/** Run one benchmark on @p cfg; warmup+measure with the given budgets
- *  (0 = defaults). A non-empty cfg.workload spec overrides @p b. */
-RunResult runBenchmark(const SystemConfig &cfg, Benchmark b,
-                       std::uint64_t instructions = 0,
-                       std::uint64_t warmup = 0);
+/**
+ * Optional checkpoint files of one run (sim/checkpoint.hh). At most one
+ * path may be set: `save` writes the warmed machine, `load` replaces
+ * the warm-up with it. The members are value-initialized so a
+ * designated initializer can name just one: `{.load = path}`.
+ */
+struct RunCheckpoint
+{
+    /** After warm-up, quiesce and write the machine here, then
+     *  measure. Saving is observation, not perturbation: the result is
+     *  byte-identical to a run that restores the file. */
+    std::string save{};
+    /** Restore the machine from here instead of warming up, then
+     *  measure. The file must have been saved from the same point
+     *  (config, specs and warm-up budget) or the run throws. */
+    std::string load{};
+};
 
-/** Run a multi-thread mix (one benchmark per thread). A non-empty
- *  cfg.workload spec overrides every mix entry. */
-RunResult runMix(const SystemConfig &cfg,
-                 const std::vector<Benchmark> &mix,
-                 std::uint64_t instructionsPerThread = 0,
-                 std::uint64_t warmup = 0);
-
-/** Run one workload spec ("mcf" or "trace:<path>") on every thread. */
-RunResult runSpec(const SystemConfig &cfg, const std::string &spec,
-                  std::uint64_t instructions = 0,
-                  std::uint64_t warmup = 0);
-
-/** Run a multi-thread mix of workload specs (one per thread). */
+/**
+ * Run one simulation point: @p specs holds exactly one workload spec per
+ * hardware thread of @p cfg ("mcf", or "trace:<path>" to replay a
+ * recorded tacsim-trace-v1 file). Warm up for @p warmup instructions per
+ * thread, reset the statistics, and measure @p instructionsPerThread
+ * (0 budgets = the defaults above). The result is labelled with the
+ * workloads' names joined by "-". Throws std::invalid_argument when the
+ * spec count is not the thread count or when @p ckpt sets both paths.
+ */
 RunResult runSpecMix(const SystemConfig &cfg,
                      const std::vector<std::string> &specs,
                      std::uint64_t instructionsPerThread = 0,
-                     std::uint64_t warmup = 0);
+                     std::uint64_t warmup = 0,
+                     const RunCheckpoint &ckpt = {});
 
 /**
- * Like runSpecMix, but after the warm-up phase the system is quiesced
- * and its full state written to @p ckptPath as a tacsim-ckpt-v1 file
- * (sim/checkpoint.hh) before the measured run continues. The result is
- * byte-identical to a plain warm+quiesce+measure run: saving is
- * observation, not perturbation.
- */
-RunResult runSpecMixCheckpointed(const SystemConfig &cfg,
-                                 const std::vector<std::string> &specs,
-                                 std::uint64_t instructionsPerThread,
-                                 std::uint64_t warmup,
-                                 const std::string &ckptPath);
-
-/**
- * Resume from a checkpoint written by runSpecMixCheckpointed: build a
- * fresh System for (@p cfg, @p specs), restore @p ckptPath into it, and
- * run the measured phase only. With the same cfg/specs/instruction
- * budget, the RunResult matches the saving run's byte-for-byte.
- */
-RunResult runSpecMixFromCheckpoint(const SystemConfig &cfg,
-                                   const std::vector<std::string> &specs,
-                                   std::uint64_t instructionsPerThread,
-                                   const std::string &ckptPath);
-
-/**
- * Run pre-built workloads (one per thread). This is the primitive the
- * spec/benchmark entry points delegate to; callers that need to wrap
- * workloads themselves (e.g. the trace CLI teeing a run through a
- * RecordingWorkload) use it directly. @p name labels the RunResult;
- * empty derives the usual "-"-joined workload names.
+ * runSpecMix over pre-built workloads (one per thread), for callers
+ * that wrap workloads themselves: the trace CLI tees a run through a
+ * RecordingWorkload. Workloads have no spec, so this path does not
+ * checkpoint.
  */
 RunResult runWorkloads(const SystemConfig &cfg,
                        std::vector<std::unique_ptr<Workload>> workloads,
-                       const std::string &name = "",
                        std::uint64_t instructionsPerThread = 0,
                        std::uint64_t warmup = 0);
 

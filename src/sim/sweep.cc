@@ -111,69 +111,24 @@ SweepRunner::jobIndex(const std::string &key) const
 
 std::size_t
 SweepRunner::add(const std::string &key, const SystemConfig &cfg,
-                 Benchmark b, std::uint64_t instructions,
+                 std::vector<std::string> specs, std::uint64_t instructions,
                  std::uint64_t warmup)
-{
-    std::vector<Benchmark> mix(cfg.threads(), b);
-    return addMix(key, cfg, std::move(mix), instructions, warmup);
-}
-
-std::size_t
-SweepRunner::addMix(const std::string &key, const SystemConfig &cfg,
-                    std::vector<Benchmark> mix,
-                    std::uint64_t instructions, std::uint64_t warmup)
 {
     Job job;
     job.key = key;
     // Resolve the budgets now so the JSON metadata records what actually
-    // ran (runMix would apply the same defaults internally).
+    // ran (runSpecMix would apply the same defaults internally).
     job.instructions = instructions ? instructions : defaultInstructions();
     job.warmup = warmup ? warmup : defaultWarmup();
     job.seed = cfg.seed;
     job.topology = dumpTopologySpec(topologyOf(cfg));
-    // runMix resolves each thread's workload the same way: the config's
-    // spec (when set) overrides the benchmark choice on every thread.
-    std::vector<std::string> specs;
-    specs.reserve(mix.size());
-    for (Benchmark b : mix)
-        specs.push_back(cfg.workload.empty() ? benchmarkName(b)
-                                             : cfg.workload);
-    job.pointKey =
-        tryPointKey(cfg, specs, job.instructions, job.warmup);
-    for (std::size_t t = 0; t < mix.size(); ++t) {
-        if (t)
-            job.benchmark += "-";
-        job.benchmark += benchmarkName(mix[t]);
-    }
+    job.pointKey = tryPointKey(cfg, specs, job.instructions, job.warmup);
     // Obs paths expand with the sweep key, not the benchmark label: keys
     // are unique per point (a baseline/proposed pair shares a label), so
     // concurrent points under TACSIM_JOBS never collide on a file.
-    job.fn = [cfg = configForPoint(cfg, key), mix = std::move(mix),
+    job.fn = [cfg = configForPoint(cfg, key), specs = std::move(specs),
               instr = job.instructions, warm = job.warmup] {
-        return runMix(cfg, mix, instr, warm);
-    };
-    return addJob(std::move(job));
-}
-
-std::size_t
-SweepRunner::addSpec(const std::string &key, const SystemConfig &cfg,
-                     const std::string &spec,
-                     std::uint64_t instructions, std::uint64_t warmup)
-{
-    Job job;
-    job.key = key;
-    job.instructions = instructions ? instructions : defaultInstructions();
-    job.warmup = warmup ? warmup : defaultWarmup();
-    job.seed = cfg.seed;
-    job.topology = dumpTopologySpec(topologyOf(cfg));
-    job.pointKey = tryPointKey(
-        cfg, std::vector<std::string>(cfg.threads(), spec),
-        job.instructions, job.warmup);
-    // benchmark stays empty: execute() labels the outcome with the
-    // workload's own name (trace headers carry the benchmark name).
-    job.fn = [cfg = configForPoint(cfg, key), spec,
-              instr = job.instructions, warm = job.warmup] {
-        return runSpec(cfg, spec, instr, warm);
+        return runSpecMix(cfg, specs, instr, warm);
     };
     return addJob(std::move(job));
 }
@@ -194,7 +149,6 @@ SweepRunner::execute(Job &job)
     SweepOutcome o;
     o.key = job.key;
     o.pointKey = job.pointKey;
-    o.benchmark = job.benchmark;
     o.topology = job.topology;
     o.instructions = job.instructions;
     o.warmup = job.warmup;
@@ -213,8 +167,7 @@ SweepRunner::execute(Job &job)
                               dumpRunResult(o.result));
         }
         o.ok = true;
-        if (o.benchmark.empty())
-            o.benchmark = o.result.benchmark;
+        o.benchmark = o.result.benchmark;
     } catch (const std::exception &e) {
         o.error = e.what();
     } catch (...) {

@@ -114,26 +114,16 @@ class SweepRunner
     /** @p jobs 0 selects defaultJobs() (TACSIM_JOBS / hw concurrency). */
     explicit SweepRunner(unsigned jobs = 0);
 
-    /** Register one benchmark point (0 budgets = runner defaults). */
+    /** Register one simulation point: runSpecMix(@p cfg, @p specs,
+     *  @p instructions, @p warmup), one workload spec per thread
+     *  (0 budgets = runner defaults). The JSON benchmark label is the
+     *  run's own label once the point has run. */
     std::size_t add(const std::string &key, const SystemConfig &cfg,
-                    Benchmark b, std::uint64_t instructions = 0,
+                    std::vector<std::string> specs,
+                    std::uint64_t instructions = 0,
                     std::uint64_t warmup = 0);
 
-    /** Register a multi-thread mix point (one benchmark per thread). */
-    std::size_t addMix(const std::string &key, const SystemConfig &cfg,
-                       std::vector<Benchmark> mix,
-                       std::uint64_t instructions = 0,
-                       std::uint64_t warmup = 0);
-
-    /** Register a workload-spec point ("mcf" or "trace:<path>"), run on
-     *  every thread of @p cfg. The JSON benchmark label comes from the
-     *  workload's own name once the point has run. */
-    std::size_t addSpec(const std::string &key, const SystemConfig &cfg,
-                        const std::string &spec,
-                        std::uint64_t instructions = 0,
-                        std::uint64_t warmup = 0);
-
-    /** Register an arbitrary job (custom sweeps, tests). */
+    /** Register an arbitrary job (tests use it to inject faults). */
     std::size_t addCustom(const std::string &key,
                           std::function<RunResult()> fn);
 
@@ -184,7 +174,6 @@ class SweepRunner
         std::string key;
         std::string pointKey;  ///< canonical hash ("" for custom)
         std::function<RunResult()> fn;
-        std::string benchmark; ///< "-"-joined mix name ("" for custom)
         std::string topology;  ///< canonical spec ("" for custom)
         std::uint64_t instructions = 0, warmup = 0, seed = 0;
         bool done = false;

@@ -55,8 +55,11 @@ System::System(SystemConfig cfg,
     validateTopology(topo, cfg_.llcPerCore.sizeBytes);
 
     const unsigned threads = cfg_.threads();
-    TACSIM_CHECK(workloads_.size() == threads &&
-                 "need one workload per hardware thread");
+    if (workloads_.size() != threads)
+        throw std::invalid_argument(
+            "System: " + std::to_string(workloads_.size()) +
+            " workload(s) for " + std::to_string(threads) +
+            " hardware thread(s); need exactly one per thread");
 
     // Page tables: one address space per thread. Huge-page coverage is
     // a property of the (simulated) OS, so every thread shares the same

@@ -52,7 +52,9 @@ class SliceRouter;
 class System
 {
   public:
-    /** @param workloads one per hardware thread (threads() of them). */
+    /** @param workloads one per hardware thread (threads() of them);
+     *  throws std::invalid_argument for any other count, or for an
+     *  inconsistent topology (validateTopology). */
     System(SystemConfig cfg,
            std::vector<std::unique_ptr<Workload>> workloads);
 
@@ -82,7 +84,7 @@ class System
     void quiesce();
 
     /**
-     * Serialize the full mutable simulation state (tacsim-ckpt-v1
+     * Serialize the full mutable simulation state (tacsim-ckpt-v2
      * payload; sim/checkpoint.hh adds the file container). Requires a
      * quiesced system; throws when a component with unsupported state
      * is attached (sampler, tracer, prefetchers, recall profilers,

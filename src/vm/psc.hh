@@ -90,7 +90,7 @@ class PagingStructureCaches
                      std::uint16_t asid, Addr vaddr, Addr frame,
                      unsigned leafLevel = 1);
 
-    /** Checkpoint the four arrays + LRU clock (tacsim-ckpt-v1). */
+    /** Checkpoint the four arrays + LRU clock (tacsim-ckpt-v2). */
     void saveState(SerialWriter &w) const;
     void loadState(SerialReader &r);
 

@@ -120,7 +120,7 @@ class Tlb
                      std::uint16_t asid, Addr vpn, Addr pfn,
                      PageSize ps = PageSize::Size4K);
 
-    /** Checkpoint the array contents + LRU clock (tacsim-ckpt-v1). */
+    /** Checkpoint the array contents + LRU clock (tacsim-ckpt-v2). */
     void saveState(SerialWriter &w) const;
     void loadState(SerialReader &r);
 

@@ -1,13 +1,13 @@
 /**
  * @file
- * Checkpoint/restore (tacsim-ckpt-v1) determinism and safety tests.
+ * Checkpoint/restore (tacsim-ckpt-v2) determinism and safety tests.
  *
  * The contract under test: warm-up → quiesce → save → measure must be
  * byte-identical (canonical stats dump, `events` line included) to
  * building a fresh System, restoring the checkpoint, and measuring.
- * This is what lets the serve daemon hand a warmed machine state to a
- * later process and still return results indistinguishable from a
- * cold run.
+ * This is what lets a later process resume a warmed machine state and
+ * still return results indistinguishable from a cold run. A checkpoint
+ * names its point, so restoring it into any other point is an error.
  */
 
 #include <gtest/gtest.h>
@@ -77,9 +77,9 @@ TEST(Checkpoint, RestoreMatchesStraightThroughByteForByte)
         const std::string path = tmpPath(p.name);
 
         const RunResult straight =
-            runSpecMixCheckpointed(cfg, specs, kInstr, kWarm, path);
+            runSpecMix(cfg, specs, kInstr, kWarm, {.save = path});
         const RunResult restored =
-            runSpecMixFromCheckpoint(cfg, specs, kInstr, path);
+            runSpecMix(cfg, specs, kInstr, kWarm, {.load = path});
 
         EXPECT_EQ(dumpRunResult(straight), dumpRunResult(restored));
         std::remove(path.c_str());
@@ -94,9 +94,9 @@ TEST(Checkpoint, MulticoreRestoreMatches)
     const std::string path = tmpPath("multicore");
 
     const RunResult straight =
-        runSpecMixCheckpointed(cfg, specs, kInstr, kWarm, path);
+        runSpecMix(cfg, specs, kInstr, kWarm, {.save = path});
     const RunResult restored =
-        runSpecMixFromCheckpoint(cfg, specs, kInstr, path);
+        runSpecMix(cfg, specs, kInstr, kWarm, {.load = path});
 
     EXPECT_EQ(dumpRunResult(straight), dumpRunResult(restored));
     std::remove(path.c_str());
@@ -111,9 +111,9 @@ TEST(Checkpoint, TraceWorkloadRestoreMatches)
     const std::string path = tmpPath("trace");
 
     const RunResult straight =
-        runSpecMixCheckpointed(cfg, specs, kInstr, kWarm, path);
+        runSpecMix(cfg, specs, kInstr, kWarm, {.save = path});
     const RunResult restored =
-        runSpecMixFromCheckpoint(cfg, specs, kInstr, path);
+        runSpecMix(cfg, specs, kInstr, kWarm, {.load = path});
 
     EXPECT_EQ(dumpRunResult(straight), dumpRunResult(restored));
     std::remove(path.c_str());
@@ -124,13 +124,36 @@ TEST(Checkpoint, ConfigMismatchIsRejected)
     SystemConfig cfg{};
     const std::vector<std::string> specs(1, "mcf");
     const std::string path = tmpPath("cfgmismatch");
-    runSpecMixCheckpointed(cfg, specs, kInstr, kWarm, path);
+    runSpecMix(cfg, specs, kInstr, kWarm, {.save = path});
 
     SystemConfig other = cfg;
     other.stlbEntries = 1024;
     EXPECT_THROW(
-        runSpecMixFromCheckpoint(other, specs, kInstr, path),
+        runSpecMix(other, specs, kInstr, kWarm, {.load = path}),
         std::runtime_error);
+    std::remove(path.c_str());
+}
+
+TEST(Checkpoint, PointMismatchIsRejected)
+{
+    SystemConfig cfg{};
+    const std::string path = tmpPath("pointmismatch");
+    runSpecMix(cfg, {"pr"}, kInstr, kWarm, {.save = path});
+
+    // The graph benchmarks share one state layout, so only the point
+    // key tells a pr machine from a cc machine.
+    EXPECT_THROW(runSpecMix(cfg, {"cc"}, kInstr, kWarm, {.load = path}),
+                 std::runtime_error);
+    // Same workload, but warmed for a different budget: another state.
+    EXPECT_THROW(
+        runSpecMix(cfg, {"pr"}, kInstr, kWarm + 1000, {.load = path}),
+        std::runtime_error);
+    // The saving point itself restores.
+    EXPECT_NO_THROW(runSpecMix(cfg, {"pr"}, kInstr, kWarm, {.load = path}));
+    // A run either saves or loads.
+    EXPECT_THROW(
+        runSpecMix(cfg, {"pr"}, kInstr, kWarm, {.save = path, .load = path}),
+        std::invalid_argument);
     std::remove(path.c_str());
 }
 
@@ -139,7 +162,7 @@ TEST(Checkpoint, CorruptFilesAreRejected)
     SystemConfig cfg{};
     const std::vector<std::string> specs(1, "mcf");
     const std::string path = tmpPath("corrupt");
-    runSpecMixCheckpointed(cfg, specs, kInstr, kWarm, path);
+    runSpecMix(cfg, specs, kInstr, kWarm, {.save = path});
 
     std::ifstream in(path, std::ios::binary);
     ASSERT_TRUE(in.good());
@@ -156,7 +179,7 @@ TEST(Checkpoint, CorruptFilesAreRejected)
                   static_cast<std::streamsize>(bytes.size() - 32));
         out.close();
         EXPECT_THROW(
-            runSpecMixFromCheckpoint(cfg, specs, kInstr, tpath),
+            runSpecMix(cfg, specs, kInstr, kWarm, {.load = tpath}),
             std::runtime_error);
         std::remove(tpath.c_str());
     }
@@ -171,7 +194,7 @@ TEST(Checkpoint, CorruptFilesAreRejected)
                   static_cast<std::streamsize>(flipped.size()));
         out.close();
         EXPECT_THROW(
-            runSpecMixFromCheckpoint(cfg, specs, kInstr, fpath),
+            runSpecMix(cfg, specs, kInstr, kWarm, {.load = fpath}),
             std::runtime_error);
         std::remove(fpath.c_str());
     }
@@ -185,7 +208,7 @@ TEST(Checkpoint, CorruptFilesAreRejected)
         out.write(bad.data(), static_cast<std::streamsize>(bad.size()));
         out.close();
         EXPECT_THROW(
-            runSpecMixFromCheckpoint(cfg, specs, kInstr, mpath),
+            runSpecMix(cfg, specs, kInstr, kWarm, {.load = mpath}),
             std::runtime_error);
         std::remove(mpath.c_str());
     }
@@ -201,9 +224,9 @@ TEST(Checkpoint, UnsupportedComponentsAreGated)
     SystemConfig cfg{};
     cfg.l2Prefetcher = PrefetcherKind::IpStride;
     const std::vector<std::string> specs(1, "mcf");
-    EXPECT_THROW(runSpecMixCheckpointed(cfg, specs, kInstr, kWarm,
-                                        tmpPath("gated")),
-                 std::runtime_error);
+    EXPECT_THROW(
+        runSpecMix(cfg, specs, kInstr, kWarm, {.save = tmpPath("gated")}),
+        std::runtime_error);
 }
 
 } // namespace

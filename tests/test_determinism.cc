@@ -26,20 +26,20 @@ constexpr std::uint64_t kWarmup = 8000;
 struct Point
 {
     const char *name;
-    Benchmark benchmark;
+    const char *spec;
     bool proposed;
     double thp2m = 0.0;
     bool nested = false;
 };
 
 const Point kPoints[] = {
-    {"xalancbmk_baseline", Benchmark::xalancbmk, false},
-    {"xalancbmk_proposed", Benchmark::xalancbmk, true},
-    {"mcf_baseline", Benchmark::mcf, false},
-    {"canneal_proposed", Benchmark::canneal, true},
-    {"pr_baseline", Benchmark::pr, false},
-    {"mcf_thp", Benchmark::mcf, false, 0.5},
-    {"xalancbmk_nested", Benchmark::xalancbmk, false, 0.0, true},
+    {"xalancbmk_baseline", "xalancbmk", false},
+    {"xalancbmk_proposed", "xalancbmk", true},
+    {"mcf_baseline", "mcf", false},
+    {"canneal_proposed", "canneal", true},
+    {"pr_baseline", "pr", false},
+    {"mcf_thp", "mcf", false, 0.5},
+    {"xalancbmk_nested", "xalancbmk", false, 0.0, true},
 };
 
 SystemConfig
@@ -61,9 +61,9 @@ TEST(Determinism, RepeatedSerialRunsAreByteIdentical)
     for (const Point &p : kPoints) {
         const SystemConfig cfg = configFor(p);
         const std::string first =
-            dumpRunResult(runBenchmark(cfg, p.benchmark, kInstr, kWarmup));
+            dumpRunResult(runSpecMix(cfg, {p.spec}, kInstr, kWarmup));
         const std::string second =
-            dumpRunResult(runBenchmark(cfg, p.benchmark, kInstr, kWarmup));
+            dumpRunResult(runSpecMix(cfg, {p.spec}, kInstr, kWarmup));
         EXPECT_EQ(first, second) << p.name << ": two serial runs with "
                                     "the same seed diverged";
     }
@@ -76,9 +76,9 @@ TEST(Determinism, ThreadPoolRunsMatchSerialRuns)
     SweepRunner sweep(4);
     for (const Point &p : kPoints) {
         const SystemConfig cfg = configFor(p);
-        sweep.add(std::string(p.name) + "#a", cfg, p.benchmark, kInstr,
+        sweep.add(std::string(p.name) + "#a", cfg, {p.spec}, kInstr,
                   kWarmup);
-        sweep.add(std::string(p.name) + "#b", cfg, p.benchmark, kInstr,
+        sweep.add(std::string(p.name) + "#b", cfg, {p.spec}, kInstr,
                   kWarmup);
     }
     sweep.run();
@@ -86,7 +86,7 @@ TEST(Determinism, ThreadPoolRunsMatchSerialRuns)
     for (const Point &p : kPoints) {
         const SystemConfig cfg = configFor(p);
         const std::string serial =
-            dumpRunResult(runBenchmark(cfg, p.benchmark, kInstr, kWarmup));
+            dumpRunResult(runSpecMix(cfg, {p.spec}, kInstr, kWarmup));
         const std::string a = dumpRunResult(
             sweep.result(std::string(p.name) + "#a"));
         const std::string b = dumpRunResult(
@@ -106,9 +106,9 @@ TEST(Determinism, DifferentSeedsActuallyDiverge)
     SystemConfig b{};
     b.seed = a.seed + 1;
     const std::string da = dumpRunResult(
-        runBenchmark(a, Benchmark::xalancbmk, kInstr, kWarmup));
+        runSpecMix(a, {"xalancbmk"}, kInstr, kWarmup));
     const std::string db = dumpRunResult(
-        runBenchmark(b, Benchmark::xalancbmk, kInstr, kWarmup));
+        runSpecMix(b, {"xalancbmk"}, kInstr, kWarmup));
     EXPECT_NE(da, db) << "stats dump is insensitive to the seed — the "
                          "determinism tests would be vacuous";
 }

@@ -79,8 +79,9 @@ class GoldenRunTest : public ::testing::TestWithParam<GoldenPoint>
 TEST_P(GoldenRunTest, MatchesSnapshot)
 {
     const GoldenPoint &p = GetParam();
-    const RunResult r = runBenchmark(configFor(p), p.benchmark,
-                                     kGoldenInstructions, kGoldenWarmup);
+    const RunResult r =
+        runSpecMix(configFor(p), {benchmarkName(p.benchmark)},
+                   kGoldenInstructions, kGoldenWarmup);
     const std::string dump = dumpRunResult(r);
     const std::string path = goldenPath(p);
 

@@ -42,13 +42,14 @@ struct MulticoreGoldenPoint
 };
 
 /** Deterministic heterogeneous mix: cycle through the suite. */
-std::vector<Benchmark>
+std::vector<std::string>
 cyclingMix(unsigned threads)
 {
-    std::vector<Benchmark> mix;
+    std::vector<std::string> mix;
     mix.reserve(threads);
     for (unsigned t = 0; t < threads; ++t)
-        mix.push_back(kAllBenchmarks[t % kAllBenchmarks.size()]);
+        mix.push_back(
+            benchmarkName(kAllBenchmarks[t % kAllBenchmarks.size()]));
     return mix;
 }
 
@@ -68,7 +69,7 @@ TEST_P(MulticoreGoldenTest, MatchesSnapshot)
 {
     const MulticoreGoldenPoint &p = GetParam();
     const SystemConfig cfg = configFromTopology(p.topology);
-    const RunResult r = runMix(cfg, cyclingMix(cfg.threads()),
+    const RunResult r = runSpecMix(cfg, cyclingMix(cfg.threads()),
                                p.instructions, p.warmup);
     const std::string dump = dumpRunResult(r);
     const std::string path =

@@ -78,9 +78,9 @@ TEST(Sha256, FileDigestMatchesBytes)
 TEST(PointKey, ShapeAndStability)
 {
     SystemConfig cfg;
-    const std::string k1 = serve::pointKey(cfg, "mcf", 20000, 5000);
+    const std::string k1 = serve::pointKey(cfg, {"mcf"}, 20000, 5000);
     EXPECT_TRUE(serve::isPointKey(k1));
-    EXPECT_EQ(k1, serve::pointKey(cfg, "mcf", 20000, 5000));
+    EXPECT_EQ(k1, serve::pointKey(cfg, {"mcf"}, 20000, 5000));
 
     EXPECT_FALSE(serve::isPointKey(""));
     EXPECT_FALSE(serve::isPointKey(std::string(63, 'a')));
@@ -91,22 +91,22 @@ TEST(PointKey, ShapeAndStability)
 TEST(PointKey, SensitiveToOutcomeDeterminingInputs)
 {
     SystemConfig cfg;
-    const std::string base = serve::pointKey(cfg, "mcf", 20000, 5000);
+    const std::string base = serve::pointKey(cfg, {"mcf"}, 20000, 5000);
 
     SystemConfig other = cfg;
     other.stlbEntries = cfg.stlbEntries * 2;
-    EXPECT_NE(serve::pointKey(other, "mcf", 20000, 5000), base);
+    EXPECT_NE(serve::pointKey(other, {"mcf"}, 20000, 5000), base);
 
-    EXPECT_NE(serve::pointKey(cfg, "xalancbmk", 20000, 5000), base);
-    EXPECT_NE(serve::pointKey(cfg, "mcf", 40000, 5000), base);
-    EXPECT_NE(serve::pointKey(cfg, "mcf", 20000, 6000), base);
+    EXPECT_NE(serve::pointKey(cfg, {"xalancbmk"}, 20000, 5000), base);
+    EXPECT_NE(serve::pointKey(cfg, {"mcf"}, 40000, 5000), base);
+    EXPECT_NE(serve::pointKey(cfg, {"mcf"}, 20000, 6000), base);
 }
 
 TEST(PointKey, ExplicitDefaultBudgetsShareTheImplicitKey)
 {
     SystemConfig cfg;
-    EXPECT_EQ(serve::pointKey(cfg, "mcf", 0, 0),
-              serve::pointKey(cfg, "mcf", defaultInstructions(),
+    EXPECT_EQ(serve::pointKey(cfg, {"mcf"}, 0, 0),
+              serve::pointKey(cfg, {"mcf"}, defaultInstructions(),
                               defaultWarmup()));
 }
 
@@ -120,20 +120,20 @@ TEST(PointKey, TraceSpecsHashContentNotName)
     writeFile(pathB, "identical trace bytes");
 
     const std::string kA =
-        serve::pointKey(cfg, "trace:" + pathA, 20000, 5000);
+        serve::pointKey(cfg, {"trace:" + pathA}, 20000, 5000);
     // Same content under a different name: same point.
-    EXPECT_EQ(kA, serve::pointKey(cfg, "trace:" + pathB, 20000, 5000));
+    EXPECT_EQ(kA, serve::pointKey(cfg, {"trace:" + pathB}, 20000, 5000));
 
     // Changed content under the same name: different point. (The
     // memo keys on (path, mtime, size); same-size edits rely on mtime,
     // so change the size too to stay robust on coarse clocks.)
     writeFile(pathB, "different trace bytes entirely");
-    EXPECT_NE(kA, serve::pointKey(cfg, "trace:" + pathB, 20000, 5000));
+    EXPECT_NE(kA, serve::pointKey(cfg, {"trace:" + pathB}, 20000, 5000));
 
     std::remove(pathA.c_str());
     std::remove(pathB.c_str());
 
-    EXPECT_THROW(serve::pointKey(cfg, "trace:" + pathA, 20000, 5000),
+    EXPECT_THROW(serve::pointKey(cfg, {"trace:" + pathA}, 20000, 5000),
                  std::runtime_error);
 }
 
@@ -153,8 +153,7 @@ TEST(PointKey, CanonicalConfigTextIsVersionedAndComplete)
 {
     SystemConfig cfg;
     const std::string text = canonicalConfigText(cfg);
-    EXPECT_EQ(text.rfind("tacsim-config-v1\n", 0), 0u);
-    EXPECT_NE(text.find("\nworkload "), std::string::npos);
+    EXPECT_EQ(text.rfind("tacsim-config-v2\n", 0), 0u);
     EXPECT_NE(text.find("\nseed "), std::string::npos);
 
     SystemConfig other = cfg;

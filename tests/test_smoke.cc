@@ -14,7 +14,7 @@ namespace {
 TEST(Smoke, SingleCoreRunCompletes)
 {
     SystemConfig cfg;
-    RunResult r = runBenchmark(cfg, Benchmark::mcf, 20000, 5000);
+    RunResult r = runSpecMix(cfg, {"mcf"}, 20000, 5000);
     EXPECT_GE(r.instructions, 20000u);
     EXPECT_GT(r.cycles, 0u);
     EXPECT_GT(r.ipc, 0.0);

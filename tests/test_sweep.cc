@@ -2,9 +2,10 @@
  * @file
  * Tests for the parallel sweep runner: determinism under parallelism
  * (parallel results identical to a serial run), per-job exception
- * capture, registration-order reporting, memoization, TACSIM_JOBS
- * parsing, the JSON report writer, and attached result caches (in
- * memory, and an on-disk store reopened between runners).
+ * capture (including a malformed point), registration-order reporting,
+ * memoization, TACSIM_JOBS parsing, the JSON report writer, and
+ * attached result caches (in memory, and an on-disk store reopened
+ * between runners).
  */
 
 #include <gtest/gtest.h>
@@ -37,13 +38,12 @@ constexpr std::uint64_t kWarm = 5000;
 void
 addPoints(SweepRunner &sw)
 {
-    const Benchmark bs[] = {Benchmark::pr, Benchmark::mcf,
-                            Benchmark::canneal, Benchmark::xalancbmk};
+    const char *specs[] = {"pr", "mcf", "canneal", "xalancbmk"};
     int i = 0;
-    for (Benchmark b : bs) {
+    for (const char *spec : specs) {
         SystemConfig cfg;
         cfg.seed = 7 + i;
-        sw.add("p" + std::to_string(i), cfg, b, kInstr, kWarm);
+        sw.add("p" + std::to_string(i), cfg, {spec}, kInstr, kWarm);
         ++i;
     }
 }
@@ -70,7 +70,12 @@ TEST(Sweep, ThrowingJobIsReportedWithoutAbortingTheSweep)
         throw std::runtime_error("diverged");
     });
     SystemConfig cfg;
-    sw.add("ok", cfg, Benchmark::pr, kInstr, kWarm);
+    sw.add("ok", cfg, {"pr"}, kInstr, kWarm);
+    // A malformed point, one spec for a 2-thread machine, fails alone
+    // the same way instead of aborting the process.
+    SystemConfig twoCores;
+    twoCores.numCores = 2;
+    sw.add("short", twoCores, {"mcf"}, kInstr, kWarm);
     sw.run();
 
     const SweepOutcome *bad = sw.outcome("boom");
@@ -78,6 +83,15 @@ TEST(Sweep, ThrowingJobIsReportedWithoutAbortingTheSweep)
     EXPECT_FALSE(bad->ok);
     EXPECT_NE(bad->error.find("diverged"), std::string::npos);
     EXPECT_THROW(sw.result("boom"), std::runtime_error);
+
+    const SweepOutcome *shortPoint = sw.outcome("short");
+    ASSERT_NE(shortPoint, nullptr);
+    EXPECT_FALSE(shortPoint->ok);
+    EXPECT_NE(shortPoint->error.find("1 workload(s) for 2 hardware"),
+              std::string::npos)
+        << shortPoint->error;
+    EXPECT_THROW(runSpecMix(twoCores, {"mcf"}, kInstr, kWarm),
+                 std::invalid_argument);
 
     const SweepOutcome *good = sw.outcome("ok");
     ASSERT_NE(good, nullptr);
@@ -187,13 +201,13 @@ TEST(Sweep, ReRegisteringANameForADifferentPointThrows)
     // the second configuration.
     SweepRunner sw(1);
     SystemConfig cfg;
-    sw.addSpec("p", cfg, "mcf", kInstr, kWarm);
+    sw.add("p", cfg, {"mcf"}, kInstr, kWarm);
     SystemConfig other;
     other.stlbEntries = cfg.stlbEntries * 2;
-    EXPECT_THROW(sw.addSpec("p", other, "mcf", kInstr, kWarm),
+    EXPECT_THROW(sw.add("p", other, {"mcf"}, kInstr, kWarm),
                  std::runtime_error);
     // Identical re-registration stays a memoized no-op.
-    sw.addSpec("p", cfg, "mcf", kInstr, kWarm);
+    sw.add("p", cfg, {"mcf"}, kInstr, kWarm);
     EXPECT_EQ(sw.points(), 1u);
 }
 
@@ -201,8 +215,8 @@ TEST(Sweep, SamePointUnderTwoNamesRunsOnce)
 {
     SweepRunner sw(2);
     SystemConfig cfg;
-    sw.addSpec("first", cfg, "mcf", kInstr, kWarm);
-    sw.addSpec("alias", cfg, "mcf", kInstr, kWarm);
+    sw.add("first", cfg, {"mcf"}, kInstr, kWarm);
+    sw.add("alias", cfg, {"mcf"}, kInstr, kWarm);
     EXPECT_EQ(sw.points(), 1u);
     sw.run();
     // Both names resolve to the one result.
@@ -217,23 +231,22 @@ TEST(Sweep, OutcomesCarryThePointKey)
 {
     SweepRunner sw(1);
     SystemConfig cfg;
-    sw.addSpec("spec-point", cfg, "mcf", kInstr, kWarm);
-    sw.addMix("mix-point", cfg, {Benchmark::mcf}, kInstr, kWarm);
+    sw.add("spec-point", cfg, {"mcf"}, kInstr, kWarm);
+    sw.add("other-point", cfg, {"xalancbmk"}, kInstr, kWarm);
     sw.addCustom("custom-point", [] { return RunResult{}; });
     sw.run();
 
     const SweepOutcome *spec = sw.outcome("spec-point");
-    const SweepOutcome *mix = sw.outcome("mix-point");
+    const SweepOutcome *other = sw.outcome("other-point");
     const SweepOutcome *custom = sw.outcome("custom-point");
     ASSERT_NE(spec, nullptr);
-    ASSERT_NE(mix, nullptr);
+    ASSERT_NE(other, nullptr);
     ASSERT_NE(custom, nullptr);
     EXPECT_EQ(spec->pointKey.size(), 64u);
-    EXPECT_EQ(mix->pointKey.size(), 64u);
-    // A single-benchmark mix and the same benchmark as a spec are the
-    // same simulation — one canonical identity.
-    EXPECT_EQ(spec->pointKey, mix->pointKey);
-    EXPECT_EQ(sw.points(), 2u); // the mix aliased the spec point
+    EXPECT_EQ(other->pointKey.size(), 64u);
+    // Another workload is another simulation: its own identity.
+    EXPECT_NE(spec->pointKey, other->pointKey);
+    EXPECT_EQ(sw.points(), 3u);
     // Custom jobs have no canonical hash and never dedup.
     EXPECT_TRUE(custom->pointKey.empty());
 
@@ -292,7 +305,7 @@ expectRepeatPointIsServedFromCache(const std::function<SweepCache &()> &open)
     SystemConfig cfg;
     SweepRunner first(1);
     first.attachCache(&open());
-    first.addSpec("p", cfg, "mcf", kInstr, kWarm);
+    first.add("p", cfg, {"mcf"}, kInstr, kWarm);
     first.run();
     first.attachCache(nullptr); // open() may close this cache below
     const SweepOutcome *cold = first.outcome("p");
@@ -302,7 +315,7 @@ expectRepeatPointIsServedFromCache(const std::function<SweepCache &()> &open)
 
     SweepRunner second(1);
     second.attachCache(&open());
-    second.addSpec("p", cfg, "mcf", kInstr, kWarm);
+    second.add("p", cfg, {"mcf"}, kInstr, kWarm);
     second.run();
     const SweepOutcome *warm = second.outcome("p");
     ASSERT_NE(warm, nullptr);
@@ -359,11 +372,13 @@ TEST(Sweep, MixPointsRunThroughThePool)
     SweepRunner sw(2);
     SystemConfig cfg;
     cfg.numCores = 2;
-    sw.addMix("mix", cfg, {Benchmark::pr, Benchmark::mcf}, kInstr, kWarm);
+    sw.add("mix", cfg, {"pr", "mcf"}, kInstr, kWarm);
     sw.run();
     const RunResult &r = sw.result("mix");
     EXPECT_EQ(r.benchmark, "pr-mcf");
     EXPECT_EQ(r.threadCycles.size(), 2u);
+    // The JSON report labels the run with the result's own label.
+    EXPECT_EQ(sw.outcome("mix")->benchmark, "pr-mcf");
 }
 
 } // namespace

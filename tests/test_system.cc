@@ -195,11 +195,11 @@ TEST(TranslationAware, TShipReducesLlcTranslationMisses)
     // Longer horizon than the other tests: retention only pays off once
     // translation blocks see reuse (recall distance <= ~50).
     SystemConfig base;
-    RunResult rb = runBenchmark(base, Benchmark::pr, 300000, 80000);
+    RunResult rb = runSpecMix(base, {"pr"}, 300000, 80000);
 
     SystemConfig t = base;
     applyTranslationAware(t, {true, true, false, false, false});
-    RunResult rt = runBenchmark(t, Benchmark::pr, 300000, 80000);
+    RunResult rt = runSpecMix(t, {"pr"}, 300000, 80000);
 
     EXPECT_LT(rt.llcPtl1Mpki, rb.llcPtl1Mpki);
     EXPECT_GE(rt.leafOnChipHitRate, rb.leafOnChipHitRate);
@@ -304,7 +304,7 @@ TEST(RunnerTest, CollectResultMatchesSystem)
 TEST(RunnerTest, RunBenchmarkProducesNamedResult)
 {
     SystemConfig cfg;
-    RunResult r = runBenchmark(cfg, Benchmark::xalancbmk, 20000, 5000);
+    RunResult r = runSpecMix(cfg, {"xalancbmk"}, 20000, 5000);
     EXPECT_EQ(r.benchmark, "xalancbmk");
     EXPECT_GE(r.instructions, 20000u);
 }

@@ -30,13 +30,14 @@ constexpr std::uint64_t kInstr = 3000;
 constexpr std::uint64_t kWarm = 500;
 
 /** Deterministic heterogeneous mix: cycle through the suite. */
-std::vector<Benchmark>
+std::vector<std::string>
 cyclingMix(unsigned threads)
 {
-    std::vector<Benchmark> mix;
+    std::vector<std::string> mix;
     mix.reserve(threads);
     for (unsigned t = 0; t < threads; ++t)
-        mix.push_back(kAllBenchmarks[t % kAllBenchmarks.size()]);
+        mix.push_back(
+            benchmarkName(kAllBenchmarks[t % kAllBenchmarks.size()]));
     return mix;
 }
 
@@ -44,9 +45,9 @@ std::vector<std::unique_ptr<Workload>>
 workloadsFor(const SystemConfig &cfg)
 {
     std::vector<std::unique_ptr<Workload>> w;
-    const std::vector<Benchmark> mix = cyclingMix(cfg.threads());
+    const std::vector<std::string> mix = cyclingMix(cfg.threads());
     for (std::size_t t = 0; t < mix.size(); ++t)
-        w.push_back(makeWorkload(mix[t], cfg.seed + t));
+        w.push_back(makeWorkloadFromSpec(mix[t], cfg.seed + t));
     return w;
 }
 
@@ -105,11 +106,11 @@ TEST(TopologyScaleoutTest, SerialAndPooledSweepsAreByteIdentical)
     SweepRunner serial(1);
     SweepRunner pooled(4);
     const std::vector<std::string> keys = {"so/cycling", "so/homog-pr"};
-    const std::vector<std::vector<Benchmark>> mixes = {
-        cyclingMix(16), std::vector<Benchmark>(16, Benchmark::pr)};
+    const std::vector<std::vector<std::string>> mixes = {
+        cyclingMix(16), std::vector<std::string>(16, "pr")};
     for (std::size_t i = 0; i < keys.size(); ++i) {
-        serial.addMix(keys[i], cfg, mixes[i], kInstr, kWarm);
-        pooled.addMix(keys[i], cfg, mixes[i], kInstr, kWarm);
+        serial.add(keys[i], cfg, mixes[i], kInstr, kWarm);
+        pooled.add(keys[i], cfg, mixes[i], kInstr, kWarm);
     }
     serial.run();
     pooled.run();
@@ -127,18 +128,18 @@ TEST(TopologyScaleoutTest, DefaultMachinesPinnedThroughTopologyPath)
     // snapshots valid.
     {
         const RunResult direct =
-            runBenchmark(SystemConfig{}, Benchmark::mcf, 20000, 5000);
-        const RunResult viaSpec = runBenchmark(
-            configFromTopology("cores=1"), Benchmark::mcf, 20000, 5000);
+            runSpecMix(SystemConfig{}, {"mcf"}, 20000, 5000);
+        const RunResult viaSpec = runSpecMix(
+            configFromTopology("cores=1"), {"mcf"}, 20000, 5000);
         EXPECT_EQ(dumpRunResult(direct), dumpRunResult(viaSpec));
     }
     {
         SystemConfig manual;
         manual.numCores = 8;
-        const std::vector<Benchmark> mix = cyclingMix(8);
-        const RunResult direct = runMix(manual, mix, kInstr, kWarm);
-        const RunResult viaSpec = runMix(configFromTopology("cores=8"),
-                                         mix, kInstr, kWarm);
+        const std::vector<std::string> mix = cyclingMix(8);
+        const RunResult direct = runSpecMix(manual, mix, kInstr, kWarm);
+        const RunResult viaSpec = runSpecMix(configFromTopology("cores=8"),
+                                             mix, kInstr, kWarm);
         EXPECT_EQ(dumpRunResult(direct), dumpRunResult(viaSpec));
     }
 }

@@ -351,7 +351,7 @@ TEST_P(TraceRoundTrip, ReplayMatchesLiveGeneratorByteForByte)
 
     // Live run, straight from the generator.
     const RunResult live =
-        runBenchmark(cfg, b, kRtInstructions, kRtWarmup);
+        runSpecMix(cfg, {benchmarkName(b)}, kRtInstructions, kRtWarmup);
     const std::string liveDump = dumpRunResult(live);
 
     // Recording run: same generator teed through a TraceWriter. The
@@ -362,8 +362,8 @@ TEST_P(TraceRoundTrip, ReplayMatchesLiveGeneratorByteForByte)
     std::vector<std::unique_ptr<Workload>> wls;
     wls.push_back(std::make_unique<trace::RecordingWorkload>(
         makeWorkload(b, cfg.seed), writer));
-    const RunResult recorded = runWorkloads(cfg, std::move(wls), "",
-                                            kRtInstructions, kRtWarmup);
+    const RunResult recorded =
+        runWorkloads(cfg, std::move(wls), kRtInstructions, kRtWarmup);
     writer->finalize();
     EXPECT_EQ(dumpRunResult(recorded), liveDump)
         << "recording must not perturb the run";
@@ -371,10 +371,8 @@ TEST_P(TraceRoundTrip, ReplayMatchesLiveGeneratorByteForByte)
     ASSERT_TRUE(trace::verifyTraceFile(path).ok);
 
     // Replay run, driven purely by the file.
-    SystemConfig replayCfg = cfg;
-    replayCfg.workload = "trace:" + path;
     const RunResult replayed =
-        runBenchmark(replayCfg, b, kRtInstructions, kRtWarmup);
+        runSpecMix(cfg, {"trace:" + path}, kRtInstructions, kRtWarmup);
     const std::vector<std::string> diffs =
         diffDumps(liveDump, dumpRunResult(replayed));
     EXPECT_TRUE(diffs.empty())
@@ -432,6 +430,8 @@ memorySource(const std::vector<unsigned char> &bytes)
     return [&bytes, pos](void *buf, std::size_t n) {
         const std::size_t left = bytes.size() - *pos;
         const std::size_t take = std::min(n, left);
+        if (take == 0)
+            return take; // an empty vector's data() may be null
         std::memcpy(buf, bytes.data() + *pos, take);
         *pos += take;
         return take;
@@ -538,14 +538,14 @@ TEST(ChampSimImport, ImportedTraceRunsThroughRunnerAndSweep)
     // End to end through the runner...
     const SystemConfig cfg{};
     const RunResult direct =
-        runSpec(cfg, "trace:" + path, 6000, 1500);
+        runSpecMix(cfg, {"trace:" + path}, 6000, 1500);
     EXPECT_EQ(direct.benchmark, "cs-e2e");
     EXPECT_GE(direct.instructions, 6000u);
     EXPECT_GT(direct.cycles, 0u);
 
     // ...and through a sweep point, which must agree byte for byte.
     SweepRunner sweep(2);
-    sweep.addSpec("cs-e2e/baseline", cfg, "trace:" + path, 6000, 1500);
+    sweep.add("cs-e2e/baseline", cfg, {"trace:" + path}, 6000, 1500);
     sweep.run();
     const RunResult &viaSweep = sweep.result("cs-e2e/baseline");
     EXPECT_EQ(dumpRunResult(viaSweep), dumpRunResult(direct));
@@ -569,17 +569,15 @@ TEST(SampleTrace, CommittedSampleVerifiesAndReplays)
     EXPECT_EQ(v.header.name, "xalancbmk");
     EXPECT_GT(v.header.recordCount, 1000u);
 
-    SystemConfig cfg{};
-    cfg.workload = "trace:" + path;
-    const RunResult r =
-        runBenchmark(cfg, Benchmark::xalancbmk, 3000, 1000);
+    const SystemConfig cfg{};
+    const RunResult r = runSpecMix(cfg, {"trace:" + path}, 3000, 1000);
     EXPECT_EQ(r.benchmark, "xalancbmk");
     EXPECT_GE(r.instructions, 3000u);
     EXPECT_GT(r.ipc, 0.0);
 
     // Replay is deterministic: run twice, byte-identical dumps.
     const RunResult again =
-        runBenchmark(cfg, Benchmark::xalancbmk, 3000, 1000);
+        runSpecMix(cfg, {"trace:" + path}, 3000, 1000);
     EXPECT_EQ(dumpRunResult(again), dumpRunResult(r));
 }
 

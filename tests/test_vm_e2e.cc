@@ -60,11 +60,11 @@ TEST(VmE2e, DefaultConfigStaysPureFourK)
 TEST(VmE2e, TwoMegPagesReduceStlbMpki)
 {
     SystemConfig base;
-    const RunResult rb = runBenchmark(base, Benchmark::mcf, kInstr, kWarm);
+    const RunResult rb = runSpecMix(base, {"mcf"}, kInstr, kWarm);
 
     SystemConfig thp = base;
     thp.vm.hugePages2M = 1.0;
-    const RunResult rt = runBenchmark(thp, Benchmark::mcf, kInstr, kWarm);
+    const RunResult rt = runSpecMix(thp, {"mcf"}, kInstr, kWarm);
 
     // 512x coverage per STLB entry: misses must drop hard.
     EXPECT_LT(rt.stlbMpki, rb.stlbMpki * 0.5)
@@ -80,9 +80,9 @@ TEST(VmE2e, FractionalThpLandsBetweenTheExtremes)
     SystemConfig full = base;
     full.vm.hugePages2M = 1.0;
 
-    const RunResult r0 = runBenchmark(base, Benchmark::mcf, kInstr, kWarm);
-    const RunResult rh = runBenchmark(half, Benchmark::mcf, kInstr, kWarm);
-    const RunResult r1 = runBenchmark(full, Benchmark::mcf, kInstr, kWarm);
+    const RunResult r0 = runSpecMix(base, {"mcf"}, kInstr, kWarm);
+    const RunResult rh = runSpecMix(half, {"mcf"}, kInstr, kWarm);
+    const RunResult r1 = runSpecMix(full, {"mcf"}, kInstr, kWarm);
     EXPECT_LT(rh.stlbMpki, r0.stlbMpki);
     EXPECT_LE(r1.stlbMpki, rh.stlbMpki);
 }

@@ -167,8 +167,8 @@ cmdRecord(const Args &a)
     std::vector<std::unique_ptr<Workload>> wls;
     wls.push_back(std::make_unique<trace::RecordingWorkload>(
         std::move(inner), writer));
-    const RunResult r = runWorkloads(cfg, std::move(wls), "",
-                                     a.instructions, a.warmup);
+    const RunResult r =
+        runWorkloads(cfg, std::move(wls), a.instructions, a.warmup);
     writer->finalize();
 
     std::fprintf(stderr,
@@ -189,8 +189,8 @@ cmdReplay(const Args &a)
         return 2;
     }
     const SystemConfig cfg = configFor(a);
-    const RunResult r = runSpec(cfg, "trace:" + a.tracePath,
-                                a.instructions, a.warmup);
+    const RunResult r = runSpecMix(cfg, {"trace:" + a.tracePath},
+                                   a.instructions, a.warmup);
     std::fprintf(stderr,
                  "tacsim-trace: replayed %s (%llu retired "
                  "instructions, IPC %.4f)\n",
