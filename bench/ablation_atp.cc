@@ -7,6 +7,8 @@
  * on the most translation-sensitive benchmarks.
  */
 
+#include <map>
+
 #include "bench_common.hh"
 
 using namespace tacbench;
@@ -31,42 +33,37 @@ main(int argc, char **argv)
     const Benchmark subset[] = {Benchmark::mcf, Benchmark::canneal,
                                 Benchmark::pr, Benchmark::tc};
 
-    static std::map<std::string, std::vector<double>> series;
-
+    auto key = [](const Variant &v, Benchmark b) {
+        return std::string("ablation_atp/") + v.name + "/" +
+            benchmarkName(b);
+    };
     for (const Variant &v : variants) {
+        SystemConfig cfg = baselineConfig();
+        applyTranslationAware(cfg, {true, true, false, false, false});
+        cfg.atpL2 = v.atpL2;
+        cfg.atpLlc = v.atpLlc;
+        cfg.tempo = v.tempo;
+        cfg.dram.tempo = v.tempo;
         for (Benchmark b : subset) {
-            const std::string bname = benchmarkName(b);
-            Variant vv = v;
-            const std::string key =
-                std::string("ablation_atp/") + v.name + "/" + bname;
-            registerCase(key,
-                         [key, vv, b, bname] {
-                             const RunResult &base = cachedRun(
-                                 "base/" + bname, baselineConfig(), b);
-                             SystemConfig cfg = baselineConfig();
-                             applyTranslationAware(
-                                 cfg,
-                                 {true, true, false, false, false});
-                             cfg.atpL2 = vv.atpL2;
-                             cfg.atpLlc = vv.atpLlc;
-                             cfg.tempo = vv.tempo;
-                             cfg.dram.tempo = vv.tempo;
-                             const RunResult &r = cachedRun(key, cfg, b);
-                             const double sp = speedup(base, r);
-                             addRow(vv.name, bname, (sp - 1) * 100,
-                                    std::nan(""), "%");
-                             series[vv.name].push_back(sp);
-                         });
+            registerPoint("base/" + benchmarkName(b), baselineConfig(), b);
+            registerPoint(key(v, b), cfg, b);
         }
     }
 
-    registerCase("ablation_atp/summary", [&variants] {
-        for (const Variant &v : variants)
-            addRow(v.name, "geomean",
-                   (geomean(series[v.name]) - 1) * 100, std::nan(""),
-                   "%");
-    });
-
     return benchMain(argc, argv,
-                     "Ablation — ATP trigger level and TEMPO backstop");
+                     "Ablation — ATP trigger level and TEMPO backstop", [&] {
+        std::map<std::string, std::vector<double>> series;
+        for (const Variant &v : variants) {
+            for (Benchmark b : subset) {
+                const std::string bname = benchmarkName(b);
+                const double sp = speedup(sweep().result("base/" + bname),
+                                          sweep().result(key(v, b)));
+                addRow(v.name, bname, (sp - 1) * 100, std::nan(""), "%");
+                series[v.name].push_back(sp);
+            }
+        }
+        for (const Variant &v : variants)
+            addRow(v.name, "geomean", (geomean(series[v.name]) - 1) * 100,
+                   std::nan(""), "%");
+    });
 }

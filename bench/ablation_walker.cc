@@ -7,6 +7,8 @@
  * provisioned MMU.
  */
 
+#include <array>
+
 #include "bench_common.hh"
 
 using namespace tacbench;
@@ -18,20 +20,16 @@ main(int argc, char **argv)
                                 Benchmark::cc};
 
     // --- walker-count sweep ---
-    for (unsigned walkers : {1u, 2u, 4u, 8u}) {
-        for (Benchmark b : subset) {
-            const std::string bname = benchmarkName(b);
-            const std::string key = "ablation_walker/walkers" +
-                std::to_string(walkers) + "/" + bname;
-            registerCase(key,
-                         [key, walkers, b, bname] {
-                             SystemConfig cfg = baselineConfig();
-                             cfg.ptw.maxConcurrentWalks = walkers;
-                             const RunResult &r = cachedRun(key, cfg, b);
-                             addRow("walkers=" + std::to_string(walkers),
-                                    bname, r.ipc, std::nan(""), "IPC");
-                         });
-        }
+    const unsigned walkerCounts[] = {1, 2, 4, 8};
+    auto walkerKey = [](unsigned walkers, Benchmark b) {
+        return "ablation_walker/walkers" + std::to_string(walkers) + "/" +
+            benchmarkName(b);
+    };
+    for (unsigned walkers : walkerCounts) {
+        SystemConfig cfg = baselineConfig();
+        cfg.ptw.maxConcurrentWalks = walkers;
+        for (Benchmark b : subset)
+            registerPoint(walkerKey(walkers, b), cfg, b);
     }
 
     // --- PSC sweep: none / Table I / doubled ---
@@ -45,23 +43,30 @@ main(int argc, char **argv)
         {"psc=TableI", {32, 8, 4, 2}},
         {"psc=2x", {64, 16, 8, 4}},
     };
+    auto pscKey = [](const PscCfg &p, Benchmark b) {
+        return std::string("ablation_walker/") + p.name + "/" +
+            benchmarkName(b);
+    };
     for (const PscCfg &p : pscs) {
-        for (Benchmark b : subset) {
-            const std::string bname = benchmarkName(b);
-            PscCfg pc = p;
-            const std::string key =
-                std::string("ablation_walker/") + p.name + "/" + bname;
-            registerCase(key,
-                         [key, pc, b, bname] {
-                             SystemConfig cfg = baselineConfig();
-                             cfg.ptw.pscSizes = pc.sizes;
-                             const RunResult &r = cachedRun(key, cfg, b);
-                             addRow(pc.name, bname, r.ipc, std::nan(""),
-                                    "IPC");
-                         });
-        }
+        SystemConfig cfg = baselineConfig();
+        cfg.ptw.pscSizes = p.sizes;
+        for (Benchmark b : subset)
+            registerPoint(pscKey(p, b), cfg, b);
     }
 
     return benchMain(argc, argv,
-                     "Ablation — page-walker concurrency and PSC sizing");
+                     "Ablation — page-walker concurrency and PSC sizing",
+                     [&] {
+        for (unsigned walkers : walkerCounts)
+            for (Benchmark b : subset)
+                addRow("walkers=" + std::to_string(walkers),
+                       benchmarkName(b),
+                       sweep().result(walkerKey(walkers, b)).ipc,
+                       std::nan(""), "IPC");
+        for (const PscCfg &p : pscs)
+            for (Benchmark b : subset)
+                addRow(p.name, benchmarkName(b),
+                       sweep().result(pscKey(p, b)).ipc, std::nan(""),
+                       "IPC");
+    });
 }

@@ -2,18 +2,14 @@
  * @file
  * Shared plumbing for the per-figure bench binaries.
  *
- * Each binary registers one google-benchmark case per configuration
- * point (pinned to a single iteration — a simulation is deterministic,
- * repeating it only burns time), accumulates the series it measures,
- * and prints a paper-vs-measured table after the benchmark run so the
- * output is directly comparable with the paper's figure.
- *
- * Execution is two-phase: binaries register their simulation points on
- * the process-wide SweepRunner (registerPoint / registerMixPoint) before
- * benchMain, which executes the whole sweep across a thread pool
- * (TACSIM_JOBS workers) and then runs the reporting cases, which fetch
- * the memoized results via cachedRun(). Binaries that skip registration
- * still work: cachedRun() falls back to executing lazily in-place.
+ * Each binary is a plain program. Its main() registers every simulation
+ * point it reads on the process-wide SweepRunner (registerPoint /
+ * registerMixPoint), then calls benchMain() with a buildRows callback.
+ * benchMain() runs the whole sweep once across a thread pool
+ * (TACSIM_JOBS workers); buildRows then reads the results with
+ * sweep().result(key) and adds the rows of a paper-vs-measured table,
+ * which benchMain() prints so the output is directly comparable with
+ * the paper's figure.
  *
  * Instruction budgets: TACSIM_INSTRUCTIONS / TACSIM_WARMUP override the
  * defaults for higher-fidelity runs. TACSIM_JSON_OUT=<path> additionally
@@ -23,11 +19,10 @@
 #ifndef TACSIM_BENCH_COMMON_HH
 #define TACSIM_BENCH_COMMON_HH
 
-#include <benchmark/benchmark.h>
-
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <functional>
 #include <string>
 #include <vector>
@@ -86,13 +81,13 @@ baselineConfig()
     return SystemConfig{};
 }
 
-/** The paper's full proposal on top of the baseline. */
+/** The paper's full proposal (T-DRRIP, T-SHiP, ATP, TEMPO) on top of
+ *  @p cfg. */
 inline SystemConfig
-proposedConfig(bool tempo = true)
+proposedConfig(SystemConfig cfg = baselineConfig())
 {
-    SystemConfig cfg = baselineConfig();
     TranslationAwareOptions o;
-    o.tempo = tempo;
+    o.tempo = true;
     applyTranslationAware(cfg, o);
     return cfg;
 }
@@ -100,8 +95,8 @@ proposedConfig(bool tempo = true)
 /**
  * Optional VM axes for the figure binaries (TACSIM_VM_AXES=1): rerun a
  * figure's comparison under THP-style huge pages and nested (guest×host)
- * translation. Off by default so the standard point set — and the
- * perf-smoke baseline — is unchanged.
+ * translation. Off by default so the standard point set, and every
+ * report that lists it, is unchanged.
  */
 struct VmAxis
 {
@@ -142,11 +137,12 @@ withVmAxis(SystemConfig cfg, const VmAxis &a)
 inline SweepRunner &
 sweep()
 {
-    return globalSweep();
+    static SweepRunner runner;
+    return runner;
 }
 
-/** Phase 1: register one simulation point for the parallel sweep
- *  (every thread of @p cfg runs @p b). */
+/** Register one simulation point for the sweep (every thread of @p cfg
+ *  runs @p b). */
 inline void
 registerPoint(const std::string &key, const SystemConfig &cfg, Benchmark b,
               std::uint64_t instructions = 0, std::uint64_t warmup = 0)
@@ -156,7 +152,7 @@ registerPoint(const std::string &key, const SystemConfig &cfg, Benchmark b,
                 instructions, warmup);
 }
 
-/** Phase 1: register a multi-thread mix point (thread t runs mix[t]). */
+/** Register a multi-thread mix point (thread t runs mix[t]). */
 inline void
 registerMixPoint(const std::string &key, const SystemConfig &cfg,
                  const std::vector<Benchmark> &mix,
@@ -169,56 +165,64 @@ registerMixPoint(const std::string &key, const SystemConfig &cfg,
 }
 
 /**
- * Memoized run of one point under a caller-chosen key, unique per
- * point. Pre-registered keys return the sweep's result; unknown keys
- * register and execute on the spot (serial fallback). Either way the
- * point is listed in the JSON report.
+ * Standard main body. The binaries take no arguments: any argument
+ * prints a usage line and exits 2. Otherwise run the sweep, then
+ * @p buildRows (which reads sweep().result() and calls addRow()),
+ * print the table, and write the JSON report when TACSIM_JSON_OUT is
+ * set. Exits 1, with no table, when a point or buildRows fails (the
+ * report, listing every point, is still written), and 1 when the
+ * report cannot be written.
  */
-inline const RunResult &
-cachedRun(const std::string &key, const SystemConfig &cfg, Benchmark b,
-          std::uint64_t instructions = 0, std::uint64_t warmup = 0)
-{
-    registerPoint(key, cfg, b, instructions, warmup);
-    return sweep().result(key);
-}
-
-/**
- * Register a single-shot google-benchmark case that executes @p fn once
- * and reports the wall time of the simulation.
- */
-inline void
-registerCase(const std::string &name, std::function<void()> fn)
-{
-    benchmark::RegisterBenchmark(
-        name.c_str(),
-        [fn](benchmark::State &state) {
-            for (auto _ : state)
-                fn();
-        })
-        ->Iterations(1)
-        ->Unit(benchmark::kMillisecond);
-}
-
-/** Standard main body: execute the sweep, run the registered cases,
- *  print the table, and emit the JSON report if requested. */
 inline int
-benchMain(int argc, char **argv, const std::string &title)
+benchMain(int argc, char **argv, const std::string &title,
+          const std::function<void()> &buildRows)
 {
-    benchmark::Initialize(&argc, argv);
+    if (argc > 1) {
+        std::fprintf(stderr,
+                     "usage: %s (no arguments; set TACSIM_INSTRUCTIONS, "
+                     "TACSIM_WARMUP, TACSIM_JOBS, TACSIM_JSON_OUT)\n",
+                     argv[0]);
+        return 2;
+    }
     if (sweep().points() > 0)
         std::fprintf(stderr, "tacsim: sweeping %zu points on %u threads\n",
                      sweep().points(), sweep().threadCount());
     sweep().run();
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    printTable(title);
+
+    bool failed = false;
     for (const SweepOutcome *o : sweep().outcomes()) {
-        if (!o->ok)
+        if (!o->ok) {
             std::fprintf(stderr, "tacsim: sweep point '%s' FAILED: %s\n",
                          o->key.c_str(), o->error.c_str());
+            failed = true;
+        }
     }
-    sweep().writeJsonFromEnv(title, rows());
-    return 0;
+    if (!failed) {
+        try {
+            buildRows();
+            printTable(title);
+        } catch (const std::exception &e) {
+            std::fprintf(stderr, "tacsim: %s\n", e.what());
+            rows().clear();
+            failed = true;
+        }
+    }
+
+    const char *jsonOut = std::getenv("TACSIM_JSON_OUT");
+    const bool wantJson = jsonOut && *jsonOut;
+    if (!sweep().writeJsonFromEnv(title, rows()) && wantJson)
+        return 1;
+    return failed ? 1 : 0;
+}
+
+/** Arithmetic mean (0 for no values). */
+inline double
+mean(const std::vector<double> &v)
+{
+    double s = 0;
+    for (double x : v)
+        s += x;
+    return v.empty() ? 0.0 : s / double(v.size());
 }
 
 /** Geometric mean of (positive) values. */

@@ -20,37 +20,32 @@ main(int argc, char **argv)
                                 Benchmark::cc, Benchmark::pr,
                                 Benchmark::radii, Benchmark::bf};
 
-    std::vector<double> cbGain, propGain, propOverCb;
-
+    SystemConfig cb = baselineConfig();
+    cb.llcDeadBlock = true;
     for (Benchmark b : subset) {
         const std::string name = benchmarkName(b);
-        registerCase("cbpred/" + name,
-                     [b, name, &cbGain, &propGain, &propOverCb] {
-                         const RunResult &base =
-                             cachedRun("base/" + name, baselineConfig(),
-                                       b);
-
-                         SystemConfig cb = baselineConfig();
-                         cb.llcDeadBlock = true;
-                         const RunResult &rcb =
-                             cachedRun("cbpred/" + name, cb, b);
-
-                         const RunResult &rp = cachedRun(
-                             "prop/" + name, proposedConfig(), b);
-
-                         const double sCb = speedup(base, rcb);
-                         const double sP = speedup(base, rp);
-                         addRow("CbPred(SHiP)", name, (sCb - 1) * 100,
-                                std::nan(""), "%");
-                         addRow("proposal", name, (sP - 1) * 100,
-                                std::nan(""), "%");
-                         cbGain.push_back(sCb);
-                         propGain.push_back(sP);
-                         propOverCb.push_back(sP / sCb);
-                     });
+        registerPoint("base/" + name, baselineConfig(), b);
+        registerPoint("cbpred/" + name, cb, b);
+        registerPoint("prop/" + name, proposedConfig(), b);
     }
 
-    registerCase("cbpred/summary", [&cbGain, &propGain, &propOverCb] {
+    return benchMain(argc, argv,
+                     "§V-B — comparison with CbPred/DpPred dead-block "
+                     "management",
+                     [&] {
+        std::vector<double> cbGain, propGain, propOverCb;
+        for (Benchmark b : subset) {
+            const std::string name = benchmarkName(b);
+            const RunResult &base = sweep().result("base/" + name);
+            const double sCb = speedup(base, sweep().result("cbpred/" + name));
+            const double sP = speedup(base, sweep().result("prop/" + name));
+            addRow("CbPred(SHiP)", name, (sCb - 1) * 100, std::nan(""),
+                   "%");
+            addRow("proposal", name, (sP - 1) * 100, std::nan(""), "%");
+            cbGain.push_back(sCb);
+            propGain.push_back(sP);
+            propOverCb.push_back(sP / sCb);
+        }
         addRow("CbPred(SHiP)", "geomean", (geomean(cbGain) - 1) * 100,
                std::nan(""), "%");
         addRow("proposal", "geomean", (geomean(propGain) - 1) * 100,
@@ -58,8 +53,4 @@ main(int argc, char **argv)
         addRow("proposal vs CbPred", "geomean",
                (geomean(propOverCb) - 1) * 100, 3.1, "%");
     });
-
-    return benchMain(argc, argv,
-                     "§V-B — comparison with CbPred/DpPred dead-block "
-                     "management");
 }

@@ -19,62 +19,54 @@ main(int argc, char **argv)
                                 Benchmark::cc, Benchmark::pr,
                                 Benchmark::xalancbmk};
 
-    std::vector<double> csaltOverStrong, csaltOverLru, propGain;
+    // CSALT on the strong (DRRIP+SHiP) baseline.
+    SystemConfig cs = baselineConfig();
+    cs.llcCsalt = true;
+    // CSALT over a weak LRU baseline (the CSALT paper's own setting,
+    // corroborated by §V-B).
+    SystemConfig lru = baselineConfig();
+    lru.l2Policy = PolicyKind::LRU;
+    lru.llcPolicy = PolicyKind::LRU;
+    SystemConfig lruCs = lru;
+    lruCs.llcCsalt = true;
 
     for (Benchmark b : subset) {
         const std::string name = benchmarkName(b);
-        registerCase(
-            "csalt/" + name,
-            [b, name, &csaltOverStrong, &csaltOverLru, &propGain] {
-                const RunResult &base =
-                    cachedRun("base/" + name, baselineConfig(), b);
-
-                // CSALT on the strong (DRRIP+SHiP) baseline.
-                SystemConfig cs = baselineConfig();
-                cs.llcCsalt = true;
-                const RunResult &rcs = cachedRun("csalt/" + name, cs, b);
-
-                // CSALT over a weak LRU baseline (the CSALT paper's own
-                // setting, corroborated by §V-B).
-                SystemConfig lru = baselineConfig();
-                lru.l2Policy = PolicyKind::LRU;
-                lru.llcPolicy = PolicyKind::LRU;
-                const RunResult &rlru = cachedRun("lru/" + name, lru, b);
-                SystemConfig lruCs = lru;
-                lruCs.llcCsalt = true;
-                const RunResult &rlruCs =
-                    cachedRun("lru-csalt/" + name, lruCs, b);
-
-                const RunResult &rp =
-                    cachedRun("prop/" + name, proposedConfig(), b);
-
-                const double sStrong = speedup(base, rcs);
-                const double sLru = speedup(rlru, rlruCs);
-                const double sProp = speedup(base, rp);
-                addRow("CSALT over strong base", name,
-                       (sStrong - 1) * 100, std::nan(""), "%");
-                addRow("CSALT over LRU base", name, (sLru - 1) * 100,
-                       std::nan(""), "%");
-                addRow("proposal over strong base", name,
-                       (sProp - 1) * 100, std::nan(""), "%");
-                csaltOverStrong.push_back(sStrong);
-                csaltOverLru.push_back(sLru);
-                propGain.push_back(sProp);
-            });
+        registerPoint("base/" + name, baselineConfig(), b);
+        registerPoint("csalt/" + name, cs, b);
+        registerPoint("lru/" + name, lru, b);
+        registerPoint("lru-csalt/" + name, lruCs, b);
+        registerPoint("prop/" + name, proposedConfig(), b);
     }
 
-    registerCase("csalt/summary",
-                 [&csaltOverStrong, &csaltOverLru, &propGain] {
-                     addRow("CSALT over strong base", "geomean",
-                            (geomean(csaltOverStrong) - 1) * 100, 1.0,
-                            "%");
-                     addRow("CSALT over LRU base", "geomean",
-                            (geomean(csaltOverLru) - 1) * 100,
-                            std::nan(""), "% (paper: larger than strong)");
-                     addRow("proposal over strong base", "geomean",
-                            (geomean(propGain) - 1) * 100, 5.1, "%");
-                 });
-
     return benchMain(argc, argv,
-                     "§V-B — comparison with CSALT partitioning");
+                     "§V-B — comparison with CSALT partitioning", [&] {
+        std::vector<double> csaltOverStrong, csaltOverLru, propGain;
+        for (Benchmark b : subset) {
+            const std::string name = benchmarkName(b);
+            const RunResult &base = sweep().result("base/" + name);
+            const double sStrong =
+                speedup(base, sweep().result("csalt/" + name));
+            const double sLru = speedup(sweep().result("lru/" + name),
+                                        sweep().result("lru-csalt/" + name));
+            const double sProp =
+                speedup(base, sweep().result("prop/" + name));
+            addRow("CSALT over strong base", name, (sStrong - 1) * 100,
+                   std::nan(""), "%");
+            addRow("CSALT over LRU base", name, (sLru - 1) * 100,
+                   std::nan(""), "%");
+            addRow("proposal over strong base", name, (sProp - 1) * 100,
+                   std::nan(""), "%");
+            csaltOverStrong.push_back(sStrong);
+            csaltOverLru.push_back(sLru);
+            propGain.push_back(sProp);
+        }
+        addRow("CSALT over strong base", "geomean",
+               (geomean(csaltOverStrong) - 1) * 100, 1.0, "%");
+        addRow("CSALT over LRU base", "geomean",
+               (geomean(csaltOverLru) - 1) * 100, std::nan(""),
+               "% (paper: larger than strong)");
+        addRow("proposal over strong base", "geomean",
+               (geomean(propGain) - 1) * 100, 5.1, "%");
+    });
 }

@@ -9,6 +9,8 @@
  * max 226; non-replay loads avg 47.
  */
 
+#include <algorithm>
+
 #include "bench_common.hh"
 
 using namespace tacbench;
@@ -16,45 +18,36 @@ using namespace tacbench;
 int
 main(int argc, char **argv)
 {
-    std::vector<double> avgT, avgR, avgN;
+    for (Benchmark b : kAllBenchmarks)
+        registerPoint("base/" + benchmarkName(b), baselineConfig(), b);
 
-    for (Benchmark b : kAllBenchmarks) {
-        const std::string name = benchmarkName(b);
-        registerCase("fig01/" + name, [b, name, &avgT, &avgR, &avgN] {
-            const RunResult &r =
-                cachedRun("base/" + name, baselineConfig(), b);
-            addRow("T-stall avg", name, r.avgStallPerWalk,
-                   std::nan(""), "cycles");
-            addRow("R-stall avg", name, r.avgStallPerReplay,
-                   std::nan(""), "cycles");
+    return benchMain(argc, argv,
+                     "Fig. 1 — ROB-head stall cycles (T / R / non-replay)",
+                     [] {
+        std::vector<double> avgT, avgR, avgN;
+        for (Benchmark b : kAllBenchmarks) {
+            const std::string name = benchmarkName(b);
+            const RunResult &r = sweep().result("base/" + name);
+            addRow("T-stall avg", name, r.avgStallPerWalk, std::nan(""),
+                   "cycles");
+            addRow("R-stall avg", name, r.avgStallPerReplay, std::nan(""),
+                   "cycles");
             addRow("NonReplay-stall avg", name, r.avgStallPerNonReplay,
                    std::nan(""), "cycles");
             avgT.push_back(r.avgStallPerWalk);
             avgR.push_back(r.avgStallPerReplay);
             avgN.push_back(r.avgStallPerNonReplay);
-        });
-    }
-
-    registerCase("fig01/summary", [&avgT, &avgR, &avgN] {
-        auto avg = [](const std::vector<double> &v) {
-            double s = 0;
-            for (double x : v)
-                s += x;
-            return v.empty() ? 0.0 : s / double(v.size());
-        };
+        }
         auto vmax = [](const std::vector<double> &v) {
             double m = 0;
             for (double x : v)
                 m = std::max(m, x);
             return m;
         };
-        addRow("T-stall", "suite avg", avg(avgT), 33, "cycles");
+        addRow("T-stall", "suite avg", mean(avgT), 33, "cycles");
         addRow("T-stall", "suite max", vmax(avgT), 54, "cycles");
-        addRow("R-stall", "suite avg", avg(avgR), 191, "cycles");
+        addRow("R-stall", "suite avg", mean(avgR), 191, "cycles");
         addRow("R-stall", "suite max", vmax(avgR), 226, "cycles");
-        addRow("NonReplay-stall", "suite avg", avg(avgN), 47, "cycles");
+        addRow("NonReplay-stall", "suite avg", mean(avgN), 47, "cycles");
     });
-
-    return benchMain(argc, argv,
-                     "Fig. 1 — ROB-head stall cycles (T / R / non-replay)");
 }

@@ -55,27 +55,31 @@ main(int argc, char **argv)
                                 Benchmark::cc, Benchmark::pr,
                                 Benchmark::radii};
 
+    auto key = [](const Variant &v, Benchmark b) {
+        return std::string("fig02/") + v.name + "/" + benchmarkName(b);
+    };
     for (const Variant &v : kVariants) {
-        auto *vp = &v;
-        registerCase(std::string("fig02/") + v.name, [vp, &subset] {
-            std::vector<double> speedups;
-            for (Benchmark b : subset) {
-                const std::string name = benchmarkName(b);
-                const RunResult &base =
-                    cachedRun("base/" + name, baselineConfig(), b);
-                SystemConfig cfg = baselineConfig();
-                vp->apply(cfg);
-                const RunResult &r = cachedRun(
-                    std::string("fig02/") + vp->name + "/" + name, cfg, b);
-                const double s = speedup(base, r);
-                addRow(vp->name, name, (s - 1) * 100, std::nan(""), "%");
-                speedups.push_back(s);
-            }
-            addRow(vp->name, "geomean", (geomean(speedups) - 1) * 100,
-                   vp->paperAvg, "%");
-        });
+        SystemConfig cfg = baselineConfig();
+        v.apply(cfg);
+        for (Benchmark b : subset) {
+            registerPoint("base/" + benchmarkName(b), baselineConfig(), b);
+            registerPoint(key(v, b), cfg, b);
+        }
     }
 
     return benchMain(argc, argv,
-                     "Fig. 2 — speedup with ideal L2C/LLC for T/R/TR");
+                     "Fig. 2 — speedup with ideal L2C/LLC for T/R/TR", [&] {
+        for (const Variant &v : kVariants) {
+            std::vector<double> speedups;
+            for (Benchmark b : subset) {
+                const std::string name = benchmarkName(b);
+                const double s = speedup(sweep().result("base/" + name),
+                                         sweep().result(key(v, b)));
+                addRow(v.name, name, (s - 1) * 100, std::nan(""), "%");
+                speedups.push_back(s);
+            }
+            addRow(v.name, "geomean", (geomean(speedups) - 1) * 100,
+                   v.paperAvg, "%");
+        }
+    });
 }

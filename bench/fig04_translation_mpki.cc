@@ -7,6 +7,8 @@
  * DRRIP -27.45%, SHiP -33.3%, Hawkeye +44.1%.
  */
 
+#include <map>
+
 #include "bench_common.hh"
 
 using namespace tacbench;
@@ -20,33 +22,28 @@ main(int argc, char **argv)
         {"Hawkeye", PolicyKind::Hawkeye},
     };
 
-    static std::map<std::string, std::vector<double>> series;
-
+    auto key = [](const char *pname, Benchmark b) {
+        return std::string("fig04/") + pname + "/" + benchmarkName(b);
+    };
     for (auto [pname, kind] : policies) {
-        for (Benchmark b : kAllBenchmarks) {
-            const std::string bname = benchmarkName(b);
-            const std::string key =
-                std::string("fig04/") + pname + "/" + bname;
-            PolicyKind k = kind;
-            std::string pn = pname;
-            registerCase(key, [key, k, pn, b, bname] {
-                SystemConfig cfg = baselineConfig();
-                cfg.llcPolicy = k;
-                const RunResult &r = cachedRun(key, cfg, b);
-                addRow(pn, bname, r.llcPtl1Mpki, std::nan(""), "MPKI");
-                series[pn].push_back(r.llcPtl1Mpki);
-            });
-        }
+        SystemConfig cfg = baselineConfig();
+        cfg.llcPolicy = kind;
+        for (Benchmark b : kAllBenchmarks)
+            registerPoint(key(pname, b), cfg, b);
     }
 
-    registerCase("fig04/summary", [] {
-        auto avg = [](const std::vector<double> &v) {
-            double s = 0;
-            for (double x : v)
-                s += x;
-            return v.empty() ? 0.0 : s / double(v.size());
-        };
-        const double lru = avg(series["LRU"]);
+    return benchMain(argc, argv,
+                     "Fig. 4 — leaf-translation MPKI at LLC by policy", [&] {
+        std::map<std::string, std::vector<double>> series;
+        for (auto [pname, kind] : policies) {
+            for (Benchmark b : kAllBenchmarks) {
+                const RunResult &r = sweep().result(key(pname, b));
+                addRow(pname, benchmarkName(b), r.llcPtl1Mpki, std::nan(""),
+                       "MPKI");
+                series[pname].push_back(r.llcPtl1Mpki);
+            }
+        }
+        const double lru = mean(series["LRU"]);
         const struct { const char *n; double paper; } deltas[] = {
             {"SRRIP", -14.72}, {"DRRIP", -27.45}, {"SHiP", -33.3},
             {"Hawkeye", +44.1},
@@ -54,12 +51,9 @@ main(int argc, char **argv)
         addRow("LRU", "suite avg MPKI", lru, std::nan(""), "MPKI");
         for (auto d : deltas) {
             const double pct =
-                lru > 0 ? (avg(series[d.n]) / lru - 1) * 100 : 0.0;
+                lru > 0 ? (mean(series[d.n]) / lru - 1) * 100 : 0.0;
             addRow(std::string(d.n) + " vs LRU", "suite avg", pct,
                    d.paper, "%");
         }
     });
-
-    return benchMain(argc, argv,
-                     "Fig. 4 — leaf-translation MPKI at LLC by policy");
 }

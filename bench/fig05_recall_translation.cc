@@ -21,46 +21,36 @@ main(int argc, char **argv)
                                 Benchmark::cc, Benchmark::pr,
                                 Benchmark::xalancbmk};
 
-    std::vector<double> llc50, l2c50;
-
-    for (Benchmark b : subset) {
-        const std::string name = benchmarkName(b);
-        registerCase("fig05/" + name, [b, name, &llc50, &l2c50] {
-            SystemConfig cfg = baselineConfig();
-            cfg.profileCacheRecall = true;
-            std::vector<std::unique_ptr<Workload>> w;
-            w.push_back(makeWorkload(b, cfg.seed));
-            System sys(cfg, std::move(w));
-            sys.warmup(defaultWarmup());
-            sys.run(defaultInstructions());
-
-            const Histogram &llc =
-                sys.llc().recallProfiler()->translationHist();
-            const Histogram &l2c =
-                sys.l2().recallProfiler()->translationHist();
-            const double fLlc = llc.fractionAtOrBelow(50) * 100;
-            const double fL2c = l2c.fractionAtOrBelow(50) * 100;
-            addRow("LLC recall<=50", name, fLlc, std::nan(""), "%");
-            addRow("L2C recall<=50", name, fL2c, std::nan(""), "%");
-            addRow("LLC recall<=10", name,
-                   llc.fractionAtOrBelow(10) * 100, std::nan(""), "%");
-            llc50.push_back(fLlc);
-            l2c50.push_back(fL2c);
-        });
-    }
-
-    registerCase("fig05/summary", [&llc50, &l2c50] {
-        auto avg = [](const std::vector<double> &v) {
-            double s = 0;
-            for (double x : v)
-                s += x;
-            return v.empty() ? 0.0 : s / double(v.size());
-        };
-        addRow("LLC recall<=50", "suite avg", avg(llc50), 30.0, "%");
-        addRow("L2C recall<=50", "suite avg", avg(l2c50), 30.0, "%");
-    });
-
+    // The recall histograms live in the profilers, not in RunResult, so
+    // each point builds its System here instead of joining the sweep.
     return benchMain(
         argc, argv,
-        "Fig. 5 — recall distance of leaf translations at LLC/L2C");
+        "Fig. 5 — recall distance of leaf translations at LLC/L2C", [&] {
+            std::vector<double> llc50, l2c50;
+            for (Benchmark b : subset) {
+                const std::string name = benchmarkName(b);
+                SystemConfig cfg = baselineConfig();
+                cfg.profileCacheRecall = true;
+                std::vector<std::unique_ptr<Workload>> w;
+                w.push_back(makeWorkload(b, cfg.seed));
+                System sys(cfg, std::move(w));
+                sys.warmup(defaultWarmup());
+                sys.run(defaultInstructions());
+
+                const Histogram &llc =
+                    sys.llc().recallProfiler()->translationHist();
+                const Histogram &l2c =
+                    sys.l2().recallProfiler()->translationHist();
+                const double fLlc = llc.fractionAtOrBelow(50) * 100;
+                const double fL2c = l2c.fractionAtOrBelow(50) * 100;
+                addRow("LLC recall<=50", name, fLlc, std::nan(""), "%");
+                addRow("L2C recall<=50", name, fL2c, std::nan(""), "%");
+                addRow("LLC recall<=10", name,
+                       llc.fractionAtOrBelow(10) * 100, std::nan(""), "%");
+                llc50.push_back(fLlc);
+                l2c50.push_back(fL2c);
+            }
+            addRow("LLC recall<=50", "suite avg", mean(llc50), 30.0, "%");
+            addRow("L2C recall<=50", "suite avg", mean(l2c50), 30.0, "%");
+        });
 }

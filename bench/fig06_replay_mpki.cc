@@ -8,6 +8,8 @@
  * recency/prediction scheme can keep the ones that matter.
  */
 
+#include <map>
+
 #include "bench_common.hh"
 
 using namespace tacbench;
@@ -21,39 +23,30 @@ main(int argc, char **argv)
         {"Hawkeye", PolicyKind::Hawkeye},
     };
 
-    static std::map<std::string, std::vector<double>> series;
-
+    auto key = [](const char *pname, Benchmark b) {
+        return std::string("fig06/") + pname + "/" + benchmarkName(b);
+    };
     for (auto [pname, kind] : policies) {
-        for (Benchmark b : kAllBenchmarks) {
-            const std::string bname = benchmarkName(b);
-            PolicyKind k = kind;
-            std::string pn = pname;
-            const std::string key =
-                std::string("fig06/") + pname + "/" + bname;
-            registerCase(key,
-                         [key, k, pn, b, bname] {
-                             SystemConfig cfg = baselineConfig();
-                             cfg.llcPolicy = k;
-                             const RunResult &r = cachedRun(key, cfg, b);
-                             addRow(pn, bname, r.llcReplayMpki,
-                                    std::nan(""), "MPKI");
-                             series[pn].push_back(r.llcReplayMpki);
-                         });
-        }
+        SystemConfig cfg = baselineConfig();
+        cfg.llcPolicy = kind;
+        for (Benchmark b : kAllBenchmarks)
+            registerPoint(key(pname, b), cfg, b);
     }
 
-    registerCase("fig06/summary", [] {
-        auto avg = [](const std::vector<double> &v) {
-            double s = 0;
-            for (double x : v)
-                s += x;
-            return v.empty() ? 0.0 : s / double(v.size());
-        };
+    return benchMain(argc, argv,
+                     "Fig. 6 — replay MPKI at LLC by replacement policy",
+                     [&] {
+        std::map<std::string, std::vector<double>> series;
+        for (auto [pname, kind] : policies) {
+            for (Benchmark b : kAllBenchmarks) {
+                const RunResult &r = sweep().result(key(pname, b));
+                addRow(pname, benchmarkName(b), r.llcReplayMpki,
+                       std::nan(""), "MPKI");
+                series[pname].push_back(r.llcReplayMpki);
+            }
+        }
         for (auto &kv : series)
-            addRow(kv.first, "suite avg", avg(kv.second), std::nan(""),
+            addRow(kv.first, "suite avg", mean(kv.second), std::nan(""),
                    "MPKI (policy-invariant per paper)");
     });
-
-    return benchMain(argc, argv,
-                     "Fig. 6 — replay MPKI at LLC by replacement policy");
 }

@@ -20,11 +20,13 @@ main(int argc, char **argv)
                                 Benchmark::cc, Benchmark::pr,
                                 Benchmark::bf};
 
-    std::vector<double> over50;
-
-    for (Benchmark b : subset) {
-        const std::string name = benchmarkName(b);
-        registerCase("fig07/" + name, [b, name, &over50] {
+    // The recall histograms live in the profilers, not in RunResult, so
+    // each point builds its System here instead of joining the sweep.
+    return benchMain(argc, argv,
+                     "Fig. 7 — recall distance of replays at LLC/L2C", [&] {
+        std::vector<double> over50;
+        for (Benchmark b : subset) {
+            const std::string name = benchmarkName(b);
             SystemConfig cfg = baselineConfig();
             cfg.profileCacheRecall = true;
             std::vector<std::unique_ptr<Workload>> w;
@@ -40,17 +42,7 @@ main(int argc, char **argv)
             addRow("LLC recall>50", name, fLlc, std::nan(""), "%");
             addRow("L2C recall>50", name, fL2c, std::nan(""), "%");
             over50.push_back(fLlc);
-        });
-    }
-
-    registerCase("fig07/summary", [&over50] {
-        double s = 0;
-        for (double x : over50)
-            s += x;
-        addRow("LLC recall>50", "suite avg",
-               over50.empty() ? 0 : s / double(over50.size()), 60.0, "%");
+        }
+        addRow("LLC recall>50", "suite avg", mean(over50), 60.0, "%");
     });
-
-    return benchMain(argc, argv,
-                     "Fig. 7 — recall distance of replays at LLC/L2C");
 }

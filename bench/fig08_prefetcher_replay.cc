@@ -9,6 +9,8 @@
  * physical sequences.
  */
 
+#include <map>
+
 #include "bench_common.hh"
 
 using namespace tacbench;
@@ -34,40 +36,34 @@ main(int argc, char **argv)
                                 Benchmark::canneal, Benchmark::cc,
                                 Benchmark::pr, Benchmark::bf};
 
-    static std::map<std::string, std::vector<double>> series;
-
+    auto key = [](const Pf &p, Benchmark b) {
+        return std::string("fig08/") + p.name + "/" + benchmarkName(b);
+    };
     for (const Pf &p : pfs) {
-        for (Benchmark b : subset) {
-            const std::string bname = benchmarkName(b);
-            Pf pf = p;
-            const std::string key =
-                std::string("fig08/") + p.name + "/" + bname;
-            registerCase(key,
-                         [key, pf, b, bname] {
-                             SystemConfig cfg = baselineConfig();
-                             cfg.l1Prefetcher = pf.l1;
-                             cfg.l2Prefetcher = pf.l2;
-                             const RunResult &r = cachedRun(key, cfg, b);
-                             addRow(pf.name, bname, r.llcReplayMpki,
-                                    std::nan(""), "MPKI");
-                             series[pf.name].push_back(r.llcReplayMpki);
-                         });
-        }
+        SystemConfig cfg = baselineConfig();
+        cfg.l1Prefetcher = p.l1;
+        cfg.l2Prefetcher = p.l2;
+        for (Benchmark b : subset)
+            registerPoint(key(p, b), cfg, b);
     }
 
-    registerCase("fig08/summary", [] {
-        auto avg = [](const std::vector<double> &v) {
-            double s = 0;
-            for (double x : v)
-                s += x;
-            return v.empty() ? 0.0 : s / double(v.size());
-        };
-        const double base = avg(series["no-prefetch"]);
+    return benchMain(argc, argv,
+                     "Fig. 8 — LLC replay MPKI with prefetchers", [&] {
+        std::map<std::string, std::vector<double>> series;
+        for (const Pf &p : pfs) {
+            for (Benchmark b : subset) {
+                const RunResult &r = sweep().result(key(p, b));
+                addRow(p.name, benchmarkName(b), r.llcReplayMpki,
+                       std::nan(""), "MPKI");
+                series[p.name].push_back(r.llcReplayMpki);
+            }
+        }
+        const double base = mean(series["no-prefetch"]);
         for (auto &kv : series) {
             const double delta =
                 base > 0 ? (kv.second.empty()
                                 ? 0.0
-                                : (avg(kv.second) / base - 1) * 100)
+                                : (mean(kv.second) / base - 1) * 100)
                          : 0.0;
             addRow(kv.first, "replay MPKI vs none", delta,
                    kv.first == std::string("no-prefetch") ? 0.0
@@ -75,7 +71,4 @@ main(int argc, char **argv)
                    "%");
         }
     });
-
-    return benchMain(argc, argv,
-                     "Fig. 8 — LLC replay MPKI with prefetchers");
 }

@@ -49,8 +49,6 @@ main(int argc, char **argv)
                                 Benchmark::cc, Benchmark::pr,
                                 Benchmark::radii, Benchmark::bf};
 
-    std::vector<double> good, bad;
-
     for (Benchmark b : subset) {
         const std::string name = benchmarkName(b);
         registerPoint("base/" + name, baselineConfig(), b);
@@ -58,16 +56,15 @@ main(int argc, char **argv)
         registerPoint("fig10/ablate/" + name, ablatedConfig(), b);
     }
 
-    for (Benchmark b : subset) {
-        const std::string name = benchmarkName(b);
-        registerCase("fig10/" + name, [b, name, &good, &bad] {
-            const RunResult &base =
-                cachedRun("base/" + name, baselineConfig(), b);
-            const RunResult &tRes =
-                cachedRun("fig10/T/" + name, correctConfig(), b);
-            const RunResult &aRes =
-                cachedRun("fig10/ablate/" + name, ablatedConfig(), b);
-
+    return benchMain(argc, argv,
+                     "Fig. 10 — RRPV=0 insertion for replays (ablation)",
+                     [&] {
+        std::vector<double> good, bad;
+        for (Benchmark b : subset) {
+            const std::string name = benchmarkName(b);
+            const RunResult &base = sweep().result("base/" + name);
+            const RunResult &tRes = sweep().result("fig10/T/" + name);
+            const RunResult &aRes = sweep().result("fig10/ablate/" + name);
             const double sGood = (speedup(base, tRes) - 1) * 100;
             const double sBad = (speedup(base, aRes) - 1) * 100;
             addRow("T-insertion (correct)", name, sGood, std::nan(""),
@@ -76,22 +73,10 @@ main(int argc, char **argv)
                    std::nan(""), "%");
             good.push_back(sGood);
             bad.push_back(sBad);
-        });
-    }
-
-    registerCase("fig10/summary", [&good, &bad] {
-        auto avg = [](const std::vector<double> &v) {
-            double s = 0;
-            for (double x : v)
-                s += x;
-            return v.empty() ? 0.0 : s / double(v.size());
-        };
-        addRow("T-insertion (correct)", "suite avg", avg(good),
+        }
+        addRow("T-insertion (correct)", "suite avg", mean(good),
                std::nan(""), "% (paper: positive)");
-        addRow("RRPV0-for-replays (ablated)", "suite avg", avg(bad),
+        addRow("RRPV0-for-replays (ablated)", "suite avg", mean(bad),
                std::nan(""), "% (paper: degradation vs correct)");
     });
-
-    return benchMain(argc, argv,
-                     "Fig. 10 — RRPV=0 insertion for replays (ablation)");
 }

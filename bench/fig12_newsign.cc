@@ -9,6 +9,8 @@
  * pushing the on-chip translation hit rate to ~99%.
  */
 
+#include <map>
+
 #include "bench_common.hh"
 
 using namespace tacbench;
@@ -36,41 +38,33 @@ main(int argc, char **argv)
                                 Benchmark::cc, Benchmark::pr,
                                 Benchmark::radii, Benchmark::tc};
 
-    static std::map<std::string, std::vector<double>> series;
-
+    auto key = [](const Variant &v, Benchmark b) {
+        return std::string("fig12/") + v.name + "/" + benchmarkName(b);
+    };
     for (const Variant &v : variants) {
-        for (Benchmark b : subset) {
-            const std::string bname = benchmarkName(b);
-            Variant vv = v;
-            const std::string key =
-                std::string("fig12/") + v.name + "/" + bname;
-            registerCase(key,
-                         [key, vv, b, bname] {
-                             SystemConfig cfg = baselineConfig();
-                             cfg.llcPolicy = vv.kind;
-                             cfg.llcOpts.newSignatures = vv.newSig;
-                             cfg.llcOpts.translationRrpv0 = vv.tr0;
-                             const RunResult &r = cachedRun(key, cfg, b);
-                             addRow(vv.name, bname, r.llcPtl1Mpki,
-                                    std::nan(""), "MPKI");
-                             series[vv.name].push_back(r.llcPtl1Mpki);
-                         });
-        }
+        SystemConfig cfg = baselineConfig();
+        cfg.llcPolicy = v.kind;
+        cfg.llcOpts.newSignatures = v.newSig;
+        cfg.llcOpts.translationRrpv0 = v.tr0;
+        for (Benchmark b : subset)
+            registerPoint(key(v, b), cfg, b);
     }
-
-    registerCase("fig12/summary", [] {
-        auto avg = [](const std::vector<double> &v) {
-            double s = 0;
-            for (double x : v)
-                s += x;
-            return v.empty() ? 0.0 : s / double(v.size());
-        };
-        for (auto &kv : series)
-            addRow(kv.first, "suite avg", avg(kv.second), std::nan(""),
-                   "MPKI (paper: SHiP > NewSign > T-SHiP)");
-    });
 
     return benchMain(
         argc, argv,
-        "Fig. 12 — LLC translation MPKI: signatures and T-insertion");
+        "Fig. 12 — LLC translation MPKI: signatures and T-insertion", [&] {
+            std::map<std::string, std::vector<double>> series;
+            for (const Variant &v : variants) {
+                for (Benchmark b : subset) {
+                    const RunResult &r = sweep().result(key(v, b));
+                    addRow(v.name, benchmarkName(b), r.llcPtl1Mpki,
+                           std::nan(""), "MPKI");
+                    series[v.name].push_back(r.llcPtl1Mpki);
+                }
+            }
+            for (auto &kv : series)
+                addRow(kv.first, "suite avg", mean(kv.second),
+                       std::nan(""),
+                       "MPKI (paper: SHiP > NewSign > T-SHiP)");
+        });
 }

@@ -10,7 +10,7 @@
  *
  * All 45 simulation points (9 baselines + 4 steps x 9 benchmarks) are
  * registered up front and executed by the parallel sweep runner; the
- * benchmark cases only read memoized results.
+ * table is then built from their results.
  */
 
 #include <algorithm>
@@ -55,10 +55,6 @@ stepConfig(const Step &s)
 int
 main(int argc, char **argv)
 {
-    static std::map<std::string, std::vector<double>> series;
-    static double onChip = 0;
-
-    // Phase 1: register every point for the parallel sweep.
     for (Benchmark b : kAllBenchmarks)
         registerPoint("base/" + benchmarkName(b), baselineConfig(), b);
     for (const Step &s : kSteps)
@@ -67,69 +63,56 @@ main(int argc, char **argv)
 
     // Optional VM axes: does the full scheme still pay off when huge
     // pages shrink the walk burden, or when nesting multiplies it?
+    auto vmKey = [](const VmAxis &a, const char *policy, Benchmark b) {
+        return "vm/" + std::string(a.name) + "/" + policy + "/" +
+            benchmarkName(b);
+    };
     if (vmAxesRequested()) {
         for (const VmAxis &a : vmAxes()) {
             for (Benchmark b : kAllBenchmarks) {
-                const std::string bname = benchmarkName(b);
-                registerPoint("vm/" + std::string(a.name) + "/base/" +
-                                  bname,
+                registerPoint(vmKey(a, "base", b),
                               withVmAxis(baselineConfig(), a), b);
-                registerPoint("vm/" + std::string(a.name) + "/prop/" +
-                                  bname,
+                registerPoint(vmKey(a, "prop", b),
                               withVmAxis(proposedConfig(), a), b);
             }
         }
     }
 
-    // Phase 2/3 (in benchMain): execute the sweep, then these cases
-    // fetch the memoized results and derive the figure's rows.
-    for (const Step &s : kSteps) {
-        for (Benchmark b : kAllBenchmarks) {
-            const std::string bname = benchmarkName(b);
-            Step step = s;
-            registerCase(stepKey(s, bname), [step, b, bname] {
-                const RunResult &base =
-                    cachedRun("base/" + bname, baselineConfig(), b);
-                const RunResult &r =
-                    cachedRun(stepKey(step, bname), stepConfig(step), b);
-                const double sp = speedup(base, r);
-                addRow(step.name, bname, (sp - 1) * 100, std::nan(""),
-                       "%");
-                series[step.name].push_back(sp);
-                if (step.opts.tempo)
+    return benchMain(argc, argv,
+                     "Fig. 14 — speedup with the paper's enhancements", [&] {
+        std::map<std::string, std::vector<double>> series;
+        double onChip = 0;
+        for (const Step &s : kSteps) {
+            for (Benchmark b : kAllBenchmarks) {
+                const std::string bname = benchmarkName(b);
+                const RunResult &r = sweep().result(stepKey(s, bname));
+                const double sp =
+                    speedup(sweep().result("base/" + bname), r);
+                addRow(s.name, bname, (sp - 1) * 100, std::nan(""), "%");
+                series[s.name].push_back(sp);
+                if (s.opts.tempo)
                     onChip += r.leafOnChipHitRate;
-            });
+            }
         }
-    }
 
-    if (vmAxesRequested()) {
-        for (const VmAxis &a : vmAxes()) {
-            const VmAxis axis = a;
-            registerCase("fig14/vm/" + std::string(a.name), [axis] {
+        if (vmAxesRequested()) {
+            for (const VmAxis &a : vmAxes()) {
                 std::vector<double> sp;
                 double mpki = 0;
                 for (Benchmark b : kAllBenchmarks) {
-                    const std::string bname = benchmarkName(b);
-                    const std::string pre =
-                        "vm/" + std::string(axis.name) + "/";
                     const RunResult &base =
-                        cachedRun(pre + "base/" + bname,
-                                  withVmAxis(baselineConfig(), axis), b);
-                    const RunResult &prop =
-                        cachedRun(pre + "prop/" + bname,
-                                  withVmAxis(proposedConfig(), axis), b);
-                    sp.push_back(speedup(base, prop));
+                        sweep().result(vmKey(a, "base", b));
+                    sp.push_back(
+                        speedup(base, sweep().result(vmKey(a, "prop", b))));
                     mpki += base.stlbMpki;
                 }
-                addRow(std::string("vm:") + axis.name, "geomean",
+                addRow(std::string("vm:") + a.name, "geomean",
                        (geomean(sp) - 1) * 100, std::nan(""), "%");
-                addRow(std::string("vm:") + axis.name, "base STLB MPKI",
+                addRow(std::string("vm:") + a.name, "base STLB MPKI",
                        mpki / 9.0, std::nan(""), "");
-            });
+            }
         }
-    }
 
-    registerCase("fig14/summary", [] {
         for (const Step &s : kSteps) {
             const auto &v = series[s.name];
             addRow(s.name, "geomean", (geomean(v) - 1) * 100, s.paperAvg,
@@ -140,10 +123,7 @@ main(int argc, char **argv)
             if (std::string(s.name) == "+TEMPO")
                 addRow(s.name, "max", mx, 10.6, "%");
         }
-        addRow("leaf on-chip hit rate", "suite avg",
-               onChip / 9.0 * 100, 98.0, "%");
+        addRow("leaf on-chip hit rate", "suite avg", onChip / 9.0 * 100,
+               98.0, "%");
     });
-
-    return benchMain(argc, argv,
-                     "Fig. 14 — speedup with the paper's enhancements");
 }

@@ -9,6 +9,8 @@
  * prefetchers do not cover the irregular (replay) misses.
  */
 
+#include <map>
+
 #include "bench_common.hh"
 
 using namespace tacbench;
@@ -34,44 +36,36 @@ main(int argc, char **argv)
                                 Benchmark::mcf, Benchmark::cc,
                                 Benchmark::pr, Benchmark::radii};
 
-    static std::map<std::string, std::vector<double>> series;
-
+    auto key = [](const Pf &p, Benchmark b) {
+        return std::string("fig15/") + p.name + "/" + benchmarkName(b);
+    };
     for (const Pf &p : pfs) {
+        SystemConfig base = baselineConfig();
+        base.l1Prefetcher = p.l1;
+        base.l2Prefetcher = p.l2;
         for (Benchmark b : subset) {
-            const std::string bname = benchmarkName(b);
-            Pf pf = p;
-            const std::string key =
-                std::string("fig15/") + p.name + "/" + bname;
-            registerCase(key,
-                         [key, pf, b, bname] {
-                             SystemConfig base = baselineConfig();
-                             base.l1Prefetcher = pf.l1;
-                             base.l2Prefetcher = pf.l2;
-                             const RunResult &rb =
-                                 cachedRun(key + "/base", base, b);
-
-                             SystemConfig enh = base;
-                             TranslationAwareOptions o;
-                             o.tempo = true;
-                             applyTranslationAware(enh, o);
-                             const RunResult &re =
-                                 cachedRun(key + "/proposed", enh, b);
-
-                             const double sp = speedup(rb, re);
-                             addRow(pf.name, bname, (sp - 1) * 100,
-                                    std::nan(""), "%");
-                             series[pf.name].push_back(sp);
-                         });
+            registerPoint(key(p, b) + "/base", base, b);
+            registerPoint(key(p, b) + "/proposed", proposedConfig(base), b);
         }
     }
 
-    registerCase("fig15/summary", [&pfs] {
-        for (const Pf &p : pfs)
-            addRow(p.name, "geomean",
-                   (geomean(series[p.name]) - 1) * 100, p.paperAvg, "%");
-    });
-
     return benchMain(
-        argc, argv,
-        "Fig. 15 — proposal speedup on prefetching baselines");
+        argc, argv, "Fig. 15 — proposal speedup on prefetching baselines",
+        [&] {
+            std::map<std::string, std::vector<double>> series;
+            for (const Pf &p : pfs) {
+                for (Benchmark b : subset) {
+                    const double sp =
+                        speedup(sweep().result(key(p, b) + "/base"),
+                                sweep().result(key(p, b) + "/proposed"));
+                    addRow(p.name, benchmarkName(b), (sp - 1) * 100,
+                           std::nan(""), "%");
+                    series[p.name].push_back(sp);
+                }
+            }
+            for (const Pf &p : pfs)
+                addRow(p.name, "geomean",
+                       (geomean(series[p.name]) - 1) * 100, p.paperAvg,
+                       "%");
+        });
 }

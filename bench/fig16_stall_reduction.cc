@@ -16,11 +16,6 @@ using namespace tacbench;
 int
 main(int argc, char **argv)
 {
-    std::vector<double> tRed, rRed, totRed;
-    std::uint64_t baseT = 0, baseR = 0, enhT = 0, enhR = 0;
-
-    // Phase 1: register the 18 points for the parallel sweep; the cases
-    // below fetch the memoized results through cachedRun.
     for (Benchmark b : kAllBenchmarks) {
         const std::string name = benchmarkName(b);
         registerPoint("base/" + name, baselineConfig(), b);
@@ -41,78 +36,56 @@ main(int argc, char **argv)
         }
     }
 
-    for (Benchmark b : kAllBenchmarks) {
-        const std::string name = benchmarkName(b);
-        registerCase("fig16/" + name, [b, name, &tRed, &rRed, &totRed,
-                                       &baseT, &baseR, &enhT, &enhR] {
-            const RunResult &base =
-                cachedRun("base/" + name, baselineConfig(), b);
-            const RunResult &enh =
-                cachedRun("prop/" + name, proposedConfig(), b);
-
-            auto red = [](double b0, double b1) {
-                return b0 > 0 ? (1.0 - b1 / b0) * 100 : 0.0;
-            };
-            const double t =
-                red(double(base.stallT), double(enh.stallT));
-            const double r =
-                red(double(base.stallR), double(enh.stallR));
-            const double tot = red(double(base.stallT + base.stallR),
-                                   double(enh.stallT + enh.stallR));
-            addRow("T-stall reduction", name, t, std::nan(""), "%");
-            addRow("R-stall reduction", name, r, std::nan(""), "%");
-            addRow("T+R stall reduction", name, tot, std::nan(""), "%");
-            tRed.push_back(t);
-            rRed.push_back(r);
-            totRed.push_back(tot);
+    return benchMain(argc, argv,
+                     "Fig. 16 — ROB stall-cycle reduction (T and R)", [] {
+        auto red = [](std::uint64_t b0, std::uint64_t b1) {
+            return b0 ? (1.0 - double(b1) / double(b0)) * 100 : 0.0;
+        };
+        std::uint64_t baseT = 0, baseR = 0, enhT = 0, enhR = 0;
+        for (Benchmark b : kAllBenchmarks) {
+            const std::string name = benchmarkName(b);
+            const RunResult &base = sweep().result("base/" + name);
+            const RunResult &enh = sweep().result("prop/" + name);
+            addRow("T-stall reduction", name, red(base.stallT, enh.stallT),
+                   std::nan(""), "%");
+            addRow("R-stall reduction", name, red(base.stallR, enh.stallR),
+                   std::nan(""), "%");
+            addRow("T+R stall reduction", name,
+                   red(base.stallT + base.stallR, enh.stallT + enh.stallR),
+                   std::nan(""), "%");
             baseT += base.stallT;
             baseR += base.stallR;
             enhT += enh.stallT;
             enhR += enh.stallR;
-        });
-    }
+        }
 
-    // Suite aggregates are cycle-weighted (total stall cycles across the
-    // suite): per-benchmark percentages over tiny T-stall denominators
-    // would let one outlier dominate the mean.
-    registerCase("fig16/summary", [&baseT, &baseR, &enhT, &enhR] {
-        auto red = [](std::uint64_t b0, std::uint64_t b1) {
-            return b0 ? (1.0 - double(b1) / double(b0)) * 100 : 0.0;
-        };
+        // Suite aggregates are cycle-weighted (total stall cycles
+        // across the suite): per-benchmark percentages over tiny T-stall
+        // denominators would let one outlier dominate the mean.
         addRow("T-stall reduction", "suite total", red(baseT, enhT),
                28.76, "%");
         addRow("R-stall reduction", "suite total", red(baseR, enhR),
                18.5, "%");
         addRow("T+R stall reduction", "suite total",
                red(baseT + baseR, enhT + enhR), 46.7, "%");
-    });
 
-    if (vmAxesRequested()) {
-        registerCase("fig16/vm/nested", [nestedAxis] {
+        if (vmAxesRequested()) {
             std::uint64_t bT = 0, bR = 0, eT = 0, eR = 0;
             for (Benchmark b : kAllBenchmarks) {
                 const std::string name = benchmarkName(b);
-                const RunResult &base = cachedRun(
-                    "vm/nested/base/" + name,
-                    withVmAxis(baselineConfig(), nestedAxis), b);
-                const RunResult &enh = cachedRun(
-                    "vm/nested/prop/" + name,
-                    withVmAxis(proposedConfig(), nestedAxis), b);
+                const RunResult &base =
+                    sweep().result("vm/nested/base/" + name);
+                const RunResult &enh =
+                    sweep().result("vm/nested/prop/" + name);
                 bT += base.stallT;
                 bR += base.stallR;
                 eT += enh.stallT;
                 eR += enh.stallR;
             }
-            auto red = [](std::uint64_t b0, std::uint64_t b1) {
-                return b0 ? (1.0 - double(b1) / double(b0)) * 100 : 0.0;
-            };
             addRow("T-stall reduction", "nested suite", red(bT, eT),
                    std::nan(""), "%");
             addRow("T+R stall reduction", "nested suite",
                    red(bT + bR, eT + eR), std::nan(""), "%");
-        });
-    }
-
-    return benchMain(argc, argv,
-                     "Fig. 16 — ROB stall-cycle reduction (T and R)");
+        }
+    });
 }

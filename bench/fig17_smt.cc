@@ -54,64 +54,47 @@ main(int argc, char **argv)
 {
     const SystemConfig smtBase =
         configFromTopology("cores=1,smt=2", baselineConfig());
-    SystemConfig smtEnh = smtBase;
-    TranslationAwareOptions o;
-    o.tempo = true;
-    applyTranslationAware(smtEnh, o);
+    const SystemConfig smtEnh = proposedConfig(smtBase);
 
-    // Phase 1: 9 solos (baseline, for the harmonic denominator) plus
-    // both policies for each of the 45 unordered pairs: 99 points.
+    // 9 solos (baseline, for the harmonic denominator) plus both
+    // policies for each of the 45 unordered pairs: 99 points.
+    auto pairName = [](B t0, B t1) {
+        return benchmarkName(t0) + "-" + benchmarkName(t1);
+    };
     for (B b : kAllBenchmarks)
         registerPoint("base/" + benchmarkName(b), baselineConfig(), b);
     for (std::size_t i = 0; i < kAllBenchmarks.size(); ++i) {
         for (std::size_t j = i; j < kAllBenchmarks.size(); ++j) {
             const B t0 = kAllBenchmarks[i], t1 = kAllBenchmarks[j];
-            const std::string name =
-                benchmarkName(t0) + "-" + benchmarkName(t1);
-            registerMixPoint("smt/base/" + name, smtBase, {t0, t1});
-            registerMixPoint("smt/enh/" + name, smtEnh, {t0, t1});
+            registerMixPoint("smt/base/" + pairName(t0, t1), smtBase,
+                             {t0, t1});
+            registerMixPoint("smt/enh/" + pairName(t0, t1), smtEnh,
+                             {t0, t1});
         }
     }
 
-    static std::vector<double> gains;
-
-    for (std::size_t i = 0; i < kAllBenchmarks.size(); ++i) {
-        for (std::size_t j = i; j < kAllBenchmarks.size(); ++j) {
-            const B t0 = kAllBenchmarks[i], t1 = kAllBenchmarks[j];
-            const std::string name =
-                benchmarkName(t0) + "-" + benchmarkName(t1);
-            registerCase("fig17/" + name, [t0, t1, name] {
-                const RunResult &solo0 =
-                    sweep().result("base/" + benchmarkName(t0));
-                const RunResult &solo1 =
-                    sweep().result("base/" + benchmarkName(t1));
-                const std::vector<double> soloIpc = {solo0.ipc,
-                                                     solo1.ipc};
-
-                const RunResult &mixBase =
-                    sweep().result("smt/base/" + name);
-                const RunResult &mixEnh =
-                    sweep().result("smt/enh/" + name);
-
-                const double hBase = harmonicSpeedup(soloIpc, mixBase);
-                const double hEnh = harmonicSpeedup(soloIpc, mixEnh);
+    return benchMain(argc, argv,
+                     "Fig. 17 — 2-way SMT speedup, all 45 pairs", [&] {
+        std::vector<double> gains;
+        for (std::size_t i = 0; i < kAllBenchmarks.size(); ++i) {
+            for (std::size_t j = i; j < kAllBenchmarks.size(); ++j) {
+                const B t0 = kAllBenchmarks[i], t1 = kAllBenchmarks[j];
+                const std::string name = pairName(t0, t1);
+                const std::vector<double> soloIpc = {
+                    sweep().result("base/" + benchmarkName(t0)).ipc,
+                    sweep().result("base/" + benchmarkName(t1)).ipc};
+                const double hBase = harmonicSpeedup(
+                    soloIpc, sweep().result("smt/base/" + name));
+                const double hEnh = harmonicSpeedup(
+                    soloIpc, sweep().result("smt/enh/" + name));
                 const double gain =
                     hBase > 0 ? (hEnh / hBase - 1) * 100 : 0.0;
                 addRow("SMT harmonic-speedup gain", name, gain,
                        paperGain(t0, t1), "%");
                 gains.push_back(gain);
-            });
+            }
         }
-    }
-
-    registerCase("fig17/summary", [] {
-        double s = 0;
-        for (double x : gains)
-            s += x;
-        addRow("SMT harmonic-speedup gain", "pair avg",
-               gains.empty() ? 0 : s / double(gains.size()), 6.3, "%");
+        addRow("SMT harmonic-speedup gain", "pair avg", mean(gains), 6.3,
+               "%");
     });
-
-    return benchMain(argc, argv,
-                     "Fig. 17 — 2-way SMT speedup, all 45 pairs");
 }

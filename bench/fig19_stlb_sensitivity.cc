@@ -9,6 +9,8 @@
  * (STLB MPKI 0.39 at 4096 entries).
  */
 
+#include <map>
+
 #include "bench_common.hh"
 
 using namespace tacbench;
@@ -21,44 +23,37 @@ main(int argc, char **argv)
                                 Benchmark::mcf, Benchmark::cc,
                                 Benchmark::pr};
 
-    static std::map<std::uint32_t, std::vector<double>> series;
-
+    auto key = [](std::uint32_t entries, Benchmark b) {
+        return "fig19/stlb" + std::to_string(entries) + "/" +
+            benchmarkName(b);
+    };
     for (std::uint32_t entries : sizes) {
+        SystemConfig base = baselineConfig();
+        base.stlbEntries = entries;
         for (Benchmark b : subset) {
-            const std::string bname = benchmarkName(b);
-            const std::string key =
-                "fig19/stlb" + std::to_string(entries) + "/" + bname;
-            registerCase(key,
-                         [key, entries, b, bname] {
-                             SystemConfig base = baselineConfig();
-                             base.stlbEntries = entries;
-                             const RunResult &rb =
-                                 cachedRun(key + "/base", base, b);
-
-                             SystemConfig enh = base;
-                             TranslationAwareOptions o;
-                             o.tempo = true;
-                             applyTranslationAware(enh, o);
-                             const RunResult &re =
-                                 cachedRun(key + "/proposed", enh, b);
-
-                             const double sp = speedup(rb, re);
-                             addRow("STLB=" + std::to_string(entries),
-                                    bname, (sp - 1) * 100, std::nan(""),
-                                    "% (stlbMPKI " +
-                                        std::to_string(rb.stlbMpki) +
-                                        ")");
-                             series[entries].push_back(sp);
-                         });
+            registerPoint(key(entries, b) + "/base", base, b);
+            registerPoint(key(entries, b) + "/proposed",
+                          proposedConfig(base), b);
         }
     }
 
-    registerCase("fig19/summary", [&sizes] {
+    return benchMain(argc, argv, "Fig. 19 — STLB size sensitivity", [&] {
+        std::map<std::uint32_t, std::vector<double>> series;
+        for (std::uint32_t entries : sizes) {
+            for (Benchmark b : subset) {
+                const RunResult &rb =
+                    sweep().result(key(entries, b) + "/base");
+                const double sp = speedup(
+                    rb, sweep().result(key(entries, b) + "/proposed"));
+                addRow("STLB=" + std::to_string(entries), benchmarkName(b),
+                       (sp - 1) * 100, std::nan(""),
+                       "% (stlbMPKI " + std::to_string(rb.stlbMpki) + ")");
+                series[entries].push_back(sp);
+            }
+        }
         for (std::uint32_t e : sizes)
             addRow("STLB=" + std::to_string(e), "geomean",
                    (geomean(series[e]) - 1) * 100, std::nan(""),
                    "% (paper: positive at all sizes, shrinking)");
     });
-
-    return benchMain(argc, argv, "Fig. 19 — STLB size sensitivity");
 }

@@ -9,6 +9,8 @@
  * keeps gaining; mcf's gain shrinks once translations fit.
  */
 
+#include <map>
+
 #include "bench_common.hh"
 
 using namespace tacbench;
@@ -29,46 +31,36 @@ main(int argc, char **argv)
                                 Benchmark::mcf, Benchmark::cc,
                                 Benchmark::pr};
 
-    static std::map<std::uint32_t, std::vector<double>> series;
-
+    auto key = [](const Geom &g, Benchmark b) {
+        return "fig20/l2_" + std::to_string(g.sizeKb) + "K/" +
+            benchmarkName(b);
+    };
     for (const Geom &g : geoms) {
+        SystemConfig base = baselineConfig();
+        base.l2.sizeBytes = g.sizeKb * 1024;
+        base.l2.ways = g.ways;
+        base.l2.latency = g.latency;
         for (Benchmark b : subset) {
-            const std::string bname = benchmarkName(b);
-            Geom gg = g;
-            const std::string key =
-                "fig20/l2_" + std::to_string(g.sizeKb) + "K/" + bname;
-            registerCase(key,
-                         [key, gg, b, bname] {
-                             SystemConfig base = baselineConfig();
-                             base.l2.sizeBytes = gg.sizeKb * 1024;
-                             base.l2.ways = gg.ways;
-                             base.l2.latency = gg.latency;
-                             const RunResult &rb =
-                                 cachedRun(key + "/base", base, b);
-
-                             SystemConfig enh = base;
-                             TranslationAwareOptions o;
-                             o.tempo = true;
-                             applyTranslationAware(enh, o);
-                             const RunResult &re =
-                                 cachedRun(key + "/proposed", enh, b);
-
-                             const double sp = speedup(rb, re);
-                             addRow("L2C=" + std::to_string(gg.sizeKb) +
-                                        "KB",
-                                    bname, (sp - 1) * 100, std::nan(""),
-                                    "%");
-                             series[gg.sizeKb].push_back(sp);
-                         });
+            registerPoint(key(g, b) + "/base", base, b);
+            registerPoint(key(g, b) + "/proposed", proposedConfig(base), b);
         }
     }
 
-    registerCase("fig20/summary", [&geoms] {
+    return benchMain(argc, argv, "Fig. 20 — L2C size sensitivity", [&] {
+        std::map<std::uint32_t, std::vector<double>> series;
+        for (const Geom &g : geoms) {
+            for (Benchmark b : subset) {
+                const double sp =
+                    speedup(sweep().result(key(g, b) + "/base"),
+                            sweep().result(key(g, b) + "/proposed"));
+                addRow("L2C=" + std::to_string(g.sizeKb) + "KB",
+                       benchmarkName(b), (sp - 1) * 100, std::nan(""), "%");
+                series[g.sizeKb].push_back(sp);
+            }
+        }
         for (const Geom &g : geoms)
             addRow("L2C=" + std::to_string(g.sizeKb) + "KB", "geomean",
                    (geomean(series[g.sizeKb]) - 1) * 100, std::nan(""),
                    "% (paper: flat to declining past 512KB)");
     });
-
-    return benchMain(argc, argv, "Fig. 20 — L2C size sensitivity");
 }

@@ -8,6 +8,8 @@
  * gaining because its data set still does not fit.
  */
 
+#include <map>
+
 #include "bench_common.hh"
 
 using namespace tacbench;
@@ -28,46 +30,35 @@ main(int argc, char **argv)
                                 Benchmark::mcf, Benchmark::cc,
                                 Benchmark::pr};
 
-    static std::map<std::uint32_t, std::vector<double>> series;
-
+    auto key = [](const Geom &g, Benchmark b) {
+        return "fig21/llc_" + std::to_string(g.sizeMb) + "M/" +
+            benchmarkName(b);
+    };
     for (const Geom &g : geoms) {
+        SystemConfig base = baselineConfig();
+        base.llcPerCore.sizeBytes = g.sizeMb * 1024 * 1024;
+        base.llcPerCore.latency = g.latency;
         for (Benchmark b : subset) {
-            const std::string bname = benchmarkName(b);
-            Geom gg = g;
-            const std::string key =
-                "fig21/llc_" + std::to_string(g.sizeMb) + "M/" + bname;
-            registerCase(key,
-                         [key, gg, b, bname] {
-                             SystemConfig base = baselineConfig();
-                             base.llcPerCore.sizeBytes =
-                                 gg.sizeMb * 1024 * 1024;
-                             base.llcPerCore.latency = gg.latency;
-                             const RunResult &rb =
-                                 cachedRun(key + "/base", base, b);
-
-                             SystemConfig enh = base;
-                             TranslationAwareOptions o;
-                             o.tempo = true;
-                             applyTranslationAware(enh, o);
-                             const RunResult &re =
-                                 cachedRun(key + "/proposed", enh, b);
-
-                             const double sp = speedup(rb, re);
-                             addRow("LLC=" + std::to_string(gg.sizeMb) +
-                                        "MB",
-                                    bname, (sp - 1) * 100, std::nan(""),
-                                    "%");
-                             series[gg.sizeMb].push_back(sp);
-                         });
+            registerPoint(key(g, b) + "/base", base, b);
+            registerPoint(key(g, b) + "/proposed", proposedConfig(base), b);
         }
     }
 
-    registerCase("fig21/summary", [&geoms] {
+    return benchMain(argc, argv, "Fig. 21 — LLC size sensitivity", [&] {
+        std::map<std::uint32_t, std::vector<double>> series;
+        for (const Geom &g : geoms) {
+            for (Benchmark b : subset) {
+                const double sp =
+                    speedup(sweep().result(key(g, b) + "/base"),
+                            sweep().result(key(g, b) + "/proposed"));
+                addRow("LLC=" + std::to_string(g.sizeMb) + "MB",
+                       benchmarkName(b), (sp - 1) * 100, std::nan(""), "%");
+                series[g.sizeMb].push_back(sp);
+            }
+        }
         for (const Geom &g : geoms)
             addRow("LLC=" + std::to_string(g.sizeMb) + "MB", "geomean",
                    (geomean(series[g.sizeMb]) - 1) * 100, g.paperAvg,
                    "%");
     });
-
-    return benchMain(argc, argv, "Fig. 21 — LLC size sensitivity");
 }

@@ -143,14 +143,11 @@ main(int argc, char **argv)
             12000, defaultInstructions() * 8 / (3 * cores));
     };
 
-    // Phase 1: register the full (core count x mix x policy) grid.
+    // Register the full (core count x mix x policy) grid.
     for (unsigned cores : counts) {
         const SystemConfig base =
             configFromTopology(topologyFor(cores), baselineConfig());
-        SystemConfig enh = base;
-        TranslationAwareOptions o;
-        o.tempo = true;
-        applyTranslationAware(enh, o);
+        const SystemConfig enh = proposedConfig(base);
 
         const std::uint64_t instr = budgetFor(cores);
         const std::uint64_t warm = std::max<std::uint64_t>(3000, instr / 4);
@@ -162,20 +159,17 @@ main(int argc, char **argv)
         }
     }
 
-    // Phase 2: reporting cases. Gains are collected per core count for
-    // the geomean summaries; the map outlives the registered lambdas.
-    static std::map<unsigned, std::vector<double>> gains;
-
-    for (unsigned cores : counts) {
-        for (const Mix &m : mixesFor(cores)) {
-            const std::string name = m.name;
-            registerCase("multicore/" + std::to_string(cores) + "c/" +
-                             name,
-                         [cores, name] {
+    return benchMain(argc, argv,
+                     "§V-A — multiprogrammed mixes at 8/16/32/64 cores",
+                     [&] {
+        // Weighted-speedup gains per core count, for the geomean rows.
+        std::map<unsigned, std::vector<double>> gains;
+        for (unsigned cores : counts) {
+            for (const Mix &m : mixesFor(cores)) {
                 const RunResult &rb =
-                    sweep().result(pointKey(cores, name, "base"));
+                    sweep().result(pointKey(cores, m.name, "base"));
                 const RunResult &re =
-                    sweep().result(pointKey(cores, name, "enh"));
+                    sweep().result(pointKey(cores, m.name, "enh"));
 
                 // Weighted speedup: mean of per-thread IPC ratios.
                 double sum = 0;
@@ -190,28 +184,21 @@ main(int argc, char **argv)
                 // the same comparison; no solo runs needed).
                 const double hs = harmonicSpeedup(baseIpc, re);
 
-                const std::string series =
-                    std::to_string(cores) + "-core weighted speedup";
-                addRow(series, name, (ws - 1) * 100, std::nan(""), "%");
+                addRow(std::to_string(cores) + "-core weighted speedup",
+                       m.name, (ws - 1) * 100, std::nan(""), "%");
                 addRow(std::to_string(cores) + "-core harmonic speedup",
-                       name, (hs - 1) * 100, std::nan(""), "%");
+                       m.name, (hs - 1) * 100, std::nan(""), "%");
                 gains[cores].push_back(ws);
-            });
+            }
         }
-    }
 
-    for (unsigned cores : counts) {
-        registerCase("multicore/" + std::to_string(cores) + "c/summary",
-                     [cores] {
+        for (unsigned cores : counts) {
             // The paper's >4% average is an 8-core result; larger
             // machines have no reference number.
             const double paper = cores == 8 ? 4.0 : std::nan("");
             addRow(std::to_string(cores) + "-core weighted speedup",
                    "mix geomean", (geomean(gains[cores]) - 1) * 100,
                    paper, cores == 8 ? "% (paper: >4%)" : "%");
-        });
-    }
-
-    return benchMain(argc, argv,
-                     "§V-A — multiprogrammed mixes at 8/16/32/64 cores");
+        }
+    });
 }

@@ -33,8 +33,8 @@ struct RunResult
     double ipc = 0;
 
     /** Discrete events executed by the engine over the system's whole
-     *  lifetime (warm-up included) — the denominator-free throughput
-     *  number tacsim-perf divides by wall time. */
+     *  lifetime (warm-up included): a deterministic work count that
+     *  the stats dump carries. */
     std::uint64_t events = 0;
 
     double stlbMpki = 0;

@@ -101,15 +101,6 @@ SweepRunner::addJob(Job job)
 }
 
 std::size_t
-SweepRunner::jobIndex(const std::string &key) const
-{
-    auto it = index_.find(key);
-    if (it == index_.end())
-        throw std::runtime_error("unknown sweep point '" + key + "'");
-    return it->second;
-}
-
-std::size_t
 SweepRunner::add(const std::string &key, const SystemConfig &cfg,
                  std::vector<std::string> specs, std::uint64_t instructions,
                  std::uint64_t warmup)
@@ -223,29 +214,18 @@ SweepRunner::run()
 }
 
 const RunResult &
-SweepRunner::result(const std::string &key)
+SweepRunner::result(const std::string &key) const
 {
-    // Aliased names resolve to their primary job's key, under which the
-    // (single) outcome is stored.
-    const std::size_t idx = jobIndex(key);
-    const std::string &primary = jobs_[idx].key;
-    {
-        std::lock_guard<std::mutex> lk(mutex_);
-        auto it = results_.find(primary);
-        if (it != results_.end()) {
-            if (!it->second.ok)
-                throw std::runtime_error("sweep point '" + key +
-                                         "' failed: " + it->second.error);
-            return it->second.result;
-        }
-    }
-    execute(jobs_[idx]);
-    std::lock_guard<std::mutex> lk(mutex_);
-    SweepOutcome &o = results_.at(primary);
-    if (!o.ok)
+    const SweepOutcome *o = outcome(key);
+    if (!o)
+        throw std::runtime_error(index_.count(key)
+                                     ? "sweep point '" + key +
+                                           "' has not run yet"
+                                     : "unknown sweep point '" + key + "'");
+    if (!o->ok)
         throw std::runtime_error("sweep point '" + key +
-                                 "' failed: " + o.error);
-    return o.result;
+                                 "' failed: " + o->error);
+    return o->result;
 }
 
 const SweepOutcome *
@@ -349,13 +329,6 @@ SweepRunner::writeJsonFromEnv(const std::string &title,
         std::fprintf(stderr, "tacsim: failed to write JSON report to %s\n",
                      path);
     return ok;
-}
-
-SweepRunner &
-globalSweep()
-{
-    static SweepRunner runner;
-    return runner;
 }
 
 } // namespace tacsim

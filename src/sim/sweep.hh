@@ -100,13 +100,12 @@ class SweepCache
 
 /**
  * Two-phase sweep executor: add() points, run() them across the pool,
- * then read result()/outcome() in any order. Registration is memoized
- * on the *canonical point hash* (serve::pointKey), not the name: the
- * same simulation point added under two names runs once (the second
- * name aliases the first), and re-registering a name for a different
- * point throws instead of silently returning the first registration's
- * result. result() of a registered-but-unrun key executes it on
- * demand, so lazy serial callers keep working.
+ * then read result()/outcome() in any order. run() is the only place a
+ * point executes. Registration is memoized on the *canonical point
+ * hash* (serve::pointKey), not the name: the same simulation point
+ * added under two names runs once (the second name aliases the first),
+ * and re-registering a name for a different point throws instead of
+ * silently returning the first registration's result.
  */
 class SweepRunner
 {
@@ -131,11 +130,11 @@ class SweepRunner
     void run();
 
     /**
-     * Result for @p key; executes the point serially if it has not run
-     * yet. Throws std::runtime_error for unknown keys and for points
-     * whose job failed (re-raising the captured error).
+     * Result for @p key. Throws std::runtime_error for unknown keys,
+     * for points that have not run yet, and for points whose job
+     * failed (re-raising the captured error).
      */
-    const RunResult &result(const std::string &key);
+    const RunResult &result(const std::string &key) const;
 
     /** Outcome (including captured failures); nullptr if unknown or not
      *  yet run. */
@@ -181,9 +180,6 @@ class SweepRunner
 
     std::size_t addJob(Job job);
     void execute(Job &job);
-    /** Job index for @p key (aliases resolve to their primary job);
-     *  throws std::runtime_error for unknown keys. */
-    std::size_t jobIndex(const std::string &key) const;
 
     unsigned threads_;
     std::vector<Job> jobs_;
@@ -195,9 +191,6 @@ class SweepRunner
     mutable std::mutex mutex_; ///< guards results_ and Job::done
     std::unordered_map<std::string, SweepOutcome> results_;
 };
-
-/** Process-wide runner shared by the bench harness. */
-SweepRunner &globalSweep();
 
 } // namespace tacsim
 

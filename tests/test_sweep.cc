@@ -110,7 +110,7 @@ TEST(Sweep, OutcomesFollowRegistrationOrder)
         EXPECT_EQ(all[i]->key, "p" + std::to_string(i));
 }
 
-TEST(Sweep, AddIsMemoizedAndResultRunsOnDemand)
+TEST(Sweep, AddIsMemoizedAndResultNeedsRun)
 {
     SweepRunner sw(2);
     int calls = 0;
@@ -126,9 +126,12 @@ TEST(Sweep, AddIsMemoizedAndResultRunsOnDemand)
         return RunResult{};
     });
     EXPECT_EQ(sw.points(), 1u);
-    // result() without run() executes lazily, exactly once.
-    EXPECT_EQ(sw.result("job").benchmark, "stub");
+    // result() never executes a point: before run() it throws.
+    EXPECT_THROW(sw.result("job"), std::runtime_error);
+    EXPECT_EQ(calls, 0);
+    sw.run();
     sw.run(); // already done: no re-execution
+    EXPECT_EQ(sw.result("job").benchmark, "stub");
     EXPECT_EQ(sw.result("job").instructions, 1u);
     EXPECT_EQ(calls, 1);
     EXPECT_THROW(sw.result("unknown"), std::runtime_error);

@@ -12,7 +12,7 @@
  *   import  convert a ChampSim input_instr trace (raw, or gzip when
  *           built with zlib) into tacsim-trace-v1
  *
- * record/replay share budgets and config flags, so
+ * record/replay share budgets, config and observability flags, so
  *   tacsim-trace record --benchmark mcf --out t.tactrc --dump a.txt
  *   tacsim-trace replay --trace t.tactrc --dump b.txt
  * must produce byte-identical a.txt and b.txt — CI's trace-roundtrip
@@ -51,8 +51,9 @@ usage(int code)
         "\n"
         "  record  --benchmark NAME --out FILE [--instructions N]\n"
         "          [--warmup N] [--seed S] [--proposed] [--dump FILE]\n"
+        "          [OBS]\n"
         "  replay  --trace FILE [--instructions N] [--warmup N]\n"
-        "          [--proposed] [--dump FILE]\n"
+        "          [--proposed] [--dump FILE] [OBS]\n"
         "  info    FILE\n"
         "  verify  FILE\n"
         "  import  --in FILE --out FILE [--benchmark NAME]\n"
@@ -60,15 +61,19 @@ usage(int code)
         "\n"
         "record/replay budgets default to TACSIM_INSTRUCTIONS /\n"
         "TACSIM_WARMUP (runner defaults). --proposed layers the paper's\n"
-        "T-DRRIP/T-SHiP/ATP/TEMPO onto the baseline config.\n");
+        "T-DRRIP/T-SHiP/ATP/TEMPO onto the baseline config. OBS is\n"
+        "[--sample-interval N] [--timeseries FILE] [--chrome-trace FILE]:\n"
+        "a tacsim-timeseries-v1 JSONL sampled every N retired\n"
+        "instructions (default 10000) and a Chrome-trace timeline.\n");
     return code;
 }
 
 struct Args
 {
     std::string benchmark, out, tracePath, in, dump;
+    std::string timeseries, chromeTrace;
     std::uint64_t instructions = 0, warmup = 0, seed = 1;
-    std::uint64_t footprint = 0, limit = 0;
+    std::uint64_t footprint = 0, limit = 0, sampleInterval = 0;
     bool proposed = false;
 };
 
@@ -107,6 +112,12 @@ parseArgs(int argc, char **argv, int start, Args &a)
             a.limit = std::strtoull(value(), nullptr, 10);
         else if (arg == "--proposed")
             a.proposed = true;
+        else if (arg == "--sample-interval")
+            a.sampleInterval = std::strtoull(value(), nullptr, 10);
+        else if (arg == "--timeseries")
+            a.timeseries = value();
+        else if (arg == "--chrome-trace")
+            a.chromeTrace = value();
         else
             return false;
     }
@@ -118,6 +129,9 @@ configFor(const Args &a)
 {
     SystemConfig cfg{};
     cfg.seed = a.seed;
+    cfg.obs.sampleInterval = a.sampleInterval;
+    cfg.obs.timeseriesPath = a.timeseries;
+    cfg.obs.chromeTracePath = a.chromeTrace;
     if (a.proposed) {
         TranslationAwareOptions ta;
         ta.tempo = true;
