@@ -12,7 +12,8 @@
  * the paper's figure.
  *
  * Instruction budgets: TACSIM_INSTRUCTIONS / TACSIM_WARMUP override the
- * defaults for higher-fidelity runs. TACSIM_JSON_OUT=<path> additionally
+ * defaults for higher-fidelity runs; a value that is not a plain count
+ * stops the binary before it sweeps. TACSIM_JSON_OUT=<path> additionally
  * writes the table plus per-run metadata as a JSON report.
  */
 
@@ -24,6 +25,7 @@
 #include <cstdlib>
 #include <exception>
 #include <functional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -133,11 +135,24 @@ withVmAxis(SystemConfig cfg, const VmAxis &a)
     return cfg;
 }
 
-/** The process-wide sweep runner every bench binary shares. */
+/**
+ * The process-wide sweep runner every bench binary shares. Its first use
+ * reads TACSIM_INSTRUCTIONS, TACSIM_WARMUP and TACSIM_JOBS; a malformed
+ * value prints the error and exits 1 before any point registers.
+ */
 inline SweepRunner &
 sweep()
 {
-    static SweepRunner runner;
+    static SweepRunner runner = [] {
+        try {
+            defaultInstructions();
+            defaultWarmup();
+            return SweepRunner();
+        } catch (const std::invalid_argument &e) {
+            std::fprintf(stderr, "tacsim: %s\n", e.what());
+            std::exit(1);
+        }
+    }();
     return runner;
 }
 

@@ -134,6 +134,9 @@ pointKey(unsigned cores, const std::string &mix, const char *policy)
 int
 main(int argc, char **argv)
 {
+    // sweep() first: it rejects a malformed TACSIM_INSTRUCTIONS before
+    // budgetFor reads it.
+    sweep();
     const std::vector<unsigned> counts = coreCounts();
 
     // Shrink the per-thread budget with the core count so every point

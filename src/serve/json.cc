@@ -1,383 +1,9 @@
 #include "serve/json.hh"
 
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <stdexcept>
 
 namespace tacsim {
 namespace serve {
-
-namespace {
-
-[[noreturn]] void
-fail(const char *what, std::size_t pos)
-{
-    throw std::runtime_error("json: " + std::string(what) +
-                             " at byte " + std::to_string(pos));
-}
-
-class Parser
-{
-  public:
-    explicit Parser(const std::string &text) : text_(text) {}
-
-    JsonValue
-    parseDocument()
-    {
-        skipWs();
-        JsonValue v = parseValue();
-        skipWs();
-        if (pos_ != text_.size())
-            fail("trailing garbage", pos_);
-        return v;
-    }
-
-  private:
-    static constexpr unsigned kMaxDepth = 64;
-
-    void
-    skipWs()
-    {
-        while (pos_ < text_.size() &&
-               (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-                text_[pos_] == '\n' || text_[pos_] == '\r'))
-            ++pos_;
-    }
-
-    char
-    peek()
-    {
-        if (pos_ >= text_.size())
-            fail("unexpected end of input", pos_);
-        return text_[pos_];
-    }
-
-    void
-    expect(char c)
-    {
-        if (peek() != c)
-            fail("unexpected character", pos_);
-        ++pos_;
-    }
-
-    bool
-    consumeLiteral(const char *lit)
-    {
-        std::size_t n = 0;
-        while (lit[n] != '\0')
-            ++n;
-        if (text_.compare(pos_, n, lit) != 0)
-            return false;
-        pos_ += n;
-        return true;
-    }
-
-    JsonValue
-    parseValue()
-    {
-        if (depth_ > kMaxDepth)
-            fail("nesting too deep", pos_);
-        switch (peek()) {
-        case '{':
-            return parseObject();
-        case '[':
-            return parseArray();
-        case '"':
-            return JsonValue(parseString());
-        case 't':
-            if (!consumeLiteral("true"))
-                fail("bad literal", pos_);
-            return JsonValue(true);
-        case 'f':
-            if (!consumeLiteral("false"))
-                fail("bad literal", pos_);
-            return JsonValue(false);
-        case 'n':
-            if (!consumeLiteral("null"))
-                fail("bad literal", pos_);
-            return JsonValue();
-        default:
-            return parseNumber();
-        }
-    }
-
-    JsonValue
-    parseObject()
-    {
-        ++depth_;
-        expect('{');
-        JsonObject obj;
-        skipWs();
-        if (peek() == '}') {
-            ++pos_;
-            --depth_;
-            return JsonValue(std::move(obj));
-        }
-        for (;;) {
-            skipWs();
-            std::string key = parseString();
-            skipWs();
-            expect(':');
-            skipWs();
-            obj[std::move(key)] = parseValue();
-            skipWs();
-            if (peek() == ',') {
-                ++pos_;
-                continue;
-            }
-            expect('}');
-            break;
-        }
-        --depth_;
-        return JsonValue(std::move(obj));
-    }
-
-    JsonValue
-    parseArray()
-    {
-        ++depth_;
-        expect('[');
-        JsonArray arr;
-        skipWs();
-        if (peek() == ']') {
-            ++pos_;
-            --depth_;
-            return JsonValue(std::move(arr));
-        }
-        for (;;) {
-            skipWs();
-            arr.push_back(parseValue());
-            skipWs();
-            if (peek() == ',') {
-                ++pos_;
-                continue;
-            }
-            expect(']');
-            break;
-        }
-        --depth_;
-        return JsonValue(std::move(arr));
-    }
-
-    unsigned
-    parseHex4()
-    {
-        unsigned v = 0;
-        for (int i = 0; i < 4; ++i) {
-            const char c = peek();
-            ++pos_;
-            v <<= 4;
-            if (c >= '0' && c <= '9')
-                v |= static_cast<unsigned>(c - '0');
-            else if (c >= 'a' && c <= 'f')
-                v |= static_cast<unsigned>(c - 'a' + 10);
-            else if (c >= 'A' && c <= 'F')
-                v |= static_cast<unsigned>(c - 'A' + 10);
-            else
-                fail("bad \\u escape", pos_ - 1);
-        }
-        return v;
-    }
-
-    static void
-    appendUtf8(std::string &out, unsigned cp)
-    {
-        if (cp < 0x80) {
-            out += static_cast<char>(cp);
-        } else if (cp < 0x800) {
-            out += static_cast<char>(0xc0 | (cp >> 6));
-            out += static_cast<char>(0x80 | (cp & 0x3f));
-        } else if (cp < 0x10000) {
-            // tacsim-lint: allow(magic-page-constant) UTF-8 continuation shift, not page math
-            out += static_cast<char>(0xe0 | (cp >> 12));
-            out += static_cast<char>(0x80 | ((cp >> 6) & 0x3f));
-            out += static_cast<char>(0x80 | (cp & 0x3f));
-        } else {
-            out += static_cast<char>(0xf0 | (cp >> 18));
-            // tacsim-lint: allow(magic-page-constant) UTF-8 continuation shift, not page math
-            out += static_cast<char>(0x80 | ((cp >> 12) & 0x3f));
-            out += static_cast<char>(0x80 | ((cp >> 6) & 0x3f));
-            out += static_cast<char>(0x80 | (cp & 0x3f));
-        }
-    }
-
-    std::string
-    parseString()
-    {
-        expect('"');
-        std::string out;
-        for (;;) {
-            if (pos_ >= text_.size())
-                fail("unterminated string", pos_);
-            const char c = text_[pos_++];
-            if (c == '"')
-                return out;
-            if (static_cast<unsigned char>(c) < 0x20)
-                fail("raw control character in string", pos_ - 1);
-            if (c != '\\') {
-                out += c;
-                continue;
-            }
-            const char esc = peek();
-            ++pos_;
-            switch (esc) {
-            case '"':
-                out += '"';
-                break;
-            case '\\':
-                out += '\\';
-                break;
-            case '/':
-                out += '/';
-                break;
-            case 'b':
-                out += '\b';
-                break;
-            case 'f':
-                out += '\f';
-                break;
-            case 'n':
-                out += '\n';
-                break;
-            case 'r':
-                out += '\r';
-                break;
-            case 't':
-                out += '\t';
-                break;
-            case 'u': {
-                unsigned cp = parseHex4();
-                if (cp >= 0xd800 && cp <= 0xdbff) {
-                    // Surrogate pair.
-                    if (pos_ + 1 >= text_.size() || text_[pos_] != '\\' ||
-                        text_[pos_ + 1] != 'u')
-                        fail("unpaired surrogate", pos_);
-                    pos_ += 2;
-                    const unsigned lo = parseHex4();
-                    if (lo < 0xdc00 || lo > 0xdfff)
-                        fail("bad low surrogate", pos_);
-                    cp = 0x10000 + ((cp - 0xd800) << 10) + (lo - 0xdc00);
-                } else if (cp >= 0xdc00 && cp <= 0xdfff) {
-                    fail("unpaired surrogate", pos_);
-                }
-                appendUtf8(out, cp);
-                break;
-            }
-            default:
-                fail("bad escape", pos_ - 1);
-            }
-        }
-    }
-
-    JsonValue
-    parseNumber()
-    {
-        const std::size_t start = pos_;
-        if (peek() == '-')
-            ++pos_;
-        if (peek() < '0' || peek() > '9')
-            fail("bad number", pos_);
-        while (pos_ < text_.size() && text_[pos_] >= '0' &&
-               text_[pos_] <= '9')
-            ++pos_;
-        if (pos_ < text_.size() && text_[pos_] == '.') {
-            ++pos_;
-            if (peek() < '0' || peek() > '9')
-                fail("bad number", pos_);
-            while (pos_ < text_.size() && text_[pos_] >= '0' &&
-                   text_[pos_] <= '9')
-                ++pos_;
-        }
-        if (pos_ < text_.size() &&
-            (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-            ++pos_;
-            if (pos_ < text_.size() &&
-                (text_[pos_] == '+' || text_[pos_] == '-'))
-                ++pos_;
-            if (peek() < '0' || peek() > '9')
-                fail("bad number", pos_);
-            while (pos_ < text_.size() && text_[pos_] >= '0' &&
-                   text_[pos_] <= '9')
-                ++pos_;
-        }
-        const std::string token = text_.substr(start, pos_ - start);
-        return JsonValue(std::strtod(token.c_str(), nullptr));
-    }
-
-    const std::string &text_;
-    std::size_t pos_ = 0;
-    unsigned depth_ = 0;
-};
-
-const JsonValue kNullValue{};
-
-} // namespace
-
-bool
-JsonValue::asBool() const
-{
-    if (kind_ != Kind::Bool)
-        throw std::runtime_error("json: expected bool");
-    return bool_;
-}
-
-double
-JsonValue::asNumber() const
-{
-    if (kind_ != Kind::Number)
-        throw std::runtime_error("json: expected number");
-    return num_;
-}
-
-std::uint64_t
-JsonValue::asU64() const
-{
-    const double d = asNumber();
-    if (!(d >= 0) || d != std::floor(d) || d > 9007199254740992.0)
-        throw std::runtime_error(
-            "json: expected a non-negative integer");
-    return static_cast<std::uint64_t>(d);
-}
-
-const std::string &
-JsonValue::asString() const
-{
-    if (kind_ != Kind::String)
-        throw std::runtime_error("json: expected string");
-    return str_;
-}
-
-const JsonArray &
-JsonValue::asArray() const
-{
-    if (kind_ != Kind::Array)
-        throw std::runtime_error("json: expected array");
-    return *arr_;
-}
-
-const JsonObject &
-JsonValue::asObject() const
-{
-    if (kind_ != Kind::Object)
-        throw std::runtime_error("json: expected object");
-    return *obj_;
-}
-
-const JsonValue &
-JsonValue::at(const std::string &key) const
-{
-    if (kind_ != Kind::Object)
-        return kNullValue;
-    auto it = obj_->find(key);
-    return it == obj_->end() ? kNullValue : it->second;
-}
-
-bool
-JsonValue::has(const std::string &key) const
-{
-    return kind_ == Kind::Object && obj_->count(key) != 0;
-}
 
 std::string
 jsonQuote(const std::string &s)
@@ -422,73 +48,6 @@ jsonQuote(const std::string &s)
     }
     out += '"';
     return out;
-}
-
-void
-JsonValue::dumpTo(std::string &out) const
-{
-    switch (kind_) {
-    case Kind::Null:
-        out += "null";
-        break;
-    case Kind::Bool:
-        out += bool_ ? "true" : "false";
-        break;
-    case Kind::Number: {
-        char buf[40];
-        // Integers (the common case: cycles, counts) print without an
-        // exponent; everything else round-trips via %.17g.
-        if (num_ == std::floor(num_) && std::fabs(num_) < 1e15)
-            std::snprintf(buf, sizeof(buf), "%.0f", num_);
-        else
-            std::snprintf(buf, sizeof(buf), "%.17g", num_);
-        out += buf;
-        break;
-    }
-    case Kind::String:
-        out += jsonQuote(str_);
-        break;
-    case Kind::Array: {
-        out += '[';
-        bool first = true;
-        for (const JsonValue &v : *arr_) {
-            if (!first)
-                out += ',';
-            first = false;
-            v.dumpTo(out);
-        }
-        out += ']';
-        break;
-    }
-    case Kind::Object: {
-        out += '{';
-        bool first = true;
-        for (const auto &[k, v] : *obj_) {
-            if (!first)
-                out += ',';
-            first = false;
-            out += jsonQuote(k);
-            out += ':';
-            v.dumpTo(out);
-        }
-        out += '}';
-        break;
-    }
-    }
-}
-
-std::string
-JsonValue::dump() const
-{
-    std::string out;
-    dumpTo(out);
-    return out;
-}
-
-JsonValue
-parseJson(const std::string &text)
-{
-    return Parser(text).parseDocument();
 }
 
 } // namespace serve

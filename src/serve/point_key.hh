@@ -1,7 +1,7 @@
 /**
  * @file
- * Canonical content hash of one experiment point — the single identity
- * every layer that reuses results agrees on.
+ * Canonical content hash of one experiment point: what "the same
+ * simulation" means wherever tacsim compares points.
  *
  * A "point" is everything that determines a simulation's outcome:
  *
@@ -12,11 +12,15 @@
  *     a trace does not change identity, and editing one does),
  *   - the measured-instruction and warm-up budgets.
  *
- * pointKey() digests all of that into 64 hex chars. The same key is
- * used by the in-process sweep memo (sim/sweep.hh), the on-disk result
- * cache (serve/result_cache.hh), and the `point_key` field on every
- * tacsim-sweep-v1 run record — so a result computed anywhere is
- * recognizable everywhere.
+ * pointKey() digests all of that into 64 hex chars. The in-process
+ * sweep memo (sim/sweep.hh) keys on it, so one point registered under
+ * two names runs once, and every tacsim-sweep-v1 run record carries it
+ * as `point_key`, so reports can be joined by identity. warmKey() is
+ * the stamp inside every checkpoint (sim/checkpoint.hh).
+ *
+ * The key does not cover the simulator itself: the same point simulated
+ * by a different build hashes the same. That is why no result is kept
+ * across processes.
  */
 
 #ifndef TACSIM_SERVE_POINT_KEY_HH
@@ -38,8 +42,7 @@ namespace serve {
  * hashed as the resolved defaults (TACSIM_INSTRUCTIONS / TACSIM_WARMUP
  * environment overrides included), so a spelled-out default and an
  * implicit one share a key. Throws std::runtime_error when a
- * "trace:<path>" spec names an unreadable file. File digests are
- * memoized per (path, mtime, size) for the process lifetime.
+ * "trace:<path>" spec names an unreadable file.
  */
 std::string pointKey(const SystemConfig &cfg,
                      const std::vector<std::string> &specs,
@@ -56,9 +59,6 @@ std::string pointKey(const SystemConfig &cfg,
 std::string warmKey(const SystemConfig &cfg,
                     const std::vector<std::string> &specs,
                     std::uint64_t warmup);
-
-/** True iff @p s looks like a point key (64 lowercase hex chars). */
-bool isPointKey(const std::string &s);
 
 } // namespace serve
 } // namespace tacsim

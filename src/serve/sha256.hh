@@ -2,14 +2,13 @@
  * @file
  * Dependency-free SHA-256 (FIPS 180-4) for content addressing.
  *
- * The serve layer keys its persistent result cache on a cryptographic
- * digest of everything that determines a simulation's outcome
- * (serve/point_key.hh). CRC-32 — the repo's integrity check for trace
- * and checkpoint files — is fine for detecting corruption but far too
- * collision-prone to *address* by: two different experiment points
- * mapping to one cache slot would silently serve wrong results. SHA-256
- * makes that practically impossible, and its 64-hex digests double as
- * stable, filesystem-safe object names.
+ * Point keys (serve/point_key.hh) are a cryptographic digest of
+ * everything that determines a simulation's outcome. CRC-32, the repo's
+ * integrity check for trace and checkpoint files, is fine for detecting
+ * corruption but far too collision-prone to *identify* by: the sweep
+ * memo aliases points with equal keys, so two different points that
+ * collided would silently share one result. SHA-256 makes that
+ * practically impossible.
  *
  * Incremental interface (init/update/final) so large trace files hash
  * in fixed memory; one-shot helpers cover the common case.

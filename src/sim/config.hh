@@ -185,8 +185,8 @@ SystemConfig configForPoint(SystemConfig cfg, const std::string &key);
  * "key value" line per field that can change simulation results, in a
  * fixed order, with doubles printed round-trip-exactly. Two configs
  * produce the same text iff they simulate identically, which makes this
- * the config component of serve::pointKey (the content-addressed result
- * cache) and of serve::warmKey, the stamp inside tacsim-ckpt-v2 checkpoints.
+ * the config component of serve::pointKey (the sweep memo's key) and of
+ * serve::warmKey, the stamp inside tacsim-ckpt-v2 checkpoints.
  * Observability sinks (ObsConfig) are deliberately excluded: they alter
  * outputs on disk, never simulated behavior.
  */

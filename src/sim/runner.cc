@@ -1,6 +1,8 @@
 #include "sim/runner.hh"
 
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
 #include <stdexcept>
 
 #include "serve/point_key.hh"
@@ -9,31 +11,35 @@
 
 namespace tacsim {
 
-namespace {
-
 std::uint64_t
-envOr(const char *name, std::uint64_t fallback)
+envCount(const char *name, std::uint64_t fallback, std::uint64_t max)
 {
-    if (const char *v = std::getenv(name)) {
-        const std::uint64_t parsed = std::strtoull(v, nullptr, 10);
-        if (parsed > 0)
-            return parsed;
-    }
-    return fallback;
+    const char *v = std::getenv(name);
+    if (!v || !*v)
+        return fallback;
+    // from_chars into an unsigned type takes digits only: no sign, no
+    // space, no suffix or exponent, and it reports overflow.
+    std::uint64_t n = 0;
+    const char *end = v + std::strlen(v);
+    const auto [stop, ec] = std::from_chars(v, end, n);
+    if (ec != std::errc{} || stop != end || n > max)
+        throw std::invalid_argument(
+            std::string(name) + "=\"" + v +
+            "\" is not a count: use decimal digits up to " +
+            std::to_string(max) + ", or unset, empty or 0 for the default");
+    return n ? n : fallback;
 }
-
-} // namespace
 
 std::uint64_t
 defaultInstructions()
 {
-    return envOr("TACSIM_INSTRUCTIONS", 400000);
+    return envCount("TACSIM_INSTRUCTIONS", 400000);
 }
 
 std::uint64_t
 defaultWarmup()
 {
-    return envOr("TACSIM_WARMUP", 100000);
+    return envCount("TACSIM_WARMUP", 100000);
 }
 
 RunResult

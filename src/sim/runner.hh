@@ -7,7 +7,8 @@
  *
  * Instruction budgets default to values that keep every bench binary in
  * the tens of seconds; override with the TACSIM_INSTRUCTIONS and
- * TACSIM_WARMUP environment variables for higher-fidelity runs.
+ * TACSIM_WARMUP environment variables for higher-fidelity runs. A
+ * malformed override is an error, never a silent fallback.
  */
 
 #ifndef TACSIM_SIM_RUNNER_HH
@@ -93,11 +94,10 @@ struct RunResultField
 
 /**
  * Every scalar metric of RunResult, in stats-dump order. The stats dump
- * (sim/stats_dump.hh), the exact JSON codec (serve/result_codec.hh) and
- * the tests walk this table, so adding a metric means a member, one row
- * here and its computation in collectResult. `benchmark` and the
- * per-thread vectors are not scalars; each consumer writes them around
- * the table.
+ * (sim/stats_dump.hh) and the tests walk this table, so adding a metric
+ * means a member, one row here and its computation in collectResult.
+ * `benchmark` and the per-thread vectors are not scalars; each consumer
+ * writes them around the table.
  */
 inline constexpr RunResultField kRunResultFields[] = {
     {"instructions", &RunResult::instructions},
@@ -133,9 +133,20 @@ inline constexpr RunResultField kRunResultFields[] = {
     {"tempo_issued", &RunResult::tempoIssued},
 };
 
-/** Default measured instructions per thread (env TACSIM_INSTRUCTIONS). */
+/**
+ * The count in environment variable @p name. Unset, empty or 0 gives
+ * @p fallback; any other value must be decimal digits no greater than
+ * @p max, or this throws std::invalid_argument naming the variable and
+ * its value ("400k", "2e6" and "-1" are errors, not 400, 2 and 2^64-1).
+ */
+std::uint64_t envCount(const char *name, std::uint64_t fallback,
+                       std::uint64_t max = UINT64_MAX);
+
+/** Default measured instructions per thread: envCount of
+ *  TACSIM_INSTRUCTIONS, else 400000. */
 std::uint64_t defaultInstructions();
-/** Default warm-up instructions per thread (env TACSIM_WARMUP). */
+/** Default warm-up instructions per thread: envCount of TACSIM_WARMUP,
+ *  else 100000. */
 std::uint64_t defaultWarmup();
 
 /**

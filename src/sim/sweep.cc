@@ -5,14 +5,13 @@
 #include <chrono> // tacsim-lint: allow(banned-include) wall-clock is reporting-only here (per-point wallMs); nothing simulated reads it
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <stdexcept>
 #include <thread>
 #include <utility>
 
-#include "common/host.hh"
 #include "serve/json.hh"
 #include "serve/point_key.hh"
-#include "sim/stats_dump.hh"
 #include "sim/topology.hh"
 
 namespace tacsim {
@@ -33,8 +32,8 @@ jsonNumber(double v)
 /**
  * Canonical hash of a point, or "" when it cannot be computed (e.g. a
  * "trace:<path>" spec whose file is missing). An empty hash disables
- * dedup and caching for the job; execution still runs and captures the
- * real error, preserving the runner's per-job failure reporting.
+ * dedup for the job; execution still runs and captures the real error,
+ * preserving the runner's per-job failure reporting.
  */
 std::string
 tryPointKey(const SystemConfig &cfg, const std::vector<std::string> &specs,
@@ -56,13 +55,10 @@ SweepRunner::SweepRunner(unsigned jobs)
 unsigned
 SweepRunner::defaultJobs()
 {
-    if (const char *v = std::getenv("TACSIM_JOBS")) {
-        const unsigned long parsed = std::strtoul(v, nullptr, 10);
-        if (parsed > 0)
-            return static_cast<unsigned>(parsed);
-    }
     const unsigned hw = std::thread::hardware_concurrency();
-    return hw ? hw : 1;
+    return static_cast<unsigned>(
+        envCount("TACSIM_JOBS", hw ? hw : 1,
+                 std::numeric_limits<unsigned>::max()));
 }
 
 std::size_t
@@ -148,15 +144,7 @@ SweepRunner::execute(Job &job)
     // tacsim-lint: allow(nondeterminism-hazard) measures host wall time for the report's wallMs field; never feeds simulation state
     const auto t0 = std::chrono::steady_clock::now();
     try {
-        if (cache_ && !job.pointKey.empty() &&
-            cache_->lookup(job.pointKey, o.result)) {
-            o.cached = true;
-        } else {
-            o.result = job.fn();
-            if (cache_ && !job.pointKey.empty())
-                cache_->store(job.pointKey, o.result,
-                              dumpRunResult(o.result));
-        }
+        o.result = job.fn();
         o.ok = true;
         o.benchmark = o.result.benchmark;
     } catch (const std::exception &e) {
@@ -167,7 +155,6 @@ SweepRunner::execute(Job &job)
     o.wallMs = std::chrono::duration<double, std::milli>(
                    std::chrono::steady_clock::now() - t0) // tacsim-lint: allow(nondeterminism-hazard) reporting-only wall time (see t0 above)
                    .count();
-    o.peakRssKb = peakRssKb();
 
     std::lock_guard<std::mutex> lk(mutex_);
     job.done = true;
@@ -287,13 +274,15 @@ SweepRunner::writeJson(const std::string &path, const std::string &title,
         const SweepOutcome &o = *all[i];
         const std::string err =
             o.ok ? "null" : serve::jsonQuote(o.error);
+        // "cached" stays in the tacsim-sweep-v1 row for its readers; every
+        // point is simulated, so it is always false.
         std::fprintf(
             f,
             "%s\n    {\"key\": %s, \"point_key\": %s, "
             "\"benchmark\": %s, "
             "\"topology\": %s, "
             "\"instructions\": %llu, \"warmup\": %llu, \"seed\": %llu, "
-            "\"ok\": %s, \"cached\": %s, \"wall_ms\": %s, "
+            "\"ok\": %s, \"cached\": false, \"wall_ms\": %s, "
             "\"cycles\": %llu, "
             "\"ipc\": %s, \"error\": %s}",
             i ? "," : "", serve::jsonQuote(o.key).c_str(),
@@ -303,7 +292,7 @@ SweepRunner::writeJson(const std::string &path, const std::string &title,
             static_cast<unsigned long long>(o.instructions),
             static_cast<unsigned long long>(o.warmup),
             static_cast<unsigned long long>(o.seed),
-            o.ok ? "true" : "false", o.cached ? "true" : "false",
+            o.ok ? "true" : "false",
             jsonNumber(o.wallMs).c_str(),
             static_cast<unsigned long long>(o.ok ? o.result.cycles : 0),
             jsonNumber(o.ok ? o.result.ipc : 0.0).c_str(),

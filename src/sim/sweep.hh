@@ -14,8 +14,13 @@
  * The runner doubles as the structured-results layer: writeJson() (or
  * writeJsonFromEnv(), keyed on TACSIM_JSON_OUT) emits a machine-readable
  * report with the series/label/measured/paper rows of the bench harness
- * plus per-run metadata (config key, benchmark, instruction budgets,
- * seed, wall time, errors).
+ * plus per-run metadata (config key, point key, benchmark, topology,
+ * instruction budgets, seed, wall time, errors).
+ *
+ * Results live only in the runner's in-process memo. There is no
+ * persistent store: a point key covers the config, the workloads and
+ * the budgets but not the simulator, so a result kept across builds
+ * could be served after a model change as if it were current.
  */
 
 #ifndef TACSIM_SIM_SWEEP_HH
@@ -52,15 +57,9 @@ struct SweepOutcome
      *  Empty for custom jobs, whose behavior the runner cannot see. */
     std::string pointKey;
     bool ok = false;
-    bool cached = false; ///< result came from an attached SweepCache
     RunResult result;   ///< valid only when ok
     std::string error;  ///< exception text when !ok
     double wallMs = 0;  ///< wall time of this point's simulation
-
-    /** Process peak RSS (KiB) sampled when the point finished. The
-     *  reading is a process-wide high-water mark, so it bounds (rather
-     *  than isolates) the point's own footprint. */
-    std::uint64_t peakRssKb = 0;
 
     // Job metadata echoed for the JSON report.
     std::string benchmark;
@@ -70,32 +69,6 @@ struct SweepOutcome
     std::uint64_t instructions = 0;
     std::uint64_t warmup = 0;
     std::uint64_t seed = 0;
-};
-
-/**
- * Persistent result store the runner can consult before simulating a
- * point. Keys are canonical content hashes (serve::pointKey), so a
- * cache populated by any process — an earlier sweep, another figure
- * binary, a different machine — is valid here. Implementations must be
- * thread-safe: the pool calls lookup()/store() concurrently. The
- * canonical implementation is serve::ResultCache's adapter
- * (serve/result_cache.hh).
- */
-class SweepCache
-{
-  public:
-    virtual ~SweepCache() = default;
-
-    /** Fill @p out and return true when @p pointKey is cached. A miss
-     *  (including a corrupt or unreadable entry) returns false. */
-    virtual bool lookup(const std::string &pointKey, RunResult &out) = 0;
-
-    /** Record a freshly computed result. @p statsDump is the canonical
-     *  dump (dumpRunResult) so the store can serve it byte-identically
-     *  later. */
-    virtual void store(const std::string &pointKey,
-                       const RunResult &result,
-                       const std::string &statsDump) = 0;
 };
 
 /**
@@ -146,17 +119,10 @@ class SweepRunner
     std::size_t points() const { return jobs_.size(); }
     unsigned threadCount() const { return threads_; }
 
-    /** TACSIM_JOBS env var if set (>0), else hardware_concurrency. */
+    /** TACSIM_JOBS read by envCount (sim/runner.hh): unset, empty or
+     *  0 selects hardware_concurrency; a malformed value throws
+     *  std::invalid_argument. */
     static unsigned defaultJobs();
-
-    /**
-     * Attach a persistent result store consulted before each point
-     * simulates (and fed after). Pass nullptr to detach. The cache must
-     * outlive the runner or be detached first; custom jobs (no point
-     * hash) always simulate.
-     */
-    void attachCache(SweepCache *cache) { cache_ = cache; }
-    SweepCache *cache() const { return cache_; }
 
     /** Write the JSON report to @p path; false on I/O failure. */
     bool writeJson(const std::string &path, const std::string &title,
@@ -187,7 +153,6 @@ class SweepRunner
     std::unordered_map<std::string, std::size_t> index_;
     /** Canonical point hash -> job index (the real memo). */
     std::unordered_map<std::string, std::size_t> hashIndex_;
-    SweepCache *cache_ = nullptr;
     mutable std::mutex mutex_; ///< guards results_ and Job::done
     std::unordered_map<std::string, SweepOutcome> results_;
 };

@@ -40,6 +40,16 @@ writeFile(const std::string &path, const std::string &bytes)
     ASSERT_TRUE(f.good());
 }
 
+/** True iff @p s has a point key's shape: 64 lowercase hex chars. */
+bool
+isHexKey(const std::string &s)
+{
+    return s.size() == 64 &&
+        std::all_of(s.begin(), s.end(), [](char c) {
+               return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f');
+           });
+}
+
 TEST(Sha256, NistVectors)
 {
     // FIPS 180-4 examples.
@@ -79,13 +89,8 @@ TEST(PointKey, ShapeAndStability)
 {
     SystemConfig cfg;
     const std::string k1 = serve::pointKey(cfg, {"mcf"}, 20000, 5000);
-    EXPECT_TRUE(serve::isPointKey(k1));
+    EXPECT_TRUE(isHexKey(k1)) << k1;
     EXPECT_EQ(k1, serve::pointKey(cfg, {"mcf"}, 20000, 5000));
-
-    EXPECT_FALSE(serve::isPointKey(""));
-    EXPECT_FALSE(serve::isPointKey(std::string(63, 'a')));
-    EXPECT_FALSE(serve::isPointKey(std::string(63, 'a') + "G"));
-    EXPECT_FALSE(serve::isPointKey(std::string(63, 'a') + "A"));
 }
 
 TEST(PointKey, SensitiveToOutcomeDeterminingInputs)
@@ -124,10 +129,9 @@ TEST(PointKey, TraceSpecsHashContentNotName)
     // Same content under a different name: same point.
     EXPECT_EQ(kA, serve::pointKey(cfg, {"trace:" + pathB}, 20000, 5000));
 
-    // Changed content under the same name: different point. (The
-    // memo keys on (path, mtime, size); same-size edits rely on mtime,
-    // so change the size too to stay robust on coarse clocks.)
-    writeFile(pathB, "different trace bytes entirely");
+    // Changed content under the same name: different point, even when
+    // the size and (on a coarse clock) the mtime stay the same.
+    writeFile(pathB, "different trace bytes");
     EXPECT_NE(kA, serve::pointKey(cfg, {"trace:" + pathB}, 20000, 5000));
 
     std::remove(pathA.c_str());
@@ -142,7 +146,7 @@ TEST(PointKey, WarmKeyIgnoresMeasuredBudget)
     SystemConfig cfg;
     const std::vector<std::string> specs(cfg.threads(), "mcf");
     const std::string w = serve::warmKey(cfg, specs, 5000);
-    EXPECT_TRUE(serve::isPointKey(w));
+    EXPECT_TRUE(isHexKey(w)) << w;
     EXPECT_EQ(w, serve::warmKey(cfg, specs, 5000));
     EXPECT_NE(w, serve::warmKey(cfg, specs, 6000));
     // warmKey must differ from every pointKey for the same inputs.

@@ -3,28 +3,21 @@
  * Tests for the parallel sweep runner: determinism under parallelism
  * (parallel results identical to a serial run), per-job exception
  * capture (including a malformed point), registration-order reporting,
- * memoization, TACSIM_JOBS parsing, the JSON report writer, and
- * attached result caches (in memory, and an on-disk store reopened
- * between runners).
+ * the point-key memo, strict parsing of TACSIM_JOBS and of the budget
+ * variables the runner resolves at registration, and the JSON report
+ * writer.
  */
 
 #include <gtest/gtest.h>
-
-#include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <functional>
-#include <map>
-#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 
-#include "serve/result_cache.hh"
-#include "sim/stats_dump.hh"
 #include "sim/sweep.hh"
 #include "test_util.hh"
 
@@ -141,10 +134,52 @@ TEST(Sweep, DefaultJobsReadsEnv)
 {
     ::setenv("TACSIM_JOBS", "3", 1);
     EXPECT_EQ(SweepRunner::defaultJobs(), 3u);
-    ::setenv("TACSIM_JOBS", "0", 1); // invalid: falls back to hardware
+    ::setenv("TACSIM_JOBS", "0", 1); // 0: falls back to hardware
     EXPECT_GE(SweepRunner::defaultJobs(), 1u);
+    // A sign or a suffix is an error, not a count.
+    for (const char *bad : {"-1", "4x"}) {
+        SCOPED_TRACE(bad);
+        ::setenv("TACSIM_JOBS", bad, 1);
+        EXPECT_THROW(SweepRunner::defaultJobs(), std::invalid_argument);
+    }
     ::unsetenv("TACSIM_JOBS");
     EXPECT_GE(SweepRunner::defaultJobs(), 1u);
+}
+
+TEST(Sweep, DefaultBudgetsReadEnv)
+{
+    struct Budget
+    {
+        const char *var;
+        std::uint64_t (*read)();
+        std::uint64_t fallback;
+    };
+    for (const Budget &b : {Budget{"TACSIM_INSTRUCTIONS",
+                                   defaultInstructions, 400000},
+                            Budget{"TACSIM_WARMUP", defaultWarmup, 100000}}) {
+        SCOPED_TRACE(b.var);
+        ::setenv(b.var, "2000", 1);
+        EXPECT_EQ(b.read(), 2000u);
+        ::unsetenv(b.var);
+        EXPECT_EQ(b.read(), b.fallback);
+        ::setenv(b.var, "0", 1);
+        EXPECT_EQ(b.read(), b.fallback);
+        // Not counts: a suffix, an exponent, a sign, and 2^64 (overflow).
+        for (const char *bad :
+             {"400k", "2e6", "-1", "18446744073709551616"}) {
+            SCOPED_TRACE(bad);
+            ::setenv(b.var, bad, 1);
+            try {
+                b.read();
+                ADD_FAILURE() << "no exception";
+            } catch (const std::invalid_argument &e) {
+                const std::string what = e.what();
+                EXPECT_NE(what.find(b.var), std::string::npos) << what;
+                EXPECT_NE(what.find(bad), std::string::npos) << what;
+            }
+        }
+        ::unsetenv(b.var);
+    }
 }
 
 TEST(Sweep, JsonReportIsWrittenAndWellFormed)
@@ -264,110 +299,6 @@ TEST(Sweep, OutcomesCarryThePointKey)
               std::string::npos);
     EXPECT_NE(ss.str().find("\"cached\": false"), std::string::npos);
     std::remove(path.c_str());
-}
-
-/** In-memory SweepCache double: deterministic, no disk. */
-class MemoryCache : public SweepCache
-{
-  public:
-    bool lookup(const std::string &pointKey, RunResult &out) override
-    {
-        ++lookups;
-        auto it = store_.find(pointKey);
-        if (it == store_.end())
-            return false;
-        out = it->second;
-        return true;
-    }
-
-    void store(const std::string &pointKey, const RunResult &result,
-               const std::string &statsDump) override
-    {
-        ++stores;
-        lastDump = statsDump;
-        store_[pointKey] = result;
-    }
-
-    int lookups = 0;
-    int stores = 0;
-    std::string lastDump;
-
-  private:
-    std::map<std::string, RunResult> store_;
-};
-
-/**
- * The attachCache contract over any SweepCache: a first runner
- * simulates the point and stores it; a second runner, over the cache
- * @p open returns for it, is served the identical result without
- * simulating and flags it cached in its outcome and JSON report.
- */
-void
-expectRepeatPointIsServedFromCache(const std::function<SweepCache &()> &open)
-{
-    SystemConfig cfg;
-    SweepRunner first(1);
-    first.attachCache(&open());
-    first.add("p", cfg, {"mcf"}, kInstr, kWarm);
-    first.run();
-    first.attachCache(nullptr); // open() may close this cache below
-    const SweepOutcome *cold = first.outcome("p");
-    ASSERT_NE(cold, nullptr);
-    EXPECT_TRUE(cold->ok);
-    EXPECT_FALSE(cold->cached);
-
-    SweepRunner second(1);
-    second.attachCache(&open());
-    second.add("p", cfg, {"mcf"}, kInstr, kWarm);
-    second.run();
-    const SweepOutcome *warm = second.outcome("p");
-    ASSERT_NE(warm, nullptr);
-    EXPECT_TRUE(warm->ok);
-    EXPECT_TRUE(warm->cached);
-    test::expectSameResult(cold->result, warm->result);
-    EXPECT_EQ(dumpRunResult(warm->result), dumpRunResult(cold->result));
-
-    // The JSON report records the hit.
-    const std::string path =
-        ::testing::TempDir() + "tacsim_sweep_cached.json";
-    ASSERT_TRUE(second.writeJson(path, "cached", {}));
-    std::ifstream f(path);
-    std::stringstream ss;
-    ss << f.rdbuf();
-    EXPECT_NE(ss.str().find("\"cached\": true"), std::string::npos);
-    std::remove(path.c_str());
-}
-
-TEST(Sweep, AttachedCacheServesRepeatPointsWithoutSimulating)
-{
-    {
-        SCOPED_TRACE("in-memory cache");
-        MemoryCache cache;
-        expectRepeatPointIsServedFromCache(
-            [&cache]() -> SweepCache & { return cache; });
-        EXPECT_EQ(cache.stores, 1); // the cached run stored nothing
-        EXPECT_FALSE(cache.lastDump.empty());
-    }
-    {
-        // The on-disk store, reopened for the second runner as a new
-        // process would open it.
-        SCOPED_TRACE("result cache directory, reopened");
-        const std::string dir = ::testing::TempDir() +
-            "tacsim_sweep_store_" + std::to_string(::getpid());
-        std::remove((dir + "/index.txt").c_str());
-        std::unique_ptr<serve::ResultCache> store;
-        std::unique_ptr<serve::ResultCacheSweepAdapter> adapter;
-        expectRepeatPointIsServedFromCache([&]() -> SweepCache & {
-            adapter.reset();
-            store.reset();
-            store = std::make_unique<serve::ResultCache>(dir);
-            adapter =
-                std::make_unique<serve::ResultCacheSweepAdapter>(*store);
-            return *adapter;
-        });
-        EXPECT_EQ(store->entries(), 1u);
-        EXPECT_EQ(store->hits(), 1u);
-    }
 }
 
 TEST(Sweep, MixPointsRunThroughThePool)
