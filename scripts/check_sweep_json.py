@@ -25,9 +25,8 @@ Checks, in order:
 
 Exit status: 0 on pass, 1 on a failed content check, 3 when the report
 is missing/unreadable, 4 when it exists but is malformed (bad JSON,
-wrong schema, missing fields). The missing/malformed split mirrors
-check_perf_regression.py so CI can tell "the bench never wrote a
-report" from "the report is corrupt".
+wrong schema, missing fields). The missing/malformed split lets CI
+tell "the bench never wrote a report" from "the report is corrupt".
 """
 
 import argparse

@@ -4,7 +4,6 @@
 #include <sstream>
 #include <unordered_set>
 
-#include "mem/request_pool.hh"
 #include "obs/chrome_trace.hh"
 #include "obs/registry.hh"
 #include "sim/verify.hh"
@@ -328,6 +327,10 @@ Cache::handleMiss(const MemRequestPtr &req, const AccessInfo &ai)
     }
 
     MshrEntry e;
+    if (!spareWaiters_.empty()) {
+        e.waiters = std::move(spareWaiters_.back());
+        spareWaiters_.pop_back();
+    }
     e.fillInfo = ai;
     e.prefetchOnly = isPrefetch;
     e.makeDirty = req->type == ReqType::Store;
@@ -415,6 +418,8 @@ Cache::handleFill(Addr blockAddr, RespSource src)
 
     for (auto &w : entry.waiters)
         w->complete(eq_.now(), src);
+    entry.waiters.clear();
+    spareWaiters_.push_back(std::move(entry.waiters));
 
     drainPending();
 }

@@ -326,6 +326,9 @@ class Cache : public MemDevice, public PrefetchIssuer
     SetIndexer indexer_;
     std::vector<BlockMeta> blocks_;
     AddrMap<MshrEntry> mshrs_;  ///< keyed by block address
+    /** Emptied waiter vectors of filled MSHRs, capacity kept: a new
+     *  MSHR takes one, so steady-state misses allocate nothing. */
+    std::vector<std::vector<MemRequestPtr>> spareWaiters_;
     std::deque<MemRequestPtr> pending_; ///< waiting for a free MSHR
     CacheStats stats_;
 

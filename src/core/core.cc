@@ -1,9 +1,9 @@
 #include "core/core.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/serialize.hh"
-#include "mem/request_pool.hh"
 #include "obs/chrome_trace.hh"
 #include "obs/registry.hh"
 
@@ -18,7 +18,8 @@ Core::Core(CoreParams params, EventQueue &eq, Workload &workload,
       stlb_(stlb),
       ptw_(ptw),
       l1d_(l1d),
-      rob_(params_.robSize)
+      rob_(std::bit_ceil(params_.robSize)),
+      robMask_(rob_.size() - 1)
 {}
 
 StallKind
@@ -137,7 +138,6 @@ Core::loadState(SerialReader &r)
     // bitwise-independent of pre-checkpoint history.
     for (auto &e : rob_)
         e = RobEntry{};
-    waitingOnProducer_.clear();
 }
 
 void
@@ -155,6 +155,7 @@ Core::dispatchOne()
     e.stlbMiss = false;
     e.wait = StallKind::None;
     e.producerSeq = -1;
+    e.firstWaiter = e.lastWaiter = e.nextWaiter = kNoSeq;
     e.tStall = e.rStall = e.nStall = 0;
     ++count_;
 
@@ -182,10 +183,19 @@ Core::tryIssue(std::uint64_t seq)
     RobEntry &e = entryFor(seq);
     if (e.issued)
         return;
-    if (e.producerSeq >= 0 &&
-        !entryFor(static_cast<std::uint64_t>(e.producerSeq)).complete) {
-        waitingOnProducer_.push_back(seq);
-        return;
+    if (e.producerSeq >= 0) {
+        RobEntry &p = entryFor(static_cast<std::uint64_t>(e.producerSeq));
+        if (!p.complete) {
+            // Join the producer's wake list at the tail: entries
+            // dispatch in sequence order, so the list stays oldest
+            // first and wakeup issues them in dispatch order.
+            if (p.lastWaiter == kNoSeq)
+                p.firstWaiter = seq;
+            else
+                entryFor(p.lastWaiter).nextWaiter = seq;
+            p.lastWaiter = seq;
+            return;
+        }
     }
     issueMemOp(seq);
 }
@@ -327,21 +337,14 @@ Core::completeEntry(std::uint64_t seq)
 void
 Core::wakeDependents(std::uint64_t producerSeq)
 {
-    if (waitingOnProducer_.empty())
-        return;
-    std::vector<std::uint64_t> still;
-    still.reserve(waitingOnProducer_.size());
-    std::vector<std::uint64_t> ready;
-    for (std::uint64_t s : waitingOnProducer_) {
-        if (entryFor(s).producerSeq ==
-            static_cast<std::int64_t>(producerSeq))
-            ready.push_back(s);
-        else
-            still.push_back(s);
-    }
-    waitingOnProducer_.swap(still);
-    for (std::uint64_t s : ready)
+    RobEntry &p = entryFor(producerSeq);
+    std::uint64_t s = p.firstWaiter;
+    p.firstWaiter = p.lastWaiter = kNoSeq;
+    while (s != kNoSeq) {
+        const std::uint64_t next = entryFor(s).nextWaiter;
         issueMemOp(s);
+        s = next;
+    }
 }
 
 } // namespace tacsim

@@ -120,15 +120,18 @@ class Core
     /**
      * Checkpoint the architectural cursor (tacsim-ckpt-v2). Only legal
      * when the ROB is empty (post-quiesce): with all entries retired,
-     * the sequence cursors fully determine future behaviour — stale
-     * rob_ ring contents are unreachable because the only cross-retire
-     * reference, lastLoadSeq_, is guarded by `>= headSeq_` at every
-     * use.
+     * the sequence cursors fully determine future behaviour. Stale
+     * rob_ ring contents are unreachable: an entry's producerSeq and
+     * wake-list links only ever name entries in flight with it, and
+     * dispatch clears them; the only cross-retire reference,
+     * lastLoadSeq_, is guarded by `>= headSeq_` at every use.
      */
     void saveState(SerialWriter &w) const;
     void loadState(SerialReader &r);
 
   private:
+    static constexpr std::uint64_t kNoSeq = ~std::uint64_t{0};
+
     struct RobEntry
     {
         Addr ip = 0;
@@ -139,22 +142,23 @@ class Core
         bool stlbMiss = false;
         StallKind wait = StallKind::None;
         std::int64_t producerSeq = -1; ///< seq of producing load, -1 none
+        /** Wake list: the entries waiting on this one, oldest first, as
+         *  a FIFO threaded through their nextWaiter links. */
+        std::uint64_t firstWaiter = kNoSeq;
+        std::uint64_t lastWaiter = kNoSeq;
+        /** Next entry waiting on this entry's producer (kNoSeq = last). */
+        std::uint64_t nextWaiter = kNoSeq;
         Cycle tStall = 0;
         Cycle rStall = 0;
         Cycle nStall = 0;
     };
 
-    RobEntry &entryFor(std::uint64_t seq)
-    {
-        return rob_[seq % params_.robSize];
-    }
+    RobEntry &entryFor(std::uint64_t seq) { return rob_[seq & robMask_]; }
 
+    /** Full at robSize entries, whatever the ring's storage rounds to. */
     bool robFull() const { return count_ == params_.robSize; }
-    RobEntry &head() { return rob_[headSeq_ % params_.robSize]; }
-    const RobEntry &head() const
-    {
-        return rob_[headSeq_ % params_.robSize];
-    }
+    RobEntry &head() { return rob_[headSeq_ & robMask_]; }
+    const RobEntry &head() const { return rob_[headSeq_ & robMask_]; }
 
     StallKind classifyHead() const;
     void chargeHeadStall(Cycle n);
@@ -175,13 +179,16 @@ class Core
     PageTableWalker &ptw_;
     MemDevice &l1d_;
 
+    /** The ROB ring. Storage rounds robSize up to a power of two so a
+     *  sequence number maps to its slot with a mask, not a division;
+     *  at most robSize entries are ever in flight. */
     std::vector<RobEntry> rob_;
+    std::uint64_t robMask_;
     std::uint64_t headSeq_ = 0; ///< sequence number of the ROB head
     std::uint64_t nextSeq_ = 0; ///< next sequence number to dispatch
     unsigned count_ = 0;
 
     std::int64_t lastLoadSeq_ = -1;
-    std::vector<std::uint64_t> waitingOnProducer_;
     bool draining_ = false; ///< dispatch suspended (System::quiesce)
 
     obs::ChromeTracer *tracer_ = nullptr; ///< null = tracing disabled

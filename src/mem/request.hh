@@ -15,11 +15,15 @@
 #ifndef TACSIM_MEM_REQUEST_HH
 #define TACSIM_MEM_REQUEST_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
+#include <new>
+#include <string>
+#include <utility>
 
 #include "common/types.hh"
+#include "mem/request_pool.hh"
 
 namespace tacsim {
 
@@ -54,18 +58,20 @@ enum class PrefetchOrigin : std::uint8_t
     Tempo,          ///< TEMPO DRAM-controller prefetch
 };
 
-class MemRequest;
-using MemRequestPtr = std::shared_ptr<MemRequest>;
-
 /**
- * One memory transaction. Allocated by the requester (core or PTW) and
- * passed by shared_ptr so MSHR merging can hang several requesters off the
- * same in-flight line.
+ * One memory transaction. Allocated by the requester (core, cache or
+ * PTW) with makeRequest() and passed by MemRequestPtr, a counted
+ * handle, so MSHR merging can hang several requesters off the same
+ * in-flight line. Not copyable: the count belongs to the object.
  */
 class MemRequest
 {
   public:
     using Callback = std::function<void(MemRequest &)>;
+
+    MemRequest() = default;
+    MemRequest(const MemRequest &) = delete;
+    MemRequest &operator=(const MemRequest &) = delete;
 
     Addr paddr = 0;      ///< physical byte address
     Addr vaddr = 0;      ///< originating virtual address (0 for PTW/WB)
@@ -136,7 +142,88 @@ class MemRequest
         if (onComplete)
             onComplete(*this);
     }
+
+  private:
+    friend class MemRequestPtr;
+
+    /** Live MemRequestPtr handles to this request. */
+    std::uint32_t refs_ = 0;
 };
+
+/**
+ * Owning handle to a pooled MemRequest, with shared_ptr's value
+ * semantics: copies share the request, and the last handle to drop
+ * destroys it and parks its node in the thread's pool
+ * (mem/request_pool.hh). The count is a plain integer, not an atomic:
+ * a request never leaves the thread of the System that made it.
+ * Non-null handles come only from makeRequest(); default-constructed
+ * and moved-from handles are null.
+ */
+class MemRequestPtr
+{
+  public:
+    MemRequestPtr() noexcept = default;
+    MemRequestPtr(std::nullptr_t) noexcept {}
+
+    MemRequestPtr(const MemRequestPtr &o) noexcept : req_(o.req_)
+    {
+        if (req_)
+            ++req_->refs_;
+    }
+
+    MemRequestPtr(MemRequestPtr &&o) noexcept
+        : req_(std::exchange(o.req_, nullptr))
+    {}
+
+    /** Copy and move assignment in one; self-assignment of either
+     *  kind leaves the count unchanged. */
+    MemRequestPtr &
+    operator=(MemRequestPtr o) noexcept
+    {
+        std::swap(req_, o.req_);
+        return *this;
+    }
+
+    ~MemRequestPtr()
+    {
+        if (req_)
+            release();
+    }
+
+    MemRequest *get() const noexcept { return req_; }
+    MemRequest *operator->() const noexcept { return req_; }
+    MemRequest &operator*() const noexcept { return *req_; }
+    explicit operator bool() const noexcept { return req_ != nullptr; }
+
+  private:
+    friend MemRequestPtr makeRequest();
+
+    /** Adopt a request that makeRequest() just constructed. */
+    explicit MemRequestPtr(MemRequest *req) noexcept : req_(req)
+    {
+        ++req_->refs_;
+    }
+
+    void
+    release() noexcept
+    {
+        TACSIM_DCHECK(req_->refs_ > 0 && "MemRequestPtr count underflow");
+        if (--req_->refs_ == 0) {
+            req_->~MemRequest();
+            pool_detail::Freelist<MemRequest>::deallocate(req_);
+        }
+    }
+
+    MemRequest *req_ = nullptr;
+};
+
+/** Allocate a default-constructed MemRequest from the thread's pool. */
+inline MemRequestPtr
+makeRequest()
+{
+    return MemRequestPtr(
+        ::new (pool_detail::Freelist<MemRequest>::allocate()) MemRequest());
+}
 
 /**
  * Anything that can accept a MemRequest: a cache level or the DRAM

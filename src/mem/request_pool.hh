@@ -1,18 +1,23 @@
 /**
  * @file
- * Pooled allocation for MemRequest objects.
+ * The thread-local node pool behind MemRequest allocation.
  *
- * Every miss in the hierarchy allocates a fresh child MemRequest (plus
- * its shared_ptr control block) and frees it when the fill completes —
- * at simulation rates that is hundreds of thousands of malloc/free
- * pairs per second, all of identical size. makeRequest() routes them
- * through a thread-local freelist instead: std::allocate_shared places
- * the request and its control block in one node, and retired nodes are
- * recycled rather than returned to the heap.
+ * Every miss in the hierarchy allocates a fresh child MemRequest and
+ * frees it when the fill completes — at simulation rates that is
+ * millions of allocations per second, all of one size. makeRequest()
+ * (mem/request.hh) constructs each request in a node taken from this
+ * freelist; when the request's last MemRequestPtr drops, the request is
+ * destroyed and its node parked here for the next makeRequest() instead
+ * of going back to the heap.
  *
- * Thread safety: the freelist is thread_local, which is sound because a
- * System and every request it creates live on a single sweep-worker
- * thread for the whole run. Nodes are never handed across threads.
+ * Thread safety: the freelist is thread_local and MemRequestPtr's count
+ * is a plain integer. Both are sound because a System and every request
+ * it creates live on a single sweep-worker thread for the whole run.
+ * Requests are never handed across threads.
+ *
+ * AddressSanitizer: a parked node is poisoned and unpoisoned when it is
+ * handed out again, so reading a request after its last handle dropped
+ * is reported as use-after-poison rather than returning a stale value.
  *
  * Determinism: pooling only changes *where* requests live, never any
  * value the simulation reads — no simulated behavior depends on pointer
@@ -22,34 +27,60 @@
 #ifndef TACSIM_MEM_REQUEST_POOL_HH
 #define TACSIM_MEM_REQUEST_POOL_HH
 
-#include <cstddef>
-#include <memory>
 #include <new>
 
-#include "mem/request.hh"
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
 
 namespace tacsim {
 namespace pool_detail {
 
-/** Thread-local freelist of raw nodes for a single object type.
+/** Thread-local freelist of raw nodes sized and aligned for @p T.
  *  Parked nodes are returned to the heap when their thread exits, so
  *  the pool holds no memory past any thread's lifetime. */
 template <typename T>
-struct Freelist
+class Freelist
 {
+  public:
+    /** Uninitialised storage for one T: a parked node, or a new one. */
+    static void *
+    allocate()
+    {
+        Freelist &fl = instance();
+        if (Node *node = fl.head_) {
+            unpoison(node);
+            fl.head_ = node->next;
+            return node;
+        }
+        return ::operator new(sizeof(Node));
+    }
+
+    /** Park @p p, whose T has already been destroyed. */
+    static void
+    deallocate(void *p) noexcept
+    {
+        Freelist &fl = instance();
+        auto *node = static_cast<Node *>(p);
+        node->next = fl.head_;
+        fl.head_ = node;
+        poison(node);
+    }
+
+  private:
     union Node
     {
         Node *next;
         alignas(T) unsigned char storage[sizeof(T)];
     };
 
-    Node *head = nullptr;
+    Freelist() = default;
 
     ~Freelist()
     {
-        while (head) {
-            Node *node = head;
-            head = node->next;
+        while (Node *node = head_) {
+            unpoison(node);
+            head_ = node->next;
             ::operator delete(node);
         }
     }
@@ -60,77 +91,27 @@ struct Freelist
         static thread_local Freelist fl;
         return fl;
     }
-};
 
-/**
- * Minimal std allocator backed by Freelist<T>. allocate_shared rebinds
- * it to the combined object+control-block type, so every allocation it
- * sees is single-object and pool-eligible; the n != 1 path exists only
- * to satisfy the allocator contract.
- */
-template <typename T>
-class PoolAllocator
-{
-  public:
-    using value_type = T;
-
-    PoolAllocator() = default;
-    template <typename U>
-    PoolAllocator(const PoolAllocator<U> &)
+    static void
+    poison([[maybe_unused]] Node *node)
     {
+#if defined(__SANITIZE_ADDRESS__)
+        ASAN_POISON_MEMORY_REGION(node, sizeof(Node));
+#endif
     }
 
-    T *
-    allocate(std::size_t n)
+    static void
+    unpoison([[maybe_unused]] Node *node)
     {
-        if (n == 1) {
-            auto &fl = Freelist<T>::instance();
-            if (auto *node = fl.head) {
-                fl.head = node->next;
-                return reinterpret_cast<T *>(node);
-            }
-            return static_cast<T *>(
-                ::operator new(sizeof(typename Freelist<T>::Node)));
-        }
-        return static_cast<T *>(::operator new(n * sizeof(T)));
+#if defined(__SANITIZE_ADDRESS__)
+        ASAN_UNPOISON_MEMORY_REGION(node, sizeof(Node));
+#endif
     }
 
-    void
-    deallocate(T *p, std::size_t n)
-    {
-        if (n == 1) {
-            auto &fl = Freelist<T>::instance();
-            auto *node = reinterpret_cast<typename Freelist<T>::Node *>(p);
-            node->next = fl.head;
-            fl.head = node;
-            return;
-        }
-        ::operator delete(p);
-    }
-
-    template <typename U>
-    bool operator==(const PoolAllocator<U> &) const
-    {
-        return true;
-    }
-    template <typename U>
-    bool operator!=(const PoolAllocator<U> &) const
-    {
-        return false;
-    }
+    Node *head_ = nullptr;
 };
 
 } // namespace pool_detail
-
-/** Allocate a default-constructed MemRequest from the thread's pool.
- *  Drop-in replacement for std::make_shared<MemRequest>(). */
-inline MemRequestPtr
-makeRequest()
-{
-    return std::allocate_shared<MemRequest>(
-        pool_detail::PoolAllocator<MemRequest>());
-}
-
 } // namespace tacsim
 
 #endif // TACSIM_MEM_REQUEST_POOL_HH

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "mem/request_pool.hh"
 #include "obs/chrome_trace.hh"
 #include "obs/registry.hh"
 #include "sim/verify.hh"

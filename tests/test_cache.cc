@@ -129,7 +129,7 @@ TEST_F(CacheTest, WritebackFromAboveHitsInPlace)
     c->access(r);
     test::drain(eq);
 
-    auto wb = std::make_shared<MemRequest>();
+    auto wb = makeRequest();
     wb->paddr = 0x5000;
     wb->type = ReqType::Writeback;
     c->access(wb);
@@ -144,7 +144,7 @@ TEST_F(CacheTest, WritebackFromAboveHitsInPlace)
 TEST_F(CacheTest, WritebackMissForwardsWithoutAllocation)
 {
     auto c = makeCache(smallParams());
-    auto wb = std::make_shared<MemRequest>();
+    auto wb = makeRequest();
     wb->paddr = 0x6000;
     wb->type = ReqType::Writeback;
     c->access(wb);

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <utility>
 
 #include "core/core.hh"
 #include "test_util.hh"
@@ -197,18 +198,78 @@ TEST_F(CoreTest, StoresRetireWithoutWaitingForData)
 
 TEST_F(CoreTest, BlockedRequiresFullRobAndIncompleteHead)
 {
-    CoreParams p;
-    p.robSize = 8;
-    wl.script.push_back(loadRec(0x7000));
-    auto core = makeCore(p);
-    EXPECT_FALSE(core.blocked());
-    // Fill the ROB behind the slow load.
-    for (int i = 0; i < 4; ++i)
+    // {robSize, ticks of 6-wide dispatch that fill it}. A 6-entry ROB
+    // is full after one tick although its ring storage rounds up to 8.
+    const std::pair<unsigned, int> inputs[] = {{8, 4}, {6, 1}};
+    for (const auto &[robSize, ticksToFill] : inputs) {
+        SCOPED_TRACE(robSize);
+        CoreEnv env;
+        CoreParams p;
+        p.robSize = robSize;
+        env.wl.script.push_back(loadRec(0x7000));
+        auto core = env.makeCore(p);
+        EXPECT_FALSE(core.blocked());
+        // Fill the ROB behind the slow load.
+        for (int i = 0; i < ticksToFill; ++i)
+            core.tick();
+        EXPECT_TRUE(core.blocked());
+        test::drain(env.eq);
         core.tick();
-    EXPECT_TRUE(core.blocked());
-    test::drain(eq);
-    core.tick();
-    EXPECT_FALSE(core.blocked());
+        EXPECT_FALSE(core.blocked());
+    }
+}
+
+TEST_F(CoreTest, DependentsIssueAfterProducerDataInDispatchOrder)
+{
+    // Each group: a load, then two stores and a load that all depend on
+    // it. The 6-entry ROB's 8-slot ring wraps 25 times over the 200
+    // records, so every slot is reused with stale wake links.
+    constexpr int kGroups = 50;
+    auto vaddrOf = [](int group, int k) {
+        return Addr(0x200000) + Addr(group) * 0x100 + Addr(k) * 0x40;
+    };
+    for (int g = 0; g < kGroups; ++g) {
+        wl.script.push_back(loadRec(vaddrOf(g, 0)));
+        TraceRecord st1 = storeRec(vaddrOf(g, 1));
+        st1.dependsOnPrevLoad = true;
+        TraceRecord st2 = storeRec(vaddrOf(g, 2));
+        st2.dependsOnPrevLoad = true;
+        wl.script.push_back(st1);
+        wl.script.push_back(st2);
+        wl.script.push_back(loadRec(vaddrOf(g, 3), /*dep=*/true));
+    }
+    CoreParams p;
+    p.robSize = 6;
+    auto core = makeCore(p);
+    runUntil(core, 4 * kGroups + 1);
+    ASSERT_GE(core.retired(), 4u * kGroups + 1);
+
+    // Data requests by vaddr, in the order they reached memory.
+    const ReqType kType[4] = {ReqType::Load, ReqType::Store,
+                              ReqType::Store, ReqType::Load};
+    for (int g = 0; g < kGroups; ++g) {
+        SCOPED_TRACE(g);
+        std::size_t at[4] = {};
+        for (int k = 0; k < 4; ++k) {
+            int found = 0;
+            for (std::size_t i = 0; i < mem.requests.size(); ++i) {
+                const MemRequestPtr &r = mem.requests[i];
+                if (r->type == kType[k] && r->vaddr == vaddrOf(g, k)) {
+                    at[k] = i;
+                    ++found;
+                }
+            }
+            ASSERT_EQ(found, 1) << "record " << k;
+        }
+        const MemRequestPtr &producer = mem.requests[at[0]];
+        ASSERT_TRUE(producer->done);
+        for (int k = 1; k < 4; ++k) {
+            EXPECT_GT(at[k], at[k - 1]) << "record " << k;
+            EXPECT_GE(mem.requests[at[k]]->issuedAt,
+                      producer->completedAt)
+                << "record " << k;
+        }
+    }
 }
 
 TEST_F(CoreTest, ChargeSkippedCyclesAccumulatesStall)

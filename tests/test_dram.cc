@@ -71,7 +71,7 @@ TEST_F(DramTest, RowConflictIsSlowest)
 TEST_F(DramTest, WritebacksAreCountedAndPosted)
 {
     Dram dram("d", eq, params);
-    auto wb = std::make_shared<MemRequest>();
+    auto wb = makeRequest();
     wb->paddr = 0x4000;
     wb->type = ReqType::Writeback;
     bool completed = false;

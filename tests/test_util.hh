@@ -66,7 +66,7 @@ class MockMemory : public MemDevice
 inline MemRequestPtr
 makeLoad(Addr paddr, Addr ip = 0x400000, bool replay = false)
 {
-    auto req = std::make_shared<MemRequest>();
+    auto req = makeRequest();
     req->paddr = paddr;
     req->vaddr = paddr;
     req->ip = ip;
@@ -80,7 +80,7 @@ inline MemRequestPtr
 makeTranslation(Addr paddr, unsigned level, Addr replayBlock = 0,
                 Addr ip = 0x400000)
 {
-    auto req = std::make_shared<MemRequest>();
+    auto req = makeRequest();
     req->paddr = paddr;
     req->ip = ip;
     req->type = ReqType::Translation;
