@@ -42,7 +42,6 @@ main(int argc, char **argv)
         applyTranslationAware(cfg, {true, true, false, false, false});
         cfg.atpL2 = v.atpL2;
         cfg.atpLlc = v.atpLlc;
-        cfg.tempo = v.tempo;
         cfg.dram.tempo = v.tempo;
         for (Benchmark b : subset) {
             registerPoint("base/" + benchmarkName(b), baselineConfig(), b);

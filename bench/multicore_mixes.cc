@@ -4,10 +4,10 @@
  * scale-out sweep: for each core count in {8, 16, 32, 64} the binary
  * generates every homogeneous mix (one per benchmark) plus a set of
  * seeded heterogeneous mixes, and runs each under the baseline and the
- * full proposal. Machines are built entirely from declarative
- * TopologySpec strings (sim/topology.hh): sliced LLC with a ring-hop
- * latency, per-core MSHR quotas and bandwidth tokens at the LLC, and
- * auto-derived DRAM channels. 4 core counts x 15 mixes x 2 policies =
+ * full proposal. Machines are built entirely from topology text
+ * (sim/topology.hh): sliced LLC with a ring-hop latency, per-core MSHR
+ * quotas and bandwidth tokens at the LLC, and auto-derived DRAM
+ * channels. 4 core counts x 15 mixes x 2 policies =
  * 120 sweep points, all registered up front on the parallel runner.
  *
  * Metrics per (core count, mix): weighted speedup (mean of per-thread
@@ -17,12 +17,16 @@
  *
  * TACSIM_MC_CORES=<comma list> restricts the core counts (CI's
  * multicore-smoke lane runs TACSIM_MC_CORES=16 at a tiny budget);
- * values must keep the auto-sized LLC set count a power of two.
+ * values must keep the auto-sized LLC set count a power of two. A
+ * malformed list, or a count that builds no valid machine, exits 1
+ * with a "tacsim:" line before anything sweeps.
  */
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <map>
+#include <optional>
 
 #include "bench_common.hh"
 #include "common/rng.hh"
@@ -34,25 +38,24 @@ namespace {
 
 using B = Benchmark;
 
-/** Core counts to sweep, from TACSIM_MC_CORES or the default ladder. */
+/** Core counts in the comma list @p text; throws std::invalid_argument
+ *  for an entry that is not a nonzero count (parseCount). */
 std::vector<unsigned>
-coreCounts()
+coreCounts(const std::string &text)
 {
-    std::string text = "8,16,32,64";
-    if (const char *v = std::getenv("TACSIM_MC_CORES"))
-        if (*v)
-            text = v;
     std::vector<unsigned> out;
     std::size_t pos = 0;
-    while (pos < text.size()) {
+    while (pos <= text.size()) {
         std::size_t comma = text.find(',', pos);
         if (comma == std::string::npos)
             comma = text.size();
-        const unsigned long c =
-            std::strtoul(text.substr(pos, comma - pos).c_str(), nullptr,
-                         10);
-        if (c > 0)
-            out.push_back(static_cast<unsigned>(c));
+        const std::string item = text.substr(pos, comma - pos);
+        const std::optional<std::uint64_t> c =
+            parseCount(item, std::numeric_limits<unsigned>::max());
+        if (!c || *c == 0)
+            throw std::invalid_argument("'" + item +
+                                        "' is not a core count");
+        out.push_back(static_cast<unsigned>(*c));
         pos = comma + 1;
     }
     return out;
@@ -137,7 +140,23 @@ main(int argc, char **argv)
     // sweep() first: it rejects a malformed TACSIM_INSTRUCTIONS before
     // budgetFor reads it.
     sweep();
-    const std::vector<unsigned> counts = coreCounts();
+    // Every machine is built before any point registers, so a bad
+    // TACSIM_MC_CORES stops the program before it sweeps.
+    const char *mcCores = std::getenv("TACSIM_MC_CORES");
+    const std::string coresText =
+        mcCores && *mcCores ? mcCores : "8,16,32,64";
+    std::vector<unsigned> counts;
+    std::vector<SystemConfig> bases;
+    try {
+        counts = coreCounts(coresText);
+        for (unsigned cores : counts)
+            bases.push_back(
+                configFromTopology(topologyFor(cores), baselineConfig()));
+    } catch (const std::invalid_argument &e) {
+        std::fprintf(stderr, "tacsim: TACSIM_MC_CORES=\"%s\": %s\n",
+                     coresText.c_str(), e.what());
+        return 1;
+    }
 
     // Shrink the per-thread budget with the core count so every point
     // simulates a roughly constant total instruction volume.
@@ -147,9 +166,9 @@ main(int argc, char **argv)
     };
 
     // Register the full (core count x mix x policy) grid.
-    for (unsigned cores : counts) {
-        const SystemConfig base =
-            configFromTopology(topologyFor(cores), baselineConfig());
+    for (std::size_t i = 0; i < counts.size(); ++i) {
+        const unsigned cores = counts[i];
+        const SystemConfig &base = bases[i];
         const SystemConfig enh = proposedConfig(base);
 
         const std::uint64_t instr = budgetFor(cores);

@@ -8,12 +8,37 @@
  * for leaf translations.
  *
  * Usage: example_graph_analytics [instructions] [warmup]
+ * (decimal digits; anything else exits 2).
  */
 
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 
 #include "sim/runner.hh"
+
+namespace {
+
+/** Budget argument @p i of @p argv, or @p fallback when absent; exits 2
+ *  naming the argument when it is not a count. */
+std::uint64_t
+budgetArg(int argc, char **argv, int i, const char *name,
+          std::uint64_t fallback)
+{
+    if (argc <= i)
+        return fallback;
+    const std::optional<std::uint64_t> n = tacsim::parseCount(argv[i]);
+    if (!n) {
+        std::fprintf(stderr,
+                     "%s: %s \"%s\" is not a count: use decimal digits\n"
+                     "usage: %s [instructions] [warmup]\n",
+                     argv[0], name, argv[i], argv[0]);
+        std::exit(2);
+    }
+    return *n;
+}
+
+} // namespace
 
 int
 main(int argc, char **argv)
@@ -21,9 +46,8 @@ main(int argc, char **argv)
     using namespace tacsim;
 
     const std::uint64_t instr =
-        argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 400000;
-    const std::uint64_t warm =
-        argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 100000;
+        budgetArg(argc, argv, 1, "instructions", 400000);
+    const std::uint64_t warm = budgetArg(argc, argv, 2, "warmup", 100000);
 
     const Benchmark graphs[] = {Benchmark::pr, Benchmark::cc,
                                 Benchmark::bf, Benchmark::radii};

@@ -86,11 +86,6 @@ struct CacheStats
         return at(accesses, BlockCat::PtLeaf) +
             at(accesses, BlockCat::PtUpper);
     }
-    std::uint64_t translationMisses() const
-    {
-        return at(misses, BlockCat::PtLeaf) +
-            at(misses, BlockCat::PtUpper);
-    }
 
     void reset() { *this = CacheStats{}; }
 
@@ -222,10 +217,6 @@ class Cache : public MemDevice, public PrefetchIssuer
     MemDevice *lower() { return lower_; }
 
     const RecallProfiler *recallProfiler() const { return profiler_.get(); }
-
-    void setAtpEnabled(bool on) { params_.atp = on; }
-    void setIdealTranslations(bool on) { params_.idealTranslations = on; }
-    void setIdealReplays(bool on) { params_.idealReplays = on; }
 
     std::uint32_t setIndex(Addr paddr) const
     {

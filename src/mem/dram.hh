@@ -87,9 +87,6 @@ class Dram : public MemDevice
     /** Install the hook TEMPO uses to push replay lines into the LLC. */
     void setTempoHook(TempoHook h) { tempoHook_ = std::move(h); }
 
-    void setTempoEnabled(bool on) { params_.tempo = on; }
-    bool tempoEnabled() const { return params_.tempo; }
-
     const DramStats &stats() const { return stats_; }
     void resetStats() { stats_.reset(); }
 

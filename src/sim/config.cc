@@ -99,7 +99,6 @@ applyTranslationAware(SystemConfig &cfg,
         cfg.atpLlc = true;
     }
     if (opts.tempo) {
-        cfg.tempo = true;
         cfg.dram.tempo = true;
     }
 }
@@ -159,7 +158,6 @@ canonicalConfigText(const SystemConfig &cfg)
 
     emit(out, "atp.l2", std::uint64_t{cfg.atpL2});
     emit(out, "atp.llc", std::uint64_t{cfg.atpLlc});
-    emit(out, "tempo", std::uint64_t{cfg.tempo});
 
     emit(out, "ideal.l2_translations",
          std::uint64_t{cfg.idealL2Translations});

@@ -104,8 +104,10 @@ struct SystemConfig
     CacheGeometry l2{512 * 1024, 8, 10, 64};
     CacheGeometry llcPerCore{2 * 1024 * 1024, 16, 20, 128};
 
-    // Shared-LLC composition (sim/topology.hh writes these; the
-    // defaults reproduce the fixed pre-topology machine exactly).
+    // Shared-LLC composition. These, numCores, threadsPerCore,
+    // llcPerCore.ways and dram.channels are the fields topology text
+    // (sim/topology.hh) sets; the defaults reproduce the fixed
+    // pre-topology machine exactly.
     /** Total LLC bytes; 0 derives llcPerCore.sizeBytes * numCores. */
     std::uint64_t llcTotalBytes = 0;
     /** Address-interleaved LLC slices (power of two; 1 = monolithic). */
@@ -128,10 +130,9 @@ struct SystemConfig
     PrefetcherKind l1Prefetcher = PrefetcherKind::None;
     PrefetcherKind l2Prefetcher = PrefetcherKind::None;
 
-    // The paper's mechanisms.
+    // The paper's mechanisms (TEMPO is dram.tempo).
     bool atpL2 = false;
     bool atpLlc = false;
-    bool tempo = false;
 
     // Fig. 2 ideal modes.
     bool idealL2Translations = false;
@@ -143,7 +144,9 @@ struct SystemConfig
     bool profileCacheRecall = false;
     bool profileStlbRecall = false;
 
-    DramParams dram;
+    /** channels = 0 derives one channel per four cores (Table I);
+     *  dramChannelsOf() in sim/topology.hh is the one place that does. */
+    DramParams dram{.channels = 0};
 
     VmConfig vm;
 

@@ -2,7 +2,6 @@
 
 #include <charconv>
 #include <cstdlib>
-#include <cstring>
 #include <stdexcept>
 
 #include "serve/point_key.hh"
@@ -11,23 +10,34 @@
 
 namespace tacsim {
 
+std::optional<std::uint64_t>
+parseCount(std::string_view text, std::uint64_t max)
+{
+    if (text.empty())
+        return std::nullopt;
+    // from_chars into an unsigned type takes digits only: no sign, no
+    // space, no suffix or exponent, and it reports overflow.
+    std::uint64_t n = 0;
+    const char *end = text.data() + text.size();
+    const auto [stop, ec] = std::from_chars(text.data(), end, n);
+    if (ec != std::errc{} || stop != end || n > max)
+        return std::nullopt;
+    return n;
+}
+
 std::uint64_t
 envCount(const char *name, std::uint64_t fallback, std::uint64_t max)
 {
     const char *v = std::getenv(name);
     if (!v || !*v)
         return fallback;
-    // from_chars into an unsigned type takes digits only: no sign, no
-    // space, no suffix or exponent, and it reports overflow.
-    std::uint64_t n = 0;
-    const char *end = v + std::strlen(v);
-    const auto [stop, ec] = std::from_chars(v, end, n);
-    if (ec != std::errc{} || stop != end || n > max)
+    const std::optional<std::uint64_t> n = parseCount(v, max);
+    if (!n)
         throw std::invalid_argument(
             std::string(name) + "=\"" + v +
             "\" is not a count: use decimal digits up to " +
             std::to_string(max) + ", or unset, empty or 0 for the default");
-    return n ? n : fallback;
+    return *n ? *n : fallback;
 }
 
 std::uint64_t

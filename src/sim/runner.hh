@@ -16,7 +16,9 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/config.hh"
@@ -134,10 +136,19 @@ inline constexpr RunResultField kRunResultFields[] = {
 };
 
 /**
+ * @p text as a count: decimal digits only, no greater than @p max, or
+ * std::nullopt ("400k", "2e6", "-1", " 4" and "" are not counts, not
+ * 400, 2, 2^64-1, 4 and 0). Read every count a user types with it
+ * (environment, command line, topology text).
+ */
+std::optional<std::uint64_t> parseCount(std::string_view text,
+                                        std::uint64_t max = UINT64_MAX);
+
+/**
  * The count in environment variable @p name. Unset, empty or 0 gives
- * @p fallback; any other value must be decimal digits no greater than
- * @p max, or this throws std::invalid_argument naming the variable and
- * its value ("400k", "2e6" and "-1" are errors, not 400, 2 and 2^64-1).
+ * @p fallback; any other value must be a parseCount() count no greater
+ * than @p max, or this throws std::invalid_argument naming the variable
+ * and its value.
  */
 std::uint64_t envCount(const char *name, std::uint64_t fallback,
                        std::uint64_t max = UINT64_MAX);

@@ -108,7 +108,7 @@ SweepRunner::add(const std::string &key, const SystemConfig &cfg,
     job.instructions = instructions ? instructions : defaultInstructions();
     job.warmup = warmup ? warmup : defaultWarmup();
     job.seed = cfg.seed;
-    job.topology = dumpTopologySpec(topologyOf(cfg));
+    job.topology = topologyText(cfg);
     job.pointKey = tryPointKey(cfg, specs, job.instructions, job.warmup);
     // Obs paths expand with the sweep key, not the benchmark label: keys
     // are unique per point (a baseline/proposed pair shares a label), so

@@ -48,11 +48,9 @@ System::System(SystemConfig cfg,
                std::vector<std::unique_ptr<Workload>> workloads)
     : cfg_(cfg), workloads_(std::move(workloads))
 {
-    // Every composition decision below flows from the declarative
-    // topology the config describes; reject inconsistent shapes (bad
-    // slice/set ratios, zero cores) before building anything.
-    const TopologySpec topo = topologyOf(cfg_);
-    validateTopology(topo, cfg_.llcPerCore.sizeBytes);
+    // Reject shapes that cannot be built (bad slice/set ratios, zero
+    // cores) before building anything.
+    validateTopology(cfg_);
 
     const unsigned threads = cfg_.threads();
     if (workloads_.size() != threads)
@@ -80,28 +78,22 @@ System::System(SystemConfig cfg,
             std::make_unique<PageTable>(hostFrames_, hostPolicy);
     }
 
-    // DRAM: explicit channel count from the topology, else one channel
-    // per four cores (Table I).
+    // DRAM: dramChannelsOf(cfg) channels (one per four cores unless
+    // set); TEMPO when dram.tempo is set.
     DramParams dp = cfg_.dram;
-    if (dp.channels == 1 && cfg_.numCores > 4)
-        dp.channels = (cfg_.numCores + 3) / 4;
-    dp.tempo = cfg_.tempo;
+    dp.channels = dramChannelsOf(cfg_);
     dram_ = std::make_unique<Dram>("DRAM", eq_, dp);
 
-    // Shared LLC: total capacity from the topology (default 2MB per
-    // core), address-interleaved across llcSlices independent Cache
-    // instances. Each slice indexes above the slice-select bits so
-    // sibling slices cover disjoint sets of the monolithic geometry.
-    const unsigned slices = cfg_.llcSlices ? cfg_.llcSlices : 1;
+    // Shared LLC: llcBytesOf(cfg) (default 2MB per core),
+    // address-interleaved across llcSlices independent Cache instances.
+    // Each slice indexes above the slice-select bits so sibling slices
+    // cover disjoint sets of the monolithic geometry.
+    const unsigned slices = cfg_.llcSlices;
     llcSliceMask_ = slices - 1;
     {
-        const std::uint64_t llcBytes = cfg_.llcTotalBytes
-            ? cfg_.llcTotalBytes
-            : static_cast<std::uint64_t>(cfg_.llcPerCore.sizeBytes) *
-                cfg_.numCores;
         const std::uint32_t ways = cfg_.llcPerCore.ways;
         const std::uint32_t setsTotal = static_cast<std::uint32_t>(
-            llcBytes / (static_cast<std::uint64_t>(ways) * kBlockSize));
+            llcBytesOf(cfg_) / (std::uint64_t{ways} * kBlockSize));
         const std::uint32_t mshrsTotal =
             cfg_.llcPerCore.mshrs * cfg_.numCores;
 
@@ -125,7 +117,7 @@ System::System(SystemConfig cfg,
             p.arb.smt = cfg_.threadsPerCore;
             p.arb.mshrQuota = cfg_.llcMshrQuotaPerCore;
             p.arb.bwTokens = cfg_.llcBwTokensPerCore;
-            p.arb.bwWindow = cfg_.llcBwWindow ? cfg_.llcBwWindow : 64;
+            p.arb.bwWindow = cfg_.llcBwWindow;
             llc_.push_back(std::make_unique<Cache>(
                 p, eq_, dram_.get(),
                 buildLlcPolicy(p.sets, p.ways, cfg_.seed + s)));
@@ -148,7 +140,7 @@ System::System(SystemConfig cfg,
         llcRouter_ ? static_cast<MemDevice *>(llcRouter_.get())
                    : static_cast<MemDevice *>(llc_[0].get());
 
-    if (cfg_.tempo) {
+    if (cfg_.dram.tempo) {
         dram_->setTempoHook([this](Addr block, Addr ip) {
             llcSliceFor(block).issuePrefetch(block, PrefetchOrigin::Tempo,
                                              ip);

@@ -10,13 +10,14 @@
  * DRAM. This mirrors the paper's single-core, 2-way SMT and 8-core
  * evaluations (§V).
  *
- * The machine shape is fully described by a TopologySpec
- * (sim/topology.hh): core/SMT counts, total LLC capacity, the LLC's
- * address-interleaved slicing (one Cache per slice behind a
- * SliceRouter), derived DRAM channels, and the per-core MSHR-quota /
- * bandwidth-token arbitration the shared slices apply. The defaults
- * reproduce the fixed pre-topology machine exactly: one monolithic
- * slice, no router, no arbitration.
+ * The machine shape is SystemConfig's composition fields, which
+ * topology text (sim/topology.hh) sets: core/SMT counts, total LLC
+ * capacity (llcBytesOf), the LLC's address-interleaved slicing (one
+ * Cache per slice behind a SliceRouter), DRAM channels
+ * (dramChannelsOf), and the per-core MSHR-quota / bandwidth-token
+ * arbitration the shared slices apply. The defaults reproduce the
+ * fixed pre-topology machine exactly: one monolithic slice, no router,
+ * no arbitration.
  */
 
 #ifndef TACSIM_SIM_SYSTEM_HH

@@ -1,8 +1,11 @@
 #include "sim/topology.hh"
 
-#include <cstdlib>
+#include <limits>
+#include <optional>
 #include <stdexcept>
 #include <vector>
+
+#include "sim/runner.hh"
 
 namespace tacsim {
 
@@ -20,27 +23,24 @@ isPow2(std::uint64_t v)
     return v != 0 && (v & (v - 1)) == 0;
 }
 
-/** Strict unsigned decimal parse; the whole token must be digits. */
+/** Parse the count @p s into @p out; false (and @p out untouched) when
+ *  @p s is not a count or does not fit @p out's type. */
+template <typename T>
 bool
-parseU64(const std::string &s, std::uint64_t &out)
+countInto(const std::string &s, T &out)
 {
-    if (s.empty() || s.size() > 19)
-        return false;
-    std::uint64_t v = 0;
-    for (char c : s) {
-        if (c < '0' || c > '9')
-            return false;
-        v = v * 10 + static_cast<std::uint64_t>(c - '0');
-    }
-    out = v;
-    return true;
+    const std::optional<std::uint64_t> n =
+        parseCount(s, std::numeric_limits<T>::max());
+    if (n)
+        out = static_cast<T>(*n);
+    return n.has_value();
 }
 
 constexpr std::uint64_t kKiB = 1024;
 constexpr std::uint64_t kMiB = kKiB * 1024;
 constexpr std::uint64_t kGiB = kMiB * 1024;
 
-/** "16MB" / "512KB" / "1GB" / plain bytes -> byte count. */
+/** "16MB" / "512KB" / "1GB" / plain bytes -> nonzero byte count. */
 bool
 parseSize(const std::string &s, std::uint64_t &out)
 {
@@ -57,10 +57,11 @@ parseSize(const std::string &s, std::uint64_t &out)
         if (mult != 1)
             digits = s.substr(0, s.size() - 2);
     }
-    std::uint64_t v = 0;
-    if (!parseU64(digits, v) || v == 0)
+    const std::optional<std::uint64_t> v =
+        parseCount(digits, std::numeric_limits<std::uint64_t>::max() / mult);
+    if (!v || *v == 0)
         return false;
-    out = v * mult;
+    out = *v * mult;
     return true;
 }
 
@@ -78,111 +79,109 @@ formatSize(std::uint64_t bytes)
 
 /** `<size>/<w>w` or `auto/<w>w` or bare `<size>` / `auto`. */
 void
-parseLlcValue(const std::string &value, TopologySpec &spec)
+parseLlcValue(const std::string &value, SystemConfig &cfg)
 {
     std::string sizePart = value;
     const std::size_t slash = value.find('/');
     if (slash != std::string::npos) {
         sizePart = value.substr(0, slash);
         const std::string waysPart = value.substr(slash + 1);
-        std::uint64_t ways = 0;
         if (waysPart.empty() || waysPart.back() != 'w' ||
-            !parseU64(waysPart.substr(0, waysPart.size() - 1), ways))
+            !countInto(waysPart.substr(0, waysPart.size() - 1),
+                       cfg.llcPerCore.ways))
             fail("bad ways '" + waysPart + "' for 'llc'");
-        spec.llcWays = static_cast<std::uint32_t>(ways);
     }
     if (sizePart == "auto") {
-        spec.llcBytes = 0;
+        cfg.llcTotalBytes = 0;
         return;
     }
-    if (!parseSize(sizePart, spec.llcBytes))
+    if (!parseSize(sizePart, cfg.llcTotalBytes))
         fail("bad size '" + sizePart + "' for 'llc'");
 }
 
 /** `<tokens>` or `<tokens>/<window>c`. */
 void
-parseBwValue(const std::string &value, TopologySpec &spec)
+parseBwValue(const std::string &value, SystemConfig &cfg)
 {
     std::string tokenPart = value;
     const std::size_t slash = value.find('/');
     if (slash != std::string::npos) {
         tokenPart = value.substr(0, slash);
         const std::string winPart = value.substr(slash + 1);
-        std::uint64_t window = 0;
         if (winPart.empty() || winPart.back() != 'c' ||
-            !parseU64(winPart.substr(0, winPart.size() - 1), window))
+            !countInto(winPart.substr(0, winPart.size() - 1),
+                       cfg.llcBwWindow))
             fail("bad window '" + winPart + "' for 'bw'");
-        spec.bwWindow = window;
     }
-    std::uint64_t tokens = 0;
-    if (!parseU64(tokenPart, tokens))
+    if (!countInto(tokenPart, cfg.llcBwTokensPerCore))
         fail("bad value '" + tokenPart + "' for 'bw'");
-    spec.bwTokens = static_cast<std::uint32_t>(tokens);
-}
-
-std::uint64_t
-parseCount(const std::string &value, const std::string &key)
-{
-    std::uint64_t v = 0;
-    if (!parseU64(value, v))
-        fail("bad value '" + value + "' for '" + key + "'");
-    return v;
 }
 
 } // namespace
 
 std::uint64_t
-resolvedLlcBytes(const TopologySpec &spec, std::uint64_t perCoreBytes)
+llcBytesOf(const SystemConfig &cfg)
 {
-    return spec.llcBytes ? spec.llcBytes : perCoreBytes * spec.cores;
+    return cfg.llcTotalBytes
+        ? cfg.llcTotalBytes
+        : std::uint64_t{cfg.llcPerCore.sizeBytes} * cfg.numCores;
 }
 
-std::uint64_t
-resolvedLlcSets(const TopologySpec &spec, std::uint64_t perCoreBytes)
+unsigned
+dramChannelsOf(const SystemConfig &cfg)
 {
-    const std::uint64_t rowBytes =
-        static_cast<std::uint64_t>(spec.llcWays) * kBlockSize;
-    return rowBytes ? resolvedLlcBytes(spec, perCoreBytes) / rowBytes : 0;
+    return cfg.dram.channels ? cfg.dram.channels : (cfg.numCores + 3) / 4;
 }
 
 void
-validateTopology(const TopologySpec &spec, std::uint64_t perCoreBytes)
+validateTopology(const SystemConfig &cfg)
 {
-    if (spec.cores == 0)
+    if (cfg.numCores == 0)
         fail("cores must be nonzero");
-    if (spec.cores > 1024)
+    if (cfg.numCores > 1024)
         fail("cores must be <= 1024");
-    if (spec.smt == 0 || spec.smt > 8)
+    if (cfg.threadsPerCore == 0 || cfg.threadsPerCore > 8)
         fail("smt must be in 1..8");
-    if (!isPow2(spec.llcWays))
+    if (!isPow2(cfg.llcPerCore.ways))
         fail("llc ways must be a nonzero power of two");
-    if (!isPow2(spec.slices))
+    if (!isPow2(cfg.llcSlices))
         fail("slices must be a nonzero power of two");
-    if (spec.bwWindow == 0)
+    if (cfg.llcBwWindow == 0)
         fail("bw window must be nonzero");
 
-    const std::uint64_t bytes = resolvedLlcBytes(spec, perCoreBytes);
+    const std::uint64_t bytes = llcBytesOf(cfg);
     const std::uint64_t rowBytes =
-        static_cast<std::uint64_t>(spec.llcWays) * kBlockSize;
+        std::uint64_t{cfg.llcPerCore.ways} * kBlockSize;
     const std::uint64_t sets = bytes / rowBytes;
     if (bytes % rowBytes != 0 || !isPow2(sets))
         fail("llc size " + formatSize(bytes) + " with " +
-             std::to_string(spec.llcWays) +
+             std::to_string(cfg.llcPerCore.ways) +
              " ways does not yield a power-of-two set count");
-    if (spec.slices > sets)
-        fail("slices (" + std::to_string(spec.slices) +
+    if (cfg.llcSlices > sets)
+        fail("slices (" + std::to_string(cfg.llcSlices) +
              ") exceed llc sets (" + std::to_string(sets) + ")");
 }
 
-TopologySpec
-parseTopologySpec(const std::string &text)
+SystemConfig
+configFromTopology(const std::string &text, SystemConfig cfg)
 {
     if (text.empty())
         fail("empty spec");
 
-    TopologySpec spec;
-    std::vector<std::string> seen;
+    // Keys the text omits take SystemConfig's defaults, not @p cfg's.
+    const SystemConfig d;
+    cfg.numCores = d.numCores;
+    cfg.threadsPerCore = d.threadsPerCore;
+    cfg.llcTotalBytes = d.llcTotalBytes;
+    cfg.llcPerCore.ways = d.llcPerCore.ways;
+    cfg.llcSlices = d.llcSlices;
+    cfg.llcSliceHopLatency = d.llcSliceHopLatency;
+    cfg.dram.channels = d.dram.channels;
+    cfg.llcMshrQuotaPerCore = d.llcMshrQuotaPerCore;
+    cfg.llcBwTokensPerCore = d.llcBwTokensPerCore;
+    cfg.llcBwWindow = d.llcBwWindow;
 
+    std::vector<std::string> seen;
     std::size_t pos = 0;
     while (pos <= text.size()) {
         std::size_t comma = text.find(',', pos);
@@ -202,101 +201,62 @@ parseTopologySpec(const std::string &text)
                 fail("duplicate key '" + key + "'");
         seen.push_back(key);
 
+        auto count = [&](auto &field) {
+            if (!countInto(value, field))
+                fail("bad value '" + value + "' for '" + key + "'");
+        };
         if (key == "cores")
-            spec.cores = static_cast<unsigned>(parseCount(value, key));
+            count(cfg.numCores);
         else if (key == "smt")
-            spec.smt = static_cast<unsigned>(parseCount(value, key));
+            count(cfg.threadsPerCore);
         else if (key == "llc")
-            parseLlcValue(value, spec);
+            parseLlcValue(value, cfg);
         else if (key == "slices")
-            spec.slices = static_cast<unsigned>(parseCount(value, key));
+            count(cfg.llcSlices);
         else if (key == "slice_lat")
-            spec.sliceHopLatency = parseCount(value, key);
+            count(cfg.llcSliceHopLatency);
         else if (key == "chan")
-            spec.channels = static_cast<unsigned>(parseCount(value, key));
+            count(cfg.dram.channels);
         else if (key == "mshr_quota")
-            spec.mshrQuota =
-                static_cast<std::uint32_t>(parseCount(value, key));
+            count(cfg.llcMshrQuotaPerCore);
         else if (key == "bw")
-            parseBwValue(value, spec);
+            parseBwValue(value, cfg);
         else
             fail("unknown key '" + key + "'");
     }
 
-    validateTopology(spec);
-    return spec;
+    validateTopology(cfg);
+    return cfg;
 }
 
 std::string
-dumpTopologySpec(const TopologySpec &spec)
+topologyText(const SystemConfig &cfg)
 {
-    std::string out = "cores=" + std::to_string(spec.cores);
-    if (spec.smt != 1)
-        out += ",smt=" + std::to_string(spec.smt);
-    if (spec.llcBytes != 0 || spec.llcWays != 16) {
+    const SystemConfig d;
+    std::string out = "cores=" + std::to_string(cfg.numCores);
+    if (cfg.threadsPerCore != d.threadsPerCore)
+        out += ",smt=" + std::to_string(cfg.threadsPerCore);
+    if (cfg.llcTotalBytes != d.llcTotalBytes ||
+        cfg.llcPerCore.ways != d.llcPerCore.ways) {
         out += ",llc=";
-        out += spec.llcBytes ? formatSize(spec.llcBytes)
-                             : std::string("auto");
-        out += "/" + std::to_string(spec.llcWays) + "w";
+        out += cfg.llcTotalBytes ? formatSize(cfg.llcTotalBytes)
+                                 : std::string("auto");
+        out += "/" + std::to_string(cfg.llcPerCore.ways) + "w";
     }
-    if (spec.slices != 1)
-        out += ",slices=" + std::to_string(spec.slices);
-    if (spec.sliceHopLatency != 0)
-        out += ",slice_lat=" + std::to_string(spec.sliceHopLatency);
-    if (spec.channels != 0)
-        out += ",chan=" + std::to_string(spec.channels);
-    if (spec.mshrQuota != 0)
-        out += ",mshr_quota=" + std::to_string(spec.mshrQuota);
-    if (spec.bwTokens != 0) {
-        out += ",bw=" + std::to_string(spec.bwTokens);
-        if (spec.bwWindow != 64)
-            out += "/" + std::to_string(spec.bwWindow) + "c";
+    if (cfg.llcSlices != d.llcSlices)
+        out += ",slices=" + std::to_string(cfg.llcSlices);
+    if (cfg.llcSliceHopLatency != d.llcSliceHopLatency)
+        out += ",slice_lat=" + std::to_string(cfg.llcSliceHopLatency);
+    if (cfg.dram.channels != d.dram.channels)
+        out += ",chan=" + std::to_string(cfg.dram.channels);
+    if (cfg.llcMshrQuotaPerCore != d.llcMshrQuotaPerCore)
+        out += ",mshr_quota=" + std::to_string(cfg.llcMshrQuotaPerCore);
+    if (cfg.llcBwTokensPerCore != d.llcBwTokensPerCore) {
+        out += ",bw=" + std::to_string(cfg.llcBwTokensPerCore);
+        if (cfg.llcBwWindow != d.llcBwWindow)
+            out += "/" + std::to_string(cfg.llcBwWindow) + "c";
     }
     return out;
-}
-
-TopologySpec
-topologyOf(const SystemConfig &cfg)
-{
-    TopologySpec spec;
-    spec.cores = cfg.numCores;
-    spec.smt = cfg.threadsPerCore;
-    spec.llcBytes = cfg.llcTotalBytes;
-    spec.llcWays = cfg.llcPerCore.ways;
-    spec.slices = cfg.llcSlices;
-    spec.sliceHopLatency = cfg.llcSliceHopLatency;
-    // One channel is both the config default and the "derive from core
-    // count" marker (System sizes channels up for >4 cores), so it maps
-    // back to the spec's auto value.
-    spec.channels = cfg.dram.channels == 1 ? 0 : cfg.dram.channels;
-    spec.mshrQuota = cfg.llcMshrQuotaPerCore;
-    spec.bwTokens = cfg.llcBwTokensPerCore;
-    spec.bwWindow = cfg.llcBwWindow;
-    return spec;
-}
-
-void
-applyTopology(const TopologySpec &spec, SystemConfig &cfg)
-{
-    validateTopology(spec, cfg.llcPerCore.sizeBytes);
-    cfg.numCores = spec.cores;
-    cfg.threadsPerCore = spec.smt;
-    cfg.llcTotalBytes = spec.llcBytes;
-    cfg.llcPerCore.ways = spec.llcWays;
-    cfg.llcSlices = spec.slices;
-    cfg.llcSliceHopLatency = spec.sliceHopLatency;
-    if (spec.channels != 0)
-        cfg.dram.channels = spec.channels;
-    cfg.llcMshrQuotaPerCore = spec.mshrQuota;
-    cfg.llcBwTokensPerCore = spec.bwTokens;
-    cfg.llcBwWindow = spec.bwWindow;
-}
-
-SystemConfig
-configFromTopology(const std::string &text, SystemConfig base)
-{
-    applyTopology(parseTopologySpec(text), base);
-    return base;
 }
 
 } // namespace tacsim

@@ -1,10 +1,9 @@
 /**
  * @file
- * Declarative system topology: one compact spec string describes how
- * many cores/SMT threads to build, the shared-LLC geometry and its
- * slicing, DRAM channel count, and the per-core arbitration knobs at
- * the LLC. System composition consumes the resolved spec instead of
- * hand-wired constructor paths, so a 64-core mix is one string away:
+ * Topology text: the shape of the simulated machine in one compact
+ * string — how many cores/SMT threads to build, the shared-LLC geometry
+ * and its slicing, the DRAM channel count, and the per-core arbitration
+ * knobs at the LLC — so a 64-core mix is one string away:
  *
  *     cores=32,smt=2,llc=16MB/32w,slices=8,chan=4
  *
@@ -23,10 +22,17 @@
  *     bw=<t>[/<w>c]      LLC demand-lookup tokens per core per window
  *                        of <w> cycles (default window 64; 0 = off)
  *
- * parse/dump round-trip: dumpTopologySpec() emits the canonical form
- * (defaults omitted, fixed key order), and parsing that string yields
- * an identical spec. Malformed specs throw std::invalid_argument with
- * a stable "topology: ..." message.
+ * The text has no representation of its own: it parses straight into
+ * SystemConfig's composition fields (cores -> numCores, smt ->
+ * threadsPerCore, llc -> llcTotalBytes and llcPerCore.ways, slices ->
+ * llcSlices, slice_lat -> llcSliceHopLatency, chan -> dram.channels,
+ * mshr_quota -> llcMshrQuotaPerCore, bw -> llcBwTokensPerCore and
+ * llcBwWindow) and prints back from them. Every count must be decimal
+ * digits that fit its field (parseCount, sim/runner.hh). topologyText()
+ * emits the canonical form (defaults omitted, fixed key order), and
+ * configFromTopology() of that text reproduces the fields. Malformed
+ * text or an impossible shape throws std::invalid_argument with a
+ * stable "topology: ..." message.
  */
 
 #ifndef TACSIM_SIM_TOPOLOGY_HH
@@ -35,84 +41,32 @@
 #include <cstdint>
 #include <string>
 
-#include "common/types.hh"
 #include "sim/config.hh"
 
 namespace tacsim {
 
-/** Declarative shape of the simulated machine (see file comment). */
-struct TopologySpec
-{
-    unsigned cores = 1;
-    unsigned smt = 1; ///< hardware threads per core
+/** Total LLC bytes: llcTotalBytes, or llcPerCore.sizeBytes per core
+ *  when that is 0 ("auto"). */
+std::uint64_t llcBytesOf(const SystemConfig &cfg);
 
-    /** Total LLC bytes; 0 derives the paper's 2MB-per-core sizing. */
-    std::uint64_t llcBytes = 0;
-    std::uint32_t llcWays = 16;
+/** DRAM channels: dram.channels, or one per four cores when that is 0
+ *  (Table I). */
+unsigned dramChannelsOf(const SystemConfig &cfg);
 
-    unsigned slices = 1;        ///< address-interleaved LLC slices
-    Cycle sliceHopLatency = 0;  ///< per-ring-hop cycles to a remote slice
+/** Throw std::invalid_argument with a stable "topology: ..." message
+ *  on the first composition field of @p cfg that cannot build a
+ *  machine. The parser and System's constructor both call this. */
+void validateTopology(const SystemConfig &cfg);
 
-    /** DRAM channels; 0 derives one channel per four cores (Table I). */
-    unsigned channels = 0;
-
-    /** Per-core cap on live LLC MSHRs (per slice); 0 disables. */
-    std::uint32_t mshrQuota = 0;
-    /** Per-core LLC demand lookups per bwWindow (per slice); 0 = off. */
-    std::uint32_t bwTokens = 0;
-    Cycle bwWindow = 64;
-
-    unsigned threads() const { return cores * smt; }
-
-    bool
-    operator==(const TopologySpec &o) const
-    {
-        return cores == o.cores && smt == o.smt &&
-            llcBytes == o.llcBytes && llcWays == o.llcWays &&
-            slices == o.slices && sliceHopLatency == o.sliceHopLatency &&
-            channels == o.channels && mshrQuota == o.mshrQuota &&
-            bwTokens == o.bwTokens && bwWindow == o.bwWindow;
-    }
-    bool operator!=(const TopologySpec &o) const { return !(*this == o); }
-};
-
-/** LLC capacity the spec resolves to; @p perCoreBytes fills the "auto"
- *  (llcBytes == 0) case. */
-std::uint64_t resolvedLlcBytes(const TopologySpec &spec,
-                               std::uint64_t perCoreBytes);
-
-/** Total LLC sets the spec resolves to (before slicing). */
-std::uint64_t resolvedLlcSets(const TopologySpec &spec,
-                              std::uint64_t perCoreBytes);
-
-/**
- * Validate @p spec; throws std::invalid_argument with a stable
- * "topology: ..." message on the first violated constraint. The LLC
- * set-count constraints (power-of-two sets, slices <= sets) need a
- * concrete capacity, so the auto size is resolved against
- * @p perCoreBytes.
- */
-void validateTopology(const TopologySpec &spec,
-                      std::uint64_t perCoreBytes = 2u << 20);
-
-/** Parse and validate a spec string (grammar in the file comment). */
-TopologySpec parseTopologySpec(const std::string &text);
-
-/** Canonical string form: defaults omitted, fixed key order; parsing
- *  the result reproduces @p spec exactly. */
-std::string dumpTopologySpec(const TopologySpec &spec);
-
-/** The topology a SystemConfig describes (the inverse of
- *  applyTopology; composition-unrelated fields are ignored). */
-TopologySpec topologyOf(const SystemConfig &cfg);
-
-/** Overwrite @p cfg's composition fields from @p spec (validating it
- *  against the config's per-core LLC sizing first). */
-void applyTopology(const TopologySpec &spec, SystemConfig &cfg);
-
-/** Convenience: @p base with the parsed @p text applied. */
+/** @p base with its composition fields set from @p text (grammar in the
+ *  file comment); keys the text omits take SystemConfig's defaults.
+ *  Validated. */
 SystemConfig configFromTopology(const std::string &text,
                                 SystemConfig base = {});
+
+/** Canonical text of @p cfg's composition fields: defaults omitted,
+ *  fixed key order. */
+std::string topologyText(const SystemConfig &cfg);
 
 } // namespace tacsim
 

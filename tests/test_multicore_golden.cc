@@ -1,7 +1,7 @@
 /**
  * @file
  * Multicore golden-run snapshots: tiny-budget 16-core and 32-core
- * heterogeneous mixes built from declarative TopologySpec strings,
+ * heterogeneous mixes built from topology text (sim/topology.hh),
  * with sliced LLCs and per-core arbitration engaged, compared field by
  * field against snapshots in tests/golden/. This pins the scale-out
  * composition path (slicing, ring hops, MSHR quotas, bandwidth tokens,

@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "serve/point_key.hh"
 #include "serve/sha256.hh"
@@ -161,8 +162,27 @@ TEST(PointKey, CanonicalConfigTextIsVersionedAndComplete)
     EXPECT_NE(text.find("\nseed "), std::string::npos);
 
     SystemConfig other = cfg;
-    other.tempo = !other.tempo;
+    other.dram.tempo = !other.dram.tempo;
     EXPECT_NE(canonicalConfigText(other), text);
+
+    // Every composition field that topology text sets is in the text.
+    const std::vector<void (*)(SystemConfig &)> toggles = {
+        [](SystemConfig &c) { c.numCores = 2; },
+        [](SystemConfig &c) { c.threadsPerCore = 2; },
+        [](SystemConfig &c) { c.llcTotalBytes = 4 << 20; },
+        [](SystemConfig &c) { c.llcPerCore.ways = 8; },
+        [](SystemConfig &c) { c.llcSlices = 2; },
+        [](SystemConfig &c) { c.llcSliceHopLatency = 1; },
+        [](SystemConfig &c) { c.dram.channels = 1; },
+        [](SystemConfig &c) { c.llcMshrQuotaPerCore = 8; },
+        [](SystemConfig &c) { c.llcBwTokensPerCore = 8; },
+        [](SystemConfig &c) { c.llcBwWindow = 32; },
+    };
+    for (std::size_t i = 0; i < toggles.size(); ++i) {
+        SystemConfig changed = cfg;
+        toggles[i](changed);
+        EXPECT_NE(canonicalConfigText(changed), text) << "field " << i;
+    }
 }
 
 } // namespace

@@ -187,7 +187,7 @@ TEST(TranslationAware, AppliesAllFlags)
     EXPECT_TRUE(cfg.llcOpts.translationRrpv0);
     EXPECT_TRUE(cfg.atpL2);
     EXPECT_TRUE(cfg.atpLlc);
-    EXPECT_TRUE(cfg.tempo);
+    EXPECT_TRUE(cfg.dram.tempo);
 }
 
 TEST(TranslationAware, TShipReducesLlcTranslationMisses)

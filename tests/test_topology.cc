@@ -1,17 +1,24 @@
 /**
  * @file
- * TopologySpec parser/dumper unit tests: canonical round-trips, exact
- * rejection messages for every malformed-spec class, the
- * SystemConfig<->TopologySpec mapping, and a seeded property stress
- * loop asserting dump->parse is the identity on random valid specs.
+ * Topology text unit tests: canonical round-trips through SystemConfig,
+ * exact rejection messages for every malformed-text class (narrowing
+ * counts included), the text <-> composition-field mapping, the DRAM
+ * channel rule as System builds it, and a seeded property stress loop
+ * asserting text -> config -> text is the identity on random valid
+ * machines.
  */
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <stdexcept>
+#include <vector>
 
 #include "common/rng.hh"
+#include "sim/config.hh"
+#include "sim/system.hh"
 #include "sim/topology.hh"
+#include "workloads/benchmarks.hh"
 
 namespace tacsim {
 namespace {
@@ -21,7 +28,7 @@ std::string
 parseError(const std::string &text)
 {
     try {
-        parseTopologySpec(text);
+        configFromTopology(text);
     } catch (const std::invalid_argument &e) {
         return e.what();
     } catch (const std::exception &e) {
@@ -35,33 +42,32 @@ parseError(const std::string &text)
 
 TEST(TopologySpecTest, ParsesTheHeadlineExample)
 {
-    const TopologySpec s =
-        parseTopologySpec("cores=32,smt=2,llc=16MB/32w,slices=8,chan=4");
-    EXPECT_EQ(s.cores, 32u);
-    EXPECT_EQ(s.smt, 2u);
-    EXPECT_EQ(s.threads(), 64u);
-    EXPECT_EQ(s.llcBytes, 16u * 1024 * 1024);
-    EXPECT_EQ(s.llcWays, 32u);
-    EXPECT_EQ(s.slices, 8u);
-    EXPECT_EQ(s.channels, 4u);
+    const SystemConfig cfg =
+        configFromTopology("cores=32,smt=2,llc=16MB/32w,slices=8,chan=4");
+    EXPECT_EQ(cfg.numCores, 32u);
+    EXPECT_EQ(cfg.threadsPerCore, 2u);
+    EXPECT_EQ(cfg.threads(), 64u);
+    EXPECT_EQ(cfg.llcTotalBytes, 16u * 1024 * 1024);
+    EXPECT_EQ(cfg.llcPerCore.ways, 32u);
+    EXPECT_EQ(cfg.llcSlices, 8u);
+    EXPECT_EQ(cfg.dram.channels, 4u);
     // Unmentioned knobs keep their defaults.
-    EXPECT_EQ(s.sliceHopLatency, 0u);
-    EXPECT_EQ(s.mshrQuota, 0u);
-    EXPECT_EQ(s.bwTokens, 0u);
-    EXPECT_EQ(s.bwWindow, 64u);
+    EXPECT_EQ(cfg.llcSliceHopLatency, 0u);
+    EXPECT_EQ(cfg.llcMshrQuotaPerCore, 0u);
+    EXPECT_EQ(cfg.llcBwTokensPerCore, 0u);
+    EXPECT_EQ(cfg.llcBwWindow, 64u);
 }
 
 TEST(TopologySpecTest, DumpIsCanonicalAndOmitsDefaults)
 {
-    EXPECT_EQ(dumpTopologySpec(TopologySpec{}), "cores=1");
+    EXPECT_EQ(topologyText(SystemConfig{}), "cores=1");
 
     const std::string text =
         "cores=32,smt=2,llc=16MB/32w,slices=8,chan=4";
-    EXPECT_EQ(dumpTopologySpec(parseTopologySpec(text)), text);
+    EXPECT_EQ(topologyText(configFromTopology(text)), text);
 
     // Keys are re-emitted in canonical order regardless of input order.
-    EXPECT_EQ(dumpTopologySpec(
-                  parseTopologySpec("slices=4,cores=16,smt=2")),
+    EXPECT_EQ(topologyText(configFromTopology("slices=4,cores=16,smt=2")),
               "cores=16,smt=2,slices=4");
 }
 
@@ -70,37 +76,38 @@ TEST(TopologySpecTest, RoundTripsEveryKey)
     const std::string text =
         "cores=64,smt=4,llc=128MB/32w,slices=16,slice_lat=3,chan=8,"
         "mshr_quota=24,bw=16/128c";
-    const TopologySpec s = parseTopologySpec(text);
-    EXPECT_EQ(s.sliceHopLatency, 3u);
-    EXPECT_EQ(s.mshrQuota, 24u);
-    EXPECT_EQ(s.bwTokens, 16u);
-    EXPECT_EQ(s.bwWindow, 128u);
-    EXPECT_EQ(dumpTopologySpec(s), text);
-    EXPECT_EQ(parseTopologySpec(dumpTopologySpec(s)), s);
+    const SystemConfig cfg = configFromTopology(text);
+    EXPECT_EQ(cfg.llcSliceHopLatency, 3u);
+    EXPECT_EQ(cfg.llcMshrQuotaPerCore, 24u);
+    EXPECT_EQ(cfg.llcBwTokensPerCore, 16u);
+    EXPECT_EQ(cfg.llcBwWindow, 128u);
+    EXPECT_EQ(topologyText(cfg), text);
+    EXPECT_EQ(canonicalConfigText(configFromTopology(topologyText(cfg))),
+              canonicalConfigText(cfg));
 }
 
 TEST(TopologySpecTest, LlcSizesAcceptAllUnitsAndAuto)
 {
-    EXPECT_EQ(parseTopologySpec("cores=1,llc=512KB/8w").llcBytes,
+    EXPECT_EQ(configFromTopology("cores=1,llc=512KB/8w").llcTotalBytes,
               512u * 1024);
-    EXPECT_EQ(parseTopologySpec("cores=1,llc=1GB/16w").llcBytes,
+    EXPECT_EQ(configFromTopology("cores=1,llc=1GB/16w").llcTotalBytes,
               std::uint64_t{1} << 30);
     // Plain bytes work and dump as the largest exact unit.
-    EXPECT_EQ(dumpTopologySpec(parseTopologySpec("cores=1,llc=65536/4w")),
+    EXPECT_EQ(topologyText(configFromTopology("cores=1,llc=65536/4w")),
               "cores=1,llc=64KB/4w");
 
-    const TopologySpec a = parseTopologySpec("cores=4,llc=auto/32w");
-    EXPECT_EQ(a.llcBytes, 0u);
-    EXPECT_EQ(a.llcWays, 32u);
-    EXPECT_EQ(resolvedLlcBytes(a, 2u << 20), 8u * 1024 * 1024);
-    EXPECT_EQ(dumpTopologySpec(a), "cores=4,llc=auto/32w");
+    const SystemConfig a = configFromTopology("cores=4,llc=auto/32w");
+    EXPECT_EQ(a.llcTotalBytes, 0u);
+    EXPECT_EQ(a.llcPerCore.ways, 32u);
+    EXPECT_EQ(llcBytesOf(a), 8u * 1024 * 1024);
+    EXPECT_EQ(topologyText(a), "cores=4,llc=auto/32w");
 }
 
 TEST(TopologySpecTest, BwWindowDefaultIsOmitted)
 {
-    EXPECT_EQ(dumpTopologySpec(parseTopologySpec("cores=2,bw=32")),
+    EXPECT_EQ(topologyText(configFromTopology("cores=2,bw=32")),
               "cores=2,bw=32");
-    EXPECT_EQ(dumpTopologySpec(parseTopologySpec("cores=2,bw=32/64c")),
+    EXPECT_EQ(topologyText(configFromTopology("cores=2,bw=32/64c")),
               "cores=2,bw=32");
 }
 
@@ -123,6 +130,17 @@ TEST(TopologySpecTest, RejectsWithExactMessages)
               "power-of-two set count");
     EXPECT_EQ(parseError("cores=1,llc=64KB/16w,slices=128"),
               "topology: slices (128) exceed llc sets (64)");
+    // A count its field cannot hold is refused, not wrapped: these
+    // would otherwise build 1 core, 2 threads, no MSHR quota and an
+    // auto-sized (2^64 mod 2^64 = 0 byte) LLC.
+    EXPECT_EQ(parseError("cores=4294967297"),
+              "topology: bad value '4294967297' for 'cores'");
+    EXPECT_EQ(parseError("cores=4,smt=4294967298"),
+              "topology: bad value '4294967298' for 'smt'");
+    EXPECT_EQ(parseError("cores=4,mshr_quota=4294967296"),
+              "topology: bad value '4294967296' for 'mshr_quota'");
+    EXPECT_EQ(parseError("cores=4,llc=17179869184GB/16w"),
+              "topology: bad size '17179869184GB' for 'llc'");
 }
 
 TEST(TopologySpecTest, RejectsMalformedSyntax)
@@ -148,9 +166,9 @@ TEST(TopologySpecTest, RejectsMalformedSyntax)
 
 TEST(TopologySpecTest, ConfigMappingIsAnInverse)
 {
-    // The default config maps to the default spec (channels=1 is the
-    // auto marker, so it round-trips as 0).
-    EXPECT_EQ(dumpTopologySpec(topologyOf(SystemConfig{})), "cores=1");
+    // The default config prints as the default text (dram.channels=0
+    // is the derived-channels default, so it is omitted).
+    EXPECT_EQ(topologyText(SystemConfig{}), "cores=1");
 
     const std::string text =
         "cores=16,smt=2,llc=64MB/32w,slices=4,slice_lat=2,chan=4,"
@@ -166,52 +184,85 @@ TEST(TopologySpecTest, ConfigMappingIsAnInverse)
     EXPECT_EQ(cfg.llcMshrQuotaPerCore, 64u);
     EXPECT_EQ(cfg.llcBwTokensPerCore, 32u);
     EXPECT_EQ(cfg.llcBwWindow, 128u);
-    EXPECT_EQ(dumpTopologySpec(topologyOf(cfg)), text);
+    EXPECT_EQ(topologyText(cfg), text);
+
+    // Keys the text omits take the defaults, not the base config's.
+    EXPECT_EQ(topologyText(configFromTopology("cores=2", cfg)), "cores=2");
 }
 
 TEST(TopologySpecTest, ApplyValidatesAgainstTheConfigsLlcSizing)
 {
     // 3 slices is structurally invalid no matter the capacity.
-    SystemConfig cfg;
-    TopologySpec bad;
-    bad.slices = 3;
-    EXPECT_THROW(applyTopology(bad, cfg), std::invalid_argument);
-    // The config is untouched on failure paths before the writes.
-    EXPECT_EQ(cfg.llcSlices, 1u);
+    SystemConfig bad;
+    bad.llcSlices = 3;
+    EXPECT_THROW(validateTopology(bad), std::invalid_argument);
+
+    // "auto" sizes the LLC from the base config's per-core capacity:
+    // 1.5MB per core gives no power-of-two set count.
+    SystemConfig base;
+    base.llcPerCore.sizeBytes = 3 * 512 * 1024;
+    EXPECT_NO_THROW(configFromTopology("cores=1"));
+    EXPECT_THROW(configFromTopology("cores=1", base), std::invalid_argument);
+}
+
+TEST(TopologySpecTest, ChanIsTheChannelCountSystemBuilds)
+{
+    // One channel per four cores unless chan names a count; chan=1
+    // means one channel, not "derive".
+    auto channelsBuilt = [](const std::string &text) {
+        const SystemConfig cfg = configFromTopology(text);
+        std::vector<std::unique_ptr<Workload>> w;
+        for (unsigned t = 0; t < cfg.threads(); ++t)
+            w.push_back(makeWorkload(Benchmark::xalancbmk, cfg.seed + t));
+        return System(cfg, std::move(w)).dram().params().channels;
+    };
+    EXPECT_EQ(channelsBuilt("cores=8"), 2u);
+    EXPECT_EQ(channelsBuilt("cores=8,chan=1"), 1u);
+    EXPECT_EQ(channelsBuilt("cores=4"), 1u);
+    EXPECT_EQ(channelsBuilt("cores=4,chan=3"), 3u);
+
+    EXPECT_EQ(topologyText(configFromTopology("cores=8,chan=1")),
+              "cores=8,chan=1");
+    EXPECT_EQ(dramChannelsOf(configFromTopology("cores=9,llc=16MB/16w")),
+              3u);
 }
 
 TEST(TopologySpecTest, PropertyStressRoundTrip)
 {
-    // dump->parse must be the identity on any valid spec. The generator
-    // is seeded, so a failure reproduces exactly.
+    // text -> config -> text must be the identity on any valid machine.
+    // The generator is seeded, so a failure reproduces exactly.
     Rng rng(0x70b0106fu);
     for (int i = 0; i < 500; ++i) {
-        TopologySpec s;
-        s.cores = 1u << rng.range(8);
-        s.smt = 1 + static_cast<unsigned>(rng.range(8));
-        s.llcWays = 1u << rng.range(6);
+        SystemConfig cfg;
+        cfg.numCores = 1u << rng.range(8);
+        cfg.threadsPerCore = 1 + static_cast<unsigned>(rng.range(8));
+        cfg.llcPerCore.ways = 1u << rng.range(6);
         if (rng.range(2))
-            s.llcBytes =
-                (std::uint64_t{s.llcWays} * kBlockSize) << rng.range(12);
-        const std::uint64_t sets = resolvedLlcSets(s, 2u << 20);
+            cfg.llcTotalBytes =
+                (std::uint64_t{cfg.llcPerCore.ways} * kBlockSize)
+                << rng.range(12);
+        const std::uint64_t sets =
+            llcBytesOf(cfg) / (std::uint64_t{cfg.llcPerCore.ways} * kBlockSize);
         unsigned maxSliceLog = 0;
         while (maxSliceLog < 6 &&
                (std::uint64_t{1} << (maxSliceLog + 1)) <= sets)
             ++maxSliceLog;
-        s.slices = 1u << rng.range(maxSliceLog + 1);
-        s.sliceHopLatency = rng.range(8);
-        s.channels = static_cast<unsigned>(rng.range(9));
-        s.mshrQuota = static_cast<std::uint32_t>(rng.range(256));
-        s.bwTokens = static_cast<std::uint32_t>(rng.range(64));
-        // The window is only dumped alongside nonzero tokens.
-        s.bwWindow = s.bwTokens ? 1 + rng.range(256) : 64;
+        cfg.llcSlices = 1u << rng.range(maxSliceLog + 1);
+        cfg.llcSliceHopLatency = rng.range(8);
+        // Includes chan=1 on machines of more than four cores.
+        cfg.dram.channels = static_cast<unsigned>(rng.range(9));
+        cfg.llcMshrQuotaPerCore = static_cast<std::uint32_t>(rng.range(256));
+        cfg.llcBwTokensPerCore = static_cast<std::uint32_t>(rng.range(64));
+        // The window is only printed alongside nonzero tokens.
+        cfg.llcBwWindow = cfg.llcBwTokensPerCore ? 1 + rng.range(256) : 64;
 
-        ASSERT_NO_THROW(validateTopology(s)) << dumpTopologySpec(s);
-        const std::string text = dumpTopologySpec(s);
-        TopologySpec back;
-        ASSERT_NO_THROW(back = parseTopologySpec(text)) << text;
-        ASSERT_TRUE(back == s) << "round-trip drift through '" << text
-                               << "' (iteration " << i << ")";
+        const std::string text = topologyText(cfg);
+        ASSERT_NO_THROW(validateTopology(cfg)) << text;
+        SystemConfig back;
+        ASSERT_NO_THROW(back = configFromTopology(text)) << text;
+        ASSERT_EQ(canonicalConfigText(back), canonicalConfigText(cfg))
+            << "round-trip drift through '" << text << "' (iteration "
+            << i << ")";
     }
 }
 

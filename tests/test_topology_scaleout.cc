@@ -1,7 +1,7 @@
 /**
  * @file
  * Scale-out end-to-end tests for the declarative topology engine:
- * 16/32/64-core machines built from a TopologySpec string alone,
+ * 16/32/64-core machines built from a topology string alone,
  * byte-identical determinism between a serial sweep and a 4-worker
  * pool, pin tests that the default 1-core and 8-core machines are
  * bit-exact through the topology path (so the pre-existing goldens

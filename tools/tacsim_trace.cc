@@ -24,6 +24,7 @@
 #include <cstring>
 #include <exception>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -90,6 +91,18 @@ parseArgs(int argc, char **argv, int start, Args &a)
             }
             return argv[++i];
         };
+        auto count = [&]() -> std::uint64_t {
+            const char *v = value();
+            const std::optional<std::uint64_t> n = parseCount(v);
+            if (!n) {
+                std::fprintf(stderr,
+                             "tacsim-trace: %s \"%s\" is not a count: "
+                             "use decimal digits\n",
+                             arg.c_str(), v);
+                std::exit(2);
+            }
+            return *n;
+        };
         if (arg == "--benchmark")
             a.benchmark = value();
         else if (arg == "--out")
@@ -101,19 +114,19 @@ parseArgs(int argc, char **argv, int start, Args &a)
         else if (arg == "--dump")
             a.dump = value();
         else if (arg == "--instructions")
-            a.instructions = std::strtoull(value(), nullptr, 10);
+            a.instructions = count();
         else if (arg == "--warmup")
-            a.warmup = std::strtoull(value(), nullptr, 10);
+            a.warmup = count();
         else if (arg == "--seed")
-            a.seed = std::strtoull(value(), nullptr, 10);
+            a.seed = count();
         else if (arg == "--footprint")
-            a.footprint = std::strtoull(value(), nullptr, 10);
+            a.footprint = count();
         else if (arg == "--limit")
-            a.limit = std::strtoull(value(), nullptr, 10);
+            a.limit = count();
         else if (arg == "--proposed")
             a.proposed = true;
         else if (arg == "--sample-interval")
-            a.sampleInterval = std::strtoull(value(), nullptr, 10);
+            a.sampleInterval = count();
         else if (arg == "--timeseries")
             a.timeseries = value();
         else if (arg == "--chrome-trace")
