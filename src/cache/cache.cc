@@ -734,7 +734,7 @@ Cache::checkInvariants() const
 }
 
 void
-Cache::saveState(SerialWriter &w) const
+Cache::state(StateArchive &ar)
 {
     if (prefetcher_)
         throw std::runtime_error("checkpoint: cache '" + params_.name +
@@ -745,64 +745,25 @@ Cache::saveState(SerialWriter &w) const
     if (!mshrs_.empty() || !pending_.empty())
         throw std::runtime_error(
             "checkpoint: cache '" + params_.name +
-            "' has outstanding misses — quiesce before saving");
-    w.putU64(blocks_.size());
-    for (const BlockMeta &b : blocks_) {
-        w.putU64(b.tag);
-        w.putBool(b.valid);
-        w.putBool(b.dirty);
-        w.putBool(b.reused);
-        w.putU8(static_cast<std::uint8_t>(b.cat));
-        w.putU8(static_cast<std::uint8_t>(b.prefetchOrigin));
-        w.putU64(b.fillIp);
-    }
-    policy_->saveState(w);
-    w.putU64(arbMshrsByCore_.size());
-    for (std::uint32_t v : arbMshrsByCore_)
-        w.putU32(v);
-    for (std::uint32_t v : arbTokens_)
-        w.putU32(v);
-    w.putU64(arbWindow_);
-}
-
-void
-Cache::loadState(SerialReader &r)
-{
-    if (prefetcher_)
-        throw std::runtime_error("checkpoint: cache '" + params_.name +
-                                 "' has a prefetcher (unsupported)");
-    if (profiler_)
-        throw std::runtime_error("checkpoint: cache '" + params_.name +
-                                 "' has a recall profiler (unsupported)");
-    if (!mshrs_.empty() || !pending_.empty())
-        throw std::runtime_error(
-            "checkpoint: cache '" + params_.name +
-            "' has outstanding misses — cannot restore");
-    if (r.getU64() != blocks_.size())
-        throw std::runtime_error("checkpoint: cache '" + params_.name +
-                                 "' geometry mismatch");
+            "' has outstanding misses — quiesce first");
+    ar.expect(blocks_.size(), "the cache geometry");
     for (BlockMeta &b : blocks_) {
-        b.tag = r.getU64();
-        b.valid = r.getBool();
-        b.dirty = r.getBool();
-        b.reused = r.getBool();
-        const std::uint8_t cat = r.getU8();
-        if (cat >= kNumBlockCats)
-            throw std::runtime_error("checkpoint: cache '" + params_.name +
-                                     "' block has a bad category");
-        b.cat = static_cast<BlockCat>(cat);
-        b.prefetchOrigin = static_cast<PrefetchOrigin>(r.getU8());
-        b.fillIp = r.getU64();
+        ar.io(b.tag);
+        ar.io(b.valid);
+        ar.io(b.dirty);
+        ar.io(b.reused);
+        ar.io(b.cat, kNumBlockCats, "a cache block category");
+        ar.io(b.prefetchOrigin, kNumPrefetchOrigins,
+              "a cache block prefetch origin");
+        ar.io(b.fillIp);
     }
-    policy_->loadState(r);
-    if (r.getU64() != arbMshrsByCore_.size())
-        throw std::runtime_error("checkpoint: cache '" + params_.name +
-                                 "' arbitration geometry mismatch");
-    for (auto &v : arbMshrsByCore_)
-        v = r.getU32();
-    for (auto &v : arbTokens_)
-        v = r.getU32();
-    arbWindow_ = r.getU64();
+    policy_->state(ar);
+    ar.expect(arbMshrsByCore_.size(), "the cache arbitration geometry");
+    for (std::uint32_t &v : arbMshrsByCore_)
+        ar.io(v);
+    for (std::uint32_t &v : arbTokens_)
+        ar.io(v);
+    ar.io(arbWindow_);
 }
 
 } // namespace tacsim

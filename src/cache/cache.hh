@@ -213,8 +213,6 @@ class Cache : public MemDevice, public PrefetchIssuer
 
     const CacheParams &params() const { return params_; }
     ReplPolicy &policy() { return *policy_; }
-    Prefetcher *prefetcher() { return prefetcher_.get(); }
-    MemDevice *lower() { return lower_; }
 
     const RecallProfiler *recallProfiler() const { return profiler_.get(); }
 
@@ -263,14 +261,13 @@ class Cache : public MemDevice, public PrefetchIssuer
     static constexpr std::uint32_t kNoOwner = 0xffffffffu;
 
     /**
-     * Checkpoint the array contents, replacement-policy training state
-     * and arbitration counters (tacsim-ckpt-v2). Only legal when no miss
-     * is outstanding (post-quiesce): MSHRs and the pending queue are
-     * never serialized. Attached prefetchers and recall profilers are
-     * unsupported and make save/load throw.
+     * Save or restore the array contents, replacement-policy training
+     * state and arbitration counters (tacsim-ckpt-v2). Only legal when
+     * no miss is outstanding (post-quiesce): MSHRs and the pending queue
+     * are never serialized. Attached prefetchers and recall profilers
+     * are unsupported and make it throw.
      */
-    void saveState(SerialWriter &w) const;
-    void loadState(SerialReader &r);
+    void state(StateArchive &ar);
 
   private:
     struct MshrEntry

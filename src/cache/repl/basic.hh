@@ -33,23 +33,12 @@ class LruPolicy : public ReplPolicy
     std::string name() const override { return "LRU"; }
 
     void
-    saveState(SerialWriter &w) const override
+    state(StateArchive &ar) override
     {
-        w.putU64(clock_);
-        w.putU64(stamp_.size());
-        for (std::uint64_t s : stamp_)
-            w.putU64(s);
-    }
-
-    void
-    loadState(SerialReader &r) override
-    {
-        clock_ = r.getU64();
-        if (r.getU64() != stamp_.size())
-            throw std::runtime_error(
-                "checkpoint: LRU stamp count mismatch");
-        for (auto &s : stamp_)
-            s = r.getU64();
+        ar.io(clock_);
+        ar.expect(stamp_.size(), "the LRU stamp count");
+        for (std::uint64_t &s : stamp_)
+            ar.io(s);
     }
 
   private:
@@ -78,23 +67,7 @@ class RandomPolicy : public ReplPolicy
     void onHit(std::uint32_t, std::uint32_t, const AccessInfo &) override {}
     std::string name() const override { return "Random"; }
 
-    void
-    saveState(SerialWriter &w) const override
-    {
-        std::uint64_t s[Rng::kStateWords];
-        rng_.state(s);
-        for (std::uint64_t word : s)
-            w.putU64(word);
-    }
-
-    void
-    loadState(SerialReader &r) override
-    {
-        std::uint64_t s[Rng::kStateWords];
-        for (auto &word : s)
-            word = r.getU64();
-        rng_.setState(s);
-    }
+    void state(StateArchive &ar) override { ar.io(rng_); }
 
   private:
     Rng rng_;

@@ -127,21 +127,14 @@ class ReplPolicy
     virtual void resetStats() {}
 
     /**
-     * Checkpoint the policy's training state (tacsim-ckpt-v2): RRPVs,
-     * SHCT, set-dueling PSEL, randomized-victim RNG. The default throws
-     * so a policy without support (Hawkeye's OPTgen history, dead-block
-     * and CSALT wrappers) fails a checkpoint attempt loudly instead of
-     * restoring with silently-reset predictors.
+     * Save or restore the policy's training state (tacsim-ckpt-v2):
+     * RRPVs, SHCT, set-dueling PSEL, randomized-victim RNG. The default
+     * throws so a policy without support (Hawkeye's OPTgen history,
+     * dead-block and CSALT wrappers) fails a checkpoint attempt loudly
+     * instead of restoring with silently-reset predictors.
      */
     virtual void
-    saveState(SerialWriter &) const
-    {
-        throw std::runtime_error("checkpoint: replacement policy '" +
-                                 name() + "' does not support save/restore");
-    }
-
-    virtual void
-    loadState(SerialReader &)
+    state(StateArchive &)
     {
         throw std::runtime_error("checkpoint: replacement policy '" +
                                  name() + "' does not support save/restore");

@@ -43,25 +43,11 @@ class RripBase : public ReplPolicy
     }
 
     void
-    saveState(SerialWriter &w) const override
+    state(StateArchive &ar) override
     {
-        w.putU64(rrpv_.size());
-        for (std::uint8_t v : rrpv_)
-            w.putU8(v);
-    }
-
-    void
-    loadState(SerialReader &r) override
-    {
-        if (r.getU64() != rrpv_.size())
-            throw std::runtime_error(
-                "checkpoint: RRPV array size mismatch");
-        for (auto &v : rrpv_) {
-            v = r.getU8();
-            if (v > kMaxRrpv)
-                throw std::runtime_error(
-                    "checkpoint: RRPV value out of range");
-        }
+        ar.expect(rrpv_.size(), "the RRPV array size");
+        for (std::uint8_t &v : rrpv_)
+            ar.io(v, kMaxRrpv + 1, "an RRPV");
     }
 
   protected:
@@ -106,23 +92,10 @@ class BrripPolicy : public RripBase
     std::string name() const override { return "BRRIP"; }
 
     void
-    saveState(SerialWriter &w) const override
+    state(StateArchive &ar) override
     {
-        RripBase::saveState(w);
-        std::uint64_t s[Rng::kStateWords];
-        rng_.state(s);
-        for (std::uint64_t word : s)
-            w.putU64(word);
-    }
-
-    void
-    loadState(SerialReader &r) override
-    {
-        RripBase::loadState(r);
-        std::uint64_t s[Rng::kStateWords];
-        for (auto &word : s)
-            word = r.getU64();
-        rng_.setState(s);
+        RripBase::state(ar);
+        ar.io(rng_);
     }
 
   private:
@@ -156,28 +129,11 @@ class DrripPolicy : public RripBase
     bool isBrripLeader(std::uint32_t set) const;
 
     void
-    saveState(SerialWriter &w) const override
+    state(StateArchive &ar) override
     {
-        RripBase::saveState(w);
-        std::uint64_t s[Rng::kStateWords];
-        rng_.state(s);
-        for (std::uint64_t word : s)
-            w.putU64(word);
-        w.putI64(psel_);
-    }
-
-    void
-    loadState(SerialReader &r) override
-    {
-        RripBase::loadState(r);
-        std::uint64_t s[Rng::kStateWords];
-        for (auto &word : s)
-            word = r.getU64();
-        rng_.setState(s);
-        const std::int64_t psel = r.getI64();
-        if (psel < 0 || psel > kPselMax)
-            throw std::runtime_error("checkpoint: PSEL out of range");
-        psel_ = static_cast<int>(psel);
+        RripBase::state(ar);
+        ar.io(rng_);
+        ar.io(psel_, kPselMax + 1, "the DRRIP PSEL");
         // leaderStride_ is derived from the geometry in the constructor
         // and never mutates, so it is not part of the payload.
     }

@@ -51,38 +51,17 @@ class ShipPolicy : public RripBase
     std::uint8_t shct(std::uint32_t sig) const { return shct_[sig]; }
 
     void
-    saveState(SerialWriter &w) const override
+    state(StateArchive &ar) override
     {
-        RripBase::saveState(w);
-        w.putU64(shct_.size());
-        for (std::uint8_t c : shct_)
-            w.putU8(c);
-        w.putU64(blockSig_.size());
-        for (std::uint32_t s : blockSig_)
-            w.putU32(s);
-        for (std::uint8_t o : blockOutcome_)
-            w.putU8(o);
-    }
-
-    void
-    loadState(SerialReader &r) override
-    {
-        RripBase::loadState(r);
-        if (r.getU64() != shct_.size())
-            throw std::runtime_error("checkpoint: SHCT size mismatch");
-        for (auto &c : shct_) {
-            c = r.getU8();
-            if (c > kCounterMax)
-                throw std::runtime_error(
-                    "checkpoint: SHCT counter out of range");
-        }
-        if (r.getU64() != blockSig_.size())
-            throw std::runtime_error(
-                "checkpoint: SHiP block-state size mismatch");
-        for (auto &s : blockSig_)
-            s = r.getU32();
-        for (auto &o : blockOutcome_)
-            o = r.getU8();
+        RripBase::state(ar);
+        ar.expect(shct_.size(), "the SHCT size");
+        for (std::uint8_t &c : shct_)
+            ar.io(c, kCounterMax + 1, "an SHCT counter");
+        ar.expect(blockSig_.size(), "the SHiP block count");
+        for (std::uint32_t &sig : blockSig_)
+            ar.io(sig, kShctSize, "a SHiP block signature");
+        for (std::uint8_t &o : blockOutcome_)
+            ar.io(o, 2, "a SHiP block outcome");
     }
 
   private:

@@ -1,30 +1,34 @@
 /**
  * @file
- * Byte-stream serialization primitives for simulation checkpoints
- * (tacsim-ckpt-v2, sim/checkpoint.hh).
+ * Byte-stream serialization for simulation checkpoints
+ * (tacsim-ckpt-v2, sim/checkpoint.hh), and StateArchive, the one pass
+ * through which every component saves and restores its state.
  *
  * The encoding is deliberately dumb: fixed-width little-endian integers
  * and length-prefixed byte strings, no varints, no alignment. Checkpoint
  * files are written and read by the same binary family, and the CRC
- * footer plus the embedded canonical-config text (checked by the
+ * footer plus the point-key stamp (the caller's warmKey, checked by the
  * loader) already reject any cross-version confusion — so simplicity
  * and auditability win over compactness here, unlike the trace format
  * (trace/format.hh) where size per record matters.
  *
  * Readers are bounds-checked: running off the end throws
- * std::runtime_error rather than reading garbage, so a truncated
- * checkpoint degrades to a clean load failure.
+ * std::runtime_error rather than reading garbage, and a length prefix
+ * is checked against the bytes present before anything is allocated,
+ * so a truncated or corrupt checkpoint degrades to a clean load failure.
  */
 
 #ifndef TACSIM_COMMON_SERIALIZE_HH
 #define TACSIM_COMMON_SERIALIZE_HH
 
-#include <bit>
 #include <cstdint>
-#include <cstring>
 #include <stdexcept>
 #include <string>
-#include <vector>
+#include <string_view>
+#include <type_traits>
+#include <utility>
+
+#include "common/rng.hh"
 
 namespace tacsim {
 
@@ -35,7 +39,7 @@ class SerialWriter
     void
     putU8(std::uint8_t v)
     {
-        bytes_.push_back(v);
+        bytes_.push_back(static_cast<char>(v));
     }
 
     void
@@ -59,26 +63,12 @@ class SerialWriter
         putU32(static_cast<std::uint32_t>(v >> 32));
     }
 
-    void
-    putI64(std::int64_t v)
-    {
-        putU64(static_cast<std::uint64_t>(v));
-    }
-
-    void putBool(bool v) { putU8(v ? 1 : 0); }
-
-    void
-    putDouble(double v)
-    {
-        putU64(std::bit_cast<std::uint64_t>(v));
-    }
-
     /** Length-prefixed byte string. */
     void
-    putString(const std::string &s)
+    putString(std::string_view s)
     {
         putU64(s.size());
-        bytes_.insert(bytes_.end(), s.begin(), s.end());
+        bytes_.append(s);
     }
 
     /**
@@ -88,38 +78,33 @@ class SerialWriter
      * the next boundary instead of corrupting every later component.
      */
     void
-    beginSection(const std::string &tag)
+    beginSection(std::string_view tag)
     {
         putU32(kSectionMagic);
         putString(tag);
     }
 
-    const std::vector<std::uint8_t> &bytes() const { return bytes_; }
+    const std::string &bytes() const { return bytes_; }
     std::size_t size() const { return bytes_.size(); }
 
   private:
     static constexpr std::uint32_t kSectionMagic = 0x7ac5Ec10u;
 
-    std::vector<std::uint8_t> bytes_;
+    std::string bytes_;
 };
 
-/** Bounds-checked reader over a checkpoint payload. */
+/** Bounds-checked reader over a checkpoint's bytes, which must outlive
+ *  it (getString() returns views into them). */
 class SerialReader
 {
   public:
-    SerialReader(const std::uint8_t *data, std::size_t size)
-        : data_(data), size_(size)
-    {}
-
-    explicit SerialReader(const std::vector<std::uint8_t> &bytes)
-        : SerialReader(bytes.data(), bytes.size())
-    {}
+    explicit SerialReader(std::string_view bytes) : bytes_(bytes) {}
 
     std::uint8_t
     getU8()
     {
         need(1);
-        return data_[pos_++];
+        return static_cast<std::uint8_t>(bytes_[pos_++]);
     }
 
     std::uint16_t
@@ -146,47 +131,38 @@ class SerialReader
         return lo | (hi << 32);
     }
 
-    std::int64_t getI64() { return static_cast<std::int64_t>(getU64()); }
-
-    bool getBool() { return getU8() != 0; }
-
-    double getDouble() { return std::bit_cast<double>(getU64()); }
-
-    std::string
+    /** Length-prefixed byte string, viewed in place. The length is
+     *  checked against the bytes left, so it cannot drive a copy or an
+     *  allocation larger than the input. */
+    std::string_view
     getString()
     {
         const std::uint64_t n = getU64();
         need(n);
-        std::string s(reinterpret_cast<const char *>(data_ + pos_),
-                      static_cast<std::size_t>(n));
-        pos_ += static_cast<std::size_t>(n);
+        const std::string_view s = bytes_.substr(pos_, n);
+        pos_ += s.size();
         return s;
     }
 
     /** Consume a section marker; throws if the next bytes are not the
      *  marker for @p tag (a component save/load size mismatch). */
     void
-    expectSection(const std::string &tag)
+    expectSection(std::string_view tag)
     {
-        std::uint32_t magic = 0;
-        std::string got;
-        bool ok = remaining() >= 4;
-        if (ok) {
-            magic = getU32();
-            ok = magic == kSectionMagic;
-        }
+        std::string_view got;
+        bool ok = remaining() >= 4 && getU32() == kSectionMagic;
         if (ok)
             got = getString();
         if (!ok || got != tag)
             throw std::runtime_error(
-                "checkpoint: expected section '" + tag + "'" +
-                (ok ? ", found '" + got + "'"
+                "checkpoint: expected section '" + std::string(tag) + "'" +
+                (ok ? ", found '" + std::string(got) + "'"
                     : " but the stream is misaligned") +
                 " — component save/load mismatch or corrupt file");
     }
 
-    std::size_t remaining() const { return size_ - pos_; }
-    bool atEnd() const { return pos_ == size_; }
+    std::size_t remaining() const { return bytes_.size() - pos_; }
+    bool atEnd() const { return pos_ == bytes_.size(); }
 
   private:
     static constexpr std::uint32_t kSectionMagic = 0x7ac5Ec10u;
@@ -194,15 +170,168 @@ class SerialReader
     void
     need(std::uint64_t n) const
     {
-        if (n > size_ - pos_)
+        if (n > remaining())
             throw std::runtime_error(
                 "checkpoint: truncated stream (need " + std::to_string(n) +
-                " bytes, have " + std::to_string(size_ - pos_) + ")");
+                " bytes, have " + std::to_string(remaining()) + ")");
     }
 
-    const std::uint8_t *data_;
-    std::size_t size_;
+    std::string_view bytes_;
     std::size_t pos_ = 0;
+};
+
+/**
+ * One pass over a component's checkpoint state, in either direction.
+ *
+ * A component names each field once, in a `state(StateArchive &)`
+ * function. Over a SerialWriter the archive saves the fields; over a
+ * SerialReader it restores the same fields in the same order and
+ * validates every value it reads, so the two directions cannot drift
+ * apart. Encodings that are not mirror images (a sparse tree, a fixup
+ * after a restore) branch on loading(). A restore that throws leaves
+ * the component half-restored; the caller discards it.
+ */
+class StateArchive
+{
+  public:
+    explicit StateArchive(SerialWriter &w) : w_(&w) {}
+    explicit StateArchive(SerialReader &r) : r_(&r) {}
+
+    bool loading() const { return r_ != nullptr; }
+
+    void
+    io(std::uint8_t &v)
+    {
+        if (r_)
+            v = r_->getU8();
+        else
+            w_->putU8(v);
+    }
+
+    void
+    io(std::uint16_t &v)
+    {
+        if (r_)
+            v = r_->getU16();
+        else
+            w_->putU16(v);
+    }
+
+    void
+    io(std::uint32_t &v)
+    {
+        if (r_)
+            v = r_->getU32();
+        else
+            w_->putU32(v);
+    }
+
+    void
+    io(std::uint64_t &v)
+    {
+        if (r_)
+            v = r_->getU64();
+        else
+            w_->putU64(v);
+    }
+
+    /** Two's complement in 64 bits. */
+    void
+    io(std::int64_t &v)
+    {
+        auto u = static_cast<std::uint64_t>(v);
+        io(u);
+        v = static_cast<std::int64_t>(u);
+    }
+
+    /** Travels as 64 bits; a restore rejects a value an int cannot
+     *  hold before narrowing it. */
+    void
+    io(int &v)
+    {
+        std::int64_t wide = v;
+        io(wide);
+        if (!std::in_range<int>(wide))
+            fail("an int field", "is out of range");
+        v = static_cast<int>(wide);
+    }
+
+    /** One byte; a restore accepts only 0 and 1. */
+    void
+    io(bool &v)
+    {
+        std::uint8_t b = v;
+        io(b, 2, "a bool field");
+        v = b != 0;
+    }
+
+    /** An enum (at its underlying width) or an integer (at its io()
+     *  width) that lies in [0, @p count); a restore rejects any other
+     *  value, naming it @p what. */
+    template <typename T>
+    void
+    io(T &v, std::uint64_t count, const char *what)
+    {
+        if constexpr (std::is_enum_v<T>) {
+            auto raw = static_cast<std::underlying_type_t<T>>(v);
+            io(raw, count, what);
+            v = static_cast<T>(raw);
+        } else {
+            io(v);
+            if (std::cmp_less(v, 0) || std::cmp_greater_equal(v, count))
+                fail(what, "is out of range");
+        }
+    }
+
+    /** The generator's raw words; a restore rejects the all-zero state,
+     *  which xoshiro never reaches and never leaves. */
+    void
+    io(Rng &rng)
+    {
+        std::uint64_t s[Rng::kStateWords];
+        rng.state(s);
+        std::uint64_t any = 0;
+        for (std::uint64_t &word : s) {
+            io(word);
+            any |= word;
+        }
+        if (any == 0)
+            fail("an RNG state", "is all zero");
+        if (r_)
+            rng.setState(s);
+    }
+
+    /** Geometry or configuration the rebuilt machine already has: a
+     *  save writes @p v, a restore demands the same value. */
+    template <typename T>
+    void
+    expect(T v, const char *what)
+    {
+        T got = v;
+        io(got);
+        if (got != v)
+            fail(what, "differs from the rebuilt machine");
+    }
+
+    void
+    section(std::string_view tag)
+    {
+        if (r_)
+            r_->expectSection(tag);
+        else
+            w_->beginSection(tag);
+    }
+
+  private:
+    [[noreturn]] static void
+    fail(const char *what, const char *problem)
+    {
+        throw std::runtime_error(std::string("checkpoint: ") + what + " " +
+                                 problem);
+    }
+
+    SerialWriter *w_ = nullptr;
+    SerialReader *r_ = nullptr;
 };
 
 } // namespace tacsim

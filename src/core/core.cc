@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <stdexcept>
+#include <utility>
 
 #include "common/serialize.hh"
 #include "obs/chrome_trace.hh"
@@ -115,29 +117,27 @@ Core::tick()
 }
 
 void
-Core::saveState(SerialWriter &w) const
+Core::state(StateArchive &ar)
 {
     TACSIM_CHECK(count_ == 0 &&
                  "core checkpoint requires an empty (drained) ROB");
-    w.putU64(headSeq_);
-    w.putU64(nextSeq_);
-    w.putI64(lastLoadSeq_);
-}
-
-void
-Core::loadState(SerialReader &r)
-{
-    TACSIM_CHECK(count_ == 0 &&
-                 "core restore requires an empty ROB");
-    headSeq_ = r.getU64();
-    nextSeq_ = r.getU64();
-    lastLoadSeq_ = r.getI64();
-    // Stale ring contents are unreachable after a drain (the only
-    // cross-retire reference, lastLoadSeq_, is guarded by
-    // `>= headSeq_`), but reset them anyway so a restored core is
-    // bitwise-independent of pre-checkpoint history.
-    for (auto &e : rob_)
-        e = RobEntry{};
+    ar.io(headSeq_);
+    ar.io(nextSeq_);
+    ar.io(lastLoadSeq_);
+    // A drained core has dispatched nothing past its head, and its last
+    // load (if any) has retired; other cursors would stall it forever.
+    if (nextSeq_ != headSeq_ || lastLoadSeq_ < -1 ||
+        std::cmp_greater_equal(lastLoadSeq_, headSeq_))
+        throw std::runtime_error(
+            "checkpoint: a core's sequence cursors are inconsistent");
+    if (ar.loading()) {
+        // Stale ring contents are unreachable after a drain (the only
+        // cross-retire reference, lastLoadSeq_, is guarded by
+        // `>= headSeq_`), but reset them anyway so a restored core is
+        // bitwise-independent of pre-checkpoint history.
+        for (auto &e : rob_)
+            e = RobEntry{};
+    }
 }
 
 void

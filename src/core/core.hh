@@ -118,7 +118,7 @@ class Core
     bool robEmpty() const { return count_ == 0; }
 
     /**
-     * Checkpoint the architectural cursor (tacsim-ckpt-v2). Only legal
+     * Save or restore the architectural cursor (tacsim-ckpt-v2). Only legal
      * when the ROB is empty (post-quiesce): with all entries retired,
      * the sequence cursors fully determine future behaviour. Stale
      * rob_ ring contents are unreachable: an entry's producerSeq and
@@ -126,8 +126,7 @@ class Core
      * dispatch clears them; the only cross-retire reference,
      * lastLoadSeq_, is guarded by `>= headSeq_` at every use.
      */
-    void saveState(SerialWriter &w) const;
-    void loadState(SerialReader &r);
+    void state(StateArchive &ar);
 
   private:
     static constexpr std::uint64_t kNoSeq = ~std::uint64_t{0};

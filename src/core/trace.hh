@@ -28,6 +28,7 @@ struct TraceRecord
         Load,
         Store,
     };
+    static constexpr unsigned kNumKinds = 3;
 
     Addr ip = 0;
     Kind kind = Kind::NonMem;
@@ -45,8 +46,7 @@ struct TraceRecord
     bool isMem() const { return kind != Kind::NonMem; }
 };
 
-class SerialWriter;
-class SerialReader;
+class StateArchive;
 
 /** An endless instruction stream. */
 class Workload
@@ -64,19 +64,15 @@ class Workload
     virtual Addr footprint() const = 0;
 
     /**
-     * Checkpoint seams (tacsim-ckpt-v2). A workload's generator state
-     * must round-trip exactly: after loadState the stream it produces is
-     * identical to the one the saved instance would have produced. The
-     * default implementations throw, so a workload type that never
+     * Checkpoint seam (tacsim-ckpt-v2): save or restore the generator
+     * state. It must round-trip exactly: after a restore the stream it
+     * produces is identical to the one the saved instance would have
+     * produced. The default throws, so a workload type that never
      * gained support fails a checkpoint attempt loudly instead of
      * silently replaying from the start.
      */
-    virtual void saveState(SerialWriter &) const { unsupported(); }
-    virtual void loadState(SerialReader &) { unsupported(); }
-
-  private:
-    [[noreturn]] void
-    unsupported() const
+    virtual void
+    state(StateArchive &)
     {
         throw std::runtime_error("checkpoint: workload '" + name() +
                                  "' does not support save/restore");

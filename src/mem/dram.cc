@@ -192,34 +192,16 @@ Dram::checkInvariants() const
 }
 
 void
-Dram::saveState(SerialWriter &w) const
+Dram::state(StateArchive &ar)
 {
-    w.putU64(channels_.size());
-    for (const Channel &ch : channels_) {
-        w.putU64(ch.busFreeAt);
-        w.putU64(ch.banks.size());
-        for (const Bank &b : ch.banks) {
-            w.putU64(b.readyAt);
-            w.putU64(b.openRow);
-            w.putBool(b.rowValid);
-        }
-    }
-}
-
-void
-Dram::loadState(SerialReader &r)
-{
-    if (r.getU64() != channels_.size())
-        throw std::runtime_error("checkpoint: DRAM channel count mismatch");
+    ar.expect(channels_.size(), "the DRAM channel count");
     for (Channel &ch : channels_) {
-        ch.busFreeAt = r.getU64();
-        if (r.getU64() != ch.banks.size())
-            throw std::runtime_error(
-                "checkpoint: DRAM bank count mismatch");
+        ar.io(ch.busFreeAt);
+        ar.expect(ch.banks.size(), "the DRAM bank count");
         for (Bank &b : ch.banks) {
-            b.readyAt = r.getU64();
-            b.openRow = r.getU64();
-            b.rowValid = r.getBool();
+            ar.io(b.readyAt);
+            ar.io(b.openRow);
+            ar.io(b.rowValid);
         }
     }
 }

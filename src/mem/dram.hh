@@ -33,8 +33,7 @@ class ChromeTracer;
 class Registry;
 } // namespace obs
 
-class SerialReader;
-class SerialWriter;
+class StateArchive;
 
 /** Tuning knobs for one DRAM channel (all in core cycles @ 4 GHz). */
 struct DramParams
@@ -107,12 +106,12 @@ class Dram : public MemDevice
     void checkInvariants() const;
 
     /**
-     * Checkpoint bank/bus timing state (tacsim-ckpt-v2). Times are
-     * absolute cycles; the owner restores the event-queue clock to the
-     * same instant, so they remain directly comparable after restore.
+     * Save or restore bank/bus timing state (tacsim-ckpt-v2). Times
+     * are absolute cycles; the owner restores the event-queue clock to
+     * the same instant, so they remain directly comparable after
+     * restore.
      */
-    void saveState(SerialWriter &w) const;
-    void loadState(SerialReader &r);
+    void state(StateArchive &ar);
 
   private:
     struct Bank

@@ -58,6 +58,8 @@ enum class PrefetchOrigin : std::uint8_t
     Tempo,          ///< TEMPO DRAM-controller prefetch
 };
 
+constexpr std::size_t kNumPrefetchOrigins = 4;
+
 /**
  * One memory transaction. Allocated by the requester (core, cache or
  * PTW) with makeRequest() and passed by MemRequestPtr, a counted

@@ -3,26 +3,10 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "serve/json.hh"
+
 namespace tacsim {
 namespace obs {
-
-namespace {
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        if (static_cast<unsigned char>(c) >= 0x20)
-            out += c;
-    }
-    return out;
-}
-
-} // namespace
 
 ChromeTracer::ChromeTracer(std::string path) : path_(std::move(path))
 {
@@ -131,16 +115,16 @@ ChromeTracer::finish()
     for (std::size_t t = 0; t < tracks_.size(); ++t)
         std::fprintf(f,
                      ",\n{\"ph\":\"M\",\"pid\":0,\"tid\":%zu,\"name\":"
-                     "\"thread_name\",\"args\":{\"name\":\"%s\"}}",
-                     t, jsonEscape(tracks_[t]).c_str());
+                     "\"thread_name\",\"args\":{\"name\":%s}}",
+                     t, serve::jsonQuote(tracks_[t]).c_str());
     for (const Event &e : buffer_) {
-        const std::string escaped = jsonEscape(names_[e.nameId]);
-        const char *name = escaped.c_str();
+        const std::string quoted = serve::jsonQuote(names_[e.nameId]);
+        const char *name = quoted.c_str();
         switch (e.phase) {
           case 'X':
             std::fprintf(f,
                          ",\n{\"ph\":\"X\",\"pid\":0,\"tid\":%u,"
-                         "\"ts\":%llu,\"dur\":%llu,\"name\":\"%s\","
+                         "\"ts\":%llu,\"dur\":%llu,\"name\":%s,"
                          "\"cat\":\"tacsim\"}",
                          e.track,
                          static_cast<unsigned long long>(e.ts),
@@ -149,7 +133,7 @@ ChromeTracer::finish()
           case 'C':
             std::fprintf(f,
                          ",\n{\"ph\":\"C\",\"pid\":0,\"tid\":%u,"
-                         "\"ts\":%llu,\"name\":\"%s\","
+                         "\"ts\":%llu,\"name\":%s,"
                          "\"args\":{\"value\":%.12g}}",
                          e.track,
                          static_cast<unsigned long long>(e.ts), name,
@@ -158,7 +142,7 @@ ChromeTracer::finish()
           default:
             std::fprintf(f,
                          ",\n{\"ph\":\"i\",\"pid\":0,\"tid\":%u,"
-                         "\"ts\":%llu,\"name\":\"%s\",\"s\":\"t\","
+                         "\"ts\":%llu,\"name\":%s,\"s\":\"t\","
                          "\"cat\":\"tacsim\"}",
                          e.track,
                          static_cast<unsigned long long>(e.ts), name);

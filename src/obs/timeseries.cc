@@ -2,27 +2,10 @@
 
 #include <stdexcept>
 
+#include "serve/json.hh"
+
 namespace tacsim {
 namespace obs {
-
-namespace {
-
-/** Minimal JSON string escape; metric names are already [a-z0-9._-]. */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        if (static_cast<unsigned char>(c) >= 0x20)
-            out += c;
-    }
-    return out;
-}
-
-} // namespace
 
 Sampler::Sampler(const Registry &registry, std::string path,
                  std::uint64_t interval, const std::string &label)
@@ -37,13 +20,13 @@ Sampler::Sampler(const Registry &registry, std::string path,
 
     std::fprintf(file_,
                  "{\"schema\":\"tacsim-timeseries-v1\","
-                 "\"label\":\"%s\",\"interval\":%llu,\"columns\":[",
-                 jsonEscape(label).c_str(),
+                 "\"label\":%s,\"interval\":%llu,\"columns\":[",
+                 serve::jsonQuote(label).c_str(),
                  static_cast<unsigned long long>(interval_));
     const std::vector<std::string> cols = registry_.columns();
     for (std::size_t i = 0; i < cols.size(); ++i)
-        std::fprintf(file_, "%s\"%s\"", i ? "," : "",
-                     jsonEscape(cols[i]).c_str());
+        std::fprintf(file_, "%s%s", i ? "," : "",
+                     serve::jsonQuote(cols[i]).c_str());
     std::fprintf(file_, "]}\n");
 }
 

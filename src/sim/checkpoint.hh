@@ -2,14 +2,15 @@
  * @file
  * The `tacsim-ckpt-v2` on-disk checkpoint container.
  *
- * Layout (all integers little-endian):
+ * Layout (all integers little-endian, written and read through
+ * SerialWriter/SerialReader, common/serialize.hh):
  *
  *   header   8B magic "TACCKPT1"
  *            u32 version (= 2)
  *            u64 keyLen, then keyLen bytes of the point key the caller
  *                stamped the file with (the runner uses serve::warmKey)
  *            u64 payloadLen
- *   payload  payloadLen bytes of System::saveState output
+ *   payload  payloadLen bytes of System::state output
  *   footer   u32 CRC-32 (IEEE) of key + payload bytes
  *
  * The key is the compatibility stamp: loadCheckpoint refuses to restore
@@ -19,9 +20,10 @@
  * A config stamp alone is not enough: the six graph benchmarks share
  * one state layout, so a `pr` machine would restore silently as `cc`.
  * The CRC rejects truncation and bit rot before any payload byte is
- * interpreted.
+ * interpreted, and no length field can drive an allocation larger than
+ * the file.
  *
- * Checkpoints are only written at quiesce() boundaries (System::saveState
+ * Checkpoints are only written at quiesce() boundaries (System::state
  * enforces this), which is what makes restore deterministic: a
  * straight-through run and a save/restore run execute identical
  * instruction streams from identical machine state, so their canonical
@@ -43,7 +45,7 @@ constexpr std::uint32_t kCheckpointVersion = 2;
 /**
  * Quiesce @p sys and write a tacsim-ckpt-v2 file stamped with @p key to
  * @p path. Throws std::runtime_error on I/O failure or when the system
- * holds state that cannot be checkpointed (see System::saveState).
+ * holds state that cannot be checkpointed (see System::state).
  */
 void saveCheckpoint(const std::string &path, System &sys,
                     const std::string &key);

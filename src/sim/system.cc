@@ -400,7 +400,7 @@ System::quiesce()
 }
 
 void
-System::saveState(SerialWriter &w) const
+System::state(StateArchive &ar)
 {
     if (sampler_)
         throw std::runtime_error(
@@ -409,100 +409,51 @@ System::saveState(SerialWriter &w) const
         throw std::runtime_error(
             "checkpoint: Chrome tracer attached (unsupported)");
     TACSIM_CHECK(eq_.empty() && eq_.now() == cycle_ &&
-                 "saveState requires a quiesced system (call quiesce())");
+                 "checkpoint requires a quiesced or freshly built system");
 
-    w.beginSection("clock");
-    w.putU64(cycle_);
-    w.putU64(eq_.seq());
-    w.putU64(eq_.executed());
+    ar.section("clock");
+    std::uint64_t seq = eq_.seq();
+    std::uint64_t executed = eq_.executed();
+    ar.io(cycle_);
+    ar.io(seq);
+    ar.io(executed);
+    if (ar.loading()) {
+        eq_.restoreClock(cycle_, seq, executed);
+        cycleBase_ = cycle_;
+        runStartCycle_ = cycle_;
+    }
 
-    w.beginSection("memory");
-    frames_.saveState(w);
-    hostFrames_.saveState(w);
-    for (const auto &pt : pageTables_)
-        pt->saveState(w);
-    w.putBool(hostPageTable_ != nullptr);
-    if (hostPageTable_)
-        hostPageTable_->saveState(w);
-    dram_->saveState(w);
-
-    w.beginSection("caches");
-    for (const auto &s : llc_)
-        s->saveState(w);
-    for (const auto &c : l2_)
-        c->saveState(w);
-    for (const auto &c : l1d_)
-        c->saveState(w);
-
-    w.beginSection("translation");
-    for (const auto &t : dtlb_)
-        t->saveState(w);
-    for (const auto &t : stlb_)
-        t->saveState(w);
-    for (const auto &p : ptw_)
-        p->saveState(w);
-
-    w.beginSection("cores");
-    for (const auto &c : cores_)
-        c->saveState(w);
-    for (const auto &wl : workloads_)
-        wl->saveState(w);
-}
-
-void
-System::loadState(SerialReader &r)
-{
-    if (sampler_)
-        throw std::runtime_error(
-            "checkpoint: time-series sampler attached (unsupported)");
-    if (tracer_)
-        throw std::runtime_error(
-            "checkpoint: Chrome tracer attached (unsupported)");
-    TACSIM_CHECK(eq_.empty() &&
-                 "loadState requires a freshly built system");
-
-    r.expectSection("clock");
-    cycle_ = r.getU64();
-    const std::uint64_t seq = r.getU64();
-    const std::uint64_t executed = r.getU64();
-    eq_.restoreClock(cycle_, seq, executed);
-    cycleBase_ = cycle_;
-    runStartCycle_ = cycle_;
-
-    r.expectSection("memory");
-    frames_.loadState(r);
-    hostFrames_.loadState(r);
+    ar.section("memory");
+    frames_.state(ar);
+    hostFrames_.state(ar);
     for (auto &pt : pageTables_)
-        pt->loadState(r);
-    const bool hasHost = r.getBool();
-    if (hasHost != (hostPageTable_ != nullptr))
-        throw std::runtime_error(
-            "checkpoint: nested-translation mode mismatch");
+        pt->state(ar);
+    ar.expect(hostPageTable_ != nullptr, "the nested-translation mode");
     if (hostPageTable_)
-        hostPageTable_->loadState(r);
-    dram_->loadState(r);
+        hostPageTable_->state(ar);
+    dram_->state(ar);
 
-    r.expectSection("caches");
+    ar.section("caches");
     for (auto &s : llc_)
-        s->loadState(r);
+        s->state(ar);
     for (auto &c : l2_)
-        c->loadState(r);
+        c->state(ar);
     for (auto &c : l1d_)
-        c->loadState(r);
+        c->state(ar);
 
-    r.expectSection("translation");
+    ar.section("translation");
     for (auto &t : dtlb_)
-        t->loadState(r);
+        t->state(ar);
     for (auto &t : stlb_)
-        t->loadState(r);
+        t->state(ar);
     for (auto &p : ptw_)
-        p->loadState(r);
+        p->state(ar);
 
-    r.expectSection("cores");
+    ar.section("cores");
     for (auto &c : cores_)
-        c->loadState(r);
+        c->state(ar);
     for (auto &wl : workloads_)
-        wl->loadState(r);
+        wl->state(ar);
 }
 
 CacheStats

@@ -77,7 +77,7 @@ class System
      * Drain to a quiesced boundary: suspend dispatch on every core,
      * keep ticking until all ROBs are empty and the event queue is dry
      * (outstanding misses, walks and background writes complete). This
-     * is the only legal point to saveState() from — with nothing in
+     * is the only legal point to save state() from — with nothing in
      * flight, the checkpoint needs no MSHR/walk/event serialization.
      * Deterministic: a straight-through run and a restored run execute
      * the same drain, so their stats remain byte-identical.
@@ -85,22 +85,17 @@ class System
     void quiesce();
 
     /**
-     * Serialize the full mutable simulation state (tacsim-ckpt-v2
-     * payload; sim/checkpoint.hh adds the file container). Requires a
-     * quiesced system; throws when a component with unsupported state
-     * is attached (sampler, tracer, prefetchers, recall profilers,
-     * policies without save support).
+     * Save or restore the full mutable simulation state (the
+     * tacsim-ckpt-v2 payload; sim/checkpoint.hh adds the file
+     * container). A save requires a quiesced system and leaves it
+     * unchanged. A restore goes into a freshly built System of the
+     * *same point* (the container checks the file's point-key stamp
+     * before calling this); after it, resetStats() + run() reproduces
+     * the original continuation byte-for-byte. Throws when a component
+     * with unsupported state is attached (sampler, tracer, prefetchers,
+     * recall profilers, policies without save support).
      */
-    void saveState(SerialWriter &w) const;
-
-    /**
-     * Restore state captured by saveState() into a freshly built System
-     * of the *same configuration* (the checkpoint container verifies
-     * the canonical config text before calling this). After restore,
-     * resetStats() + run() reproduces the original continuation
-     * byte-for-byte.
-     */
-    void loadState(SerialReader &r);
+    void state(StateArchive &ar);
 
     /** Zero statistics on every component; sets the measurement base. */
     void resetStats();
@@ -134,7 +129,6 @@ class System
     std::size_t threads() const { return cores_.size(); }
     Core &core(std::size_t t) { return *cores_[t]; }
     const Core &core(std::size_t t) const { return *cores_[t]; }
-    Workload &workload(std::size_t t) { return *workloads_[t]; }
 
     Cache &l1d(std::size_t coreIdx = 0) { return *l1d_[coreIdx]; }
     Cache &l2(std::size_t coreIdx = 0) { return *l2_[coreIdx]; }
@@ -167,10 +161,6 @@ class System
 
     /** Every metric in the hierarchy, registered at construction. */
     const obs::Registry &metrics() const { return registry_; }
-    /** Time-series sampler; null unless cfg.obs.timeseriesPath is set. */
-    obs::Sampler *sampler() { return sampler_.get(); }
-    /** Chrome tracer; null unless cfg.obs.chromeTracePath is set. */
-    obs::ChromeTracer *tracer() { return tracer_.get(); }
 
     /**
      * Attach an invariant verifier. In TACSIM_VERIFY builds the run loop
@@ -180,7 +170,6 @@ class System
      * detach. The checker must outlive the system or be detached first.
      */
     void attachChecker(verify::Checker *checker) { checker_ = checker; }
-    verify::Checker *checker() const { return checker_; }
 
   private:
     std::unique_ptr<ReplPolicy> buildLlcPolicy(std::uint32_t sets,

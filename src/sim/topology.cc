@@ -157,6 +157,10 @@ validateTopology(const SystemConfig &cfg)
         fail("llc size " + formatSize(bytes) + " with " +
              std::to_string(cfg.llcPerCore.ways) +
              " ways does not yield a power-of-two set count");
+    if (sets > std::numeric_limits<decltype(CacheParams::sets)>::max())
+        fail("llc size " + formatSize(bytes) + " with " +
+             std::to_string(cfg.llcPerCore.ways) + " ways needs " +
+             std::to_string(sets) + " sets, more than a cache can index");
     if (cfg.llcSlices > sets)
         fail("slices (" + std::to_string(cfg.llcSlices) +
              ") exceed llc sets (" + std::to_string(sets) + ")");

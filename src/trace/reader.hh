@@ -128,15 +128,12 @@ class TraceFileWorkload : public Workload
      * cost and decode throughput is tens of millions of records/sec.
      */
     void
-    saveState(SerialWriter &w) const override
+    state(StateArchive &ar) override
     {
-        w.putU64(reader_.position());
-    }
-
-    void
-    loadState(SerialReader &r) override
-    {
-        const std::uint64_t target = r.getU64();
+        std::uint64_t target = reader_.position();
+        ar.io(target);
+        if (!ar.loading())
+            return;
         if (target > reader_.header().recordCount)
             throw std::runtime_error(
                 "checkpoint: trace position " + std::to_string(target) +

@@ -54,9 +54,8 @@ class FrameAllocator
     /** Total bytes of physical memory handed out. */
     Addr allocated() const { return next_; }
 
-    /** Checkpoint seams: the allocator is one cursor. */
-    void saveState(SerialWriter &w) const { w.putU64(next_); }
-    void loadState(SerialReader &r) { next_ = r.getU64(); }
+    /** Save or restore the allocator, which is one cursor. */
+    void state(StateArchive &ar) { ar.io(next_); }
 
   private:
     Addr next_;
@@ -193,40 +192,25 @@ class PageTable
     const HugePagePolicy &policy() const { return policy_; }
 
     /**
-     * Checkpoint the lazily-built radix tree as a sparse recursive dump
-     * (frame + populated leaf slots + populated children per node). The
-     * FrameAllocator cursor is saved separately by the owner; restoring
-     * both reproduces the exact first-touch frame assignment, so a
-     * restored run allocates identical frames for new pages.
+     * Save or restore the lazily-built radix tree as a sparse recursive
+     * dump (frame + populated leaf slots + populated children per node).
+     * The FrameAllocator cursor is saved separately by the owner;
+     * restoring both reproduces the exact first-touch frame assignment,
+     * so a restored run allocates identical frames for new pages.
      */
     void
-    saveState(SerialWriter &w) const
-    {
-        w.putU64(overrides_.size());
-        for (const Override &o : overrides_) {
-            w.putU64(o.begin);
-            w.putU64(o.end);
-            w.putU8(static_cast<std::uint8_t>(o.ps));
-        }
-        saveNode(w, root_.get());
-    }
-
-    void
-    loadState(SerialReader &r)
+    state(StateArchive &ar)
     {
         // Overrides are configuration (mapRegion calls), not mutable
         // state: the rebuilt system must have made the same calls.
-        const std::uint64_t n = r.getU64();
-        if (n != overrides_.size())
-            throw std::runtime_error(
-                "checkpoint: page-table mapRegion overrides differ");
+        const char *overrides = "the page-table mapRegion overrides";
+        ar.expect(overrides_.size(), overrides);
         for (const Override &o : overrides_) {
-            if (r.getU64() != o.begin || r.getU64() != o.end ||
-                r.getU8() != static_cast<std::uint8_t>(o.ps))
-                throw std::runtime_error(
-                    "checkpoint: page-table mapRegion overrides differ");
+            ar.expect(o.begin, overrides);
+            ar.expect(o.end, overrides);
+            ar.expect(static_cast<std::uint8_t>(o.ps), overrides);
         }
-        root_ = loadNode(r);
+        nodeState(ar, root_, kPtLevels);
     }
 
   private:
@@ -277,53 +261,41 @@ class PageTable
         return c;
     }
 
+    /** A node at @p level: its frame, then each populated leaf slot
+     *  and each populated child as (slot index, content). A restore
+     *  builds the node afresh from what the file names. */
     static void
-    saveNode(SerialWriter &w, const Node *n)
+    nodeState(StateArchive &ar, std::unique_ptr<Node> &n, unsigned level)
     {
-        w.putU64(n->frame);
+        Addr frame = ar.loading() ? 0 : n->frame;
+        ar.io(frame);
+        if (ar.loading())
+            n = std::make_unique<Node>(frame);
+
         std::uint32_t leaves = 0;
         for (Addr pfn : n->leafPfn)
             leaves += pfn != 0;
-        w.putU32(leaves);
-        for (std::uint32_t i = 0; i < kPtEntries; ++i) {
-            if (n->leafPfn[i] != 0) {
-                w.putU32(i);
-                w.putU64(n->leafPfn[i]);
-            }
+        ar.io(leaves);
+        for (std::uint32_t k = 0, i = 0; k < leaves; ++k, ++i) {
+            while (!ar.loading() && n->leafPfn[i] == 0)
+                ++i;
+            ar.io(i, kPtEntries, "a page-table leaf index");
+            ar.io(n->leafPfn[i]);
         }
+
         std::uint32_t kids = 0;
         for (const auto &ch : n->children)
             kids += ch != nullptr;
-        w.putU32(kids);
-        for (std::uint32_t i = 0; i < kPtEntries; ++i) {
-            if (n->children[i]) {
-                w.putU32(i);
-                saveNode(w, n->children[i].get());
-            }
+        ar.io(kids);
+        if (kids != 0 && level == 1)
+            throw std::runtime_error(
+                "checkpoint: a level-1 page-table node has children");
+        for (std::uint32_t k = 0, i = 0; k < kids; ++k, ++i) {
+            while (!ar.loading() && !n->children[i])
+                ++i;
+            ar.io(i, kPtEntries, "a page-table child index");
+            nodeState(ar, n->children[i], level - 1);
         }
-    }
-
-    static std::unique_ptr<Node>
-    loadNode(SerialReader &r)
-    {
-        auto n = std::make_unique<Node>(r.getU64());
-        const std::uint32_t leaves = r.getU32();
-        for (std::uint32_t i = 0; i < leaves; ++i) {
-            const std::uint32_t idx = r.getU32();
-            if (idx >= kPtEntries)
-                throw std::runtime_error(
-                    "checkpoint: page-table leaf index out of range");
-            n->leafPfn[idx] = r.getU64();
-        }
-        const std::uint32_t kids = r.getU32();
-        for (std::uint32_t i = 0; i < kids; ++i) {
-            const std::uint32_t idx = r.getU32();
-            if (idx >= kPtEntries)
-                throw std::runtime_error(
-                    "checkpoint: page-table child index out of range");
-            n->children[idx] = loadNode(r);
-        }
-        return n;
     }
 
     FrameAllocator *alloc_;

@@ -163,38 +163,19 @@ PagingStructureCaches::checkInvariants() const
 }
 
 void
-PagingStructureCaches::saveState(SerialWriter &w) const
+PagingStructureCaches::state(StateArchive &ar)
 {
-    w.putU64(clock_);
-    for (const auto &cache : caches_) {
-        w.putU64(cache.size());
-        for (const Entry &e : cache) {
-            w.putU64(e.tag);
-            w.putU64(e.frame);
-            w.putU64(e.va);
-            w.putU64(e.lru);
-            w.putU16(e.asid);
-            w.putU8(e.leafLevel);
-            w.putBool(e.valid);
-        }
-    }
-}
-
-void
-PagingStructureCaches::loadState(SerialReader &r)
-{
-    clock_ = r.getU64();
+    ar.io(clock_);
     for (auto &cache : caches_) {
-        if (r.getU64() != cache.size())
-            throw std::runtime_error("checkpoint: PSC geometry mismatch");
+        ar.expect(cache.size(), "the PSC geometry");
         for (Entry &e : cache) {
-            e.tag = r.getU64();
-            e.frame = r.getU64();
-            e.va = r.getU64();
-            e.lru = r.getU64();
-            e.asid = r.getU16();
-            e.leafLevel = r.getU8();
-            e.valid = r.getBool();
+            ar.io(e.tag);
+            ar.io(e.frame);
+            ar.io(e.va);
+            ar.io(e.lru);
+            ar.io(e.asid);
+            ar.io(e.leafLevel);
+            ar.io(e.valid);
         }
     }
 }

@@ -90,9 +90,8 @@ class PagingStructureCaches
                      std::uint16_t asid, Addr vaddr, Addr frame,
                      unsigned leafLevel = 1);
 
-    /** Checkpoint the four arrays + LRU clock (tacsim-ckpt-v2). */
-    void saveState(SerialWriter &w) const;
-    void loadState(SerialReader &r);
+    /** Save or restore the four arrays + LRU clock (tacsim-ckpt-v2). */
+    void state(StateArchive &ar);
 
     /** Tag for (asid, vaddr) at @p level — exposed for tests. */
     static std::uint64_t

@@ -160,43 +160,23 @@ class PageTableWalker
     void checkInvariants() const;
 
     /**
-     * Checkpoint the walker's caches (guest + host PSCs). Only legal
-     * when no walk is in flight or queued (post-quiesce) — walk state
-     * itself is never serialized.
+     * Save or restore the walker's caches (guest + host PSCs). Only
+     * legal when no walk is in flight or queued (post-quiesce) — walk
+     * state itself is never serialized.
      */
     void
-    saveState(SerialWriter &w) const
-    {
-        requireIdle("save");
-        pscs_.saveState(w);
-        w.putBool(hostPscs_ != nullptr);
-        if (hostPscs_)
-            hostPscs_->saveState(w);
-    }
-
-    void
-    loadState(SerialReader &r)
-    {
-        requireIdle("load");
-        pscs_.loadState(r);
-        const bool hasHost = r.getBool();
-        if (hasHost != (hostPscs_ != nullptr))
-            throw std::runtime_error(
-                "checkpoint: nested-translation mode mismatch");
-        if (hostPscs_)
-            hostPscs_->loadState(r);
-    }
-
-  private:
-    void
-    requireIdle(const char *what) const
+    state(StateArchive &ar)
     {
         if (active_ != 0 || !inflight_.empty() || !queue_.empty())
             throw std::runtime_error(
-                std::string("checkpoint: cannot ") + what +
-                " walker state with walks in flight");
+                "checkpoint: walker has walks in flight");
+        pscs_.state(ar);
+        ar.expect(hostPscs_ != nullptr, "the nested-translation mode");
+        if (hostPscs_)
+            hostPscs_->state(ar);
     }
 
+  private:
     /** One serial memory reference of a walk, precomputed at start. */
     struct PendingRead
     {

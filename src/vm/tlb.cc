@@ -258,49 +258,26 @@ Tlb::checkInvariants() const
 }
 
 void
-Tlb::saveState(SerialWriter &w) const
+Tlb::state(StateArchive &ar)
 {
     if (profiler_)
         throw std::runtime_error(
             "checkpoint: TLB '" + name_ +
             "' has a recall profiler attached (unsupported)");
-    w.putU64(clock_);
-    w.putU64(entries_.size());
-    for (const Entry &e : entries_) {
-        w.putU64(e.vpn);
-        w.putU64(e.pfn);
-        w.putU64(e.lru);
-        w.putU16(e.asid);
-        w.putU8(static_cast<std::uint8_t>(e.size));
-        w.putBool(e.valid);
-    }
-}
-
-void
-Tlb::loadState(SerialReader &r)
-{
-    if (profiler_)
-        throw std::runtime_error(
-            "checkpoint: TLB '" + name_ +
-            "' has a recall profiler attached (unsupported)");
-    clock_ = r.getU64();
-    if (r.getU64() != entries_.size())
-        throw std::runtime_error("checkpoint: TLB '" + name_ +
-                                 "' geometry mismatch");
-    sizeCount_.fill(0);
+    ar.io(clock_);
+    ar.expect(entries_.size(), "the TLB geometry");
     for (Entry &e : entries_) {
-        e.vpn = r.getU64();
-        e.pfn = r.getU64();
-        e.lru = r.getU64();
-        e.asid = r.getU16();
-        const std::uint8_t size = r.getU8();
-        if (size >= kNumPageSizes)
-            throw std::runtime_error("checkpoint: TLB '" + name_ +
-                                     "' entry has a bad page size");
-        e.size = static_cast<PageSize>(size);
-        e.valid = r.getBool();
-        if (e.valid)
-            ++sizeCount_[size];
+        ar.io(e.vpn);
+        ar.io(e.pfn);
+        ar.io(e.lru);
+        ar.io(e.asid);
+        ar.io(e.size, kNumPageSizes, "a TLB entry page size");
+        ar.io(e.valid);
+    }
+    if (ar.loading()) {
+        sizeCount_.fill(0);
+        for (const Entry &e : entries_)
+            sizeCount_[static_cast<unsigned>(e.size)] += e.valid;
     }
 }
 

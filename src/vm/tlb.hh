@@ -120,9 +120,9 @@ class Tlb
                      std::uint16_t asid, Addr vpn, Addr pfn,
                      PageSize ps = PageSize::Size4K);
 
-    /** Checkpoint the array contents + LRU clock (tacsim-ckpt-v2). */
-    void saveState(SerialWriter &w) const;
-    void loadState(SerialReader &r);
+    /** Save or restore the array contents + LRU clock
+     *  (tacsim-ckpt-v2). */
+    void state(StateArchive &ar);
 
   private:
     struct Entry

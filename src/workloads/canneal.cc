@@ -83,19 +83,11 @@ CannealWorkload::refill()
 }
 
 void
-CannealWorkload::saveState(SerialWriter &w) const
+CannealWorkload::state(StateArchive &ar)
 {
-    workload_ckpt::saveRng(w, rng_);
-    w.putU64(poolBase_);
-    workload_ckpt::saveQueue(w, queue_);
-}
-
-void
-CannealWorkload::loadState(SerialReader &r)
-{
-    workload_ckpt::loadRng(r, rng_);
-    poolBase_ = r.getU64();
-    workload_ckpt::loadQueue(r, queue_);
+    ar.io(rng_);
+    ar.io(poolBase_);
+    workload_ckpt::queueState(ar, queue_);
 }
 
 } // namespace tacsim

@@ -45,8 +45,7 @@ class CannealWorkload : public Workload
     std::string name() const override { return "canneal"; }
     Addr footprint() const override { return p_.footprintBytes; }
 
-    void saveState(SerialWriter &w) const override;
-    void loadState(SerialReader &r) override;
+    void state(StateArchive &ar) override;
 
   private:
     void refill();

@@ -1,12 +1,12 @@
 /**
  * @file
- * Shared checkpoint helpers for the synthetic workload generators.
+ * Shared checkpoint helper for the synthetic workload generators.
  *
  * Every generator in this directory carries the same three kinds of
  * mutable state: an Rng, a handful of integer cursors, and a deque of
  * already-generated TraceRecords waiting to be handed to the core.
- * These helpers serialize the Rng and the record queue so each
- * workload's saveState/loadState reduces to its cursors.
+ * StateArchive covers the first two; this helper covers the queue, so
+ * each workload's state() lists its Rng and cursors and then calls it.
  */
 
 #ifndef TACSIM_WORKLOADS_CKPT_HH
@@ -14,54 +14,26 @@
 
 #include <deque>
 
-#include "common/rng.hh"
 #include "common/serialize.hh"
 #include "core/trace.hh"
 
 namespace tacsim::workload_ckpt {
 
 inline void
-saveRng(SerialWriter &w, const Rng &rng)
+queueState(StateArchive &ar, std::deque<TraceRecord> &q)
 {
-    std::uint64_t s[Rng::kStateWords];
-    rng.state(s);
-    for (std::uint64_t word : s)
-        w.putU64(word);
-}
-
-inline void
-loadRng(SerialReader &r, Rng &rng)
-{
-    std::uint64_t s[Rng::kStateWords];
-    for (auto &word : s)
-        word = r.getU64();
-    rng.setState(s);
-}
-
-inline void
-saveQueue(SerialWriter &w, const std::deque<TraceRecord> &q)
-{
-    w.putU64(q.size());
-    for (const TraceRecord &t : q) {
-        w.putU64(t.ip);
-        w.putU8(static_cast<std::uint8_t>(t.kind));
-        w.putU64(t.vaddr);
-        w.putBool(t.dependsOnPrevLoad);
-    }
-}
-
-inline void
-loadQueue(SerialReader &r, std::deque<TraceRecord> &q)
-{
-    q.clear();
-    const std::uint64_t n = r.getU64();
+    std::uint64_t n = q.size();
+    ar.io(n);
+    if (ar.loading())
+        q.clear();
     for (std::uint64_t i = 0; i < n; ++i) {
-        TraceRecord t;
-        t.ip = r.getU64();
-        t.kind = static_cast<TraceRecord::Kind>(r.getU8());
-        t.vaddr = r.getU64();
-        t.dependsOnPrevLoad = r.getBool();
-        q.push_back(t);
+        // A restore grows the queue one record at a time, so a corrupt
+        // count runs out of bytes instead of sizing an allocation.
+        TraceRecord &t = ar.loading() ? q.emplace_back() : q[i];
+        ar.io(t.ip);
+        ar.io(t.kind, TraceRecord::kNumKinds, "a queued record kind");
+        ar.io(t.vaddr);
+        ar.io(t.dependsOnPrevLoad);
     }
 }
 

@@ -252,21 +252,12 @@ GraphWorkload::refillTc()
 }
 
 void
-GraphWorkload::saveState(SerialWriter &w) const
+GraphWorkload::state(StateArchive &ar)
 {
-    workload_ckpt::saveRng(w, rng_);
-    w.putU64(curVertex_);
-    w.putU64(frontierBase_);
-    workload_ckpt::saveQueue(w, queue_);
-}
-
-void
-GraphWorkload::loadState(SerialReader &r)
-{
-    workload_ckpt::loadRng(r, rng_);
-    curVertex_ = r.getU64();
-    frontierBase_ = r.getU64();
-    workload_ckpt::loadQueue(r, queue_);
+    ar.io(rng_);
+    ar.io(curVertex_);
+    ar.io(frontierBase_);
+    workload_ckpt::queueState(ar, queue_);
 }
 
 } // namespace tacsim

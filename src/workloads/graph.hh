@@ -82,8 +82,7 @@ class GraphWorkload : public Workload
     /** Procedural @p i-th neighbour of vertex @p v. */
     std::uint64_t neighbor(std::uint64_t v, std::uint64_t i) const;
 
-    void saveState(SerialWriter &w) const override;
-    void loadState(SerialReader &r) override;
+    void state(StateArchive &ar) override;
 
   private:
     // Address helpers.

@@ -108,25 +108,14 @@ McfWorkload::refill()
 }
 
 void
-McfWorkload::saveState(SerialWriter &w) const
+McfWorkload::state(StateArchive &ar)
 {
-    workload_ckpt::saveRng(w, rng_);
-    w.putU64(cur_);
-    w.putU64(hop_);
-    w.putU64(poolBase_);
-    w.putU64(scan_);
-    workload_ckpt::saveQueue(w, queue_);
-}
-
-void
-McfWorkload::loadState(SerialReader &r)
-{
-    workload_ckpt::loadRng(r, rng_);
-    cur_ = r.getU64();
-    hop_ = r.getU64();
-    poolBase_ = r.getU64();
-    scan_ = r.getU64();
-    workload_ckpt::loadQueue(r, queue_);
+    ar.io(rng_);
+    ar.io(cur_);
+    ar.io(hop_);
+    ar.io(poolBase_);
+    ar.io(scan_);
+    workload_ckpt::queueState(ar, queue_);
 }
 
 } // namespace tacsim

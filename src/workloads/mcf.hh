@@ -48,8 +48,7 @@ class McfWorkload : public Workload
      *  hop so revisiting a node does not cycle the chain. */
     std::uint64_t successor(std::uint64_t node, std::uint64_t hop) const;
 
-    void saveState(SerialWriter &w) const override;
-    void loadState(SerialReader &r) override;
+    void state(StateArchive &ar) override;
 
   private:
     void refill();

@@ -95,21 +95,12 @@ XalancWorkload::refill()
 }
 
 void
-XalancWorkload::saveState(SerialWriter &w) const
+XalancWorkload::state(StateArchive &ar)
 {
-    workload_ckpt::saveRng(w, rng_);
-    w.putU64(poolBase_);
-    w.putU64(out_);
-    workload_ckpt::saveQueue(w, queue_);
-}
-
-void
-XalancWorkload::loadState(SerialReader &r)
-{
-    workload_ckpt::loadRng(r, rng_);
-    poolBase_ = r.getU64();
-    out_ = r.getU64();
-    workload_ckpt::loadQueue(r, queue_);
+    ar.io(rng_);
+    ar.io(poolBase_);
+    ar.io(out_);
+    workload_ckpt::queueState(ar, queue_);
 }
 
 } // namespace tacsim

@@ -48,8 +48,7 @@ class XalancWorkload : public Workload
     std::string name() const override { return "xalancbmk"; }
     Addr footprint() const override { return p_.coldBytes; }
 
-    void saveState(SerialWriter &w) const override;
-    void loadState(SerialReader &r) override;
+    void state(StateArchive &ar) override;
 
   private:
     void refill();

@@ -24,6 +24,7 @@
 
 #include "obs/path.hh"
 #include "obs/registry.hh"
+#include "obs/timeseries.hh"
 #include "sim/runner.hh"
 #include "sim/stats_dump.hh"
 #include "sim/sweep.hh"
@@ -257,6 +258,20 @@ TEST(ObsSampler, TimeseriesSchemaAndSamples)
     // kWarm + kInstr instructions at interval 5000, plus the final
     // flush; boundary samples make the exact count budget-dependent.
     EXPECT_GE(samples, (kWarm + kInstr) / 5000 - 1);
+    std::remove(path.c_str());
+}
+
+TEST(ObsSampler, HeaderEscapesControlBytesInTheLabel)
+{
+    // A tab in the label must reach the header as \t, not vanish.
+    const std::string path = tmpPath("label", ".jsonl");
+    {
+        obs::Registry registry;
+        obs::Sampler sampler(registry, path, 100, "a\tb");
+    }
+    const std::string header = readFile(path);
+    EXPECT_NE(header.find("\"label\":\"a\\tb\""), std::string::npos)
+        << header;
     std::remove(path.c_str());
 }
 

@@ -130,6 +130,11 @@ TEST(TopologySpecTest, RejectsWithExactMessages)
               "power-of-two set count");
     EXPECT_EQ(parseError("cores=1,llc=64KB/16w,slices=128"),
               "topology: slices (128) exceed llc sets (64)");
+    // 2^34 sets: more than CacheParams::sets holds, so a System would
+    // narrow the count to 0 and abort the whole process.
+    EXPECT_EQ(parseError("cores=1,llc=1024GB/1w"),
+              "topology: llc size 1024GB with 1 ways needs 17179869184 "
+              "sets, more than a cache can index");
     // A count its field cannot hold is refused, not wrapped: these
     // would otherwise build 1 core, 2 threads, no MSHR quota and an
     // auto-sized (2^64 mod 2^64 = 0 byte) LLC.
