@@ -9,7 +9,6 @@
  */
 
 #include "bench_common.hh"
-#include "sim/system.hh"
 
 using namespace tacbench;
 
@@ -20,23 +19,22 @@ main(int argc, char **argv)
                                 Benchmark::cc, Benchmark::pr,
                                 Benchmark::bf};
 
-    // The recall histograms live in the profilers, not in RunResult, so
-    // each point builds its System here instead of joining the sweep.
+    auto key = [](Benchmark b) {
+        return std::string("fig07/") + benchmarkName(b);
+    };
+    SystemConfig cfg = baselineConfig();
+    cfg.profileCacheRecall = true;
+    for (Benchmark b : subset)
+        registerPoint(key(b), cfg, b);
+
     return benchMain(argc, argv,
                      "Fig. 7 — recall distance of replays at LLC/L2C", [&] {
         std::vector<double> over50;
         for (Benchmark b : subset) {
             const std::string name = benchmarkName(b);
-            SystemConfig cfg = baselineConfig();
-            cfg.profileCacheRecall = true;
-            std::vector<std::unique_ptr<Workload>> w;
-            w.push_back(makeWorkload(b, cfg.seed));
-            System sys(cfg, std::move(w));
-            sys.warmup(defaultWarmup());
-            sys.run(defaultInstructions());
-
-            const Histogram &llc = sys.llc().recallProfiler()->replayHist();
-            const Histogram &l2c = sys.l2().recallProfiler()->replayHist();
+            const RunResult &r = sweep().result(key(b));
+            const Histogram &llc = r.recall.at("llc.recall.replay");
+            const Histogram &l2c = r.recall.at("l2c.recall.replay");
             const double fLlc = (1 - llc.fractionAtOrBelow(50)) * 100;
             const double fL2c = (1 - l2c.fractionAtOrBelow(50)) * 100;
             addRow("LLC recall>50", name, fLlc, std::nan(""), "%");

@@ -88,32 +88,6 @@ struct CacheStats
     }
 
     void reset() { *this = CacheStats{}; }
-
-    /** Accumulate @p o into this (LLC-slice aggregation). */
-    void
-    add(const CacheStats &o)
-    {
-        for (std::size_t c = 0; c < kNumBlockCats; ++c) {
-            accesses[c] += o.accesses[c];
-            hits[c] += o.hits[c];
-            misses[c] += o.misses[c];
-        }
-        fills += o.fills;
-        bypassedFills += o.bypassedFills;
-        writebacksOut += o.writebacksOut;
-        mshrMerges += o.mshrMerges;
-        mshrFullEvents += o.mshrFullEvents;
-        prefetchIssued += o.prefetchIssued;
-        prefetchDropped += o.prefetchDropped;
-        prefetchUseful += o.prefetchUseful;
-        prefetchLate += o.prefetchLate;
-        atpIssued += o.atpIssued;
-        atpUseful += o.atpUseful;
-        tempoUseful += o.tempoUseful;
-        idealGrants += o.idealGrants;
-        arbMshrDeferred += o.arbMshrDeferred;
-        arbBwDeferred += o.arbBwDeferred;
-    }
 };
 
 /**

@@ -3,6 +3,7 @@
 #include "cache/repl/policy.hh"
 #include "cache/repl/rrip.hh"
 #include "cache/repl/ship.hh"
+#include "common/rng.hh"
 
 namespace tacsim {
 
@@ -33,6 +34,17 @@ metricSlug(const std::string &name)
             out += c;
     }
     return out.empty() ? std::string("policy") : out;
+}
+
+std::uint32_t
+predictorIndex(const AccessInfo &ai, const ReplOpts &opts,
+               std::uint32_t tableSize)
+{
+    std::uint64_t key = ai.ip;
+    if (opts.newSignatures)
+        key = (ai.ip << 2) | (ai.isTranslation() ? 1u : 0u) |
+            (ai.isReplay ? 2u : 0u);
+    return static_cast<std::uint32_t>(hashMix(key) & (tableSize - 1));
 }
 
 std::unique_ptr<ReplPolicy>

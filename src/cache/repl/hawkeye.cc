@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "common/rng.hh"
 #include "sim/verify.hh"
 
 namespace tacsim {
@@ -18,21 +17,6 @@ HawkeyePolicy::HawkeyePolicy(std::uint32_t sets, std::uint32_t ways,
       blockSig_(static_cast<std::size_t>(sets) * ways, 0),
       blockFriendly_(static_cast<std::size_t>(sets) * ways, 0)
 {}
-
-std::uint32_t
-HawkeyePolicy::predIndex(Addr ip, bool isTranslation, bool isReplay) const
-{
-    std::uint64_t key = ip;
-    if (opts_.newSignatures)
-        key = (ip << 2) | (isTranslation ? 1u : 0u) | (isReplay ? 2u : 0u);
-    return static_cast<std::uint32_t>(hashMix(key) & (kPredSize - 1));
-}
-
-std::uint32_t
-HawkeyePolicy::sigOf(const AccessInfo &ai) const
-{
-    return predIndex(ai.ip, ai.isTranslation(), ai.isReplay);
-}
 
 void
 HawkeyePolicy::trainUp(std::uint32_t sig)
@@ -98,12 +82,12 @@ HawkeyePolicy::train(std::uint32_t set, const AccessInfo &ai)
             trainDown(match->lastSig);
         }
         match->lastTime = t;
-        match->lastSig = sigOf(ai);
+        match->lastSig = predictorIndex(ai, opts_, kPredSize);
     } else {
         oldest->valid = true;
         oldest->block = ai.blockAddr;
         oldest->lastTime = t;
-        oldest->lastSig = sigOf(ai);
+        oldest->lastSig = predictorIndex(ai, opts_, kPredSize);
     }
 }
 
@@ -139,7 +123,7 @@ HawkeyePolicy::touch(std::uint32_t set, std::uint32_t way,
 
     const std::size_t base = static_cast<std::size_t>(set) * ways_;
     const std::size_t idx = base + way;
-    const std::uint32_t sig = sigOf(ai);
+    const std::uint32_t sig = predictorIndex(ai, opts_, kPredSize);
     bool isFriendly = friendly(sig);
 
     // Translation-conscious overrides (T-Hawkeye).

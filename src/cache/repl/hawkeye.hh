@@ -52,10 +52,6 @@ class HawkeyePolicy : public ReplPolicy
         return pred_[idx];
     }
 
-    /** Predictor index for an access — exposed for tests. */
-    std::uint32_t predIndex(Addr ip, bool isTranslation,
-                            bool isReplay) const;
-
   private:
     struct SampledSet
     {
@@ -86,7 +82,6 @@ class HawkeyePolicy : public ReplPolicy
         return pred_[sig] >= kFriendlyThreshold;
     }
 
-    std::uint32_t sigOf(const AccessInfo &ai) const;
     void touch(std::uint32_t set, std::uint32_t way, const AccessInfo &ai,
                bool isFill);
 

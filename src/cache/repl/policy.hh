@@ -50,6 +50,13 @@ struct ReplOpts
     bool replayRrpv0 = false;
 };
 
+/** The predictor entry @p ai trains (SHiP's SHCT, Hawkeye's predictor):
+ *  its hashed IP masked to @p tableSize (a power of two). With
+ *  newSignatures the key is (IP << 2) | IsTranslation | IsReplay << 1
+ *  (paper §IV), so PTE, replay and non-replay blocks train apart. */
+std::uint32_t predictorIndex(const AccessInfo &ai, const ReplOpts &opts,
+                             std::uint32_t tableSize);
+
 /** Replacement policy for one set-associative array. */
 class ReplPolicy
 {

@@ -2,7 +2,6 @@
 
 #include <sstream>
 
-#include "common/rng.hh"
 #include "sim/verify.hh"
 
 namespace tacsim {
@@ -15,31 +14,12 @@ ShipPolicy::ShipPolicy(std::uint32_t sets, std::uint32_t ways,
       blockOutcome_(static_cast<std::size_t>(sets) * ways, 0)
 {}
 
-std::uint32_t
-ShipPolicy::signatureFor(Addr ip, bool isTranslation, bool isReplay) const
-{
-    std::uint64_t key = ip;
-    if (opts_.newSignatures) {
-        // Paper §IV: shift the IP by the flags so the three traffic
-        // classes hash to disjoint SHCT regions.
-        key = (ip << 2) | (isTranslation ? 1u : 0u) |
-            (isReplay ? 2u : 0u);
-    }
-    return static_cast<std::uint32_t>(hashMix(key) & (kShctSize - 1));
-}
-
-std::uint32_t
-ShipPolicy::sigOf(const AccessInfo &ai) const
-{
-    return signatureFor(ai.ip, ai.isTranslation(), ai.isReplay);
-}
-
 void
 ShipPolicy::onFill(std::uint32_t set, std::uint32_t way,
                    const AccessInfo &ai)
 {
     const std::size_t idx = static_cast<std::size_t>(set) * ways_ + way;
-    const std::uint32_t sig = sigOf(ai);
+    const std::uint32_t sig = predictorIndex(ai, opts_, kShctSize);
     blockSig_[idx] = sig;
     blockOutcome_[idx] = 0;
 

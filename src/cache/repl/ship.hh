@@ -3,9 +3,9 @@
  * SHiP-PC (Wu et al., MICRO'11): signature-based hit prediction on top of
  * SRRIP eviction/promotion, plus the paper's NewSign and T-SHiP variants.
  *
- * NewSign (paper §IV): the training signature is extended with the
- * IsTranslation and IsReplay flags so PTE blocks, replay blocks and
- * non-replay blocks train disjoint SHCT entries:
+ * NewSign (paper §IV): the training signature (predictorIndex) is
+ * extended with the IsTranslation and IsReplay flags so PTE blocks,
+ * replay blocks and non-replay blocks train disjoint SHCT entries:
  *
  *     signature_translations = IP << IsTranslation
  *     signature_replayloads  = IP << IsReplay + IsTranslation
@@ -43,11 +43,6 @@ class ShipPolicy : public RripBase
     std::string name() const override;
     void checkInvariants(const std::string &owner) const override;
 
-    /** Signature for an access — flag-extended when newSignatures is on.
-     *  Exposed for tests. */
-    std::uint32_t signatureFor(Addr ip, bool isTranslation,
-                               bool isReplay) const;
-
     std::uint8_t shct(std::uint32_t sig) const { return shct_[sig]; }
 
     void
@@ -65,8 +60,6 @@ class ShipPolicy : public RripBase
     }
 
   private:
-    std::uint32_t sigOf(const AccessInfo &ai) const;
-
     std::vector<std::uint8_t> shct_;
     /** Per-block training state (signature of filling access + outcome). */
     std::vector<std::uint32_t> blockSig_;

@@ -9,10 +9,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
-
-#include "common/types.hh"
 
 namespace tacsim {
 
@@ -42,6 +41,8 @@ class Histogram
 
     /** Total number of samples. */
     std::uint64_t count() const { return n_; }
+    /** Sum of all samples (exact, unlike mean() * count()). */
+    std::uint64_t sum() const { return sum_; }
     /** Mean of all samples (0 if empty). */
     double mean() const { return n_ ? double(sum_) / double(n_) : 0.0; }
     /** Maximum sample seen (0 if empty). */
@@ -59,16 +60,16 @@ class Histogram
         return n_ ? double(counts_[i]) / double(n_) : 0.0;
     }
 
-    /** Fraction of samples <= @p bound (bound must be a bucket bound). */
+    /** Fraction of samples <= @p bound, a bucket bound (else throws). */
     double
     fractionAtOrBelow(std::uint64_t bound) const
     {
-        // A non-bucket bound cannot be answered from bucket counts: the
-        // loop below would silently return the partial sum up to the
-        // nearest lower bound, which reads like a valid fraction.
-        TACSIM_DCHECK(
-            std::binary_search(bounds_.begin(), bounds_.end(), bound) &&
-            "fractionAtOrBelow bound must be an exact bucket bound");
+        // Bucket counts cannot answer another bound: the partial sum up to
+        // the nearest lower bound would read like a valid fraction.
+        if (!std::binary_search(bounds_.begin(), bounds_.end(), bound))
+            throw std::invalid_argument(
+                "Histogram::fractionAtOrBelow: " + std::to_string(bound) +
+                " is not a bucket bound");
         if (!n_)
             return 0.0;
         std::uint64_t c = 0;
@@ -87,6 +88,19 @@ class Histogram
             return ">" + std::to_string(bounds_.back());
         std::uint64_t lo = i == 0 ? 0 : bounds_[i - 1] + 1;
         return std::to_string(lo) + "-" + std::to_string(bounds_[i]);
+    }
+
+    /** Add the samples of @p o, whose bucket bounds must equal ours. */
+    void
+    merge(const Histogram &o)
+    {
+        if (o.bounds_ != bounds_)
+            throw std::invalid_argument("Histogram::merge: bounds differ");
+        for (std::size_t i = 0; i < counts_.size(); ++i)
+            counts_[i] += o.counts_[i];
+        sum_ += o.sum_;
+        n_ += o.n_;
+        max_ = std::max(max_, o.max_);
     }
 
     /** Forget all samples. */

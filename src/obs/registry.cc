@@ -1,6 +1,8 @@
 #include "obs/registry.hh"
 
+#include <algorithm>
 #include <cstdio>
+#include <stdexcept>
 
 #include "common/types.hh"
 
@@ -31,7 +33,40 @@ formatDouble(double v)
     return buf;
 }
 
+/** @p name without an all-digit second segment (the instance index). */
+std::string
+foldedName(const std::string &name)
+{
+    const std::size_t root = name.find('.');
+    const std::size_t end = std::min(name.find('.', root + 1), name.size());
+    if (root == std::string::npos || end == root + 1 ||
+        name.find_first_not_of("0123456789", root + 1) < end)
+        return name;
+    return name.substr(0, root) + name.substr(end);
+}
+
+template <typename Map>
+const typename Map::mapped_type &
+named(const Map &totals, const std::string &name)
+{
+    if (const auto it = totals.find(name); it != totals.end())
+        return it->second;
+    throw std::out_of_range("no metric registered as " + name);
+}
+
 } // namespace
+
+std::uint64_t
+Totals::counter(const std::string &name) const
+{
+    return named(counters, name);
+}
+
+const Histogram &
+Totals::histogram(const std::string &name) const
+{
+    return named(histograms, name);
+}
 
 void
 Registry::addEntry(Entry e)
@@ -190,6 +225,23 @@ Registry::nonZeroAfterReset() const
         }
     }
     return bad;
+}
+
+Totals
+Registry::totals() const
+{
+    Totals t;
+    for (const Entry &e : entries_) {
+        if (e.kind == Kind::Counter) {
+            t.counters[foldedName(e.name)] += *e.counter;
+        } else if (e.kind == Kind::Hist) {
+            const auto [it, fresh] =
+                t.histograms.try_emplace(foldedName(e.name), *e.hist);
+            if (!fresh)
+                it->second.merge(*e.hist);
+        } // a gauge is state, not a total
+    }
+    return t;
 }
 
 } // namespace obs

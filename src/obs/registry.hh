@@ -27,6 +27,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -35,6 +36,18 @@
 
 namespace tacsim {
 namespace obs {
+
+/** A registry's totals across instances (Registry::totals()). */
+struct Totals
+{
+    std::map<std::string, std::uint64_t> counters;
+    std::map<std::string, Histogram> histograms;
+
+    /** The total @p name; throws std::out_of_range naming it when no
+     *  metric of that kind folds to it. */
+    std::uint64_t counter(const std::string &name) const;
+    const Histogram &histogram(const std::string &name) const;
+};
 
 class Registry
 {
@@ -94,6 +107,16 @@ class Registry
      * stats reset intentionally preserves.
      */
     std::vector<std::string> nonZeroAfterReset() const;
+
+    /**
+     * Every counter summed and every histogram merged (equal bucket
+     * bounds only, else std::invalid_argument) under its name without
+     * the instance index after the root: "l2c.1.misses.replay" counts
+     * into "l2c.misses.replay". System indexes only repeated
+     * components, so 1-core and N-core machines name totals alike.
+     * Gauges are state, not totals, and are left out.
+     */
+    Totals totals() const;
 
   private:
     enum class Kind : std::uint8_t { Counter, Gauge, Hist };

@@ -55,88 +55,62 @@ defaultWarmup()
 RunResult
 collectResult(System &sys, const std::string &name)
 {
+    const obs::Totals t = sys.metrics().totals();
+    const auto n = [&t](const char *metric) { return t.counter(metric); };
+
     RunResult r;
     r.benchmark = name;
     r.cycles = sys.measuredCycles();
     r.instructions = sys.measuredInstructions();
     r.events = sys.eventQueue().executed();
     r.ipc = r.cycles ? double(r.instructions) / double(r.cycles) : 0.0;
+    for (std::size_t th = 0; th < sys.threads(); ++th) {
+        r.threadCycles.push_back(sys.threadCycles(th));
+        r.threadInstructions.push_back(sys.core(th).retired());
+    }
 
     const double kilo = double(r.instructions) / 1000.0;
     auto mpki = [kilo](std::uint64_t misses) {
         return kilo > 0 ? double(misses) / kilo : 0.0;
     };
 
-    // TLB and stall stats aggregate across cores/threads.
-    std::uint64_t stlbMisses = 0;
-    std::uint64_t walkHistCount = 0;
-    double walkStallSum = 0, replayStallSum = 0, nonReplayStallSum = 0;
-    std::uint64_t nonReplayCount = 0;
-    const std::size_t nCores =
-        sys.config().numCores; // private structures per core
     // STLB MPKI counts *walks*: concurrent misses on a page whose walk
     // is already in flight merge in the PTW and are one miss
     // architecturally.
-    for (std::size_t c = 0; c < nCores; ++c)
-        stlbMisses += sys.ptw(c).stats().walks;
+    r.stlbMpki = mpki(n("ptw.walks"));
 
-    for (std::size_t t = 0; t < sys.threads(); ++t) {
-        const CoreStats &cs = sys.core(t).stats();
-        r.stallT += cs.stallCyclesT;
-        r.stallR += cs.stallCyclesR;
-        r.stallN += cs.stallCyclesN;
-        walkHistCount += cs.stallPerWalk.count();
-        walkStallSum += cs.stallPerWalk.mean() * cs.stallPerWalk.count();
-        replayStallSum +=
-            cs.stallPerReplay.mean() * cs.stallPerReplay.count();
-        nonReplayCount += cs.stallPerNonReplay.count();
-        nonReplayStallSum +=
-            cs.stallPerNonReplay.mean() * cs.stallPerNonReplay.count();
-        r.maxStallPerWalk =
-            std::max(r.maxStallPerWalk, cs.stallPerWalk.max());
-        r.maxStallPerReplay =
-            std::max(r.maxStallPerReplay, cs.stallPerReplay.max());
-        r.threadCycles.push_back(sys.threadCycles(t));
-        r.threadInstructions.push_back(cs.retired);
+    r.stallT = n("core.stall_cycles.translation");
+    r.stallR = n("core.stall_cycles.replay");
+    r.stallN = n("core.stall_cycles.other");
+    const Histogram &perWalk = t.histogram("core.stall_per_walk"),
+                    &perReplay = t.histogram("core.stall_per_replay"),
+                    &perNonReplay = t.histogram("core.stall_per_nonreplay");
+    // An STLB-missing access adds one sample to both the walk and the
+    // replay histogram, so the walk count is the replay count.
+    if (const double walks = double(perWalk.count()); walks > 0) {
+        r.avgStallPerWalk = double(perWalk.sum()) / walks;
+        r.avgStallPerReplay = double(perReplay.sum()) / walks;
     }
-    r.stlbMpki = mpki(stlbMisses);
-    if (walkHistCount) {
-        r.avgStallPerWalk = walkStallSum / double(walkHistCount);
-        r.avgStallPerReplay = replayStallSum / double(walkHistCount);
-    }
-    if (nonReplayCount)
-        r.avgStallPerNonReplay = nonReplayStallSum / double(nonReplayCount);
+    if (perNonReplay.count())
+        r.avgStallPerNonReplay =
+            double(perNonReplay.sum()) / double(perNonReplay.count());
+    r.maxStallPerWalk = perWalk.max();
+    r.maxStallPerReplay = perReplay.max();
 
-    // Cache MPKIs (sum private L2s).
-    std::uint64_t l2Replay = 0, l2NonReplay = 0, l2Ptl1 = 0;
-    for (std::size_t c = 0; c < nCores; ++c) {
-        const CacheStats &s = sys.l2(c).stats();
-        l2Replay += s.at(s.misses, BlockCat::Replay);
-        l2NonReplay += s.at(s.misses, BlockCat::NonReplay);
-        l2Ptl1 += s.at(s.misses, BlockCat::PtLeaf);
-    }
-    r.l2ReplayMpki = mpki(l2Replay);
-    r.l2NonReplayMpki = mpki(l2NonReplay);
-    r.l2Ptl1Mpki = mpki(l2Ptl1);
+    r.l2ReplayMpki = mpki(n("l2c.misses.replay"));
+    r.l2NonReplayMpki = mpki(n("l2c.misses.nonreplay"));
+    r.l2Ptl1Mpki = mpki(n("l2c.misses.pt_leaf"));
+    r.llcReplayMpki = mpki(n("llc.misses.replay"));
+    r.llcNonReplayMpki = mpki(n("llc.misses.nonreplay"));
+    r.llcPtl1Mpki = mpki(n("llc.misses.pt_leaf"));
 
-    const CacheStats ls = sys.llcStats(); // summed across slices
-    r.llcReplayMpki = mpki(ls.at(ls.misses, BlockCat::Replay));
-    r.llcNonReplayMpki = mpki(ls.at(ls.misses, BlockCat::NonReplay));
-    r.llcPtl1Mpki = mpki(ls.at(ls.misses, BlockCat::PtLeaf));
-
-    // Leaf-translation / replay response distributions.
-    std::uint64_t leafL1 = 0, leafL2 = 0, leafLlc = 0, leafDram = 0,
-                  leafIdeal = 0;
-    for (std::size_t c = 0; c < nCores; ++c) {
-        const PtwStats &ps = sys.ptw(c).stats();
-        leafL1 += ps.leafFromL1D;
-        leafL2 += ps.leafFromL2C;
-        leafLlc += ps.leafFromLLC;
-        leafDram += ps.leafFromDram;
-        leafIdeal += ps.leafFromIdeal;
-    }
-    const double leafTotal =
-        double(leafL1 + leafL2 + leafLlc + leafDram + leafIdeal);
+    // Where leaf translations were serviced.
+    const std::uint64_t leafL1 = n("ptw.leaf_from.l1d"),
+                        leafL2 = n("ptw.leaf_from.l2c"),
+                        leafLlc = n("ptw.leaf_from.llc"),
+                        leafDram = n("ptw.leaf_from.dram");
+    const double leafTotal = double(leafL1 + leafL2 + leafLlc + leafDram +
+                                    n("ptw.leaf_from.ideal"));
     if (leafTotal > 0) {
         r.leafL1D = leafL1 / leafTotal;
         r.leafL2C = leafL2 / leafTotal;
@@ -145,16 +119,11 @@ collectResult(System &sys, const std::string &name)
         r.leafOnChipHitRate = 1.0 - r.leafDram;
     }
 
-    // Replay response distribution from L1D/L2/LLC hit/miss accounting.
-    std::uint64_t rAcc = 0, rL1Hit = 0, rL2Hit = 0, rLlcHit = 0;
-    for (std::size_t c = 0; c < nCores; ++c) {
-        const CacheStats &a = sys.l1d(c).stats();
-        const CacheStats &b = sys.l2(c).stats();
-        rAcc += a.at(a.accesses, BlockCat::Replay);
-        rL1Hit += a.at(a.hits, BlockCat::Replay);
-        rL2Hit += b.at(b.hits, BlockCat::Replay);
-    }
-    rLlcHit = ls.at(ls.hits, BlockCat::Replay);
+    // Where replay loads were serviced, from each level's replay hits.
+    const std::uint64_t rAcc = n("l1d.accesses.replay"),
+                        rL1Hit = n("l1d.hits.replay"),
+                        rL2Hit = n("l2c.hits.replay"),
+                        rLlcHit = n("llc.hits.replay");
     if (rAcc > 0) {
         r.replayL1D = double(rL1Hit) / double(rAcc);
         r.replayL2C = double(rL2Hit) / double(rAcc);
@@ -163,15 +132,13 @@ collectResult(System &sys, const std::string &name)
             std::max(0.0, 1.0 - r.replayL1D - r.replayL2C - r.replayLLC);
     }
 
-    for (std::size_t c = 0; c < nCores; ++c) {
-        r.atpIssued += sys.l2(c).stats().atpIssued;
-    }
-    r.atpIssued += ls.atpIssued;
-    r.atpUseful = ls.atpUseful;
-    for (std::size_t c = 0; c < nCores; ++c)
-        r.atpUseful += sys.l2(c).stats().atpUseful;
-    r.tempoIssued = sys.dram().stats().tempoPrefetches;
+    r.atpIssued = n("l2c.atp.issued") + n("llc.atp.issued");
+    r.atpUseful = n("l2c.atp.useful") + n("llc.atp.useful");
+    r.tempoIssued = n("dram.tempo_prefetches");
 
+    for (const auto &[metric, h] : t.histograms)
+        if (metric.find(".recall.") != std::string::npos)
+            r.recall.emplace(metric, h);
     return r;
 }
 

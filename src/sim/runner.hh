@@ -1,9 +1,9 @@
 /**
  * @file
  * One-call experiment runner: build a System for one workload spec per
- * thread, warm up, measure, and collapse the component statistics into the
- * metrics the paper reports (IPC, per-class MPKIs, ROB-stall breakdown,
- * leaf-translation response distribution, prefetch accuracy).
+ * thread, warm up, measure, and compute the metrics the paper reports
+ * (IPC, per-class MPKIs, ROB-stall breakdown, leaf-translation response
+ * distribution, prefetch accuracy) from the metrics registry's totals.
  *
  * Instruction budgets default to values that keep every bench binary in
  * the tens of seconds; override with the TACSIM_INSTRUCTIONS and
@@ -15,6 +15,7 @@
 #define TACSIM_SIM_RUNNER_HH
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -68,6 +69,11 @@ struct RunResult
     std::vector<std::uint64_t> threadCycles;
     std::vector<std::uint64_t> threadInstructions;
 
+    /** Recall-distance histograms (Figs. 5, 7, 18) by registry total
+     *  name ("llc.recall.translation"), set only by a profiled run. No
+     *  other histogram is carried: callers keep results by the round. */
+    std::map<std::string, Histogram> recall;
+
     /** IPC of thread @p t in this run. */
     double
     threadIpc(std::size_t t) const
@@ -97,9 +103,9 @@ struct RunResultField
 /**
  * Every scalar metric of RunResult, in stats-dump order. The stats dump
  * (sim/stats_dump.hh) and the tests walk this table, so adding a metric
- * means a member, one row here and its computation in collectResult.
- * `benchmark` and the per-thread vectors are not scalars; each consumer
- * writes them around the table.
+ * means a member, one row here and its formula over registry totals in
+ * collectResult. `benchmark`, the per-thread vectors and `recall` are
+ * not scalars; each consumer writes them around the table.
  */
 inline constexpr RunResultField kRunResultFields[] = {
     {"instructions", &RunResult::instructions},
@@ -204,7 +210,9 @@ RunResult runWorkloads(const SystemConfig &cfg,
                        std::uint64_t instructionsPerThread = 0,
                        std::uint64_t warmup = 0);
 
-/** Extract a RunResult from an already-run system. */
+/** The RunResult of an already-run system, computed from the totals of
+ *  sys.metrics() by name. A name no component registered throws
+ *  std::out_of_range naming it: a renamed counter fails, not reads 0. */
 RunResult collectResult(System &sys, const std::string &name);
 
 /** speedup = baselineCycles / enhancedCycles. */

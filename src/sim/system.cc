@@ -456,15 +456,6 @@ System::state(StateArchive &ar)
         wl->state(ar);
 }
 
-CacheStats
-System::llcStats() const
-{
-    CacheStats total;
-    for (const auto &s : llc_)
-        total.add(s->stats());
-    return total;
-}
-
 void
 System::warmup(std::uint64_t instr)
 {

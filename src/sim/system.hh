@@ -142,8 +142,6 @@ class System
         return *llc_[static_cast<std::uint32_t>(paddr >> kBlockBits) &
                      llcSliceMask_];
     }
-    /** Counters summed across every LLC slice. */
-    CacheStats llcStats() const;
     /** Slice interconnect; null when the LLC is monolithic. */
     SliceRouter *llcRouter() { return llcRouter_.get(); }
     Dram &dram() { return *dram_; }

@@ -7,13 +7,16 @@
  * tracer (well-formed output, monotonic timestamps per track). Also
  * asserts that enabling observability does not perturb the simulation
  * itself: the canonical stats dump is byte-identical with sinks on and
- * off.
+ * off; and that the registry's totals, which run results are computed
+ * from, fold instances by the rule and equal the typed stats they sum.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -29,6 +32,7 @@
 #include "sim/stats_dump.hh"
 #include "sim/sweep.hh"
 #include "sim/system.hh"
+#include "sim/topology.hh"
 
 namespace tacsim {
 namespace {
@@ -142,6 +146,311 @@ TEST(ObsRegistryDeathTest, RejectsDuplicateAndInvalidNames)
                               "duplicate metric name");
     EXPECT_DEATH_IF_SUPPORTED(reg.addCounter("Bad Name", &v),
                               "metric names");
+}
+
+// --- totals: the fold rule ---
+
+TEST(ObsTotals, IndexedAndUnindexedCountersSumUnderOneName)
+{
+    obs::Registry reg;
+    std::uint64_t c0 = 3, c1 = 4, plain = 5, walks = 6;
+    reg.addCounter("l2c.0.misses.replay", &c0);
+    reg.addCounter("l2c.1.misses.replay", &c1);
+    reg.addCounter("l2c.misses.replay", &plain);
+    reg.addCounter("ptw.walks", &walks);
+
+    const obs::Totals t = reg.totals();
+    EXPECT_EQ(t.counter("l2c.misses.replay"), 12u);
+    EXPECT_EQ(t.counter("ptw.walks"), 6u);
+    EXPECT_EQ(t.counters.size(), 2u);
+}
+
+TEST(ObsTotals, OnlyTheSegmentAfterTheRootFolds)
+{
+    obs::Registry reg;
+    std::uint64_t a = 1, b = 2, c = 3, d = 4;
+    reg.addCounter("ptw.reads.1", &a);  // a digit leaf is a name
+    reg.addCounter("x.12.y.3", &b);     // only "12" is an index
+    reg.addCounter("llc.2", &c);        // an index can end the name
+    reg.addCounter("l2c.0x.hits", &d);  // not all digits: kept
+
+    const obs::Totals t = reg.totals();
+    EXPECT_EQ(t.counter("ptw.reads.1"), 1u);
+    EXPECT_EQ(t.counter("x.y.3"), 2u);
+    EXPECT_EQ(t.counter("llc"), 3u);
+    EXPECT_EQ(t.counter("l2c.0x.hits"), 4u);
+}
+
+TEST(ObsTotals, HistogramsMergeCountsSumsMaximaAndBuckets)
+{
+    obs::Registry reg;
+    Histogram h0({10, 50}), h1({10, 50});
+    h0.add(5);
+    h0.add(20);
+    h1.add(60); // the maximum comes from the second instance
+    h1.add(7);
+    reg.addHistogram("core.0.stall_per_walk", &h0);
+    reg.addHistogram("core.1.stall_per_walk", &h1);
+
+    const obs::Totals t = reg.totals();
+    const Histogram &m = t.histogram("core.stall_per_walk");
+    EXPECT_EQ(m.count(), 4u);
+    EXPECT_EQ(m.sum(), 92u);
+    EXPECT_EQ(m.max(), 60u);
+    EXPECT_EQ(m.bucketCount(0), 2u); // <=10
+    EXPECT_EQ(m.bucketCount(1), 1u); // <=50
+    EXPECT_EQ(m.bucketCount(2), 1u); // overflow
+}
+
+TEST(ObsTotals, HistogramsWithDifferentBoundsAreNotMerged)
+{
+    obs::Registry reg;
+    Histogram h0({10, 50}), h1({10, 100});
+    reg.addHistogram("core.0.stall_per_walk", &h0);
+    reg.addHistogram("core.1.stall_per_walk", &h1);
+    EXPECT_THROW(reg.totals(), std::invalid_argument);
+}
+
+TEST(ObsTotals, GaugesAreNotTotals)
+{
+    obs::Registry reg;
+    std::uint64_t hits = 1;
+    reg.addCounter("llc.hits.replay", &hits);
+    reg.addGauge("llc.repl.tship.psel", [] { return 512.0; });
+
+    const obs::Totals t = reg.totals();
+    EXPECT_EQ(t.counters.count("llc.repl.tship.psel"), 0u);
+    EXPECT_EQ(t.counters.size(), 1u);
+    EXPECT_TRUE(t.histograms.empty());
+}
+
+TEST(ObsTotals, AnUnregisteredNameThrowsNamingItself)
+{
+    obs::Registry reg;
+    std::uint64_t misses = 1;
+    Histogram h;
+    reg.addCounter("llc.misses.replay", &misses);
+    reg.addHistogram("llc.recall.replay", &h);
+    const obs::Totals t = reg.totals();
+
+    for (const char *name : {"llc.misses.replays", "llc.recall.replay"}) {
+        try {
+            t.counter(name);
+            ADD_FAILURE() << name << " read as a counter";
+        } catch (const std::out_of_range &e) {
+            EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+                << e.what();
+        }
+    }
+    EXPECT_THROW(t.histogram("llc.misses.replay"), std::out_of_range);
+}
+
+// --- totals on a real machine ---
+
+/** Sum of @p get over @p n instances. */
+template <typename Get>
+std::uint64_t
+sumOver(std::size_t n, Get get)
+{
+    std::uint64_t total = 0;
+    for (std::size_t i = 0; i < n; ++i)
+        total += get(i);
+    return total;
+}
+
+/** Every counter of the cache level @p root ("l2c") in @p t against
+ *  its CacheStats summed over @p level's @p n instances. */
+template <typename Level>
+void
+expectCacheTotals(const obs::Totals &t, const std::string &root,
+                  std::size_t n, Level level)
+{
+    static const char *const kCat[kNumBlockCats] = {
+        "nonreplay", "replay", "pt_leaf", "pt_upper", "prefetch",
+        "writeback",
+    };
+    for (std::size_t c = 0; c < kNumBlockCats; ++c) {
+        const std::string cat = std::string(".") + kCat[c];
+        EXPECT_EQ(t.counter(root + ".accesses" + cat),
+                  sumOver(n, [&](std::size_t i) {
+                      return level(i).stats().accesses[c];
+                  }));
+        EXPECT_EQ(t.counter(root + ".hits" + cat),
+                  sumOver(n, [&](std::size_t i) {
+                      return level(i).stats().hits[c];
+                  }));
+        EXPECT_EQ(t.counter(root + ".misses" + cat),
+                  sumOver(n, [&](std::size_t i) {
+                      return level(i).stats().misses[c];
+                  }));
+    }
+    const std::pair<const char *, std::uint64_t CacheStats::*> fields[] = {
+        {"fills", &CacheStats::fills},
+        {"mshr.merges", &CacheStats::mshrMerges},
+        {"pf.issued", &CacheStats::prefetchIssued},
+        {"pf.useful", &CacheStats::prefetchUseful},
+        {"atp.issued", &CacheStats::atpIssued},
+        {"atp.useful", &CacheStats::atpUseful},
+        {"tempo.useful", &CacheStats::tempoUseful},
+        {"arb.mshr_deferred", &CacheStats::arbMshrDeferred},
+        {"arb.bw_deferred", &CacheStats::arbBwDeferred},
+    };
+    for (const auto &[name, field] : fields)
+        EXPECT_EQ(t.counter(root + "." + name),
+                  sumOver(n, [&](std::size_t i) {
+                      return level(i).stats().*field;
+                  }))
+            << root << "." << name;
+}
+
+TEST(ObsTotals, EqualTheTypedStatsOfEveryInstance)
+{
+    // 4 cores x 2 SMT threads, 2 LLC slices, the full proposal, both
+    // recall profilers, nested translation and IPCP/SPP prefetchers:
+    // every component root but dram and noc is indexed, and every
+    // optional metric family is registered. No golden covers SMT, so
+    // the typed stats are the reference.
+    SystemConfig cfg = configFromTopology(
+        "cores=4,smt=2,slices=2,slice_lat=2,mshr_quota=16,bw=32");
+    TranslationAwareOptions ta;
+    ta.tempo = true;
+    applyTranslationAware(cfg, ta);
+    cfg.profileCacheRecall = true;
+    cfg.profileStlbRecall = true;
+    cfg.vm.nested = true;
+    cfg.l1Prefetcher = PrefetcherKind::Ipcp;
+    cfg.l2Prefetcher = PrefetcherKind::Spp;
+    std::vector<std::unique_ptr<Workload>> w;
+    for (unsigned th = 0; th < cfg.threads(); ++th)
+        w.push_back(makeWorkload(
+            kAllBenchmarks[th % kAllBenchmarks.size()], cfg.seed + th));
+    System sys(cfg, std::move(w));
+    sys.warmup(2000);
+    sys.run(20000);
+
+    // The fold rule reads an all-digit second segment as an instance
+    // index, so no other segment of a registered name may be one.
+    for (const std::string &col : sys.metrics().columns()) {
+        std::istringstream parts(col);
+        std::string part;
+        for (int seg = 0; std::getline(parts, part, '.'); ++seg) {
+            if (seg != 1) {
+                EXPECT_NE(part.find_first_not_of("0123456789"),
+                          std::string::npos)
+                    << col;
+            }
+        }
+    }
+
+    const obs::Totals t = sys.metrics().totals();
+    const std::size_t cores = cfg.numCores, threads = sys.threads(),
+                      slices = sys.llcSlices();
+    expectCacheTotals(t, "llc", slices,
+                      [&](std::size_t i) -> Cache & { return sys.llc(i); });
+    expectCacheTotals(t, "l2c", cores,
+                      [&](std::size_t i) -> Cache & { return sys.l2(i); });
+    expectCacheTotals(t, "l1d", cores,
+                      [&](std::size_t i) -> Cache & { return sys.l1d(i); });
+
+    const std::pair<const char *, std::uint64_t PtwStats::*> ptw[] = {
+        {"walks", &PtwStats::walks},
+        {"merged", &PtwStats::merged},
+        {"host_walks", &PtwStats::hostWalks},
+        {"leaf_from.l1d", &PtwStats::leafFromL1D},
+        {"leaf_from.l2c", &PtwStats::leafFromL2C},
+        {"leaf_from.llc", &PtwStats::leafFromLLC},
+        {"leaf_from.dram", &PtwStats::leafFromDram},
+        {"leaf_from.ideal", &PtwStats::leafFromIdeal},
+    };
+    for (const auto &[name, field] : ptw)
+        EXPECT_EQ(t.counter(std::string("ptw.") + name),
+                  sumOver(cores, [&](std::size_t c) {
+                      return sys.ptw(c).stats().*field;
+                  }))
+            << name;
+
+    const std::pair<const char *, std::uint64_t TlbStats::*> stlb[] = {
+        {"accesses", &TlbStats::accesses},
+        {"hits", &TlbStats::hits},
+        {"misses", &TlbStats::misses},
+    };
+    for (const auto &[name, field] : stlb)
+        EXPECT_EQ(t.counter(std::string("stlb.") + name),
+                  sumOver(cores, [&](std::size_t c) {
+                      return sys.stlb(c).stats().*field;
+                  }))
+            << name;
+
+    const std::pair<const char *, std::uint64_t CoreStats::*> core[] = {
+        {"retired", &CoreStats::retired},
+        {"stall_cycles.translation", &CoreStats::stallCyclesT},
+        {"stall_cycles.replay", &CoreStats::stallCyclesR},
+        {"stall_cycles.other", &CoreStats::stallCyclesN},
+    };
+    for (const auto &[name, field] : core)
+        EXPECT_EQ(t.counter(std::string("core.") + name),
+                  sumOver(threads, [&](std::size_t th) {
+                      return sys.core(th).stats().*field;
+                  }))
+            << name;
+    const Histogram &perWalk = t.histogram("core.stall_per_walk");
+    EXPECT_EQ(perWalk.count(), sumOver(threads, [&](std::size_t th) {
+                  return sys.core(th).stats().stallPerWalk.count();
+              }));
+    EXPECT_EQ(perWalk.sum(), sumOver(threads, [&](std::size_t th) {
+                  return sys.core(th).stats().stallPerWalk.sum();
+              }));
+    std::uint64_t maxPerWalk = 0;
+    for (std::size_t th = 0; th < threads; ++th)
+        maxPerWalk =
+            std::max(maxPerWalk, sys.core(th).stats().stallPerWalk.max());
+    EXPECT_EQ(perWalk.max(), maxPerWalk);
+
+    EXPECT_EQ(t.histogram("llc.recall.translation").count(),
+              sumOver(slices, [&](std::size_t s) {
+                  return sys.llc(s).recallProfiler()->translationHist()
+                      .count();
+              }));
+    EXPECT_EQ(t.histogram("l2c.recall.replay").count(),
+              sumOver(cores, [&](std::size_t c) {
+                  return sys.l2(c).recallProfiler()->replayHist().count();
+              }));
+    EXPECT_EQ(t.histogram("l2c.recall.data").count(),
+              sumOver(cores, [&](std::size_t c) {
+                  return sys.l2(c).recallProfiler()->nonReplayHist()
+                      .count();
+              }));
+    EXPECT_EQ(t.histogram("stlb.recall.translation").count(),
+              sumOver(cores, [&](std::size_t c) {
+                  return sys.stlb(c).recallProfiler()->translationHist()
+                      .count();
+              }));
+
+    // The run did the work the comparisons above are about.
+    EXPECT_GT(t.counter("ptw.walks"), 0u);
+    EXPECT_GT(t.counter("llc.misses.replay"), 0u);
+    EXPECT_GT(t.counter("l2c.atp.issued"), 0u);
+    EXPECT_GT(t.counter("ptw.host_walks"), 0u);
+    EXPECT_GT(t.counter("l2c.pf.issued"), 0u);
+    EXPECT_GT(t.histogram("stlb.recall.translation").count(), 0u);
+
+    // collectResult reads the same totals and carries only the recall
+    // histograms.
+    const RunResult r = collectResult(sys, "mix");
+    EXPECT_EQ(r.stallT, t.counter("core.stall_cycles.translation"));
+    EXPECT_EQ(r.atpIssued,
+              t.counter("l2c.atp.issued") + t.counter("llc.atp.issued"));
+    ASSERT_EQ(r.recall.size(), 7u);
+    for (const auto &[name, h] : r.recall)
+        EXPECT_NE(name.find(".recall."), std::string::npos) << name;
+    EXPECT_EQ(r.recall.at("stlb.recall.translation").count(),
+              t.histogram("stlb.recall.translation").count());
+}
+
+TEST(ObsTotals, ADefaultRunCarriesNoHistogram)
+{
+    EXPECT_TRUE(runSpecMix(SystemConfig{}, {"mcf"}, 2000, 500)
+                    .recall.empty());
 }
 
 TEST(ObsPath, SanitizeAndExpand)

@@ -22,13 +22,24 @@ access(Addr block, Addr ip)
     return ai;
 }
 
+/** Predictor entry of an access from @p ip carrying the given flags. */
+std::uint32_t
+entryOf(const HawkeyePolicy &p, Addr ip, bool translation = false,
+        bool replay = false)
+{
+    AccessInfo ai = access(0, ip);
+    ai.ptLevel = translation ? 1 : 0;
+    ai.isReplay = replay;
+    return predictorIndex(ai, p.opts(), HawkeyePolicy::kPredSize);
+}
+
 TEST(Hawkeye, FriendlyPatternTrainsUp)
 {
     HawkeyePolicy p(64, 4, {});
     const Addr ip = 0x400000;
     // Set 0 is sampled (stride divides 0). Tight reuse of few blocks:
     // OPT would keep them -> train up.
-    const auto idx = p.predIndex(ip, false, false);
+    const auto idx = entryOf(p, ip);
     const auto before = p.predictorCounter(idx);
     for (int round = 0; round < 16; ++round)
         for (Addr b = 0; b < 2; ++b)
@@ -42,7 +53,7 @@ TEST(Hawkeye, ThrashingPatternTrainsDown)
 {
     HawkeyePolicy p(64, 4, {});
     const Addr ip = 0x400100;
-    const auto idx = p.predIndex(ip, false, false);
+    const auto idx = entryOf(p, ip);
     // Cycle through more blocks than the OPTgen capacity (ways=4) with a
     // reuse distance that fits the sampler window: every reuse interval
     // overflows the occupancy vector, so OPT would miss -> train down.
@@ -79,7 +90,7 @@ TEST(Hawkeye, VictimDetrainsFriendlyBlocks)
 {
     HawkeyePolicy p(64, 4, {});
     const Addr ip = 0x400300;
-    const auto idx = p.predIndex(ip, false, false);
+    const auto idx = entryOf(p, ip);
     // Fresh predictor: weakly friendly. Fill a non-sampled set fully
     // with friendly blocks, then evict one: its PC must be detrained.
     const auto before = p.predictorCounter(idx);
@@ -130,15 +141,15 @@ TEST(THawkeye, NewSignaturesSeparatePredictorEntries)
     opts.newSignatures = true;
     HawkeyePolicy p(64, 4, opts);
     const Addr ip = 0x400500;
-    EXPECT_NE(p.predIndex(ip, true, false), p.predIndex(ip, false, false));
-    EXPECT_NE(p.predIndex(ip, false, true), p.predIndex(ip, false, false));
+    EXPECT_NE(entryOf(p, ip, true), entryOf(p, ip));
+    EXPECT_NE(entryOf(p, ip, false, true), entryOf(p, ip));
 }
 
 TEST(Hawkeye, DefaultSignaturesIgnoreFlags)
 {
     HawkeyePolicy p(64, 4, {});
     const Addr ip = 0x400600;
-    EXPECT_EQ(p.predIndex(ip, true, false), p.predIndex(ip, false, false));
+    EXPECT_EQ(entryOf(p, ip, true), entryOf(p, ip));
 }
 
 TEST(Hawkeye, VictimPrefersMaxRrpv)

@@ -22,6 +22,17 @@ dataAccess(Addr ip)
     return ai;
 }
 
+/** SHCT entry of an access from @p ip carrying the given flags. */
+std::uint32_t
+entryOf(const ShipPolicy &p, Addr ip, bool translation = false,
+        bool replay = false)
+{
+    AccessInfo ai = dataAccess(ip);
+    ai.ptLevel = translation ? 1 : 0;
+    ai.isReplay = replay;
+    return predictorIndex(ai, p.opts(), ShipPolicy::kShctSize);
+}
+
 BlockMeta
 validMeta()
 {
@@ -63,7 +74,7 @@ TEST(Ship, CounterSaturates)
         p.onFill(0, 0, dataAccess(ip));
         p.onHit(0, 0, dataAccess(ip));
     }
-    const auto sig = p.signatureFor(ip, false, false);
+    const auto sig = entryOf(p, ip);
     EXPECT_EQ(p.shct(sig), ShipPolicy::kCounterMax);
 }
 
@@ -71,7 +82,7 @@ TEST(Ship, OnlyFirstHitTrains)
 {
     ShipPolicy p(64, 8, {});
     const Addr ip = 0x400400;
-    const auto sig = p.signatureFor(ip, false, false);
+    const auto sig = entryOf(p, ip);
     const auto before = p.shct(sig);
     p.onFill(0, 0, dataAccess(ip));
     p.onHit(0, 0, dataAccess(ip));
@@ -83,10 +94,8 @@ TEST(Ship, OnlyFirstHitTrains)
 TEST(Ship, DefaultSignaturesIgnoreFlags)
 {
     ShipPolicy p(64, 8, {});
-    EXPECT_EQ(p.signatureFor(0x400500, false, false),
-              p.signatureFor(0x400500, true, false));
-    EXPECT_EQ(p.signatureFor(0x400500, false, false),
-              p.signatureFor(0x400500, false, true));
+    EXPECT_EQ(entryOf(p, 0x400500), entryOf(p, 0x400500, true));
+    EXPECT_EQ(entryOf(p, 0x400500), entryOf(p, 0x400500, false, true));
 }
 
 TEST(Ship, NewSignaturesSeparateTrafficClasses)
@@ -95,9 +104,9 @@ TEST(Ship, NewSignaturesSeparateTrafficClasses)
     opts.newSignatures = true;
     ShipPolicy p(64, 8, opts);
     const Addr ip = 0x400600;
-    const auto data = p.signatureFor(ip, false, false);
-    const auto translation = p.signatureFor(ip, true, false);
-    const auto replay = p.signatureFor(ip, false, true);
+    const auto data = entryOf(p, ip);
+    const auto translation = entryOf(p, ip, true);
+    const auto replay = entryOf(p, ip, false, true);
     EXPECT_NE(data, translation);
     EXPECT_NE(data, replay);
     EXPECT_NE(translation, replay);
@@ -160,7 +169,7 @@ TEST(Ship, EvictWithoutReuseDecrements)
 {
     ShipPolicy p(64, 8, {});
     const Addr ip = 0x400a00;
-    const auto sig = p.signatureFor(ip, false, false);
+    const auto sig = entryOf(p, ip);
     p.onFill(0, 0, dataAccess(ip));
     p.onHit(0, 0, dataAccess(ip)); // counter -> 2
     const auto mid = p.shct(sig);
@@ -173,7 +182,7 @@ TEST(Ship, InvalidEvictDoesNotTrain)
 {
     ShipPolicy p(64, 8, {});
     const Addr ip = 0x400b00;
-    const auto sig = p.signatureFor(ip, false, false);
+    const auto sig = entryOf(p, ip);
     const auto before = p.shct(sig);
     p.onFill(0, 0, dataAccess(ip));
     BlockMeta invalid;

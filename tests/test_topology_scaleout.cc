@@ -68,10 +68,12 @@ TEST(TopologyScaleoutTest, SixteenCoreMachineRunsFromSpecAlone)
 
     for (std::size_t t = 0; t < sys.threads(); ++t)
         EXPECT_GT(sys.threadCycles(t), 0u) << "thread " << t;
-    const CacheStats ls = sys.llcStats();
+    const obs::Totals totals = sys.metrics().totals();
     std::uint64_t accesses = 0;
-    for (std::uint64_t a : ls.accesses)
-        accesses += a;
+    for (const auto &[name, n] : totals.counters) {
+        if (name.rfind("llc.accesses.", 0) == 0)
+            accesses += n;
+    }
     EXPECT_GT(accesses, 0u);
     // The ring model charged remote-slice hops.
     EXPECT_GT(sys.llcRouter()->stats().routed, 0u);
@@ -154,8 +156,10 @@ TEST(TopologyScaleoutTest, TightArbitrationEngagesAndStaysConsistent)
     System sys(cfg, workloadsFor(cfg));
     sys.run(4000);
 
-    const CacheStats ls = sys.llcStats();
-    EXPECT_GT(ls.arbMshrDeferred + ls.arbBwDeferred, 0u)
+    const obs::Totals totals = sys.metrics().totals();
+    EXPECT_GT(totals.counter("llc.arb.mshr_deferred") +
+                  totals.counter("llc.arb.bw_deferred"),
+              0u)
         << "starved arbitration never deferred anything";
     for (std::size_t s = 0; s < sys.llcSlices(); ++s)
         EXPECT_NO_THROW(sys.llc(s).checkInvariants());
