@@ -6,9 +6,8 @@
 #   2. tacsim-lint (tools/tacsim_lint.cc), the domain-aware analyzer:
 #      magic-page-constant, nondeterminism-hazard, unsequenced-rng,
 #      raw-assert, banned-include, hot-path-container and
-#      stats-registry-coverage over src/, gated against the committed
-#      (empty) baseline scripts/lint_baseline.txt. This replaced the old
-#      grep-based banned-idiom scan; run
+#      stats-registry-coverage over src/. A finding passes only with an
+#      inline `tacsim-lint: allow(<check>) <reason>`; run
 #      `tacsim-lint --list-checks` for the catalog and README.md
 #      ("Correctness tooling") for suppression syntax.
 #
@@ -53,9 +52,7 @@ if [ ! -x "$lint_bin" ]; then
         exit 2
     fi
 fi
-if ! "$lint_bin" --root "$repo_root" \
-        --baseline "$repo_root/scripts/lint_baseline.txt" \
-        "$repo_root/src"; then
+if ! "$lint_bin" --root "$repo_root" "$repo_root/src"; then
     status=1
 fi
 

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Validate a Chrome-trace JSON file produced by obs::ChromeTracer.
 
-Checks, stdlib only (CI's obs-smoke lane runs this on a short traced
-simulation):
+Checks, stdlib only (the obs.chrome_trace.* ctests run this on short
+traced simulations):
 
   - the file is well-formed JSON with a ``traceEvents`` array;
   - every event carries the keys its phase requires (``ph``, ``pid``,

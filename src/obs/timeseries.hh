@@ -2,7 +2,7 @@
  * @file
  * Periodic metrics sampler: every N retired instructions it snapshots
  * the whole Registry and appends one JSONL record, producing the
- * `tacsim-timeseries-v1` format consumed by tools/tacsim-stats:
+ * `tacsim-timeseries-v1` format that scripts/timeseries.py reads:
  *
  *   {"schema":"tacsim-timeseries-v1","label":L,"interval":N,
  *    "columns":[...]}                       <- first line, once

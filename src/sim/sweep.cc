@@ -64,34 +64,35 @@ SweepRunner::defaultJobs()
 std::size_t
 SweepRunner::addJob(Job job)
 {
-    auto it = index_.find(job.key);
+    const std::string &key = job.outcome.key;
+    const std::string &pointKey = job.outcome.pointKey;
+    auto it = index_.find(key);
     if (it != index_.end()) {
         // Same name must mean the same simulation point. The old memo
         // keyed on the name alone, so a key reused for a different
         // config silently returned the first registration's numbers —
         // exactly the wrong-result class of bug the canonical hash
         // exists to prevent.
-        const Job &existing = jobs_[it->second];
-        if (!job.pointKey.empty() && !existing.pointKey.empty() &&
-            job.pointKey != existing.pointKey)
+        const std::string &existing = jobs_[it->second].outcome.pointKey;
+        if (!pointKey.empty() && !existing.empty() && pointKey != existing)
             throw std::runtime_error(
-                "sweep key '" + job.key +
+                "sweep key '" + key +
                 "' re-registered for a different simulation point");
         return it->second;
     }
-    if (!job.pointKey.empty()) {
-        auto hit = hashIndex_.find(job.pointKey);
+    if (!pointKey.empty()) {
+        auto hit = hashIndex_.find(pointKey);
         if (hit != hashIndex_.end()) {
             // Identical point under a new name: alias instead of
             // simulating twice.
-            index_.emplace(job.key, hit->second);
+            index_.emplace(key, hit->second);
             return hit->second;
         }
     }
     const std::size_t idx = jobs_.size();
-    index_.emplace(job.key, idx);
-    if (!job.pointKey.empty())
-        hashIndex_.emplace(job.pointKey, idx);
+    index_.emplace(key, idx);
+    if (!pointKey.empty())
+        hashIndex_.emplace(pointKey, idx);
     jobs_.push_back(std::move(job));
     return idx;
 }
@@ -102,19 +103,20 @@ SweepRunner::add(const std::string &key, const SystemConfig &cfg,
                  std::uint64_t warmup)
 {
     Job job;
-    job.key = key;
+    SweepOutcome &o = job.outcome;
+    o.key = key;
     // Resolve the budgets now so the JSON metadata records what actually
     // ran (runSpecMix would apply the same defaults internally).
-    job.instructions = instructions ? instructions : defaultInstructions();
-    job.warmup = warmup ? warmup : defaultWarmup();
-    job.seed = cfg.seed;
-    job.topology = topologyText(cfg);
-    job.pointKey = tryPointKey(cfg, specs, job.instructions, job.warmup);
+    o.instructions = instructions ? instructions : defaultInstructions();
+    o.warmup = warmup ? warmup : defaultWarmup();
+    o.seed = cfg.seed;
+    o.topology = topologyText(cfg);
+    o.pointKey = tryPointKey(cfg, specs, o.instructions, o.warmup);
     // Obs paths expand with the sweep key, not the benchmark label: keys
     // are unique per point (a baseline/proposed pair shares a label), so
     // concurrent points under TACSIM_JOBS never collide on a file.
     job.fn = [cfg = configForPoint(cfg, key), specs = std::move(specs),
-              instr = job.instructions, warm = job.warmup] {
+              instr = o.instructions, warm = o.warmup] {
         return runSpecMix(cfg, specs, instr, warm);
     };
     return addJob(std::move(job));
@@ -125,7 +127,7 @@ SweepRunner::addCustom(const std::string &key,
                        std::function<RunResult()> fn)
 {
     Job job;
-    job.key = key;
+    job.outcome.key = key;
     job.fn = std::move(fn);
     return addJob(std::move(job));
 }
@@ -133,14 +135,7 @@ SweepRunner::addCustom(const std::string &key,
 void
 SweepRunner::execute(Job &job)
 {
-    SweepOutcome o;
-    o.key = job.key;
-    o.pointKey = job.pointKey;
-    o.topology = job.topology;
-    o.instructions = job.instructions;
-    o.warmup = job.warmup;
-    o.seed = job.seed;
-
+    SweepOutcome &o = job.outcome;
     // tacsim-lint: allow(nondeterminism-hazard) measures host wall time for the report's wallMs field; never feeds simulation state
     const auto t0 = std::chrono::steady_clock::now();
     try {
@@ -155,22 +150,16 @@ SweepRunner::execute(Job &job)
     o.wallMs = std::chrono::duration<double, std::milli>(
                    std::chrono::steady_clock::now() - t0) // tacsim-lint: allow(nondeterminism-hazard) reporting-only wall time (see t0 above)
                    .count();
-
-    std::lock_guard<std::mutex> lk(mutex_);
     job.done = true;
-    results_[job.key] = std::move(o);
 }
 
 void
 SweepRunner::run()
 {
     std::vector<std::size_t> todo;
-    {
-        std::lock_guard<std::mutex> lk(mutex_);
-        for (std::size_t i = 0; i < jobs_.size(); ++i)
-            if (!jobs_[i].done)
-                todo.push_back(i);
-    }
+    for (std::size_t i = 0; i < jobs_.size(); ++i)
+        if (!jobs_[i].done)
+            todo.push_back(i);
     if (todo.empty())
         return;
 
@@ -219,24 +208,19 @@ const SweepOutcome *
 SweepRunner::outcome(const std::string &key) const
 {
     auto idx = index_.find(key);
-    if (idx == index_.end())
+    if (idx == index_.end() || !jobs_[idx->second].done)
         return nullptr;
-    std::lock_guard<std::mutex> lk(mutex_);
-    auto it = results_.find(jobs_[idx->second].key);
-    return it == results_.end() ? nullptr : &it->second;
+    return &jobs_[idx->second].outcome;
 }
 
 std::vector<const SweepOutcome *>
 SweepRunner::outcomes() const
 {
-    std::lock_guard<std::mutex> lk(mutex_);
     std::vector<const SweepOutcome *> out;
     out.reserve(jobs_.size());
-    for (const Job &j : jobs_) {
-        auto it = results_.find(j.key);
-        if (it != results_.end())
-            out.push_back(&it->second);
-    }
+    for (const Job &j : jobs_)
+        if (j.done)
+            out.push_back(&j.outcome);
     return out;
 }
 

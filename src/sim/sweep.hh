@@ -1,10 +1,11 @@
 /**
  * @file
  * Parallel sweep runner: a registered job list of named simulation
- * points executed across a std::thread pool, with a mutex-guarded
- * result map, deterministic (registration-order) reporting independent
- * of completion order, and per-job exception capture so one diverging
- * configuration reports an error instead of killing the whole sweep.
+ * points executed across a std::thread pool, deterministic
+ * (registration-order) reporting independent of completion order, and
+ * per-job exception capture so one diverging configuration reports an
+ * error instead of killing the whole sweep. Each job holds its own
+ * outcome, written only by the worker that runs it.
  *
  * Every simulation point is an independent, deterministic System, so
  * running them concurrently is safe and produces results identical to a
@@ -29,7 +30,6 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -136,11 +136,9 @@ class SweepRunner
   private:
     struct Job
     {
-        std::string key;
-        std::string pointKey;  ///< canonical hash ("" for custom)
+        /** Metadata filled in at add(); the rest once the job ran. */
+        SweepOutcome outcome;
         std::function<RunResult()> fn;
-        std::string topology;  ///< canonical spec ("" for custom)
-        std::uint64_t instructions = 0, warmup = 0, seed = 0;
         bool done = false;
     };
 
@@ -153,8 +151,6 @@ class SweepRunner
     std::unordered_map<std::string, std::size_t> index_;
     /** Canonical point hash -> job index (the real memo). */
     std::unordered_map<std::string, std::size_t> hashIndex_;
-    mutable std::mutex mutex_; ///< guards results_ and Job::done
-    std::unordered_map<std::string, SweepOutcome> results_;
 };
 
 } // namespace tacsim

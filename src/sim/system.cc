@@ -211,7 +211,7 @@ System::System(SystemConfig cfg,
         }
 
         ptw_.push_back(std::make_unique<PageTableWalker>(
-            eq_, l1d_[c].get(), cfg_.ptw));
+            eq_, l1d_[c].get(), cfg_.ptw, "PTW" + suffix));
         ptw_[c]->setStlb(stlb_[c].get());
         if (hostPageTable_)
             ptw_[c]->setNestedTranslation(hostPageTable_.get());
@@ -269,10 +269,8 @@ System::System(SystemConfig cfg,
                 tracer_.get(),
                 tracer_->addTrack("Core." + std::to_string(t)));
         for (unsigned c = 0; c < cfg_.numCores; ++c) {
-            const std::string suffix =
-                cfg_.numCores > 1 ? "." + std::to_string(c) : "";
             ptw_[c]->setTracer(tracer_.get(),
-                               tracer_->addTrack("PTW" + suffix));
+                               tracer_->addTrack(ptw_[c]->name()));
             l1d_[c]->setTracer(
                 tracer_.get(), tracer_->addTrack(l1d_[c]->name()));
             l2_[c]->setTracer(

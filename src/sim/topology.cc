@@ -40,6 +40,23 @@ constexpr std::uint64_t kKiB = 1024;
 constexpr std::uint64_t kMiB = kKiB * 1024;
 constexpr std::uint64_t kGiB = kMiB * 1024;
 
+/** Fail unless @p size units in @p ways-way sets (the fields named
+ *  @p sizeField and @p waysField) give a power-of-two set count: a
+ *  set-indexed array masks its index. */
+void
+requirePow2Sets(const std::string &sizeField, std::uint64_t size,
+                const std::string &waysField, std::uint64_t ways,
+                std::uint64_t unit)
+{
+    if (ways == 0)
+        fail(waysField + " = 0 must be nonzero");
+    const std::uint64_t row = ways * unit;
+    if (size % row != 0 || !isPow2(size / row))
+        fail(sizeField + " = " + std::to_string(size) + " with " +
+             waysField + " = " + std::to_string(ways) +
+             " does not yield a power-of-two set count");
+}
+
 /** "16MB" / "512KB" / "1GB" / plain bytes -> nonzero byte count. */
 bool
 parseSize(const std::string &s, std::uint64_t &out)
@@ -164,6 +181,24 @@ validateTopology(const SystemConfig &cfg)
     if (cfg.llcSlices > sets)
         fail("slices (" + std::to_string(cfg.llcSlices) +
              ") exceed llc sets (" + std::to_string(sets) + ")");
+
+    // The private structures. Their constructors assert the same
+    // shapes; an exception here fails one sweep point, not the process.
+    requirePow2Sets("l1d.sizeBytes", cfg.l1d.sizeBytes, "l1d.ways",
+                    cfg.l1d.ways, kBlockSize);
+    requirePow2Sets("l2.sizeBytes", cfg.l2.sizeBytes, "l2.ways",
+                    cfg.l2.ways, kBlockSize);
+    requirePow2Sets("dtlbEntries", cfg.dtlbEntries, "dtlbWays",
+                    cfg.dtlbWays, 1);
+    requirePow2Sets("stlbEntries", cfg.stlbEntries, "stlbWays",
+                    cfg.stlbWays, 1);
+    for (std::size_t i = 0; i < cfg.ptw.pscSizes.size(); ++i)
+        if (cfg.ptw.pscSizes[i] == 0)
+            fail("ptw.pscSizes[" + std::to_string(i) + "] = 0 (PSCL" +
+                 std::to_string(i + 2) + ") must be nonzero");
+    if (cfg.llcDeadBlock && cfg.llcCsalt)
+        fail("llcDeadBlock and llcCsalt are both set; the LLC takes one "
+             "wrapper");
 }
 
 SystemConfig

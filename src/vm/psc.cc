@@ -20,8 +20,8 @@ coverageAlign(Addr vaddr, unsigned level)
 } // namespace
 
 PagingStructureCaches::PagingStructureCaches(
-    std::array<std::uint32_t, 4> sizes, Cycle latency)
-    : latency_(latency)
+    std::array<std::uint32_t, 4> sizes, Cycle latency, std::string owner)
+    : latency_(latency), owner_(std::move(owner))
 {
     for (unsigned i = 0; i < 4; ++i)
         caches_[i].resize(sizes[i]);
@@ -128,7 +128,7 @@ PagingStructureCaches::checkInvariants() const
     using verify::InvariantViolation;
     for (unsigned level = 2; level <= kPtLevels; ++level) {
         const auto &cache = caches_[level - 2];
-        const std::string who = "PSCL" + std::to_string(level);
+        const std::string who = owner_ + "PSCL" + std::to_string(level);
         for (std::size_t i = 0; i < cache.size(); ++i) {
             const Entry &e = cache[i];
             if (!e.valid)

@@ -19,6 +19,7 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "common/serialize.hh"
@@ -40,10 +41,12 @@ struct PscStats
 class PagingStructureCaches
 {
   public:
-    /** Entry counts for PSCL2..PSCL5 (index 0 -> PSCL2). */
+    /** Entry counts for PSCL2..PSCL5 (index 0 -> PSCL2). Invariant
+     *  reports name PSCL_l as @p owner + "PSCL<l>", e.g.
+     *  "PTW.1/host-PSCL2"; a standalone PSC's is plain "PSCL2". */
     explicit PagingStructureCaches(std::array<std::uint32_t, 4> sizes =
                                        {32, 8, 4, 2},
-                                   Cycle latency = 1);
+                                   Cycle latency = 1, std::string owner = "");
 
     /**
      * Find the deepest cached level for (asid, vaddr).
@@ -118,6 +121,7 @@ class PagingStructureCaches
     /** caches_[l-2] holds PSCL_l. */
     std::array<std::vector<Entry>, 4> caches_;
     Cycle latency_;
+    std::string owner_; ///< prefix of the invariant-report names
     std::uint64_t clock_ = 1;
     PscStats stats_;
 };

@@ -9,9 +9,10 @@
 
 namespace tacsim {
 
-PageTableWalker::PageTableWalker(EventQueue &eq, MemDevice *port, Params p)
-    : eq_(eq), port_(port), params_(p),
-      pscs_(p.pscSizes, p.pscLatency)
+PageTableWalker::PageTableWalker(EventQueue &eq, MemDevice *port, Params p,
+                                 std::string name)
+    : eq_(eq), port_(port), params_(p), name_(std::move(name)),
+      pscs_(p.pscSizes, p.pscLatency, name_ + "/")
 {}
 
 void
@@ -32,7 +33,7 @@ PageTableWalker::setNestedTranslation(PageTable *host)
     hostTable_ = host;
     if (host && !hostPscs_) {
         hostPscs_ = std::make_unique<PagingStructureCaches>(
-            params_.pscSizes, params_.pscLatency);
+            params_.pscSizes, params_.pscLatency, name_ + "/host-");
     }
 }
 
@@ -319,7 +320,7 @@ void
 PageTableWalker::checkInvariants() const
 {
     using verify::InvariantViolation;
-    const std::string who = "PTW";
+    const std::string &who = name_;
 
     if (active_ != inflight_.size()) {
         std::ostringstream os;

@@ -36,6 +36,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -105,7 +106,12 @@ class PageTableWalker
 
     using Params = PtwParams;
 
-    PageTableWalker(EventQueue &eq, MemDevice *port, Params p = Params{});
+    /** @p name labels invariant reports: "PTW" itself, "PTW/PSCL2"
+     *  and "PTW/host-PSCL2" for its guest and host PSCs. */
+    PageTableWalker(EventQueue &eq, MemDevice *port, Params p = Params{},
+                    std::string name = "PTW");
+
+    const std::string &name() const { return name_; }
 
     /** Register the page table serving @p asid. */
     void addAddressSpace(std::uint16_t asid, PageTable *pt);
@@ -221,6 +227,7 @@ class PageTableWalker
     EventQueue &eq_;
     MemDevice *port_;
     Params params_;
+    std::string name_;
     PagingStructureCaches pscs_;
     Tlb *stlb_ = nullptr;
 

@@ -17,6 +17,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "sim/sweep.hh"
 #include "test_util.hh"
@@ -69,6 +70,14 @@ TEST(Sweep, ThrowingJobIsReportedWithoutAbortingTheSweep)
     SystemConfig twoCores;
     twoCores.numCores = 2;
     sw.add("short", twoCores, {"mcf"}, kInstr, kWarm);
+    // So do configs no machine can be built from: 1536 STLB entries in
+    // 16 ways give 96 sets, and the LLC takes one wrapper, not two.
+    SystemConfig oddStlb;
+    oddStlb.stlbEntries = 1536;
+    sw.add("stlb1536", oddStlb, {"mcf"}, kInstr, kWarm);
+    SystemConfig twoWrappers;
+    twoWrappers.llcDeadBlock = twoWrappers.llcCsalt = true;
+    sw.add("wrappers", twoWrappers, {"mcf"}, kInstr, kWarm);
     sw.run();
 
     const SweepOutcome *bad = sw.outcome("boom");
@@ -85,6 +94,16 @@ TEST(Sweep, ThrowingJobIsReportedWithoutAbortingTheSweep)
         << shortPoint->error;
     EXPECT_THROW(runSpecMix(twoCores, {"mcf"}, kInstr, kWarm),
                  std::invalid_argument);
+
+    const std::pair<const char *, const char *> unbuildable[] = {
+        {"stlb1536", "stlbEntries = 1536 with stlbWays = 16"},
+        {"wrappers", "llcDeadBlock and llcCsalt are both set"}};
+    for (const auto &[key, message] : unbuildable) {
+        const SweepOutcome *o = sw.outcome(key);
+        ASSERT_NE(o, nullptr) << key;
+        EXPECT_FALSE(o->ok) << key;
+        EXPECT_NE(o->error.find(message), std::string::npos) << o->error;
+    }
 
     const SweepOutcome *good = sw.outcome("ok");
     ASSERT_NE(good, nullptr);

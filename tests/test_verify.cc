@@ -441,6 +441,35 @@ TEST_F(VerifySystemTest, TlbPageTableMismatchTrips)
     EXPECT_EQ(v.component(), "STLB");
 }
 
+TEST(VerifyWalkerNames, EachPscReportsItsWalkerAndDimension)
+{
+    // Two cores with nested translation hold four PSC sets of the same
+    // levels; a violation must say which one tripped.
+    SystemConfig cfg;
+    cfg.numCores = 2;
+    cfg.vm.nested = true;
+    std::vector<std::unique_ptr<Workload>> w;
+    w.push_back(makeWorkload(Benchmark::mcf, cfg.seed));
+    w.push_back(makeWorkload(Benchmark::xalancbmk, cfg.seed));
+    System sys(cfg, std::move(w));
+    Checker checker(sys, 2000);
+    EXPECT_NO_THROW(checker.checkAll());
+
+    // A PSCL2 entry from a walk whose leaf was level 2 (no level-1
+    // table exists for it), first in core 0's guest PSCs ...
+    sys.ptw(0).pscs().pokeForTest(2, 0, 0, 0x40000000, 0x111000, 2);
+    auto v = expectViolation([&] { checker.checkAll(); });
+    EXPECT_EQ(v.invariant(), "psc-skipped-level");
+    EXPECT_EQ(v.component(), "PTW.0/PSCL2");
+
+    // ... then in core 1's host PSCs.
+    sys.ptw(0).pscs().flush();
+    sys.ptw(1).hostPscs()->pokeForTest(2, 0, 0, 0x40000000, 0x111000, 2);
+    v = expectViolation([&] { checker.checkAll(); });
+    EXPECT_EQ(v.invariant(), "psc-skipped-level");
+    EXPECT_EQ(v.component(), "PTW.1/host-PSCL2");
+}
+
 TEST_F(VerifySystemTest, PeriodicPacingHonorsInterval)
 {
     Checker paced(*sys, 5000);

@@ -1,15 +1,13 @@
 /**
  * @file
- * tacsim-lint driver: suppression parsing, check orchestration,
- * baseline matching, and report serialization (text + the stable
- * tacsim-lint-v1 JSON schema consumed by CI artifacts).
+ * tacsim-lint driver: suppression parsing, check orchestration and the
+ * text report.
  */
 
 #include "lint/lint.hh"
 
 #include <algorithm>
 #include <cctype>
-#include <cstdio>
 #include <filesystem>
 #include <sstream>
 
@@ -41,55 +39,6 @@ findingOrder(const Finding &a, const Finding &b)
     if (a.col != b.col)
         return a.col < b.col;
     return a.check < b.check;
-}
-
-void
-jsonEscape(std::ostream &os, const std::string &s)
-{
-    os << '"';
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            os << "\\\"";
-            break;
-          case '\\':
-            os << "\\\\";
-            break;
-          case '\n':
-            os << "\\n";
-            break;
-          case '\t':
-            os << "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                os << buf;
-            } else {
-                os << c;
-            }
-        }
-    }
-    os << '"';
-}
-
-void
-jsonFinding(std::ostream &os, const Finding &f, const std::string &reason,
-            bool withReason)
-{
-    os << "{\"check\":";
-    jsonEscape(os, f.check);
-    os << ",\"file\":";
-    jsonEscape(os, f.path);
-    os << ",\"line\":" << f.line << ",\"col\":" << f.col
-       << ",\"message\":";
-    jsonEscape(os, f.message);
-    if (withReason) {
-        os << ",\"reason\":";
-        jsonEscape(os, reason);
-    }
-    os << "}";
 }
 
 } // namespace
@@ -173,44 +122,14 @@ parseSuppressions(const std::string &src,
     return out;
 }
 
-std::string
-baselineKey(const Finding &f)
-{
-    return f.check + " " + f.path + ":" + std::to_string(f.line);
-}
-
-std::vector<std::string>
-parseBaseline(const std::string &body)
-{
-    std::vector<std::string> entries;
-    std::istringstream is(body);
-    std::string line;
-    while (std::getline(is, line)) {
-        line = trim(line);
-        if (line.empty() || line[0] == '#')
-            continue;
-        entries.push_back(line);
-    }
-    return entries;
-}
-
 Report
 runLint(const std::vector<std::pair<std::string, std::string>> &files,
-        const Options &opts, const std::vector<std::string> &baseline)
+        const Options &opts)
 {
     auto checks = createChecks();
     std::set<std::string> knownChecks;
     for (const auto &c : checks)
         knownChecks.insert(c->id());
-
-    const bool filter = !opts.enabledChecks.empty();
-    auto enabled = [&](const char *checkId) {
-        if (!filter)
-            return true;
-        return std::find(opts.enabledChecks.begin(),
-                         opts.enabledChecks.end(),
-                         checkId) != opts.enabledChecks.end();
-    };
 
     Project proj;
     proj.opts = &opts;
@@ -234,19 +153,14 @@ runLint(const std::vector<std::pair<std::string, std::string>> &files,
         }
         suppressions.emplace(path, std::move(sup));
         for (auto &check : checks)
-            if (enabled(check->id()))
-                check->scan(unit, proj, findings);
+            check->scan(unit, proj, findings);
     }
     for (auto &check : checks)
-        if (enabled(check->id()))
-            check->finalize(proj, findings);
+        check->finalize(proj, findings);
 
     std::sort(findings.begin(), findings.end(), findingOrder);
     std::sort(report.malformed.begin(), report.malformed.end(),
               findingOrder);
-
-    std::set<std::string> baselineSet(baseline.begin(), baseline.end());
-    std::set<std::string> baselineHit;
 
     for (Finding &f : findings) {
         // Suppressed by an allow() on the finding line (or, e.g. for
@@ -268,62 +182,12 @@ runLint(const std::vector<std::pair<std::string, std::string>> &files,
                     break;
             }
         }
-        if (reason != nullptr) {
+        if (reason != nullptr)
             report.suppressed.push_back({std::move(f), *reason});
-            continue;
-        }
-        const std::string key = baselineKey(f);
-        if (baselineSet.count(key) != 0) {
-            baselineHit.insert(key);
-            report.baselined.push_back(std::move(f));
-            continue;
-        }
-        report.active.push_back(std::move(f));
+        else
+            report.active.push_back(std::move(f));
     }
-    for (const std::string &entry : baseline)
-        if (baselineHit.count(entry) == 0)
-            report.staleBaseline.push_back(entry);
     return report;
-}
-
-std::string
-toJson(const Report &report)
-{
-    std::ostringstream os;
-    os << "{\"schema\":\"tacsim-lint-v1\",\"files_scanned\":"
-       << report.filesScanned << ",\"findings\":[";
-    for (std::size_t i = 0; i < report.active.size(); ++i) {
-        if (i)
-            os << ",";
-        jsonFinding(os, report.active[i], "", false);
-    }
-    os << "],\"suppressed\":[";
-    for (std::size_t i = 0; i < report.suppressed.size(); ++i) {
-        if (i)
-            os << ",";
-        jsonFinding(os, report.suppressed[i].finding,
-                    report.suppressed[i].reason, true);
-    }
-    os << "],\"baselined\":[";
-    for (std::size_t i = 0; i < report.baselined.size(); ++i) {
-        if (i)
-            os << ",";
-        jsonFinding(os, report.baselined[i], "", false);
-    }
-    os << "],\"stale_baseline\":[";
-    for (std::size_t i = 0; i < report.staleBaseline.size(); ++i) {
-        if (i)
-            os << ",";
-        jsonEscape(os, report.staleBaseline[i]);
-    }
-    os << "],\"malformed_suppressions\":[";
-    for (std::size_t i = 0; i < report.malformed.size(); ++i) {
-        if (i)
-            os << ",";
-        jsonFinding(os, report.malformed[i], "", false);
-    }
-    os << "],\"clean\":" << (report.clean() ? "true" : "false") << "}\n";
-    return os.str();
 }
 
 std::string
@@ -336,15 +200,9 @@ toText(const Report &report)
     for (const Finding &f : report.malformed)
         os << f.path << ":" << f.line << ": [malformed-suppression] "
            << f.message << "\n";
-    for (const std::string &entry : report.staleBaseline)
-        os << "stale baseline entry (fixed or moved — remove it): "
-           << entry << "\n";
     os << "tacsim-lint: " << report.filesScanned << " files, "
        << report.active.size() << " finding(s), "
        << report.suppressed.size() << " suppressed, "
-       << report.baselined.size() << " baselined, "
-       << report.staleBaseline.size() << " stale baseline entr"
-       << (report.staleBaseline.size() == 1 ? "y" : "ies") << ", "
        << report.malformed.size() << " malformed suppression(s)\n";
     return os.str();
 }

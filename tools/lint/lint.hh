@@ -21,13 +21,9 @@
  *     next_line();
  *
  * A suppression with no reason, or naming an unknown check, is itself
- * a finding (malformed-suppression) — silence must be auditable.
- *
- * The driver supports a committed baseline file for grandfathered
- * findings ("<check> <path>:<line>" per line); entries that no longer
- * match any finding are reported as stale so the baseline can only
- * shrink. The target state, enforced by scripts/lint.sh and the `lint`
- * ctest label, is an empty baseline.
+ * a finding (malformed-suppression) — silence must be auditable. An
+ * inline allow() is the only way to accept a finding: every other
+ * finding fails the gate (scripts/lint.sh and the `lint.src` ctest).
  */
 
 #ifndef TACSIM_TOOLS_LINT_LINT_HH
@@ -104,8 +100,6 @@ struct Options
     /** Files allowed to spell page geometry as raw numbers (the one
      *  place the vocabulary is *defined*). */
     std::vector<std::string> pageMathExempt = {"src/common/types.hh"};
-    /** Run only these check ids (empty = all registered checks). */
-    std::vector<std::string> enabledChecks;
 };
 
 struct FileUnit
@@ -189,32 +183,20 @@ struct Report
 
     std::vector<Finding> active;      ///< fail the gate
     std::vector<Suppressed> suppressed;
-    std::vector<Finding> baselined;   ///< grandfathered by the baseline
-    std::vector<std::string> staleBaseline; ///< entries matching nothing
     std::vector<Finding> malformed;   ///< malformed-suppression findings
     int filesScanned = 0;
 
     bool
     clean() const
     {
-        return active.empty() && malformed.empty() && staleBaseline.empty();
+        return active.empty() && malformed.empty();
     }
 };
 
-/** Baseline key of a finding: "<check> <path>:<line>". */
-std::string baselineKey(const Finding &f);
-
-/** Parse a baseline file body ('#' comments and blank lines skipped). */
-std::vector<std::string> parseBaseline(const std::string &body);
-
-/** Run every enabled check over @p files ((repo-relative path, content)
+/** Run every check over @p files ((repo-relative path, content)
  *  pairs). Findings are sorted by (path, line, col, check). */
 Report runLint(const std::vector<std::pair<std::string, std::string>> &files,
-               const Options &opts,
-               const std::vector<std::string> &baseline);
-
-/** Serialize as the stable `tacsim-lint-v1` JSON schema. */
-std::string toJson(const Report &report);
+               const Options &opts);
 
 /** Human-readable text report (one "path:line:col: [check] msg" per
  *  finding plus a summary line). */

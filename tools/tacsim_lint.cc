@@ -9,24 +9,20 @@
  *   --root DIR        repo root; findings are reported relative to it
  *                     and directory-scoped checks key off the relative
  *                     path (default: current directory)
- *   --baseline FILE   grandfathered findings ("<check> <path>:<line>"
- *                     per line, '#' comments); stale entries fail
- *   --write-baseline FILE  write the current active findings as a new
- *                     baseline and exit 0
- *   --checks a,b,c    run only these checks
- *   --json            emit the tacsim-lint-v1 JSON report on stdout
  *   --list-checks     print the check catalog and exit
  *
- * Exit status: 0 clean (suppressed/baselined findings allowed), 1 on
- * any active finding, malformed suppression, or stale baseline entry,
- * 2 on usage/IO errors.
+ * The report is text on stdout: one "path:line:col: [check] message"
+ * line per finding, then a summary line. A finding is accepted only by
+ * an inline `tacsim-lint: allow(<check>) <reason>` (see lint/lint.hh).
+ *
+ * Exit status: 0 clean (suppressed findings allowed), 1 on any active
+ * finding or malformed suppression, 2 on usage/IO errors.
  */
 
 #include "lint/lint.hh"
 
 #include <cstdio>
 #include <fstream>
-#include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -48,11 +44,7 @@ readFile(const std::string &path, std::string &out)
 int
 usage(const char *argv0)
 {
-    std::fprintf(stderr,
-                 "usage: %s [--root DIR] [--baseline FILE] "
-                 "[--write-baseline FILE]\n"
-                 "       [--checks a,b,c] [--json] [--list-checks] "
-                 "PATH...\n",
+    std::fprintf(stderr, "usage: %s [--root DIR] [--list-checks] PATH...\n",
                  argv0);
     return 2;
 }
@@ -65,49 +57,18 @@ main(int argc, char **argv)
     using namespace tacsim::lint;
 
     std::string root = ".";
-    std::string baselinePath;
-    std::string writeBaselinePath;
-    bool json = false;
     bool listChecks = false;
-    Options opts;
     std::vector<std::string> paths;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        auto value = [&](std::string &dst) {
+        if (arg == "--root") {
             if (i + 1 >= argc) {
                 std::fprintf(stderr, "error: %s needs a value\n",
                              arg.c_str());
-                return false;
+                return 2;
             }
-            dst = argv[++i];
-            return true;
-        };
-        if (arg == "--root") {
-            if (!value(root))
-                return 2;
-        } else if (arg == "--baseline") {
-            if (!value(baselinePath))
-                return 2;
-        } else if (arg == "--write-baseline") {
-            if (!value(writeBaselinePath))
-                return 2;
-        } else if (arg == "--checks") {
-            std::string list;
-            if (!value(list))
-                return 2;
-            std::size_t start = 0;
-            while (start <= list.size()) {
-                std::size_t comma = list.find(',', start);
-                if (comma == std::string::npos)
-                    comma = list.size();
-                if (comma > start)
-                    opts.enabledChecks.push_back(
-                        list.substr(start, comma - start));
-                start = comma + 1;
-            }
-        } else if (arg == "--json") {
-            json = true;
+            root = argv[++i];
         } else if (arg == "--list-checks") {
             listChecks = true;
         } else if (arg == "--help" || arg == "-h") {
@@ -131,17 +92,6 @@ main(int argc, char **argv)
     if (paths.empty())
         paths.push_back(root + "/src");
 
-    std::vector<std::string> baseline;
-    if (!baselinePath.empty()) {
-        std::string body;
-        if (!readFile(baselinePath, body)) {
-            std::fprintf(stderr, "error: cannot read baseline %s\n",
-                         baselinePath.c_str());
-            return 2;
-        }
-        baseline = parseBaseline(body);
-    }
-
     std::vector<std::pair<std::string, std::string>> files;
     try {
         for (const auto &[rel, abs] : collectFiles(root, paths)) {
@@ -163,30 +113,7 @@ main(int argc, char **argv)
         return 2;
     }
 
-    const Report report = runLint(files, opts, baseline);
-
-    if (!writeBaselinePath.empty()) {
-        std::ofstream os(writeBaselinePath, std::ios::binary);
-        if (!os) {
-            std::fprintf(stderr, "error: cannot write %s\n",
-                         writeBaselinePath.c_str());
-            return 2;
-        }
-        os << "# tacsim-lint baseline: grandfathered findings, one\n"
-              "# '<check> <path>:<line>' per line. The goal state is an\n"
-              "# empty file — fix the finding or add an inline\n"
-              "# 'tacsim-lint: allow(<check>) <reason>' instead of\n"
-              "# adding entries.\n";
-        for (const Finding &f : report.active)
-            os << baselineKey(f) << "\n";
-        std::fprintf(stderr, "tacsim-lint: wrote %zu entries to %s\n",
-                     report.active.size(), writeBaselinePath.c_str());
-        return 0;
-    }
-
-    if (json)
-        std::fputs(toJson(report).c_str(), stdout);
-    else
-        std::fputs(toText(report).c_str(), stdout);
+    const Report report = runLint(files, Options{});
+    std::fputs(toText(report).c_str(), stdout);
     return report.clean() ? 0 : 1;
 }
