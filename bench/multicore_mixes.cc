@@ -15,8 +15,8 @@
  * baseline run of the same mix on the same topology. Paper reference
  * point (8-core): average weighted-speedup improvement above 4%.
  *
- * TACSIM_MC_CORES=<comma list> restricts the core counts (CI's
- * multicore-smoke lane runs TACSIM_MC_CORES=16 at a tiny budget);
+ * TACSIM_MC_CORES=<comma list> restricts the core counts (the
+ * bench.multicore_mixes ctest runs TACSIM_MC_CORES=16 at 4000 + 1000);
  * values must keep the auto-sized LLC set count a power of two. A
  * malformed list, or a count that builds no valid machine, exits 1
  * with a "tacsim:" line before anything sweeps.

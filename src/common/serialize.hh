@@ -1,26 +1,29 @@
 /**
  * @file
- * Byte-stream serialization for simulation checkpoints
- * (tacsim-ckpt-v2, sim/checkpoint.hh), and StateArchive, the one pass
- * through which every component saves and restores its state.
+ * The one little-endian codec of tacsim's two binary containers: trace
+ * files (tacsim-trace-v1, trace/format.hh) and simulation checkpoints
+ * (tacsim-ckpt-v2, sim/checkpoint.hh). Both encode their fixed-width
+ * integers and raw byte runs through SerialWriter and SerialReader, and
+ * both check their bytes with crc32(). The trace *records* keep their
+ * own compact varint encoding (trace/format.hh). Also StateArchive, the
+ * one pass through which every component saves and restores its state.
  *
  * The encoding is deliberately dumb: fixed-width little-endian integers
- * and length-prefixed byte strings, no varints, no alignment. Checkpoint
- * files are written and read by the same binary family, and the CRC
- * footer plus the point-key stamp (the caller's warmKey, checked by the
- * loader) already reject any cross-version confusion — so simplicity
- * and auditability win over compactness here, unlike the trace format
- * (trace/format.hh) where size per record matters.
+ * and length-prefixed byte strings, no varints, no alignment.
  *
  * Readers are bounds-checked: running off the end throws
- * std::runtime_error rather than reading garbage, and a length prefix
- * is checked against the bytes present before anything is allocated,
- * so a truncated or corrupt checkpoint degrades to a clean load failure.
+ * std::runtime_error (its message begins "checkpoint:") rather than
+ * reading garbage, and a length prefix is checked against the bytes
+ * present before anything is allocated, so a truncated or corrupt
+ * checkpoint degrades to a clean load failure. The trace code decodes
+ * only buffers whose length it has already checked.
  */
 
 #ifndef TACSIM_COMMON_SERIALIZE_HH
 #define TACSIM_COMMON_SERIALIZE_HH
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -32,7 +35,27 @@
 
 namespace tacsim {
 
-/** Append-only byte sink for checkpoint payloads. */
+/** Incremental CRC-32 (IEEE 802.3, reflected). Start with crc = 0. */
+inline std::uint32_t
+crc32(std::uint32_t crc, const void *data, std::size_t n)
+{
+    static constexpr auto table = [] {
+        std::array<std::uint32_t, 256> t{};
+        for (std::uint32_t i = 0; i < 256; ++i) {
+            t[i] = i;
+            for (int k = 0; k < 8; ++k)
+                t[i] = (t[i] & 1) ? 0xEDB88320u ^ (t[i] >> 1) : t[i] >> 1;
+        }
+        return t;
+    }();
+    const auto *p = static_cast<const unsigned char *>(data);
+    crc = ~crc;
+    for (std::size_t i = 0; i < n; ++i)
+        crc = table[(crc ^ p[i]) & 0xFF] ^ (crc >> 8);
+    return ~crc;
+}
+
+/** Append-only little-endian byte sink. */
 class SerialWriter
 {
   public:
@@ -63,12 +86,15 @@ class SerialWriter
         putU32(static_cast<std::uint32_t>(v >> 32));
     }
 
+    /** Raw bytes, no length prefix. */
+    void putBytes(std::string_view s) { bytes_.append(s); }
+
     /** Length-prefixed byte string. */
     void
     putString(std::string_view s)
     {
         putU64(s.size());
-        bytes_.append(s);
+        putBytes(s);
     }
 
     /**
@@ -93,8 +119,8 @@ class SerialWriter
     std::string bytes_;
 };
 
-/** Bounds-checked reader over a checkpoint's bytes, which must outlive
- *  it (getString() returns views into them). */
+/** Bounds-checked reader over bytes that must outlive it (getBytes()
+ *  and getString() return views into them). */
 class SerialReader
 {
   public:
@@ -131,18 +157,20 @@ class SerialReader
         return lo | (hi << 32);
     }
 
-    /** Length-prefixed byte string, viewed in place. The length is
-     *  checked against the bytes left, so it cannot drive a copy or an
-     *  allocation larger than the input. */
+    /** The next @p n bytes, viewed in place. @p n is checked against
+     *  the bytes left, so it cannot drive a copy or an allocation
+     *  larger than the input. */
     std::string_view
-    getString()
+    getBytes(std::uint64_t n)
     {
-        const std::uint64_t n = getU64();
         need(n);
         const std::string_view s = bytes_.substr(pos_, n);
         pos_ += s.size();
         return s;
     }
+
+    /** Length-prefixed byte string, viewed in place. */
+    std::string_view getString() { return getBytes(getU64()); }
 
     /** Consume a section marker; throws if the next bytes are not the
      *  marker for @p tag (a component save/load size mismatch). */

@@ -7,7 +7,6 @@
 
 #include "common/serialize.hh"
 #include "sim/system.hh"
-#include "trace/format.hh"
 
 namespace tacsim {
 
@@ -18,8 +17,8 @@ constexpr std::string_view kCkptMagic = "TACCKPT1";
 std::uint32_t
 crcOf(std::string_view key, std::string_view payload)
 {
-    const std::uint32_t crc = trace::crc32(0, key.data(), key.size());
-    return trace::crc32(crc, payload.data(), payload.size());
+    return crc32(crc32(0, key.data(), key.size()), payload.data(),
+                 payload.size());
 }
 
 } // namespace
@@ -35,8 +34,7 @@ saveCheckpoint(const std::string &path, System &sys,
     sys.state(ar);
 
     SerialWriter file;
-    for (char c : kCkptMagic)
-        file.putU8(static_cast<std::uint8_t>(c));
+    file.putBytes(kCkptMagic);
     file.putU32(kCheckpointVersion);
     file.putString(key);
     file.putString(payload.bytes());

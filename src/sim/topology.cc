@@ -3,6 +3,7 @@
 #include <limits>
 #include <optional>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "sim/runner.hh"
@@ -196,6 +197,23 @@ validateTopology(const SystemConfig &cfg)
         if (cfg.ptw.pscSizes[i] == 0)
             fail("ptw.pscSizes[" + std::to_string(i) + "] = 0 (PSCL" +
                  std::to_string(i + 2) + ") must be nonzero");
+    // Widths, queue depths and DRAM geometry a run divides by or waits
+    // on: zero hangs the core, deadlocks it or traps in Dram::bankOf.
+    const std::pair<const char *, std::uint64_t> nonzero[] = {
+        {"core.issueWidth", cfg.core.issueWidth},
+        {"core.retireWidth", cfg.core.retireWidth},
+        {"l1d.mshrs", cfg.l1d.mshrs},
+        {"l2.mshrs", cfg.l2.mshrs},
+        {"ptw.maxConcurrentWalks", cfg.ptw.maxConcurrentWalks},
+        {"dram.banksPerChannel", cfg.dram.banksPerChannel},
+        {"dram.rowBytes", cfg.dram.rowBytes}};
+    for (const auto &[field, value] : nonzero)
+        if (value == 0)
+            fail(std::string(field) + " = 0 must be nonzero");
+    if (cfg.core.robSize < cfg.threadsPerCore)
+        fail("core.robSize = " + std::to_string(cfg.core.robSize) +
+             " must be at least threadsPerCore = " +
+             std::to_string(cfg.threadsPerCore));
     if (cfg.llcDeadBlock && cfg.llcCsalt)
         fail("llcDeadBlock and llcCsalt are both set; the LLC takes one "
              "wrapper");

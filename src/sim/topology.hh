@@ -54,10 +54,11 @@ std::uint64_t llcBytesOf(const SystemConfig &cfg);
 unsigned dramChannelsOf(const SystemConfig &cfg);
 
 /** Throw std::invalid_argument with a stable "topology: ..." message
- *  on the first field of @p cfg that cannot build a machine: the
- *  composition fields, the L1D/L2/TLB geometries, the PSC sizes and the
- *  LLC wrapper pair. The parser and System's constructor both call
- *  this. */
+ *  on the first field of @p cfg that cannot build a machine that runs:
+ *  the composition fields, the L1D/L2/TLB geometries, the PSC sizes,
+ *  the core's widths and ROB, the L1D/L2 MSHRs, the walker's
+ *  concurrency, the DRAM bank and row geometry and the LLC wrapper
+ *  pair. The parser and System's constructor both call this. */
 void validateTopology(const SystemConfig &cfg);
 
 /** @p base with its composition fields set from @p text (grammar in the

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <stdexcept>
+#include <string_view>
 
+#include "common/serialize.hh"
 #include "trace/writer.hh"
 
 namespace tacsim {
@@ -11,28 +13,14 @@ namespace trace {
 
 namespace {
 
-// ChampSim input_instr field geometry (64 bytes, little-endian).
+// ChampSim input_instr register and memory operand counts.
 constexpr std::size_t kNumDest = 2;
 constexpr std::size_t kNumSrc = 4;
-constexpr std::size_t kOffIp = 0;
-constexpr std::size_t kOffDestRegs = 10; // after ip + 2 branch bytes
-constexpr std::size_t kOffSrcRegs = 12;
-constexpr std::size_t kOffDestMem = 16;
-constexpr std::size_t kOffSrcMem = 32;
-
-std::uint64_t
-readLe64(const unsigned char *p)
-{
-    std::uint64_t v = 0;
-    for (unsigned i = 0; i < 8; ++i)
-        v |= std::uint64_t{p[i]} << (8 * i);
-    return v;
-}
 
 /** Fill exactly @p want bytes from @p src (which may return short
  *  counts); returns bytes actually produced (< want only at EOF). */
 std::size_t
-fillExact(const ByteSource &src, unsigned char *out, std::size_t want)
+fillExact(const ByteSource &src, char *out, std::size_t want)
 {
     std::size_t got = 0;
     while (got < want) {
@@ -74,7 +62,7 @@ importChampSim(const ByteSource &src, const std::string &outPath,
             ++stats.dependent;
     };
 
-    unsigned char rec[kChampSimRecordBytes];
+    char rec[kChampSimRecordBytes] = {};
     for (;;) {
         if (opts.maxInstructions &&
             stats.instructions >= opts.maxInstructions)
@@ -88,19 +76,29 @@ importChampSim(const ByteSource &src, const std::string &outPath,
                 std::to_string(got) + " trailing bytes)");
         ++stats.instructions;
 
-        const Addr ip = readLe64(rec + kOffIp);
+        // The record's fields, in order (little-endian).
+        SerialReader in(std::string_view(rec, sizeof rec));
+        const Addr ip = in.getU64();
+        in.getBytes(2); // is_branch, branch_taken
+        std::uint8_t destRegs[kNumDest] = {}, srcRegs[kNumSrc] = {};
+        Addr destMem[kNumDest] = {}, srcMem[kNumSrc] = {};
+        for (std::uint8_t &reg : destRegs)
+            reg = in.getU8();
+        for (std::uint8_t &reg : srcRegs)
+            reg = in.getU8();
+        for (Addr &va : destMem)
+            va = in.getU64();
+        for (Addr &va : srcMem)
+            va = in.getU64();
 
         bool depends = false;
-        for (std::size_t i = 0; i < kNumSrc; ++i) {
-            const unsigned char reg = rec[kOffSrcRegs + i];
+        for (const std::uint8_t reg : srcRegs)
             if (reg && loadDest[reg])
                 depends = true;
-        }
 
         bool anyMem = false;
         bool anyLoad = false;
-        for (std::size_t i = 0; i < kNumSrc; ++i) {
-            const Addr va = readLe64(rec + kOffSrcMem + 8 * i);
+        for (const Addr va : srcMem) {
             if (!va)
                 continue;
             TraceRecord r;
@@ -112,8 +110,7 @@ importChampSim(const ByteSource &src, const std::string &outPath,
             ++stats.loads;
             anyMem = anyLoad = true;
         }
-        for (std::size_t i = 0; i < kNumDest; ++i) {
-            const Addr va = readLe64(rec + kOffDestMem + 8 * i);
+        for (const Addr va : destMem) {
             if (!va)
                 continue;
             TraceRecord r;
@@ -136,11 +133,9 @@ importChampSim(const ByteSource &src, const std::string &outPath,
         // other instruction overwrites (kills) the registers it writes.
         if (anyLoad)
             loadDest.fill(false);
-        for (std::size_t i = 0; i < kNumDest; ++i) {
-            const unsigned char reg = rec[kOffDestRegs + i];
+        for (const std::uint8_t reg : destRegs)
             if (reg)
                 loadDest[reg] = anyLoad;
-        }
     }
 
     if (stats.records == 0)

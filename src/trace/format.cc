@@ -2,52 +2,10 @@
 
 #include <stdexcept>
 
+#include "common/serialize.hh"
+
 namespace tacsim {
 namespace trace {
-
-namespace {
-
-struct CrcTable
-{
-    std::uint32_t t[256];
-
-    CrcTable()
-    {
-        for (std::uint32_t i = 0; i < 256; ++i) {
-            std::uint32_t c = i;
-            for (int k = 0; k < 8; ++k)
-                c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-            t[i] = c;
-        }
-    }
-};
-
-const CrcTable &
-crcTable()
-{
-    static const CrcTable table;
-    return table;
-}
-
-void
-appendLe(std::vector<unsigned char> &out, std::uint64_t v, unsigned bytes)
-{
-    for (unsigned i = 0; i < bytes; ++i)
-        out.push_back(static_cast<unsigned char>(v >> (8 * i)));
-}
-
-} // namespace
-
-std::uint32_t
-crc32(std::uint32_t crc, const void *data, std::size_t n)
-{
-    const CrcTable &tab = crcTable();
-    const unsigned char *p = static_cast<const unsigned char *>(data);
-    crc = ~crc;
-    for (std::size_t i = 0; i < n; ++i)
-        crc = tab.t[(crc ^ p[i]) & 0xFF] ^ (crc >> 8);
-    return ~crc;
-}
 
 void
 appendVarint(std::vector<unsigned char> &out, std::uint64_t v)
@@ -77,32 +35,30 @@ encodeRecord(std::vector<unsigned char> &out, const TraceRecord &r,
     }
 }
 
-std::vector<unsigned char>
+std::string
 encodeHeader(const TraceHeader &h)
 {
     if (h.name.size() > 0xFFFF)
         throw std::runtime_error("trace: benchmark name too long");
-    std::vector<unsigned char> out;
-    out.reserve(kHeaderFixedBytes + h.name.size());
-    out.insert(out.end(), kMagic.begin(), kMagic.end());
-    appendLe(out, kVersion, 4);
-    appendLe(out, h.footprint, 8);
-    appendLe(out, h.seed, 8);
-    appendLe(out, h.recordCount, 8);
-    appendLe(out, h.name.size(), 2);
-    out.insert(out.end(), h.name.begin(), h.name.end());
-    return out;
+    SerialWriter w;
+    w.putBytes(kMagic);
+    w.putU32(kVersion);
+    w.putU64(h.footprint);
+    w.putU64(h.seed);
+    w.putU64(h.recordCount);
+    w.putU16(static_cast<std::uint16_t>(h.name.size()));
+    w.putBytes(h.name);
+    return w.bytes();
 }
 
-std::vector<unsigned char>
+std::string
 encodeFooter(std::uint64_t recordCount, std::uint32_t crc)
 {
-    std::vector<unsigned char> out;
-    out.reserve(kFooterBytes);
-    out.insert(out.end(), kEndMagic.begin(), kEndMagic.end());
-    appendLe(out, recordCount, 8);
-    appendLe(out, crc, 4);
-    return out;
+    SerialWriter w;
+    w.putBytes(kEndMagic);
+    w.putU64(recordCount);
+    w.putU32(crc);
+    return w.bytes();
 }
 
 } // namespace trace

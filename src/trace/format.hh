@@ -3,11 +3,13 @@
  * The `tacsim-trace-v1` on-disk format: a versioned, dependency-free
  * binary container for recorded instruction streams.
  *
- * Layout (all integers little-endian):
+ * Layout (integers little-endian, coded by common/serialize.hh, whose
+ * crc32() also checks the payload):
  *
  *   header   8B magic "TACTRCv1"
  *            u32 version (= 1)
- *            u64 footprint        (Workload::footprint of the source)
+ *            u64 footprint        (Workload::footprint of the source,
+ *                                  or an import's address span)
  *            u64 seed             (generator seed, 0 for imports)
  *            u64 recordCount      (patched by TraceWriter::finalize)
  *            u16 nameLen, then nameLen bytes of benchmark name
@@ -34,10 +36,10 @@
 #ifndef TACSIM_TRACE_FORMAT_HH
 #define TACSIM_TRACE_FORMAT_HH
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/types.hh"
@@ -46,18 +48,12 @@
 namespace tacsim {
 namespace trace {
 
-constexpr std::array<unsigned char, 8> kMagic = {'T', 'A', 'C', 'T',
-                                                 'R', 'C', 'v', '1'};
-constexpr std::array<unsigned char, 4> kEndMagic = {'T', 'E', 'N', 'D'};
+constexpr std::string_view kMagic = "TACTRCv1";
+constexpr std::string_view kEndMagic = "TEND";
 constexpr std::uint32_t kVersion = 1;
 
 /** Fixed-size part of the header (magic..nameLen, excluding the name). */
 constexpr std::size_t kHeaderFixedBytes = 8 + 4 + 8 + 8 + 8 + 2;
-/** Byte offset of the header's footprint field (patchable on finalize —
- *  the ChampSim importer only knows the address span at the end). */
-constexpr std::size_t kHeaderFootprintOffset = 8 + 4;
-/** Byte offset of the header's recordCount field (patched on finalize). */
-constexpr std::size_t kHeaderCountOffset = 8 + 4 + 8 + 8;
 /** Size of the footer (end magic + recordCount + CRC-32). */
 constexpr std::size_t kFooterBytes = 4 + 8 + 4;
 
@@ -69,9 +65,6 @@ struct TraceHeader
     std::uint64_t seed = 0;
     std::uint64_t recordCount = 0;
 };
-
-/** Incremental CRC-32 (IEEE 802.3, reflected). Start with crc = 0. */
-std::uint32_t crc32(std::uint32_t crc, const void *data, std::size_t n);
 
 /** Append @p v as unsigned LEB128. */
 void appendVarint(std::vector<unsigned char> &out, std::uint64_t v);
@@ -107,11 +100,10 @@ void encodeRecord(std::vector<unsigned char> &out, const TraceRecord &r,
  * Serialize the header for @p h (recordCount as currently set).
  * Throws std::runtime_error if the name is longer than 64KiB.
  */
-std::vector<unsigned char> encodeHeader(const TraceHeader &h);
+std::string encodeHeader(const TraceHeader &h);
 
 /** Serialize the footer for @p recordCount / @p crc. */
-std::vector<unsigned char> encodeFooter(std::uint64_t recordCount,
-                                        std::uint32_t crc);
+std::string encodeFooter(std::uint64_t recordCount, std::uint32_t crc);
 
 } // namespace trace
 } // namespace tacsim

@@ -1,7 +1,6 @@
 #include "trace/reader.hh"
 
 #include <algorithm>
-#include <cstring>
 #include <stdexcept>
 
 namespace tacsim {
@@ -11,15 +10,6 @@ namespace {
 
 constexpr std::size_t kBufferBytes = 64 * 1024;
 
-std::uint64_t
-readLe(const unsigned char *p, unsigned bytes)
-{
-    std::uint64_t v = 0;
-    for (unsigned i = 0; i < bytes; ++i)
-        v |= std::uint64_t{p[i]} << (8 * i);
-    return v;
-}
-
 [[noreturn]] void
 fail(const std::string &path, const std::string &what)
 {
@@ -28,79 +18,50 @@ fail(const std::string &path, const std::string &what)
 
 } // namespace
 
-TraceReader::TraceReader(const std::string &path) : path_(path)
+TraceReader::TraceReader(const std::string &path)
+    : path_(path), file_(std::fopen(path.c_str(), "rb"))
 {
-    file_ = std::fopen(path.c_str(), "rb");
     if (!file_)
         fail(path, "cannot open");
 
-    unsigned char fixed[kHeaderFixedBytes];
-    if (std::fread(fixed, 1, sizeof fixed, file_) != sizeof fixed) {
-        std::fclose(file_);
-        file_ = nullptr;
+    char fixed[kHeaderFixedBytes] = {};
+    if (std::fread(fixed, 1, sizeof fixed, file_.get()) != sizeof fixed)
         fail(path, "truncated header");
-    }
-    if (std::memcmp(fixed, kMagic.data(), kMagic.size()) != 0) {
-        std::fclose(file_);
-        file_ = nullptr;
+    SerialReader in(std::string_view(fixed, sizeof fixed));
+    if (in.getBytes(kMagic.size()) != kMagic)
         fail(path, "not a tacsim-trace file (bad magic)");
-    }
-    const std::uint64_t version = readLe(fixed + 8, 4);
-    if (version != kVersion) {
-        std::fclose(file_);
-        file_ = nullptr;
+    const std::uint32_t version = in.getU32();
+    if (version != kVersion)
         fail(path, "unsupported version " + std::to_string(version));
-    }
-    header_.footprint = readLe(fixed + 12, 8);
-    header_.seed = readLe(fixed + 20, 8);
-    header_.recordCount = readLe(fixed + 28, 8);
-    const std::size_t nameLen =
-        static_cast<std::size_t>(readLe(fixed + 36, 2));
-
-    std::vector<char> name(nameLen);
-    if (nameLen &&
-        std::fread(name.data(), 1, nameLen, file_) != nameLen) {
-        std::fclose(file_);
-        file_ = nullptr;
+    header_.footprint = in.getU64();
+    header_.seed = in.getU64();
+    header_.recordCount = in.getU64();
+    header_.name.resize(in.getU16());
+    if (std::fread(header_.name.data(), 1, header_.name.size(),
+                   file_.get()) != header_.name.size())
         fail(path, "truncated header name");
-    }
-    header_.name.assign(name.begin(), name.end());
-    payloadStart_ = static_cast<long>(kHeaderFixedBytes + nameLen);
+    payloadStart_ =
+        static_cast<long>(kHeaderFixedBytes + header_.name.size());
 
     // Locate the payload's end now: every valid file ends in a
     // fixed-size footer, and the decoder must stop before it —
     // otherwise a truncated payload would silently misdecode footer
     // bytes as records instead of reporting the truncation.
-    if (std::fseek(file_, 0, SEEK_END) != 0) {
-        std::fclose(file_);
-        file_ = nullptr;
+    if (std::fseek(file_.get(), 0, SEEK_END) != 0)
         fail(path, "seek failed");
-    }
-    const long fileSize = std::ftell(file_);
-    payloadEnd_ = fileSize - static_cast<long>(kFooterBytes);
-    if (payloadEnd_ < payloadStart_) {
-        std::fclose(file_);
-        file_ = nullptr;
+    payloadEnd_ =
+        std::ftell(file_.get()) - static_cast<long>(kFooterBytes);
+    if (payloadEnd_ < payloadStart_)
         fail(path, "file truncated (no room for footer)");
-    }
-    if (std::fseek(file_, payloadStart_, SEEK_SET) != 0) {
-        std::fclose(file_);
-        file_ = nullptr;
+    if (std::fseek(file_.get(), payloadStart_, SEEK_SET) != 0)
         fail(path, "seek failed");
-    }
     buffer_.reserve(kBufferBytes);
-}
-
-TraceReader::~TraceReader()
-{
-    if (file_)
-        std::fclose(file_);
 }
 
 bool
 TraceReader::refill()
 {
-    const long at = std::ftell(file_);
+    const long at = std::ftell(file_.get());
     if (at < 0)
         fail(path_, "ftell failed");
     if (at >= payloadEnd_)
@@ -109,9 +70,10 @@ TraceReader::refill()
         kBufferBytes, static_cast<std::size_t>(payloadEnd_ - at));
     buffer_.resize(want);
     const std::size_t got =
-        std::fread(buffer_.data(), 1, buffer_.size(), file_);
+        std::fread(buffer_.data(), 1, buffer_.size(), file_.get());
     buffer_.resize(got);
     bufPos_ = 0;
+    crc_ = crc32(crc_, buffer_.data(), got);
     return got != 0;
 }
 
@@ -169,12 +131,25 @@ TraceReader::next(TraceRecord &r)
 void
 TraceReader::rewind()
 {
-    if (std::fseek(file_, payloadStart_, SEEK_SET) != 0)
+    if (std::fseek(file_.get(), payloadStart_, SEEK_SET) != 0)
         fail(path_, "rewind failed");
     buffer_.clear();
     bufPos_ = 0;
     delta_ = DeltaState{};
     position_ = 0;
+    crc_ = 0;
+}
+
+std::string
+TraceReader::readFooter()
+{
+    while (refill()) {
+    }
+    std::string foot(kFooterBytes, '\0');
+    if (std::fread(foot.data(), 1, kFooterBytes, file_.get()) !=
+        kFooterBytes)
+        foot.clear();
+    return foot;
 }
 
 VerifyResult
@@ -189,74 +164,30 @@ verifyTraceFile(const std::string &path)
             return v;
         }
 
+        // Decoding proves the payload is structurally sound; the bytes
+        // it read, plus any left before the footer, make up the CRC.
         TraceRecord r;
         while (reader.next(r)) {
         }
-
-        // Decoding proved the payload is structurally sound; now check
-        // integrity byte-for-byte. The payload spans from the end of the
-        // header to the start of the fixed-size footer.
-        std::FILE *f = std::fopen(path.c_str(), "rb");
-        if (!f) {
-            v.error = "cannot reopen";
-            return v;
-        }
-        const long payloadStart = static_cast<long>(
-            kHeaderFixedBytes + v.header.name.size());
-        std::fseek(f, 0, SEEK_END);
-        const long fileSize = std::ftell(f);
-        const long payloadEnd =
-            fileSize - static_cast<long>(kFooterBytes);
-        if (payloadEnd < payloadStart) {
-            std::fclose(f);
-            v.error = "file too small for footer";
-            return v;
-        }
-        v.payloadBytes =
-            static_cast<std::uint64_t>(payloadEnd - payloadStart);
-
-        std::fseek(f, payloadStart, SEEK_SET);
-        std::uint32_t crc = 0;
-        std::vector<unsigned char> buf(64 * 1024);
-        std::uint64_t remaining = v.payloadBytes;
-        while (remaining) {
-            const std::size_t want = static_cast<std::size_t>(
-                std::min<std::uint64_t>(remaining, buf.size()));
-            if (std::fread(buf.data(), 1, want, f) != want) {
-                std::fclose(f);
-                v.error = "payload read failed";
-                return v;
-            }
-            crc = crc32(crc, buf.data(), want);
-            remaining -= want;
-        }
-
-        unsigned char foot[kFooterBytes];
-        const bool footOk =
-            std::fread(foot, 1, sizeof foot, f) == sizeof foot;
-        std::fclose(f);
-        if (!footOk) {
+        v.payloadBytes = reader.payloadBytes();
+        const std::string foot = reader.readFooter();
+        if (foot.empty()) {
             v.error = "truncated footer";
             return v;
         }
-        if (std::memcmp(foot, kEndMagic.data(), kEndMagic.size()) != 0) {
+        SerialReader in(foot);
+        if (in.getBytes(kEndMagic.size()) != kEndMagic) {
             v.error = "bad footer magic";
             return v;
         }
-        const std::uint64_t footCount = readLe(foot + 4, 8);
-        const std::uint32_t footCrc =
-            static_cast<std::uint32_t>(readLe(foot + 12, 4));
+        const std::uint64_t footCount = in.getU64();
         if (footCount != v.header.recordCount) {
             v.error = "record count mismatch (header " +
                 std::to_string(v.header.recordCount) + ", footer " +
                 std::to_string(footCount) + ")";
             return v;
         }
-        if (reader.position() != v.header.recordCount) {
-            v.error = "decoded record count mismatch";
-            return v;
-        }
-        if (footCrc != crc) {
+        if (in.getU32() != reader.payloadCrc()) {
             v.error = "payload CRC mismatch";
             return v;
         }

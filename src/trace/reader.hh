@@ -10,6 +10,7 @@
 #define TACSIM_TRACE_READER_HH
 
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -28,22 +29,32 @@ namespace trace {
  * is checked by verifyTraceFile(), which decodes the whole file.
  * Decoding never reads past the footer boundary, so a truncated
  * payload reports the truncation instead of misdecoding footer bytes
- * as records.
+ * as records. Every payload byte read is folded into a running CRC.
  */
 class TraceReader
 {
   public:
     explicit TraceReader(const std::string &path);
-    ~TraceReader();
-
-    TraceReader(const TraceReader &) = delete;
-    TraceReader &operator=(const TraceReader &) = delete;
 
     const TraceHeader &header() const { return header_; }
     const std::string &path() const { return path_; }
+    std::uint64_t
+    payloadBytes() const
+    {
+        return static_cast<std::uint64_t>(payloadEnd_ - payloadStart_);
+    }
+    std::uint64_t
+    fileBytes() const
+    {
+        return static_cast<std::uint64_t>(payloadEnd_) + kFooterBytes;
+    }
 
     /** Records decoded since construction / the last rewind(). */
     std::uint64_t position() const { return position_; }
+
+    /** CRC-32 of the payload bytes read since construction / the last
+     *  rewind(); readFooter() extends it to the whole payload. */
+    std::uint32_t payloadCrc() const { return crc_; }
 
     /**
      * Decode the next record into @p r; false once recordCount records
@@ -52,16 +63,24 @@ class TraceReader
      */
     bool next(TraceRecord &r);
 
-    /** Seek back to the payload start and reset the delta chains. */
+    /** Seek back to the payload start and reset the delta chains and
+     *  the CRC. */
     void rewind();
 
+    /** Read the payload bytes not yet read into payloadCrc(), then
+     *  return the footer's bytes (empty if they cannot be read). The
+     *  reader is then past the payload: rewind() before next(). */
+    std::string readFooter();
+
   private:
+    struct Closer { void operator()(std::FILE *f) const { std::fclose(f); } };
+
     unsigned char takeByte();
     std::uint64_t takeVarint();
     bool refill();
 
     std::string path_;
-    std::FILE *file_ = nullptr;
+    std::unique_ptr<std::FILE, Closer> file_;
     TraceHeader header_;
     long payloadStart_ = 0;
     long payloadEnd_ = 0; ///< first footer byte; decode stops here
@@ -70,6 +89,7 @@ class TraceReader
     std::size_t bufPos_ = 0;
     DeltaState delta_;
     std::uint64_t position_ = 0;
+    std::uint32_t crc_ = 0;
 };
 
 /** Outcome of a full-file integrity check. */
@@ -83,8 +103,9 @@ struct VerifyResult
 
 /**
  * Decode every record, then check the footer: end magic present, both
- * record counts consistent, payload CRC matches. Never throws — parse
- * errors come back as !ok.
+ * record counts consistent, payload CRC matches. One pass over one open
+ * file: the reader's running CRC covers the decoded bytes and any left
+ * before the footer. Never throws — parse errors come back as !ok.
  */
 VerifyResult verifyTraceFile(const std::string &path);
 

@@ -1,19 +1,22 @@
 #include "trace/writer.hh"
 
 #include <stdexcept>
+#include <utility>
+
+#include "common/serialize.hh"
 
 namespace tacsim {
 namespace trace {
 
 TraceWriter::TraceWriter(const std::string &path, TraceHeader header)
-    : path_(path)
+    : path_(path), header_(std::move(header))
 {
     file_ = std::fopen(path.c_str(), "wb");
     if (!file_)
         throw std::runtime_error("trace: cannot open for writing: " +
                                  path);
-    header.recordCount = 0; // patched by finalize()
-    const std::vector<unsigned char> hdr = encodeHeader(header);
+    header_.recordCount = 0; // set by finalize()
+    const std::string hdr = encodeHeader(header_);
     if (std::fwrite(hdr.data(), 1, hdr.size(), file_) != hdr.size()) {
         std::fclose(file_);
         file_ = nullptr;
@@ -56,23 +59,17 @@ TraceWriter::finalize()
         return;
     flush();
 
-    const std::vector<unsigned char> foot = encodeFooter(count_, crc_);
+    const std::string foot = encodeFooter(count_, crc_);
     bool ok =
         std::fwrite(foot.data(), 1, foot.size(), file_) == foot.size();
 
-    // Patch the header's recordCount now that the stream length is
-    // known; readers rely on it to find the payload end.
-    const auto patchU64 = [&](std::size_t offset, std::uint64_t v) {
-        unsigned char le[8];
-        for (unsigned i = 0; i < 8; ++i)
-            le[i] = static_cast<unsigned char>(v >> (8 * i));
-        return std::fseek(file_, static_cast<long>(offset), SEEK_SET) ==
-            0 &&
-            std::fwrite(le, 1, sizeof le, file_) == sizeof le;
-    };
-    ok = ok && patchU64(kHeaderCountOffset, count_);
-    if (patchFootprint_)
-        ok = ok && patchU64(kHeaderFootprintOffset, footprint_);
+    // Rewrite the header with the record count, now that the stream
+    // length is known (readers rely on it to find the payload end), and
+    // any footprint setFootprint() gave. Only those fields change.
+    header_.recordCount = count_;
+    const std::string hdr = encodeHeader(header_);
+    ok = ok && std::fseek(file_, 0, SEEK_SET) == 0 &&
+        std::fwrite(hdr.data(), 1, hdr.size(), file_) == hdr.size();
 
     ok = std::fclose(file_) == 0 && ok;
     file_ = nullptr;

@@ -22,8 +22,9 @@ namespace trace {
 /**
  * Buffered, CRC-accumulating writer. append() encodes into an in-memory
  * buffer flushed in large chunks; finalize() writes the footer and
- * patches the header's record count (the destructor finalizes too, but
- * call finalize() explicitly to observe I/O errors — it throws).
+ * rewrites the header with the record count (the destructor finalizes
+ * too, but call finalize() explicitly to observe I/O errors — it
+ * throws).
  */
 class TraceWriter
 {
@@ -47,22 +48,15 @@ class TraceWriter
             flush();
     }
 
-    /** Flush, write the footer, patch the header count, close. Safe to
+    /** Flush, write the footer, rewrite the header, close. Safe to
      *  call once; throws std::runtime_error on I/O failure. */
     void finalize();
 
     /** Override the header's footprint at finalize time (the ChampSim
      *  importer derives it from the observed address span). */
-    void
-    setFootprint(Addr footprint)
-    {
-        footprint_ = footprint;
-        patchFootprint_ = true;
-    }
+    void setFootprint(Addr footprint) { header_.footprint = footprint; }
 
-    bool finalized() const { return file_ == nullptr; }
     std::uint64_t recordCount() const { return count_; }
-    const std::string &path() const { return path_; }
 
   private:
     static constexpr std::size_t kFlushBytes = 64 * 1024;
@@ -70,13 +64,12 @@ class TraceWriter
     void flush();
 
     std::string path_;
+    TraceHeader header_; ///< rewritten by finalize()
     std::FILE *file_ = nullptr;
     std::vector<unsigned char> buffer_;
     DeltaState delta_;
     std::uint64_t count_ = 0;
     std::uint32_t crc_ = 0;
-    Addr footprint_ = 0;
-    bool patchFootprint_ = false;
 };
 
 /**

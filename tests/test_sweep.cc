@@ -78,6 +78,29 @@ TEST(Sweep, ThrowingJobIsReportedWithoutAbortingTheSweep)
     SystemConfig twoWrappers;
     twoWrappers.llcDeadBlock = twoWrappers.llcCsalt = true;
     sw.add("wrappers", twoWrappers, {"mcf"}, kInstr, kWarm);
+    // And configs that would kill the process (a zero DRAM divisor traps)
+    // or run until nothing can issue (no MSHR, walk slot or ROB entry).
+    SystemConfig c;
+    c.dram.banksPerChannel = 0;
+    sw.add("banks0", c, {"mcf"}, kInstr, kWarm);
+    c = {};
+    c.dram.rowBytes = 0;
+    sw.add("row0", c, {"mcf"}, kInstr, kWarm);
+    c = {};
+    c.l1d.mshrs = 0;
+    sw.add("l1dMshr0", c, {"mcf"}, kInstr, kWarm);
+    c = {};
+    c.l2.mshrs = 0;
+    sw.add("l2Mshr0", c, {"mcf"}, kInstr, kWarm);
+    c = {};
+    c.ptw.maxConcurrentWalks = 0;
+    sw.add("walks0", c, {"mcf"}, kInstr, kWarm);
+    c = {};
+    c.core.robSize = 0;
+    sw.add("rob0", c, {"mcf"}, kInstr, kWarm);
+    c.core.robSize = 1;
+    c.threadsPerCore = 2;
+    sw.add("rob1smt2", c, {"mcf", "pr"}, kInstr, kWarm);
     sw.run();
 
     const SweepOutcome *bad = sw.outcome("boom");
@@ -97,7 +120,16 @@ TEST(Sweep, ThrowingJobIsReportedWithoutAbortingTheSweep)
 
     const std::pair<const char *, const char *> unbuildable[] = {
         {"stlb1536", "stlbEntries = 1536 with stlbWays = 16"},
-        {"wrappers", "llcDeadBlock and llcCsalt are both set"}};
+        {"wrappers", "llcDeadBlock and llcCsalt are both set"},
+        {"banks0", "topology: dram.banksPerChannel = 0 must be nonzero"},
+        {"row0", "topology: dram.rowBytes = 0 must be nonzero"},
+        {"l1dMshr0", "topology: l1d.mshrs = 0 must be nonzero"},
+        {"l2Mshr0", "topology: l2.mshrs = 0 must be nonzero"},
+        {"walks0", "topology: ptw.maxConcurrentWalks = 0 must be nonzero"},
+        {"rob0", "topology: core.robSize = 0 must be at least "
+                 "threadsPerCore = 1"},
+        {"rob1smt2", "topology: core.robSize = 1 must be at least "
+                     "threadsPerCore = 2"}};
     for (const auto &[key, message] : unbuildable) {
         const SweepOutcome *o = sw.outcome(key);
         ASSERT_NE(o, nullptr) << key;

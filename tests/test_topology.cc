@@ -210,6 +210,27 @@ TEST(TopologySpecTest, ApplyValidatesAgainstTheConfigsLlcSizing)
     EXPECT_THROW(configFromTopology("cores=1", base), std::invalid_argument);
 }
 
+TEST(TopologySpecTest, RefusesWidthsThatHangTheCore)
+{
+    // A zero issue or retire width never ends a run, so no sweep point
+    // may reach System with one: the message names the field.
+    const auto refusal = [](auto breakIt) {
+        SystemConfig cfg;
+        breakIt(cfg);
+        try {
+            validateTopology(cfg);
+        } catch (const std::invalid_argument &e) {
+            return std::string(e.what());
+        }
+        return std::string("accepted");
+    };
+    EXPECT_EQ(refusal([](SystemConfig &c) { c.core.issueWidth = 0; }),
+              "topology: core.issueWidth = 0 must be nonzero");
+    EXPECT_EQ(refusal([](SystemConfig &c) { c.core.retireWidth = 0; }),
+              "topology: core.retireWidth = 0 must be nonzero");
+    EXPECT_EQ(refusal([](SystemConfig &) {}), "accepted");
+}
+
 TEST(TopologySpecTest, ChanIsTheChannelCountSystemBuilds)
 {
     // One channel per four cores unless chan names a count; chan=1

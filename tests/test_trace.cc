@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <string>
@@ -21,6 +22,7 @@
 #include <unistd.h>
 
 #include "common/rng.hh"
+#include "common/serialize.hh"
 #include "sim/runner.hh"
 #include "sim/stats_dump.hh"
 #include "sim/sweep.hh"
@@ -85,10 +87,10 @@ TEST(TraceFormat, Crc32MatchesKnownVector)
 {
     // The IEEE CRC-32 check value for "123456789".
     const char *s = "123456789";
-    EXPECT_EQ(trace::crc32(0, s, 9), 0xCBF43926u);
+    EXPECT_EQ(crc32(0, s, 9), 0xCBF43926u);
     // Incremental accumulation must match one-shot.
-    std::uint32_t crc = trace::crc32(0, s, 4);
-    crc = trace::crc32(crc, s + 4, 5);
+    std::uint32_t crc = crc32(0, s, 4);
+    crc = crc32(crc, s + 4, 5);
     EXPECT_EQ(crc, 0xCBF43926u);
 }
 
@@ -203,23 +205,47 @@ TEST(TraceFile, VerifyPassesAndCatchesCorruption)
     }
     EXPECT_TRUE(trace::verifyTraceFile(path).ok);
 
-    // Flip one payload byte: CRC (or decode) must catch it.
+    std::string good;
     {
-        std::fstream f(path,
-                       std::ios::in | std::ios::out | std::ios::binary);
-        const std::streamoff off = static_cast<std::streamoff>(
-            trace::kHeaderFixedBytes + 1 /* name "v" */ + 100);
-        f.seekg(off);
-        char c = 0;
-        f.read(&c, 1);
-        c = static_cast<char>(c ^ 0x40);
-        f.seekp(off);
-        f.write(&c, 1);
+        std::ifstream f(path, std::ios::binary);
+        good.assign(std::istreambuf_iterator<char>(f), {});
     }
-    const trace::VerifyResult bad = trace::verifyTraceFile(path);
+    const std::string copy = tmpPath("verify_copy");
+    auto verifyBytes = [&](const std::string &bytes) {
+        std::ofstream(copy, std::ios::binary) << bytes;
+        return trace::verifyTraceFile(copy);
+    };
+
+    // Flip one payload byte: CRC (or decode) must catch it.
+    std::string flipped = good;
+    flipped[trace::kHeaderFixedBytes + 1 /* name "v" */ + 100] ^= 0x40;
+    const trace::VerifyResult bad = verifyBytes(flipped);
     EXPECT_FALSE(bad.ok);
     EXPECT_FALSE(bad.error.empty());
 
+    // Bytes inserted before the footer decode as nothing, but the CRC
+    // covers them: a few, and a run longer than one 64 KiB read.
+    const std::size_t foot = good.size() - trace::kFooterBytes;
+    for (std::size_t n : {std::size_t{3}, std::size_t{70000}}) {
+        const std::string grown =
+            good.substr(0, foot) + std::string(n, 'x') + good.substr(foot);
+        EXPECT_EQ(verifyBytes(grown).error, "payload CRC mismatch") << n;
+    }
+
+    // Each footer field on its own: magic, record count (2000 → 2001 in
+    // its low byte), CRC.
+    std::string magic = good;
+    magic[foot] ^= 0x01;
+    EXPECT_EQ(verifyBytes(magic).error, "bad footer magic");
+    std::string count = good;
+    ++count[foot + trace::kEndMagic.size()];
+    EXPECT_EQ(verifyBytes(count).error,
+              "record count mismatch (header 2000, footer 2001)");
+    std::string crc = good;
+    crc[foot + trace::kEndMagic.size() + 8] ^= 0x01;
+    EXPECT_EQ(verifyBytes(crc).error, "payload CRC mismatch");
+
+    std::remove(copy.c_str());
     std::remove(path.c_str());
 }
 

@@ -15,13 +15,13 @@
  * record/replay share budgets, config and observability flags, so
  *   tacsim-trace record --benchmark mcf --out t.tactrc --dump a.txt
  *   tacsim-trace replay --trace t.tactrc --dump b.txt
- * must produce byte-identical a.txt and b.txt — CI's trace-roundtrip
- * job gates on exactly that.
+ * must produce byte-identical a.txt and b.txt — the trace.roundtrip.*
+ * ctests gate on exactly that. A command refuses (exit 2, usage text)
+ * any flag its usage line does not list.
  */
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <memory>
 #include <optional>
@@ -54,7 +54,7 @@ usage(int code)
         "          [--warmup N] [--seed S] [--proposed] [--dump FILE]\n"
         "          [OBS]\n"
         "  replay  --trace FILE [--instructions N] [--warmup N]\n"
-        "          [--proposed] [--dump FILE] [OBS]\n"
+        "          [--seed S] [--proposed] [--dump FILE] [OBS]\n"
         "  info    FILE\n"
         "  verify  FILE\n"
         "  import  --in FILE --out FILE [--benchmark NAME]\n"
@@ -78,11 +78,28 @@ struct Args
     bool proposed = false;
 };
 
+/** Parse @p cmd's flags (argv[2..]) into @p a; false on a command
+ *  without flags or a flag its usage line does not list. */
 bool
-parseArgs(int argc, char **argv, int start, Args &a)
+parseArgs(const std::string &cmd, int argc, char **argv, Args &a)
 {
-    for (int i = start; i < argc; ++i) {
+    // The flags on the command's usage line, space-delimited.
+    const std::string run = " --instructions --warmup --seed --proposed"
+                            " --dump --sample-interval --timeseries"
+                            " --chrome-trace ";
+    std::string flags;
+    if (cmd == "record")
+        flags = " --benchmark --out" + run;
+    else if (cmd == "replay")
+        flags = " --trace" + run;
+    else if (cmd == "import")
+        flags = " --in --out --benchmark --footprint --seed --limit ";
+    else
+        return false;
+    for (int i = 2; i < argc; ++i) {
         const std::string arg = argv[i];
+        if (flags.find(" " + arg + " ") == std::string::npos)
+            return false;
         auto value = [&]() -> const char * {
             if (i + 1 >= argc) {
                 std::fprintf(stderr, "tacsim-trace: %s needs a value\n",
@@ -229,16 +246,9 @@ cmdReplay(const Args &a)
 int
 cmdInfo(const std::string &path)
 {
-    trace::TraceReader reader(path);
+    const trace::TraceReader reader(path);
     const trace::TraceHeader &h = reader.header();
-
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    long bytes = 0;
-    if (f) {
-        std::fseek(f, 0, SEEK_END);
-        bytes = std::ftell(f);
-        std::fclose(f);
-    }
+    const std::uint64_t bytes = reader.fileBytes();
 
     std::printf("file        %s\n", path.c_str());
     std::printf("format      tacsim-trace-v%u\n", trace::kVersion);
@@ -249,7 +259,8 @@ cmdInfo(const std::string &path)
                 static_cast<unsigned long long>(h.seed));
     std::printf("records     %llu\n",
                 static_cast<unsigned long long>(h.recordCount));
-    std::printf("file bytes  %ld\n", bytes);
+    std::printf("file bytes  %llu\n",
+                static_cast<unsigned long long>(bytes));
     if (h.recordCount) {
         std::printf("bytes/rec   %.2f\n",
                     double(bytes) / double(h.recordCount));
@@ -381,15 +392,11 @@ main(int argc, char **argv)
             return cmd == "info" ? cmdInfo(argv[2]) : cmdVerify(argv[2]);
         }
         Args a;
-        if (!parseArgs(argc, argv, 2, a))
+        if (!parseArgs(cmd, argc, argv, a))
             return usage(2);
         if (cmd == "record")
             return cmdRecord(a);
-        if (cmd == "replay")
-            return cmdReplay(a);
-        if (cmd == "import")
-            return cmdImport(a);
-        return usage(2);
+        return cmd == "replay" ? cmdReplay(a) : cmdImport(a);
     } catch (const std::exception &e) {
         std::fprintf(stderr, "tacsim-trace: %s\n", e.what());
         return 1;
