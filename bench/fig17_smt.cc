@@ -5,11 +5,11 @@
  * between the baseline and the full proposal.
  *
  * The mix table is generated combinatorially: all 45 unordered pairs
- * (including self-pairs) of the 9-benchmark suite, with the SMT machine
- * built from the declarative topology string "cores=1,smt=2"
- * (sim/topology.hh). Solo references and both mix policies are all
- * registered up front and executed by the parallel sweep runner; the
- * pairs the paper reports carry its reference numbers.
+ * (including self-pairs) of the 9-benchmark suite, on the baseline
+ * machine with threadsPerCore = 2. Solo references and both mix
+ * policies are all registered up front and executed by the parallel
+ * sweep runner; the pairs the paper reports carry its reference
+ * numbers.
  *
  * Paper reference points: suite average +6.3%, max +12.6% (pr-cc);
  * radii-bf +6.5%, tc-pr +11.1%, canneal-xalancbmk +3.5%,
@@ -20,7 +20,6 @@
 #include <utility>
 
 #include "bench_common.hh"
-#include "sim/topology.hh"
 
 using namespace tacbench;
 
@@ -52,8 +51,8 @@ paperGain(B t0, B t1)
 int
 main(int argc, char **argv)
 {
-    const SystemConfig smtBase =
-        configFromTopology("cores=1,smt=2", baselineConfig());
+    SystemConfig smtBase = baselineConfig();
+    smtBase.threadsPerCore = 2;
     const SystemConfig smtEnh = proposedConfig(smtBase);
 
     // 9 solos (baseline, for the harmonic denominator) plus both

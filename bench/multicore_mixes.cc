@@ -4,10 +4,10 @@
  * scale-out sweep: for each core count in {8, 16, 32, 64} the binary
  * generates every homogeneous mix (one per benchmark) plus a set of
  * seeded heterogeneous mixes, and runs each under the baseline and the
- * full proposal. Machines are built entirely from topology text
- * (sim/topology.hh): sliced LLC with a ring-hop latency, per-core MSHR
- * quotas and bandwidth tokens at the LLC, and auto-derived DRAM
- * channels. 4 core counts x 15 mixes x 2 policies =
+ * full proposal. Each machine is the baseline with its composition
+ * fields assigned (sim/topology.hh): sliced LLC with a ring-hop latency,
+ * per-core MSHR quotas and bandwidth tokens at the LLC, and
+ * auto-derived DRAM channels. 4 core counts x 15 mixes x 2 policies =
  * 120 sweep points, all registered up front on the parallel runner.
  *
  * Metrics per (core count, mix): weighted speedup (mean of per-thread
@@ -72,24 +72,26 @@ pow2Floor(unsigned v)
 }
 
 /**
- * Declarative machine for @p cores: LLC auto-sized at 2MB/core and
- * sliced one slice per 4 cores with a 2-cycle ring hop, DRAM channels
- * auto-derived, and LLC arbitration tightened as the machine grows
- * (the per-core MSHR quota shrinks from the full 128-entry fair share
- * at 8 cores down to 16 entries at 64, modelling a fixed arbiter
- * budget, while bandwidth tokens stay at 32 demands per 64 cycles).
+ * The baseline machine with @p cores cores: LLC auto-sized at 2MB/core
+ * (16 ways) and sliced one slice per 4 cores with a 2-cycle ring hop,
+ * DRAM channels auto-derived, and LLC arbitration tightened as the
+ * machine grows (the per-core MSHR quota shrinks from the full
+ * 128-entry fair share at 8 cores down to 16 entries at 64, modelling a
+ * fixed arbiter budget, while bandwidth tokens stay at 32 demands per
+ * 64 cycles). Throws std::invalid_argument (validateTopology) when
+ * @p cores builds no machine that runs.
  */
-std::string
-topologyFor(unsigned cores)
+SystemConfig
+machineFor(unsigned cores)
 {
-    const unsigned slices = pow2Floor(std::max(1u, cores / 4));
-    const unsigned quota = std::max(16u, 1024u / cores);
-    char buf[128];
-    std::snprintf(buf, sizeof buf,
-                  "cores=%u,llc=auto/16w,slices=%u,slice_lat=2,"
-                  "mshr_quota=%u,bw=32",
-                  cores, slices, quota);
-    return buf;
+    SystemConfig cfg = baselineConfig();
+    cfg.numCores = cores;
+    cfg.llcSlices = pow2Floor(std::max(1u, cores / 4));
+    cfg.llcSliceHopLatency = 2;
+    cfg.llcMshrQuotaPerCore = std::max(16u, 1024u / cores);
+    cfg.llcBwTokensPerCore = 32;
+    validateTopology(cfg);
+    return cfg;
 }
 
 /** One named mix: @p cores benchmarks, one per thread. */
@@ -150,8 +152,7 @@ main(int argc, char **argv)
     try {
         counts = coreCounts(coresText);
         for (unsigned cores : counts)
-            bases.push_back(
-                configFromTopology(topologyFor(cores), baselineConfig()));
+            bases.push_back(machineFor(cores));
     } catch (const std::invalid_argument &e) {
         std::fprintf(stderr, "tacsim: TACSIM_MC_CORES=\"%s\": %s\n",
                      coresText.c_str(), e.what());

@@ -12,9 +12,9 @@
  *
  *  - Event records are slab-allocated and recycled through an intrusive
  *    freelist — steady-state scheduling performs no heap allocation.
- *  - Callables up to kInlineBytes are stored inline in the record
- *    (every scheduling site in the simulator fits); larger ones fall
- *    back to an inline std::function that owns its capture.
+ *  - Callables are stored inline in the record; scheduleAt refuses at
+ *    compile time one larger than kInlineBytes or without a nothrow
+ *    move (every scheduling site in the simulator fits).
  *  - A calendar front-end covers the next kWindow cycles with one FIFO
  *    bucket per cycle and a bitmap for O(1)-ish next-event scans;
  *    events beyond the window wait in a small binary heap and migrate
@@ -28,7 +28,6 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <new>
 #include <queue>
@@ -39,23 +38,6 @@
 #include "common/types.hh"
 
 namespace tacsim {
-
-namespace event_detail {
-
-/// Inline callable storage per event record; every scheduling site in
-/// src/ fits (largest capture today is ~40 bytes in the walker).
-inline constexpr std::size_t kInlineBytes = 48;
-
-/// True if Fn can live in a record's inline storage. Requires nothrow
-/// move because the invoke trampoline moves the callable to the stack
-/// before recycling the record.
-template <typename Fn>
-inline constexpr bool fitsInline =
-    sizeof(Fn) <= kInlineBytes &&
-    alignof(Fn) <= alignof(std::max_align_t) &&
-    std::is_nothrow_move_constructible_v<Fn>;
-
-} // namespace event_detail
 
 /**
  * A deterministic discrete-event queue.
@@ -73,13 +55,12 @@ class EventQueue
     static constexpr Cycle kWindow = Cycle{1} << kWindowBits;
     static constexpr std::size_t kBucketMask = kWindow - 1;
     static constexpr std::size_t kWords = kWindow / 64;
-    static constexpr std::size_t kInlineBytes = event_detail::kInlineBytes;
+    /// Inline callable storage per event record; every scheduling site
+    /// in src/ fits (largest capture today is ~40 bytes in the walker).
+    static constexpr std::size_t kInlineBytes = 48;
     static constexpr std::size_t kSlabRecords = 512;
 
   public:
-    /** Fallback callable type for captures larger than kInlineBytes. */
-    using Callback = std::function<void()>;
-
     EventQueue() = default;
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
@@ -106,6 +87,14 @@ class EventQueue
     void
     scheduleAt(Cycle when, F &&f)
     {
+        using Fn = std::decay_t<F>;
+        // The invoke trampoline moves the callable to the stack before
+        // recycling the record, so the move must not throw.
+        static_assert(sizeof(Fn) <= kInlineBytes &&
+                          alignof(Fn) <= alignof(std::max_align_t) &&
+                          std::is_nothrow_move_constructible_v<Fn>,
+                      "an event callable must fit in kInlineBytes of "
+                      "inline storage and move without throwing");
         TACSIM_DCHECK(when >= now_ &&
                       "scheduleAt in the past — component bug");
         if (when < now_)
@@ -115,19 +104,8 @@ class EventQueue
         r->when = when;
         r->seq = seq_++;
         r->next = nullptr;
-
-        using Fn = std::decay_t<F>;
-        if constexpr (event_detail::fitsInline<Fn>) {
-            ::new (static_cast<void *>(r->storage))
-                Fn(std::forward<F>(f));
-            r->op = &opFor<Fn>;
-        } else {
-            static_assert(event_detail::fitsInline<Callback>,
-                          "record storage must hold the fallback");
-            ::new (static_cast<void *>(r->storage))
-                Callback(std::forward<F>(f));
-            r->op = &opFor<Callback>;
-        }
+        ::new (static_cast<void *>(r->storage)) Fn(std::forward<F>(f));
+        r->op = &opFor<Fn>;
 
         ++size_;
         if (when < windowEnd_)
@@ -195,30 +173,6 @@ class EventQueue
         }
         if (target > now_)
             now_ = target;
-    }
-
-    /** Run a single pending event (earliest); returns false if none. */
-    bool
-    step()
-    {
-        if (size_ == 0)
-            return false;
-        const Cycle c = nextPendingCycle();
-        now_ = c;
-        advanceWindow();
-
-        Bucket &b = buckets_[bucketOf(c)];
-        Record *r = b.head;
-        b.head = r->next;
-        if (!b.head) {
-            b.tail = nullptr;
-            clearBit(bucketOf(c));
-        }
-        nextValid_ = false;
-        --size_;
-        ++executed_;
-        r->op(*r, *this, Op::Invoke);
-        return true;
     }
 
     /** Drop all pending events and reset time to zero. Slabs are kept

@@ -87,14 +87,14 @@ struct SystemConfig
     unsigned numCores = 1;
     unsigned threadsPerCore = 1; ///< 2 = SMT (shared hierarchy)
 
-    CoreParams core; ///< per-thread ROB is core.robSize / threadsPerCore
+    CoreParams core{}; ///< per-thread ROB is core.robSize / threadsPerCore
 
     // TLBs (Table I).
     std::uint32_t dtlbEntries = 64, dtlbWays = 4;
     Cycle dtlbLatency = 1;
     std::uint32_t stlbEntries = 2048, stlbWays = 16;
     Cycle stlbLatency = 8;
-    PageTableWalker::Params ptw;
+    PageTableWalker::Params ptw{};
 
     // Cache hierarchy (Table I).
     // MSHR depths are sized for a Sunny-Cove-class core (the L1D's also
@@ -105,9 +105,9 @@ struct SystemConfig
     CacheGeometry llcPerCore{2 * 1024 * 1024, 16, 20, 128};
 
     // Shared-LLC composition. These, numCores, threadsPerCore,
-    // llcPerCore.ways and dram.channels are the fields topology text
-    // (sim/topology.hh) sets; the defaults reproduce the fixed
-    // pre-topology machine exactly.
+    // llcPerCore.ways and dram.channels are the machine's shape, which
+    // topologyText (sim/topology.hh) prints; the defaults reproduce the
+    // fixed pre-topology machine exactly.
     /** Total LLC bytes; 0 derives llcPerCore.sizeBytes * numCores. */
     std::uint64_t llcTotalBytes = 0;
     /** Address-interleaved LLC slices (power of two; 1 = monolithic). */
@@ -121,9 +121,9 @@ struct SystemConfig
     Cycle llcBwWindow = 64;
 
     PolicyKind l2Policy = PolicyKind::DRRIP;
-    ReplOpts l2Opts;
+    ReplOpts l2Opts{};
     PolicyKind llcPolicy = PolicyKind::SHiP;
-    ReplOpts llcOpts;
+    ReplOpts llcOpts{};
     bool llcDeadBlock = false; ///< CbPred-style wrapper (§V-B)
     bool llcCsalt = false;     ///< CSALT-style wrapper (§V-B)
 
@@ -148,9 +148,9 @@ struct SystemConfig
      *  dramChannelsOf() in sim/topology.hh is the one place that does. */
     DramParams dram{.channels = 0};
 
-    VmConfig vm;
+    VmConfig vm{};
 
-    ObsConfig obs;
+    ObsConfig obs{};
 
     std::uint64_t seed = 1;
 

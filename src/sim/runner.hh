@@ -145,7 +145,7 @@ inline constexpr RunResultField kRunResultFields[] = {
  * @p text as a count: decimal digits only, no greater than @p max, or
  * std::nullopt ("400k", "2e6", "-1", " 4" and "" are not counts, not
  * 400, 2, 2^64-1, 4 and 0). Read every count a user types with it
- * (environment, command line, topology text).
+ * (environment, command line).
  */
 std::optional<std::uint64_t> parseCount(std::string_view text,
                                         std::uint64_t max = UINT64_MAX);

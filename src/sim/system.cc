@@ -89,7 +89,6 @@ System::System(SystemConfig cfg,
     // Each slice indexes above the slice-select bits so sibling slices
     // cover disjoint sets of the monolithic geometry.
     const unsigned slices = cfg_.llcSlices;
-    llcSliceMask_ = slices - 1;
     {
         const std::uint32_t ways = cfg_.llcPerCore.ways;
         const std::uint32_t setsTotal = static_cast<std::uint32_t>(
@@ -299,6 +298,12 @@ System::~System()
         sampler_->finish(measuredInstructions(), cycle_);
     if (tracer_)
         tracer_->finish();
+}
+
+Cache &
+System::llcSliceFor(Addr paddr)
+{
+    return llcRouter_ ? *llc_[llcRouter_->sliceOf(paddr)] : *llc_[0];
 }
 
 void

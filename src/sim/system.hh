@@ -10,9 +10,9 @@
  * DRAM. This mirrors the paper's single-core, 2-way SMT and 8-core
  * evaluations (§V).
  *
- * The machine shape is SystemConfig's composition fields, which
- * topology text (sim/topology.hh) sets: core/SMT counts, total LLC
- * capacity (llcBytesOf), the LLC's address-interleaved slicing (one
+ * The machine shape is SystemConfig's composition fields
+ * (sim/topology.hh), which the caller assigns: core/SMT counts, total
+ * LLC capacity (llcBytesOf), the LLC's address-interleaved slicing (one
  * Cache per slice behind a SliceRouter), DRAM channels
  * (dramChannelsOf), and the per-core MSHR-quota / bandwidth-token
  * arbitration the shared slices apply. The defaults reproduce the
@@ -135,13 +135,9 @@ class System
     /** LLC slice @p slice (the whole LLC when unsliced). */
     Cache &llc(std::size_t slice = 0) { return *llc_[slice]; }
     std::size_t llcSlices() const { return llc_.size(); }
-    /** Home slice of @p paddr under the address interleave. */
-    Cache &
-    llcSliceFor(Addr paddr)
-    {
-        return *llc_[static_cast<std::uint32_t>(paddr >> kBlockBits) &
-                     llcSliceMask_];
-    }
+    /** Home slice of @p paddr: the router's interleave, or the whole
+     *  LLC when it is monolithic. */
+    Cache &llcSliceFor(Addr paddr);
     /** Slice interconnect; null when the LLC is monolithic. */
     SliceRouter *llcRouter() { return llcRouter_.get(); }
     Dram &dram() { return *dram_; }
@@ -189,7 +185,6 @@ class System
     std::unique_ptr<Dram> dram_;
     std::vector<std::unique_ptr<Cache>> llc_; ///< one entry per slice
     std::unique_ptr<SliceRouter> llcRouter_;  ///< non-null when sliced
-    std::uint32_t llcSliceMask_ = 0;
     std::vector<std::unique_ptr<Cache>> l2_;
     std::vector<std::unique_ptr<Cache>> l1d_;
     std::vector<std::unique_ptr<Tlb>> dtlb_;

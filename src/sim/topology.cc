@@ -1,12 +1,10 @@
 #include "sim/topology.hh"
 
 #include <limits>
-#include <optional>
 #include <stdexcept>
 #include <utility>
-#include <vector>
 
-#include "sim/runner.hh"
+#include "cache/cache.hh"
 
 namespace tacsim {
 
@@ -22,19 +20,6 @@ bool
 isPow2(std::uint64_t v)
 {
     return v != 0 && (v & (v - 1)) == 0;
-}
-
-/** Parse the count @p s into @p out; false (and @p out untouched) when
- *  @p s is not a count or does not fit @p out's type. */
-template <typename T>
-bool
-countInto(const std::string &s, T &out)
-{
-    const std::optional<std::uint64_t> n =
-        parseCount(s, std::numeric_limits<T>::max());
-    if (n)
-        out = static_cast<T>(*n);
-    return n.has_value();
 }
 
 constexpr std::uint64_t kKiB = 1024;
@@ -58,31 +43,6 @@ requirePow2Sets(const std::string &sizeField, std::uint64_t size,
              " does not yield a power-of-two set count");
 }
 
-/** "16MB" / "512KB" / "1GB" / plain bytes -> nonzero byte count. */
-bool
-parseSize(const std::string &s, std::uint64_t &out)
-{
-    std::uint64_t mult = 1;
-    std::string digits = s;
-    if (s.size() > 2) {
-        const std::string suffix = s.substr(s.size() - 2);
-        if (suffix == "KB")
-            mult = kKiB;
-        else if (suffix == "MB")
-            mult = kMiB;
-        else if (suffix == "GB")
-            mult = kGiB;
-        if (mult != 1)
-            digits = s.substr(0, s.size() - 2);
-    }
-    const std::optional<std::uint64_t> v =
-        parseCount(digits, std::numeric_limits<std::uint64_t>::max() / mult);
-    if (!v || *v == 0)
-        return false;
-    out = *v * mult;
-    return true;
-}
-
 std::string
 formatSize(std::uint64_t bytes)
 {
@@ -93,46 +53,6 @@ formatSize(std::uint64_t bytes)
     if (bytes % kKiB == 0)
         return std::to_string(bytes / kKiB) + "KB";
     return std::to_string(bytes);
-}
-
-/** `<size>/<w>w` or `auto/<w>w` or bare `<size>` / `auto`. */
-void
-parseLlcValue(const std::string &value, SystemConfig &cfg)
-{
-    std::string sizePart = value;
-    const std::size_t slash = value.find('/');
-    if (slash != std::string::npos) {
-        sizePart = value.substr(0, slash);
-        const std::string waysPart = value.substr(slash + 1);
-        if (waysPart.empty() || waysPart.back() != 'w' ||
-            !countInto(waysPart.substr(0, waysPart.size() - 1),
-                       cfg.llcPerCore.ways))
-            fail("bad ways '" + waysPart + "' for 'llc'");
-    }
-    if (sizePart == "auto") {
-        cfg.llcTotalBytes = 0;
-        return;
-    }
-    if (!parseSize(sizePart, cfg.llcTotalBytes))
-        fail("bad size '" + sizePart + "' for 'llc'");
-}
-
-/** `<tokens>` or `<tokens>/<window>c`. */
-void
-parseBwValue(const std::string &value, SystemConfig &cfg)
-{
-    std::string tokenPart = value;
-    const std::size_t slash = value.find('/');
-    if (slash != std::string::npos) {
-        tokenPart = value.substr(0, slash);
-        const std::string winPart = value.substr(slash + 1);
-        if (winPart.empty() || winPart.back() != 'c' ||
-            !countInto(winPart.substr(0, winPart.size() - 1),
-                       cfg.llcBwWindow))
-            fail("bad window '" + winPart + "' for 'bw'");
-    }
-    if (!countInto(tokenPart, cfg.llcBwTokensPerCore))
-        fail("bad value '" + tokenPart + "' for 'bw'");
 }
 
 } // namespace
@@ -217,73 +137,6 @@ validateTopology(const SystemConfig &cfg)
     if (cfg.llcDeadBlock && cfg.llcCsalt)
         fail("llcDeadBlock and llcCsalt are both set; the LLC takes one "
              "wrapper");
-}
-
-SystemConfig
-configFromTopology(const std::string &text, SystemConfig cfg)
-{
-    if (text.empty())
-        fail("empty spec");
-
-    // Keys the text omits take SystemConfig's defaults, not @p cfg's.
-    const SystemConfig d;
-    cfg.numCores = d.numCores;
-    cfg.threadsPerCore = d.threadsPerCore;
-    cfg.llcTotalBytes = d.llcTotalBytes;
-    cfg.llcPerCore.ways = d.llcPerCore.ways;
-    cfg.llcSlices = d.llcSlices;
-    cfg.llcSliceHopLatency = d.llcSliceHopLatency;
-    cfg.dram.channels = d.dram.channels;
-    cfg.llcMshrQuotaPerCore = d.llcMshrQuotaPerCore;
-    cfg.llcBwTokensPerCore = d.llcBwTokensPerCore;
-    cfg.llcBwWindow = d.llcBwWindow;
-
-    std::vector<std::string> seen;
-    std::size_t pos = 0;
-    while (pos <= text.size()) {
-        std::size_t comma = text.find(',', pos);
-        if (comma == std::string::npos)
-            comma = text.size();
-        const std::string item = text.substr(pos, comma - pos);
-        pos = comma + 1;
-
-        const std::size_t eq = item.find('=');
-        if (item.empty() || eq == std::string::npos || eq == 0)
-            fail("expected key=value, got '" + item + "'");
-        const std::string key = item.substr(0, eq);
-        const std::string value = item.substr(eq + 1);
-
-        for (const std::string &k : seen)
-            if (k == key)
-                fail("duplicate key '" + key + "'");
-        seen.push_back(key);
-
-        auto count = [&](auto &field) {
-            if (!countInto(value, field))
-                fail("bad value '" + value + "' for '" + key + "'");
-        };
-        if (key == "cores")
-            count(cfg.numCores);
-        else if (key == "smt")
-            count(cfg.threadsPerCore);
-        else if (key == "llc")
-            parseLlcValue(value, cfg);
-        else if (key == "slices")
-            count(cfg.llcSlices);
-        else if (key == "slice_lat")
-            count(cfg.llcSliceHopLatency);
-        else if (key == "chan")
-            count(cfg.dram.channels);
-        else if (key == "mshr_quota")
-            count(cfg.llcMshrQuotaPerCore);
-        else if (key == "bw")
-            parseBwValue(value, cfg);
-        else
-            fail("unknown key '" + key + "'");
-    }
-
-    validateTopology(cfg);
-    return cfg;
 }
 
 std::string

@@ -30,7 +30,6 @@
 #include "sim/runner.hh"
 #include "sim/stats_dump.hh"
 #include "sim/system.hh"
-#include "sim/topology.hh"
 #include "test_util.hh"
 #include "workloads/benchmarks.hh"
 
@@ -57,8 +56,9 @@ struct Point
     /** Policy at both the L2C and the LLC (default: the config's). */
     std::optional<PolicyKind> policy{};
     unsigned smt = 1;
-    /** Topology text applied over the rest (empty: one core). */
-    const char *topology = "";
+    /** 4 cores, 2 LLC slices 2 cycles apart, an MSHR quota of 16 and
+     *  32 bandwidth tokens per core (default: one core). */
+    bool sliced = false;
 };
 
 SystemConfig
@@ -75,8 +75,13 @@ configFor(const Point &p)
     if (p.policy)
         cfg.l2Policy = cfg.llcPolicy = *p.policy;
     cfg.threadsPerCore = p.smt;
-    if (*p.topology)
-        cfg = configFromTopology(p.topology, cfg);
+    if (p.sliced) {
+        cfg.numCores = 4;
+        cfg.llcSlices = 2;
+        cfg.llcSliceHopLatency = 2;
+        cfg.llcMshrQuotaPerCore = 16;
+        cfg.llcBwTokensPerCore = 32;
+    }
     return cfg;
 }
 
@@ -96,7 +101,7 @@ TEST(Checkpoint, RestoreMatchesStraightThroughByteForByte)
         {.name = "cc_smt2", .spec = "cc", .smt = 2},
         // Slices, hop latency and the arbiter's MSHR/token counters.
         {.name = "mcf_topology_proposed", .spec = "mcf", .proposed = true,
-         .topology = "cores=4,slices=2,slice_lat=2,mshr_quota=16,bw=32"},
+         .sliced = true},
     };
     for (const Point &p : points) {
         SCOPED_TRACE(p.name);

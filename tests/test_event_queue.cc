@@ -109,20 +109,6 @@ TEST(EventQueue, ScheduleAtInPastClampsToNow)
 
 #endif
 
-TEST(EventQueue, StepRunsExactlyOneEvent)
-{
-    EventQueue eq;
-    int fired = 0;
-    eq.schedule(1, [&] { ++fired; });
-    eq.schedule(2, [&] { ++fired; });
-    EXPECT_TRUE(eq.step());
-    EXPECT_EQ(fired, 1);
-    EXPECT_EQ(eq.now(), 1u);
-    EXPECT_TRUE(eq.step());
-    EXPECT_EQ(fired, 2);
-    EXPECT_FALSE(eq.step());
-}
-
 TEST(EventQueue, ResetDropsPendingEvents)
 {
     EventQueue eq;
@@ -175,23 +161,6 @@ TEST(EventQueue, SameCycleOrderSurvivesHeapMigration)
     eq.scheduleAt(5000, [&] { order.push_back(2); });
     eq.advanceTo(5000);
     EXPECT_EQ(order, (std::vector<int>{1, 2}));
-}
-
-TEST(EventQueue, LargeCapturesFallBackGracefully)
-{
-    // Captures larger than the record's inline storage take the
-    // std::function fallback; behavior must be identical.
-    EventQueue eq;
-    struct Big
-    {
-        char payload[128];
-    };
-    Big big{};
-    big.payload[0] = 42;
-    int seen = 0;
-    eq.schedule(3, [&seen, big] { seen = big.payload[0]; });
-    eq.advanceTo(3);
-    EXPECT_EQ(seen, 42);
 }
 
 TEST(EventQueue, ExecutedCountsAllFiredEvents)

@@ -1,8 +1,8 @@
 /**
  * @file
  * Multicore golden-run snapshots: tiny-budget 16-core and 32-core
- * heterogeneous mixes built from topology text (sim/topology.hh),
- * with sliced LLCs and per-core arbitration engaged, compared field by
+ * heterogeneous mixes on machines with sliced LLCs and per-core
+ * arbitration engaged (sim/topology.hh), compared field by
  * field against snapshots in tests/golden/. This pins the scale-out
  * composition path (slicing, ring hops, MSHR quotas, bandwidth tokens,
  * derived DRAM channels) the same way test_golden.cc pins the
@@ -35,8 +35,8 @@ namespace {
 
 struct MulticoreGoldenPoint
 {
-    const char *name;     ///< snapshot file stem
-    const char *topology; ///< declarative machine spec
+    const char *name; ///< snapshot file stem
+    SystemConfig machine;
     std::uint64_t instructions;
     std::uint64_t warmup;
 };
@@ -68,7 +68,7 @@ class MulticoreGoldenTest
 TEST_P(MulticoreGoldenTest, MatchesSnapshot)
 {
     const MulticoreGoldenPoint &p = GetParam();
-    const SystemConfig cfg = configFromTopology(p.topology);
+    const SystemConfig &cfg = p.machine;
     const RunResult r = runSpecMix(cfg, cyclingMix(cfg.threads()),
                                p.instructions, p.warmup);
     const std::string dump = dumpRunResult(r);
@@ -98,7 +98,7 @@ TEST_P(MulticoreGoldenTest, MatchesSnapshot)
         return;
     std::ostringstream msg;
     msg << "golden mismatch for " << p.name << " (topology "
-        << p.topology << ", " << diffs.size() << " field(s)):\n";
+        << topologyText(cfg) << ", " << diffs.size() << " field(s)):\n";
     for (const std::string &d : diffs)
         msg << "  " << d << "\n";
     msg << "If the change is intentional, refresh with "
@@ -109,12 +109,18 @@ TEST_P(MulticoreGoldenTest, MatchesSnapshot)
 INSTANTIATE_TEST_SUITE_P(
     Matrix, MulticoreGoldenTest,
     ::testing::Values(
-        MulticoreGoldenPoint{
-            "mc16_mix", "cores=16,slices=4,slice_lat=2,mshr_quota=64,bw=32",
-            4000, 1000},
-        MulticoreGoldenPoint{
-            "mc32_mix", "cores=32,slices=8,slice_lat=2,mshr_quota=32,bw=32",
-            2000, 500}),
+        MulticoreGoldenPoint{"mc16_mix",
+                             {.numCores = 16, .llcSlices = 4,
+                              .llcSliceHopLatency = 2,
+                              .llcMshrQuotaPerCore = 64,
+                              .llcBwTokensPerCore = 32},
+                             4000, 1000},
+        MulticoreGoldenPoint{"mc32_mix",
+                             {.numCores = 32, .llcSlices = 8,
+                              .llcSliceHopLatency = 2,
+                              .llcMshrQuotaPerCore = 32,
+                              .llcBwTokensPerCore = 32},
+                             2000, 500}),
     [](const ::testing::TestParamInfo<MulticoreGoldenPoint> &info) {
         return std::string(info.param.name);
     });

@@ -32,7 +32,6 @@
 #include "sim/stats_dump.hh"
 #include "sim/sweep.hh"
 #include "sim/system.hh"
-#include "sim/topology.hh"
 
 namespace tacsim {
 namespace {
@@ -310,8 +309,9 @@ TEST(ObsTotals, EqualTheTypedStatsOfEveryInstance)
     // every component root but dram and noc is indexed, and every
     // optional metric family is registered. No golden covers SMT, so
     // the typed stats are the reference.
-    SystemConfig cfg = configFromTopology(
-        "cores=4,smt=2,slices=2,slice_lat=2,mshr_quota=16,bw=32");
+    SystemConfig cfg{.numCores = 4, .threadsPerCore = 2, .llcSlices = 2,
+                     .llcSliceHopLatency = 2, .llcMshrQuotaPerCore = 16,
+                     .llcBwTokensPerCore = 32};
     TranslationAwareOptions ta;
     ta.tempo = true;
     applyTranslationAware(cfg, ta);

@@ -165,7 +165,7 @@ TEST(PointKey, CanonicalConfigTextIsVersionedAndComplete)
     other.dram.tempo = !other.dram.tempo;
     EXPECT_NE(canonicalConfigText(other), text);
 
-    // Every composition field that topology text sets is in the text.
+    // Every composition field (sim/topology.hh) is in the text.
     const std::vector<void (*)(SystemConfig &)> toggles = {
         [](SystemConfig &c) { c.numCores = 2; },
         [](SystemConfig &c) { c.threadsPerCore = 2; },

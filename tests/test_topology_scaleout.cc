@@ -1,12 +1,13 @@
 /**
  * @file
- * Scale-out end-to-end tests for the declarative topology engine:
- * 16/32/64-core machines built from a topology string alone,
+ * Scale-out end-to-end tests for machines built from SystemConfig's
+ * composition fields: 16/32/64-core machines from those fields alone,
  * byte-identical determinism between a serial sweep and a 4-worker
- * pool, pin tests that the default 1-core and 8-core machines are
- * bit-exact through the topology path (so the pre-existing goldens
- * stay valid), an arbitration-engagement sanity check, and the
- * death-tested accessor guards on System::threadCycles()/finishCycle().
+ * pool, pin tests that the default 1-core and 8-core machines' derived
+ * sizes (auto LLC, DRAM channels) build bit-exactly the machines with
+ * those sizes spelled out (so the pre-existing goldens stay valid), an
+ * arbitration-engagement sanity check, and the death-tested accessor
+ * guards on System::threadCycles()/finishCycle().
  */
 
 #include <gtest/gtest.h>
@@ -20,7 +21,6 @@
 #include "sim/stats_dump.hh"
 #include "sim/sweep.hh"
 #include "sim/system.hh"
-#include "sim/topology.hh"
 #include "workloads/benchmarks.hh"
 
 namespace tacsim {
@@ -28,6 +28,12 @@ namespace {
 
 constexpr std::uint64_t kInstr = 3000;
 constexpr std::uint64_t kWarm = 500;
+
+/** 16 cores, 4 LLC slices at 2 cycles per ring hop, per-core MSHR
+ *  quotas and bandwidth tokens. */
+const SystemConfig kSixteenCores{
+    .numCores = 16, .llcSlices = 4, .llcSliceHopLatency = 2,
+    .llcMshrQuotaPerCore = 64, .llcBwTokensPerCore = 32};
 
 /** Deterministic heterogeneous mix: cycle through the suite. */
 std::vector<std::string>
@@ -53,8 +59,7 @@ workloadsFor(const SystemConfig &cfg)
 
 TEST(TopologyScaleoutTest, SixteenCoreMachineRunsFromSpecAlone)
 {
-    const SystemConfig cfg = configFromTopology(
-        "cores=16,slices=4,slice_lat=2,mshr_quota=64,bw=32");
+    const SystemConfig &cfg = kSixteenCores;
     System sys(cfg, workloadsFor(cfg));
 
     ASSERT_EQ(sys.threads(), 16u);
@@ -83,15 +88,17 @@ TEST(TopologyScaleoutTest, SixteenCoreMachineRunsFromSpecAlone)
 TEST(TopologyScaleoutTest, LargeMachinesBuildFromSpecAlone)
 {
     {
-        const SystemConfig cfg =
-            configFromTopology("cores=32,smt=2,slices=8,chan=4");
+        SystemConfig cfg{.numCores = 32, .threadsPerCore = 2,
+                         .llcSlices = 8};
+        cfg.dram.channels = 4;
         System sys(cfg, workloadsFor(cfg));
         EXPECT_EQ(sys.threads(), 64u);
         EXPECT_EQ(sys.llcSlices(), 8u);
     }
     {
-        const SystemConfig cfg = configFromTopology(
-            "cores=64,llc=128MB/32w,slices=16,slice_lat=2");
+        SystemConfig cfg{.numCores = 64, .llcTotalBytes = 128u << 20,
+                         .llcSlices = 16, .llcSliceHopLatency = 2};
+        cfg.llcPerCore.ways = 32;
         System sys(cfg, workloadsFor(cfg));
         EXPECT_EQ(sys.threads(), 64u);
         EXPECT_EQ(sys.llcSlices(), 16u);
@@ -102,8 +109,7 @@ TEST(TopologyScaleoutTest, LargeMachinesBuildFromSpecAlone)
 
 TEST(TopologyScaleoutTest, SerialAndPooledSweepsAreByteIdentical)
 {
-    const SystemConfig cfg = configFromTopology(
-        "cores=16,slices=4,slice_lat=2,mshr_quota=64,bw=32");
+    const SystemConfig &cfg = kSixteenCores;
 
     SweepRunner serial(1);
     SweepRunner pooled(4);
@@ -125,24 +131,27 @@ TEST(TopologyScaleoutTest, SerialAndPooledSweepsAreByteIdentical)
 
 TEST(TopologyScaleoutTest, DefaultMachinesPinnedThroughTopologyPath)
 {
-    // The topology path must reproduce the hand-wired machines
-    // bit-exactly — this is what keeps the pre-existing golden
-    // snapshots valid.
+    // The derived sizes (an LLC of 2MB per core, one DRAM channel per
+    // four cores) must build bit-exactly the machine with those sizes
+    // spelled out, the hand-wired machine the pre-existing golden
+    // snapshots were taken on.
     {
-        const RunResult direct =
+        SystemConfig spelled;
+        spelled.llcTotalBytes = 2u << 20;
+        spelled.dram.channels = 1;
+        const RunResult derived =
             runSpecMix(SystemConfig{}, {"mcf"}, 20000, 5000);
-        const RunResult viaSpec = runSpecMix(
-            configFromTopology("cores=1"), {"mcf"}, 20000, 5000);
-        EXPECT_EQ(dumpRunResult(direct), dumpRunResult(viaSpec));
+        const RunResult direct = runSpecMix(spelled, {"mcf"}, 20000, 5000);
+        EXPECT_EQ(dumpRunResult(derived), dumpRunResult(direct));
     }
     {
-        SystemConfig manual;
-        manual.numCores = 8;
+        SystemConfig spelled{.numCores = 8, .llcTotalBytes = 16u << 20};
+        spelled.dram.channels = 2;
         const std::vector<std::string> mix = cyclingMix(8);
-        const RunResult direct = runSpecMix(manual, mix, kInstr, kWarm);
-        const RunResult viaSpec = runSpecMix(configFromTopology("cores=8"),
-                                             mix, kInstr, kWarm);
-        EXPECT_EQ(dumpRunResult(direct), dumpRunResult(viaSpec));
+        const RunResult derived =
+            runSpecMix({.numCores = 8}, mix, kInstr, kWarm);
+        const RunResult direct = runSpecMix(spelled, mix, kInstr, kWarm);
+        EXPECT_EQ(dumpRunResult(derived), dumpRunResult(direct));
     }
 }
 
@@ -151,8 +160,8 @@ TEST(TopologyScaleoutTest, TightArbitrationEngagesAndStaysConsistent)
     // A deliberately starved LLC: 2 MSHRs and 4 demand lookups per
     // window per core. The arbiter must actually defer work, and the
     // invariant walk must accept the resulting state.
-    const SystemConfig cfg =
-        configFromTopology("cores=8,mshr_quota=2,bw=4");
+    const SystemConfig cfg{.numCores = 8, .llcMshrQuotaPerCore = 2,
+                           .llcBwTokensPerCore = 4};
     System sys(cfg, workloadsFor(cfg));
     sys.run(4000);
 

@@ -90,12 +90,13 @@ makeTranslation(Addr paddr, unsigned level, Addr replayBlock = 0,
     return req;
 }
 
-/** Drain the event queue completely (bounded). */
+/** Drain the event queue completely, at most @p maxCycles event
+ *  cycles. */
 inline void
-drain(EventQueue &eq, std::uint64_t maxSteps = 1u << 20)
+drain(EventQueue &eq, std::uint64_t maxCycles = 1u << 20)
 {
-    while (!eq.empty() && maxSteps--)
-        eq.step();
+    while (!eq.empty() && maxCycles--)
+        eq.advanceTo(eq.nextEventCycle());
 }
 
 /**
