@@ -20,8 +20,12 @@ Cache::Cache(CacheParams params, EventQueue &eq, MemDevice *lower,
       prefetcher_(std::move(prefetcher)),
       indexer_(params_.sets, params_.setShift),
       blocks_(static_cast<std::size_t>(params_.sets) * params_.ways),
-      mshrs_(params_.mshrs)
+      mshrFile_(params_.mshrs),
+      mshrSlots_(params_.mshrs)
 {
+    freeMshrs_.reserve(params_.mshrs);
+    for (std::uint32_t slot = params_.mshrs; slot-- > 0;)
+        freeMshrs_.push_back(slot);
     if (prefetcher_)
         prefetcher_->setIssuer(this);
     if (params_.profileRecall)
@@ -138,7 +142,7 @@ Cache::access(const MemRequestPtr &req)
         return;
     }
 
-    if (arbBwDefer(req))
+    if (params_.arb.bwOn() && arbBwDefer(req))
         return;
 
     MemRequestPtr keep = req;
@@ -160,8 +164,6 @@ Cache::arbOwnerOf(const MemRequestPtr &req) const
 bool
 Cache::arbBwDefer(const MemRequestPtr &req)
 {
-    if (!params_.arb.bwOn())
-        return false;
     const std::uint32_t owner = arbOwnerOf(req);
     if (owner == kNoOwner)
         return false;
@@ -270,8 +272,8 @@ void
 Cache::handleMiss(const MemRequestPtr &req, const AccessInfo &ai)
 {
     const Addr blockAddr = req->blockAddr();
-    if (MshrEntry *hit = mshrs_.find(blockAddr)) {
-        MshrEntry &e = *hit;
+    if (const std::uint32_t *slot = mshrSlots_.find(blockAddr)) {
+        MshrEntry &e = mshrFile_[*slot];
         ++stats_.mshrMerges;
         if (req->type != ReqType::Prefetch) {
             // A demand merging into a prefetch-initiated MSHR is a late
@@ -292,7 +294,7 @@ Cache::handleMiss(const MemRequestPtr &req, const AccessInfo &ai)
         }
         if (req->type == ReqType::Store)
             e.makeDirty = true;
-        e.waiters.push_back(req);
+        e.addWaiter(req);
         return;
     }
 
@@ -310,10 +312,7 @@ Cache::handleMiss(const MemRequestPtr &req, const AccessInfo &ai)
         return;
     }
 
-    const std::uint32_t freeMshrs =
-        params_.mshrs > mshrs_.size()
-            ? params_.mshrs - static_cast<std::uint32_t>(mshrs_.size())
-            : 0;
+    const auto freeMshrs = static_cast<std::uint32_t>(freeMshrs_.size());
     if (freeMshrs == 0 ||
         (isPrefetch && freeMshrs <= params_.mshrReserveForDemand)) {
         if (isPrefetch) {
@@ -326,60 +325,62 @@ Cache::handleMiss(const MemRequestPtr &req, const AccessInfo &ai)
         return;
     }
 
-    MshrEntry e;
-    if (!spareWaiters_.empty()) {
-        e.waiters = std::move(spareWaiters_.back());
-        spareWaiters_.pop_back();
-    }
+    const std::uint32_t slot = freeMshrs_.back();
+    freeMshrs_.pop_back();
+    MshrEntry &e = mshrFile_[slot];
     e.fillInfo = ai;
     e.prefetchOnly = isPrefetch;
     e.makeDirty = req->type == ReqType::Store;
     e.origin = req->prefetchOrigin;
-    e.waiters.push_back(req);
+    e.addWaiter(req);
     e.demandWaiting = !isPrefetch;
-    if (owner != kNoOwner) {
-        e.owner = owner;
+    e.owner = owner;
+    if (owner != kNoOwner)
         ++arbMshrsByCore_[owner];
-    }
-    mshrs_.insert(blockAddr, std::move(e));
+    mshrSlots_.insert(blockAddr, slot);
     if (tracer_)
         tracer_->counter(track_, mshrNameId_, eq_.now(),
-                         double(mshrs_.size()));
-    forwardMiss(blockAddr);
+                         double(liveMshrs()));
+    forwardMiss(slot);
 }
 
 void
-Cache::forwardMiss(Addr blockAddr)
+Cache::MshrEntry::addWaiter(const MemRequestPtr &req)
 {
-    const MshrEntry *entryPtr = mshrs_.find(blockAddr);
-    TACSIM_CHECK(entryPtr && "forwardMiss without MSHR");
-    const MshrEntry &entry = *entryPtr;
+    TACSIM_DCHECK(!req->nextWaiter && "request already waits on an MSHR");
+    MemRequest *tail = req.get();
+    if (lastWaiter)
+        lastWaiter->nextWaiter = req;
+    else
+        firstWaiter = req;
+    lastWaiter = tail;
+}
+
+void
+Cache::forwardMiss(std::uint32_t slot)
+{
+    const MshrEntry &entry = mshrFile_[slot];
+    const MemRequest &primary = *entry.firstWaiter;
     // Build the child request that travels to the lower level. It
     // carries the classification flags so lower caches can apply their
     // own translation-conscious decisions (and trigger ATP/TEMPO).
     MemRequestPtr child = makeRequest();
-    const MemRequestPtr &primary =
-        entry.waiters.empty() ? nullptr : entry.waiters.front();
-    child->paddr = blockAddr;
-    if (primary) {
-        child->vaddr = primary->vaddr;
-        child->ip = primary->ip;
-        child->type = primary->type == ReqType::Store
-            ? ReqType::Load // stores fetch ownership as reads below L1
-            : primary->type;
-        child->ptLevel = primary->ptLevel;
-        child->leafPte = primary->leafPte;
-        child->pageSize = primary->pageSize;
-        child->isReplay = primary->isReplay;
-        child->replayBlockPaddr = primary->replayBlockPaddr;
-        child->prefetchOrigin = primary->prefetchOrigin;
-        child->cpu = primary->cpu;
-    } else {
-        child->type = ReqType::Prefetch;
-    }
+    child->paddr = entry.fillInfo.blockAddr;
+    child->vaddr = primary.vaddr;
+    child->ip = primary.ip;
+    child->type = primary.type == ReqType::Store
+        ? ReqType::Load // stores fetch ownership as reads below L1
+        : primary.type;
+    child->ptLevel = primary.ptLevel;
+    child->leafPte = primary.leafPte;
+    child->pageSize = primary.pageSize;
+    child->isReplay = primary.isReplay;
+    child->replayBlockPaddr = primary.replayBlockPaddr;
+    child->prefetchOrigin = primary.prefetchOrigin;
+    child->cpu = primary.cpu;
     child->issuedAt = eq_.now();
-    child->onComplete = [this, blockAddr](MemRequest &resp) {
-        handleFill(blockAddr, resp.source);
+    child->onComplete = [this, slot](MemRequest &resp) {
+        handleFill(slot, resp.source);
     };
 
     if (lower_) {
@@ -391,35 +392,45 @@ Cache::forwardMiss(Addr blockAddr)
 }
 
 void
-Cache::handleFill(Addr blockAddr, RespSource src)
+Cache::handleFill(std::uint32_t slot, RespSource src)
 {
-    MshrEntry *slot = mshrs_.find(blockAddr);
-    TACSIM_CHECK(slot != nullptr && "fill without MSHR");
-    MshrEntry entry = std::move(*slot);
-    mshrs_.erase(blockAddr);
-    if (entry.owner != kNoOwner) {
-        TACSIM_DCHECK(arbMshrsByCore_[entry.owner] > 0 &&
+    // Take what the fill needs and free the slot before any side
+    // effect: a prefetch this fill triggers, or a request it lets in,
+    // may claim the slot and overwrite the entry.
+    MshrEntry &e = mshrFile_[slot];
+    TACSIM_DCHECK(e.firstWaiter && "fill for a free MSHR slot");
+    const AccessInfo fillInfo = e.fillInfo;
+    const bool makeDirty = e.makeDirty;
+    const PrefetchOrigin origin = e.origin;
+    MemRequestPtr waiter = std::move(e.firstWaiter);
+    e.lastWaiter = nullptr;
+    if (e.owner != kNoOwner) {
+        TACSIM_DCHECK(arbMshrsByCore_[e.owner] > 0 &&
                       "arbitration count underflow on fill");
-        --arbMshrsByCore_[entry.owner];
+        --arbMshrsByCore_[e.owner];
     }
+    const Addr blockAddr = fillInfo.blockAddr;
+    mshrSlots_.erase(blockAddr);
+    freeMshrs_.push_back(slot);
     if (tracer_)
         tracer_->counter(track_, mshrNameId_, eq_.now(),
-                         double(mshrs_.size()));
+                         double(liveMshrs()));
 
     ++stats_.fills;
     const std::uint32_t set = setIndex(blockAddr);
-    if (policy_->bypassFill(set, entry.fillInfo)) {
+    if (policy_->bypassFill(set, fillInfo)) {
         ++stats_.bypassedFills;
     } else {
-        installBlock(blockAddr, entry.fillInfo, entry.makeDirty);
-        if (prefetcher_ && entry.origin == PrefetchOrigin::DataPrefetcher)
+        installBlock(blockAddr, fillInfo, makeDirty);
+        if (prefetcher_ && origin == PrefetchOrigin::DataPrefetcher)
             prefetcher_->onPrefetchFill(blockAddr);
     }
 
-    for (auto &w : entry.waiters)
-        w->complete(eq_.now(), src);
-    entry.waiters.clear();
-    spareWaiters_.push_back(std::move(entry.waiters));
+    while (waiter) {
+        MemRequestPtr next = std::move(waiter->nextWaiter);
+        waiter->complete(eq_.now(), src);
+        waiter = std::move(next);
+    }
 
     drainPending();
 }
@@ -494,8 +505,7 @@ Cache::drainPending()
     // fixpoint: nothing a requeued request is waiting on changes until
     // the next fill.
     std::size_t budget = pending_.size();
-    while (budget-- > 0 && !pending_.empty() &&
-           mshrs_.size() < params_.mshrs) {
+    while (budget-- > 0 && !pending_.empty() && !freeMshrs_.empty()) {
         MemRequestPtr req = pending_.front();
         pending_.pop_front();
         // Re-enter through lookup, not handleMiss: the fill that freed
@@ -511,7 +521,7 @@ Cache::issuePrefetch(Addr paddr, PrefetchOrigin origin, Addr ip)
 {
     const Addr blockAddr = blockAlign(paddr);
     // Cheap duplicate filters: already resident or already in flight.
-    if (contains(blockAddr) || mshrs_.contains(blockAddr))
+    if (contains(blockAddr) || mshrSlots_.contains(blockAddr))
         return;
 
     ++stats_.prefetchIssued;
@@ -602,18 +612,32 @@ Cache::checkInvariants() const
         }
     }
 
-    // MSHRs.
-    if (mshrs_.size() > params_.mshrs) {
+    // MSHR file: every slot is either indexed exactly once or on the
+    // free stack, and a free slot holds no waiters.
+    std::vector<std::uint32_t> claims(params_.mshrs, 0);
+    const auto claim = [&](std::uint32_t slot) {
+        if (slot < params_.mshrs && claims[slot]++ == 0)
+            return;
         std::ostringstream os;
-        os << mshrs_.size() << " entries live, " << params_.mshrs
-           << " provisioned";
-        throw InvariantViolation(who, "mshr-overflow", os.str());
+        os << "slot " << slot << " of " << params_.mshrs
+           << (slot < params_.mshrs ? " is indexed or freed twice"
+                                    : " is out of range");
+        throw InvariantViolation(who, "mshr-slot", os.str());
+    };
+    for (const std::uint32_t slot : freeMshrs_) {
+        claim(slot);
+        if (mshrFile_[slot].firstWaiter || mshrFile_[slot].lastWaiter)
+            throw InvariantViolation(
+                who, "mshr-free-waiters",
+                "free slot " + std::to_string(slot) + " holds waiters");
     }
-    mshrs_.forEach([&](Addr addr, const MshrEntry &e) {
+    mshrSlots_.forEach([&](Addr addr, std::uint32_t slot) {
+        claim(slot);
+        const MshrEntry &e = mshrFile_[slot];
         const std::uint32_t set = setIndex(addr);
         std::ostringstream ctx;
         ctx << std::hex << "mshr 0x" << addr << std::dec
-            << " waiters=" << e.waiters.size()
+            << " slot=" << slot
             << " demandWaiting=" << e.demandWaiting
             << " prefetchOnly=" << e.prefetchOnly
             << " makeDirty=" << e.makeDirty
@@ -623,15 +647,19 @@ Cache::checkInvariants() const
             throw InvariantViolation(who, "mshr-align", ctx.str(), set);
         if (findWay(set, addr) >= 0)
             throw InvariantViolation(who, "mshr-resident", ctx.str(), set);
-        if (e.waiters.empty())
+        if (!e.firstWaiter)
             throw InvariantViolation(who, "mshr-waiters", ctx.str(), set);
 
+        // One pass over the list, stopping at the first repeat: a
+        // corrupted, cyclic list throws instead of looping forever.
         bool anyDemand = false;
         bool anyStore = false;
+        const MemRequest *tail = nullptr;
         // tacsim-lint: allow(hot-path-container) checkInvariants-only duplicate detection, never on the simulated path
         std::unordered_set<const MemRequest *> unique;
-        for (const auto &waiter : e.waiters) {
-            if (!unique.insert(waiter.get()).second)
+        for (const MemRequest *waiter = e.firstWaiter.get(); waiter;
+             waiter = waiter->nextWaiter.get()) {
+            if (!unique.insert(waiter).second)
                 throw InvariantViolation(who, "mshr-duplicate-waiter",
                                          ctx.str(), set);
             if (waiter->blockAddr() != addr)
@@ -639,7 +667,11 @@ Cache::checkInvariants() const
                                          ctx.str(), set);
             anyDemand |= waiter->type != ReqType::Prefetch;
             anyStore |= waiter->type == ReqType::Store;
+            tail = waiter;
         }
+        if (e.lastWaiter != tail)
+            throw InvariantViolation(who, "mshr-waiters",
+                                     ctx.str() + " (tail link stale)", set);
         if (e.demandWaiting != anyDemand || e.prefetchOnly == anyDemand)
             throw InvariantViolation(who, "mshr-demand-flag", ctx.str(),
                                      set);
@@ -660,6 +692,13 @@ Cache::checkInvariants() const
             throw InvariantViolation(who, "mshr-fill-class", ctx.str(),
                                      set);
     });
+    for (std::uint32_t slot = 0; slot < params_.mshrs; ++slot) {
+        if (claims[slot] == 0)
+            throw InvariantViolation(
+                who, "mshr-slot",
+                "slot " + std::to_string(slot) +
+                    " is neither indexed nor free");
+    }
 
     // Requests only queue while every MSHR is taken — or, with the
     // per-core quota on, while their owning core is at its cap — and
@@ -668,7 +707,7 @@ Cache::checkInvariants() const
         if (req->type == ReqType::Prefetch)
             throw InvariantViolation(who, "pending-class",
                                      "prefetch parked in pending queue");
-        if (mshrs_.size() == params_.mshrs)
+        if (freeMshrs_.empty())
             continue;
         if (params_.arb.quotaOn()) {
             const std::uint32_t owner = arbOwnerOf(req);
@@ -677,7 +716,7 @@ Cache::checkInvariants() const
                 continue;
         }
         std::ostringstream os;
-        os << pending_.size() << " queued with only " << mshrs_.size()
+        os << pending_.size() << " queued with only " << liveMshrs()
            << "/" << params_.mshrs << " MSHRs in use and no quota "
            << "explanation";
         throw InvariantViolation(who, "pending-backlog", os.str());
@@ -688,7 +727,8 @@ Cache::checkInvariants() const
     // token bucket can never record more spend than one window grants.
     if (params_.arb.cores) {
         std::vector<std::uint32_t> live(params_.arb.cores, 0);
-        mshrs_.forEach([&](Addr addr, const MshrEntry &e) {
+        mshrSlots_.forEach([&](Addr addr, std::uint32_t slot) {
+            const MshrEntry &e = mshrFile_[slot];
             if (e.owner == kNoOwner)
                 return;
             if (e.owner >= params_.arb.cores) {
@@ -742,7 +782,7 @@ Cache::state(StateArchive &ar)
     if (profiler_)
         throw std::runtime_error("checkpoint: cache '" + params_.name +
                                  "' has a recall profiler (unsupported)");
-    if (!mshrs_.empty() || !pending_.empty())
+    if (!mshrSlots_.empty() || !pending_.empty())
         throw std::runtime_error(
             "checkpoint: cache '" + params_.name +
             "' has outstanding misses — quiesce first");

@@ -244,10 +244,17 @@ class Cache : public MemDevice, public PrefetchIssuer
     void state(StateArchive &ar);
 
   private:
+    /** One MSHR. Entries live in mshrFile_ and never move: a miss
+     *  names its entry by slot index from allocation to fill. */
     struct MshrEntry
     {
-        std::vector<MemRequestPtr> waiters;
-        AccessInfo fillInfo;      ///< classification of the eventual fill
+        /** Waiters in arrival order: a FIFO threaded through their
+         *  MemRequest::nextWaiter links. firstWaiter owns the list. */
+        MemRequestPtr firstWaiter;
+        MemRequest *lastWaiter = nullptr;
+        /** Classification of the eventual fill; blockAddr is the
+         *  entry's line. */
+        AccessInfo fillInfo;
         bool demandWaiting = false;
         bool prefetchOnly = true;
         bool makeDirty = false;   ///< a store is waiting on this line
@@ -255,6 +262,9 @@ class Cache : public MemDevice, public PrefetchIssuer
         /** Arbitration owner (core index); kNoOwner for unattributed
          *  traffic or when arbitration is off. */
         std::uint32_t owner = kNoOwner;
+
+        /** Append @p req at the tail of the waiter list. */
+        void addWaiter(const MemRequestPtr &req);
     };
 
     /** @p countStats is false when a request re-enters lookup after
@@ -264,15 +274,22 @@ class Cache : public MemDevice, public PrefetchIssuer
     /** Arbitration owner for @p req (kNoOwner when exempt). */
     std::uint32_t arbOwnerOf(const MemRequestPtr &req) const;
     /** True when the bandwidth bucket deferred @p req to the next
-     *  window (the retry is already scheduled). */
+     *  window (the retry is already scheduled). Only called with the
+     *  bucket on (arb.bwOn()). */
     bool arbBwDefer(const MemRequestPtr &req);
-    void forwardMiss(Addr blockAddr);
-    void handleFill(Addr blockAddr, RespSource src);
+    void forwardMiss(std::uint32_t slot);
+    void handleFill(std::uint32_t slot, RespSource src);
     void installBlock(Addr blockAddr, const AccessInfo &ai, bool dirty);
     void evictWay(std::uint32_t set, std::uint32_t way);
     void drainPending();
 
     int findWay(std::uint32_t set, Addr blockAddr) const;
+
+    std::uint32_t
+    liveMshrs() const
+    {
+        return params_.mshrs - static_cast<std::uint32_t>(freeMshrs_.size());
+    }
 
     CacheParams params_;
     EventQueue &eq_;
@@ -287,10 +304,10 @@ class Cache : public MemDevice, public PrefetchIssuer
 
     SetIndexer indexer_;
     std::vector<BlockMeta> blocks_;
-    AddrMap<MshrEntry> mshrs_;  ///< keyed by block address
-    /** Emptied waiter vectors of filled MSHRs, capacity kept: a new
-     *  MSHR takes one, so steady-state misses allocate nothing. */
-    std::vector<std::vector<MemRequestPtr>> spareWaiters_;
+    /** The MSHR file: params_.mshrs entries, addressed by slot. */
+    std::vector<MshrEntry> mshrFile_;
+    std::vector<std::uint32_t> freeMshrs_; ///< stack of free slots
+    AddrMap<std::uint32_t> mshrSlots_;     ///< block address -> slot
     std::deque<MemRequestPtr> pending_; ///< waiting for a free MSHR
     CacheStats stats_;
 

@@ -60,6 +60,60 @@ enum class PrefetchOrigin : std::uint8_t
 
 constexpr std::size_t kNumPrefetchOrigins = 4;
 
+class MemRequest;
+
+/**
+ * Owning handle to a pooled MemRequest, with shared_ptr's value
+ * semantics: copies share the request, and the last handle to drop
+ * destroys it and parks its node in the thread's pool
+ * (mem/request_pool.hh). The count is a plain integer, not an atomic:
+ * a request never leaves the thread of the System that made it.
+ * Non-null handles come only from makeRequest(); default-constructed
+ * and moved-from handles are null.
+ */
+class MemRequestPtr
+{
+  public:
+    MemRequestPtr() noexcept = default;
+    MemRequestPtr(std::nullptr_t) noexcept {}
+
+    MemRequestPtr(const MemRequestPtr &o) noexcept;
+
+    MemRequestPtr(MemRequestPtr &&o) noexcept
+        : req_(std::exchange(o.req_, nullptr))
+    {}
+
+    /** Copy and move assignment in one; self-assignment of either
+     *  kind leaves the count unchanged. */
+    MemRequestPtr &
+    operator=(MemRequestPtr o) noexcept
+    {
+        std::swap(req_, o.req_);
+        return *this;
+    }
+
+    ~MemRequestPtr()
+    {
+        if (req_)
+            release();
+    }
+
+    MemRequest *get() const noexcept { return req_; }
+    MemRequest *operator->() const noexcept { return req_; }
+    MemRequest &operator*() const noexcept { return *req_; }
+    explicit operator bool() const noexcept { return req_ != nullptr; }
+
+  private:
+    friend MemRequestPtr makeRequest();
+
+    /** Adopt a request that makeRequest() just constructed. */
+    explicit MemRequestPtr(MemRequest *req) noexcept;
+
+    void release() noexcept;
+
+    MemRequest *req_ = nullptr;
+};
+
 /**
  * One memory transaction. Allocated by the requester (core, cache or
  * PTW) with makeRequest() and passed by MemRequestPtr, a counted
@@ -116,6 +170,13 @@ class MemRequest
     /** Invoked exactly once when the request's data is available. */
     Callback onComplete;
 
+    /** Next request waiting on the same cache MSHR; null for the last.
+     *  An MSHR's waiters form a FIFO threaded through these links, each
+     *  owning its successor, so the list never allocates and a dropped
+     *  list releases every waiter. The cache clears the link before it
+     *  completes the request. */
+    MemRequestPtr nextWaiter;
+
     /** True for PTW reads of the leaf page-table level. */
     bool isLeafTranslation() const
     {
@@ -152,72 +213,30 @@ class MemRequest
     std::uint32_t refs_ = 0;
 };
 
-/**
- * Owning handle to a pooled MemRequest, with shared_ptr's value
- * semantics: copies share the request, and the last handle to drop
- * destroys it and parks its node in the thread's pool
- * (mem/request_pool.hh). The count is a plain integer, not an atomic:
- * a request never leaves the thread of the System that made it.
- * Non-null handles come only from makeRequest(); default-constructed
- * and moved-from handles are null.
- */
-class MemRequestPtr
+// MemRequestPtr's members that touch the count, now that MemRequest is
+// complete.
+
+inline MemRequestPtr::MemRequestPtr(const MemRequestPtr &o) noexcept
+    : req_(o.req_)
 {
-  public:
-    MemRequestPtr() noexcept = default;
-    MemRequestPtr(std::nullptr_t) noexcept {}
-
-    MemRequestPtr(const MemRequestPtr &o) noexcept : req_(o.req_)
-    {
-        if (req_)
-            ++req_->refs_;
-    }
-
-    MemRequestPtr(MemRequestPtr &&o) noexcept
-        : req_(std::exchange(o.req_, nullptr))
-    {}
-
-    /** Copy and move assignment in one; self-assignment of either
-     *  kind leaves the count unchanged. */
-    MemRequestPtr &
-    operator=(MemRequestPtr o) noexcept
-    {
-        std::swap(req_, o.req_);
-        return *this;
-    }
-
-    ~MemRequestPtr()
-    {
-        if (req_)
-            release();
-    }
-
-    MemRequest *get() const noexcept { return req_; }
-    MemRequest *operator->() const noexcept { return req_; }
-    MemRequest &operator*() const noexcept { return *req_; }
-    explicit operator bool() const noexcept { return req_ != nullptr; }
-
-  private:
-    friend MemRequestPtr makeRequest();
-
-    /** Adopt a request that makeRequest() just constructed. */
-    explicit MemRequestPtr(MemRequest *req) noexcept : req_(req)
-    {
+    if (req_)
         ++req_->refs_;
-    }
+}
 
-    void
-    release() noexcept
-    {
-        TACSIM_DCHECK(req_->refs_ > 0 && "MemRequestPtr count underflow");
-        if (--req_->refs_ == 0) {
-            req_->~MemRequest();
-            pool_detail::Freelist<MemRequest>::deallocate(req_);
-        }
-    }
+inline MemRequestPtr::MemRequestPtr(MemRequest *req) noexcept : req_(req)
+{
+    ++req_->refs_;
+}
 
-    MemRequest *req_ = nullptr;
-};
+inline void
+MemRequestPtr::release() noexcept
+{
+    TACSIM_DCHECK(req_->refs_ > 0 && "MemRequestPtr count underflow");
+    if (--req_->refs_ == 0) {
+        req_->~MemRequest();
+        pool_detail::Freelist<MemRequest>::deallocate(req_);
+    }
+}
 
 /** Allocate a default-constructed MemRequest from the thread's pool. */
 inline MemRequestPtr

@@ -139,11 +139,11 @@ PageTableWalker::walk(std::uint16_t asid, Addr vaddr, Addr ip,
     startWalk(std::move(ws));
 }
 
-PageTable::WalkResult
-PageTableWalker::appendHostWalk(WalkState &ws, Addr gpa)
+void
+PageTableWalker::appendHostWalk(WalkState &ws, Addr gpa,
+                                const PageTable::WalkResult &h)
 {
     ++stats_.hostWalks;
-    PageTable::WalkResult h = hostTable_->walk(gpa);
     Addr skipFrame = 0;
     unsigned start = hostPscs_->lookup(kHostAsid, gpa, skipFrame);
     start = std::max(start, h.leafLevel);
@@ -159,7 +159,6 @@ PageTableWalker::appendHostWalk(WalkState &ws, Addr gpa)
     for (unsigned level = start; level >= 2; --level)
         hostPscs_->fill(kHostAsid, gpa, level, h.tableFrame[level - 2],
                         h.leafLevel);
-    return h;
 }
 
 void
@@ -203,24 +202,26 @@ PageTableWalker::startWalk(std::unique_ptr<WalkState> ws)
         // Nested 2D walk: the data address the replay load needs is only
         // known through the host dimension, so resolve it functionally
         // up front — the guest leaf read must carry replayBlockPaddr.
-        const Addr finalPaddr =
-            hostTable_->translate(ws->info.dataPaddr);
+        // Walking it first also keeps first-touch host frames in the
+        // order data, then page-table levels.
+        const PageTable::WalkResult dataH =
+            hostTable_->walk(ws->info.dataPaddr);
+        ws->finalPaddr = dataH.dataPaddr;
         for (unsigned level = ws->startLevel;
              level >= ws->info.leafLevel; --level) {
-            appendHostWalk(*ws, ws->info.pteAddr[level - 1]);
+            const Addr gpa = ws->info.pteAddr[level - 1];
+            const PageTable::WalkResult h = hostTable_->walk(gpa);
+            appendHostWalk(*ws, gpa, h);
             PendingRead r;
-            r.paddr = hostTable_->translate(ws->info.pteAddr[level - 1]);
+            r.paddr = h.dataPaddr;
             r.ptLevel = static_cast<std::uint8_t>(level);
             r.leafPte = (level == ws->info.leafLevel);
             if (r.leafPte)
-                r.replayBlockPaddr = blockAlign(finalPaddr);
+                r.replayBlockPaddr = blockAlign(ws->finalPaddr);
             ws->reads.push_back(r);
         }
-        // One more host walk translates the guest data address itself.
-        PageTable::WalkResult dataH =
-            appendHostWalk(*ws, ws->info.dataPaddr);
-        ws->finalPaddr = dataH.dataPaddr;
-        TACSIM_DCHECK(ws->finalPaddr == finalPaddr);
+        // One more host sub-walk translates the guest data address itself.
+        appendHostWalk(*ws, ws->info.dataPaddr, dataH);
         // The STLB can only cache the translation at the granule both
         // dimensions agree on: min(guest page, host page).
         ws->fillSize = minPageSize(ws->info.pageSize, dataH.pageSize);

@@ -217,9 +217,10 @@ class PageTableWalker
     }
 
     void startWalk(std::unique_ptr<WalkState> ws);
-    /** Append a host sub-walk for @p gpa to ws->reads; returns the host
-     *  walk result (nested mode only). */
-    PageTable::WalkResult appendHostWalk(WalkState &ws, Addr gpa);
+    /** Append the host sub-walk @p h of @p gpa to ws->reads and fill
+     *  the host PSCs from it (nested mode only). */
+    void appendHostWalk(WalkState &ws, Addr gpa,
+                        const PageTable::WalkResult &h);
     void issueNext(std::shared_ptr<WalkState> ws);
     void finishWalk(const std::shared_ptr<WalkState> &ws);
     void drainQueue();

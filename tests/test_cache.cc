@@ -1,11 +1,14 @@
 /**
  * @file
  * Unit tests for the cache level: hit/miss paths, MSHR merging and
- * saturation, fills and dirty evictions, ideal-hit modes, prefetch
- * handling and the ATP trigger.
+ * saturation, the MSHR file's slot reuse and teardown, fills and dirty
+ * evictions, ideal-hit modes, prefetch handling and the ATP trigger.
  */
 
 #include <gtest/gtest.h>
+
+#include <memory>
+#include <vector>
 
 #include "cache/cache.hh"
 #include "test_util.hh"
@@ -71,17 +74,29 @@ TEST_F(CacheTest, MissFillsThenHits)
 TEST_F(CacheTest, MshrMergesSameBlock)
 {
     auto c = makeCache(smallParams());
-    auto r1 = makeLoad(0x2000);
-    auto r2 = makeLoad(0x2010); // same block
-    int completions = 0;
-    r1->onComplete = [&](MemRequest &) { ++completions; };
-    r2->onComplete = [&](MemRequest &) { ++completions; };
-    c->access(r1);
-    c->access(r2);
+    // Three requests to one block, the middle one a store: one fill
+    // completes each of them once, in arrival order.
+    std::vector<int> order;
+    const Addr addrs[] = {0x2000, 0x2010, 0x2030};
+    for (int i = 0; i < 3; ++i) {
+        auto r = makeLoad(addrs[i]);
+        if (i == 1)
+            r->type = ReqType::Store;
+        r->onComplete = [&order, i](MemRequest &) { order.push_back(i); };
+        c->access(r);
+    }
     test::drain(eq);
-    EXPECT_EQ(completions, 2);
-    EXPECT_EQ(lower.requests.size(), 1u); // one fill for both
-    EXPECT_EQ(c->stats().mshrMerges, 1u);
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+    EXPECT_EQ(lower.requests.size(), 1u); // one fill for all three
+    EXPECT_EQ(c->stats().mshrMerges, 2u);
+    // The merged store dirties the filled line.
+    const std::uint32_t set = c->setIndex(0x2000);
+    bool dirty = false;
+    for (std::uint32_t w = 0; w < c->params().ways; ++w) {
+        const BlockMeta &b = c->blockAt(set, w);
+        dirty |= b.valid && b.tag == blockAlign(Addr{0x2000}) && b.dirty;
+    }
+    EXPECT_TRUE(dirty);
 }
 
 TEST_F(CacheTest, MshrSaturationQueuesDemands)
@@ -365,6 +380,89 @@ TEST_F(CacheTest, DemandMergeIntoPrefetchMshrStopsPrefetcherTraining)
     test::drain(eq);
     EXPECT_EQ(c->stats().prefetchLate, 1u);
     EXPECT_EQ(spyPtr->fills, 1); // unchanged
+}
+
+namespace {
+
+/** Issues one follow-on prefetch, into its own cache, from the first
+ *  prefetch fill it is told about. */
+struct FollowOnPrefetcher : Prefetcher
+{
+    void onAccess(const AccessInfo &, bool) override {}
+    void
+    onPrefetchFill(Addr blockAddr) override
+    {
+        if (fills++ == 0)
+            issuePhysical(blockAddr + 0x1000, 0);
+    }
+    std::string name() const override { return "follow-on"; }
+    int fills = 0;
+};
+
+} // namespace
+
+TEST_F(CacheTest, FillFollowOnClaimsTheFreedSlot)
+{
+    auto p = smallParams();
+    p.mshrs = 1;
+    p.mshrReserveForDemand = 0;
+    auto c = std::make_unique<Cache>(
+        p, eq, &lower, makePolicy(PolicyKind::LRU, p.sets, p.ways),
+        std::make_unique<FollowOnPrefetcher>());
+
+    // Two data-prefetcher requests to one block share the only MSHR.
+    // Their fill trains the prefetcher, whose follow-on prefetch needs
+    // that same MSHR while the fill is still completing its waiters.
+    std::vector<int> order;
+    for (int i = 0; i < 2; ++i) {
+        auto r = makeLoad(Addr(0x60000) + Addr(i) * 0x10);
+        r->type = ReqType::Prefetch;
+        r->prefetchOrigin = PrefetchOrigin::DataPrefetcher;
+        r->onComplete = [&order, i](MemRequest &) { order.push_back(i); };
+        c->access(r);
+    }
+    eq.advanceTo(5 + 100); // lookup latency + mock delay: the fill
+    EXPECT_EQ(order, (std::vector<int>{0, 1}));
+    // The follow-on found the slot free, took it, and is in flight.
+    EXPECT_EQ(c->stats().prefetchIssued, 1u);
+    EXPECT_EQ(c->stats().prefetchDropped, 0u);
+    EXPECT_EQ(lower.requests.size(), 2u);
+    EXPECT_NO_THROW(c->checkInvariants());
+
+    test::drain(eq);
+    EXPECT_EQ(order.size(), 2u);
+    EXPECT_TRUE(c->contains(0x60000));
+    EXPECT_TRUE(c->contains(0x61000));
+    EXPECT_NO_THROW(c->checkInvariants());
+}
+
+TEST_F(CacheTest, TeardownMidMissReleasesWaiters)
+{
+    auto c = makeCache(smallParams());
+    std::weak_ptr<int> first;
+    std::weak_ptr<int> second;
+    {
+        auto token1 = std::make_shared<int>(1);
+        auto token2 = std::make_shared<int>(2);
+        first = token1;
+        second = token2;
+        auto r1 = makeLoad(0x70000);
+        auto r2 = makeLoad(0x70010); // merges behind r1
+        r1->onComplete = [token1](MemRequest &) {};
+        r2->onComplete = [token2](MemRequest &) {};
+        c->access(r1);
+        c->access(r2);
+    }
+    eq.advanceTo(eq.now() + 6); // both wait on one MSHR; fill in flight
+    EXPECT_EQ(c->stats().mshrMerges, 1u);
+    EXPECT_FALSE(first.expired());
+    EXPECT_FALSE(second.expired());
+
+    // The cache goes away with the miss outstanding (the mock's fill
+    // event is never run): the waiter list must release both requests.
+    c.reset();
+    EXPECT_TRUE(first.expired());
+    EXPECT_TRUE(second.expired());
 }
 
 TEST_F(CacheTest, StatsAccountingConsistent)

@@ -3,8 +3,9 @@
  * Tests for the hierarchy invariant verifier: a clean system must pass
  * every check, and each deliberately seeded corruption (duplicate tag,
  * out-of-range RRPV, stale eviction metadata, MSHR for a resident line,
- * TLB entry disagreeing with the page table) must trip exactly the
- * invariant it targets, identified by its stable tag and component.
+ * cyclic MSHR waiter list, TLB entry disagreeing with the page table)
+ * must trip exactly the invariant it targets, identified by its stable
+ * tag and component.
  */
 
 #include <gtest/gtest.h>
@@ -164,6 +165,28 @@ TEST_F(VerifyCacheTest, MshrForResidentLineTrips)
     auto v = expectViolation([&] { c->checkInvariants(); });
     EXPECT_EQ(v.invariant(), "mshr-resident");
     EXPECT_EQ(v.component(), "L1");
+}
+
+TEST_F(VerifyCacheTest, CyclicWaiterListTrips)
+{
+    auto c = makeCache(smallParams());
+    auto r1 = makeLoad(0x3000);
+    auto r2 = makeLoad(0x3010); // merges behind r1
+    c->access(r1);
+    c->access(r2);
+    eq.advanceTo(20);
+    ASSERT_NO_THROW(c->checkInvariants());
+
+    // Close the waiter list into a ring: the checker must stop at the
+    // first repeat instead of walking it forever.
+    r2->nextWaiter = r1;
+    auto v = expectViolation([&] { c->checkInvariants(); });
+    EXPECT_EQ(v.invariant(), "mshr-duplicate-waiter");
+    EXPECT_EQ(v.component(), "L1");
+
+    r2->nextWaiter = nullptr; // break the ownership cycle again
+    test::drain(eq);
+    EXPECT_NO_THROW(c->checkInvariants());
 }
 
 TEST_F(VerifyCacheTest, StatsDesyncTrips)
