@@ -281,11 +281,10 @@ Cache::handleMiss(const MemRequestPtr &req, const AccessInfo &ai)
             // a prefetch fill, so drop the origin — otherwise the data
             // prefetcher would still train on it via onPrefetchFill and
             // pollute its accuracy feedback.
-            if (e.prefetchOnly) {
+            if (!e.demandWaiting) {
                 ++stats_.prefetchLate;
                 e.origin = PrefetchOrigin::None;
             }
-            e.prefetchOnly = false;
             e.demandWaiting = true;
             // Reclassify the eventual fill with the demand's identity so
             // replacement sees replay/translation flags, not Prefetch.
@@ -329,11 +328,10 @@ Cache::handleMiss(const MemRequestPtr &req, const AccessInfo &ai)
     freeMshrs_.pop_back();
     MshrEntry &e = mshrFile_[slot];
     e.fillInfo = ai;
-    e.prefetchOnly = isPrefetch;
+    e.demandWaiting = !isPrefetch;
     e.makeDirty = req->type == ReqType::Store;
     e.origin = req->prefetchOrigin;
     e.addWaiter(req);
-    e.demandWaiting = !isPrefetch;
     e.owner = owner;
     if (owner != kNoOwner)
         ++arbMshrsByCore_[owner];
@@ -639,7 +637,6 @@ Cache::checkInvariants() const
         ctx << std::hex << "mshr 0x" << addr << std::dec
             << " slot=" << slot
             << " demandWaiting=" << e.demandWaiting
-            << " prefetchOnly=" << e.prefetchOnly
             << " makeDirty=" << e.makeDirty
             << " origin=" << static_cast<int>(e.origin);
 
@@ -672,7 +669,7 @@ Cache::checkInvariants() const
         if (e.lastWaiter != tail)
             throw InvariantViolation(who, "mshr-waiters",
                                      ctx.str() + " (tail link stale)", set);
-        if (e.demandWaiting != anyDemand || e.prefetchOnly == anyDemand)
+        if (e.demandWaiting != anyDemand)
             throw InvariantViolation(who, "mshr-demand-flag", ctx.str(),
                                      set);
         if (e.makeDirty != anyStore)
@@ -683,12 +680,12 @@ Cache::checkInvariants() const
         // prefetch must know who issued it.
         if (e.demandWaiting && e.origin != PrefetchOrigin::None)
             throw InvariantViolation(who, "mshr-origin", ctx.str(), set);
-        if (e.prefetchOnly && e.origin == PrefetchOrigin::None)
+        if (!e.demandWaiting && e.origin == PrefetchOrigin::None)
             throw InvariantViolation(who, "mshr-origin", ctx.str(), set);
         if (e.fillInfo.blockAddr != addr)
             throw InvariantViolation(who, "mshr-fill-addr", ctx.str(),
                                      set);
-        if (e.prefetchOnly != (e.fillInfo.cat == BlockCat::Prefetch))
+        if (e.demandWaiting == (e.fillInfo.cat == BlockCat::Prefetch))
             throw InvariantViolation(who, "mshr-fill-class", ctx.str(),
                                      set);
     });
@@ -771,39 +768,6 @@ Cache::checkInvariants() const
     }
 
     policy_->checkInvariants(who);
-}
-
-void
-Cache::state(StateArchive &ar)
-{
-    if (prefetcher_)
-        throw std::runtime_error("checkpoint: cache '" + params_.name +
-                                 "' has a prefetcher (unsupported)");
-    if (profiler_)
-        throw std::runtime_error("checkpoint: cache '" + params_.name +
-                                 "' has a recall profiler (unsupported)");
-    if (!mshrSlots_.empty() || !pending_.empty())
-        throw std::runtime_error(
-            "checkpoint: cache '" + params_.name +
-            "' has outstanding misses — quiesce first");
-    ar.expect(blocks_.size(), "the cache geometry");
-    for (BlockMeta &b : blocks_) {
-        ar.io(b.tag);
-        ar.io(b.valid);
-        ar.io(b.dirty);
-        ar.io(b.reused);
-        ar.io(b.cat, kNumBlockCats, "a cache block category");
-        ar.io(b.prefetchOrigin, kNumPrefetchOrigins,
-              "a cache block prefetch origin");
-        ar.io(b.fillIp);
-    }
-    policy_->state(ar);
-    ar.expect(arbMshrsByCore_.size(), "the cache arbitration geometry");
-    for (std::uint32_t &v : arbMshrsByCore_)
-        ar.io(v);
-    for (std::uint32_t &v : arbTokens_)
-        ar.io(v);
-    ar.io(arbWindow_);
 }
 
 } // namespace tacsim

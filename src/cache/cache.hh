@@ -234,15 +234,6 @@ class Cache : public MemDevice, public PrefetchIssuer
 
     static constexpr std::uint32_t kNoOwner = 0xffffffffu;
 
-    /**
-     * Save or restore the array contents, replacement-policy training
-     * state and arbitration counters (tacsim-ckpt-v2). Only legal when
-     * no miss is outstanding (post-quiesce): MSHRs and the pending queue
-     * are never serialized. Attached prefetchers and recall profilers
-     * are unsupported and make it throw.
-     */
-    void state(StateArchive &ar);
-
   private:
     /** One MSHR. Entries live in mshrFile_ and never move: a miss
      *  names its entry by slot index from allocation to fill. */
@@ -255,8 +246,7 @@ class Cache : public MemDevice, public PrefetchIssuer
         /** Classification of the eventual fill; blockAddr is the
          *  entry's line. */
         AccessInfo fillInfo;
-        bool demandWaiting = false;
-        bool prefetchOnly = true;
+        bool demandWaiting = false; ///< false while only prefetches wait
         bool makeDirty = false;   ///< a store is waiting on this line
         PrefetchOrigin origin = PrefetchOrigin::None;
         /** Arbitration owner (core index); kNoOwner for unattributed

@@ -32,15 +32,6 @@ class LruPolicy : public ReplPolicy
                const AccessInfo &ai) override;
     std::string name() const override { return "LRU"; }
 
-    void
-    state(StateArchive &ar) override
-    {
-        ar.io(clock_);
-        ar.expect(stamp_.size(), "the LRU stamp count");
-        for (std::uint64_t &s : stamp_)
-            ar.io(s);
-    }
-
   private:
     /** stamp_[set*ways+way]: larger = more recently used. */
     std::vector<std::uint64_t> stamp_;
@@ -66,8 +57,6 @@ class RandomPolicy : public ReplPolicy
     {}
     void onHit(std::uint32_t, std::uint32_t, const AccessInfo &) override {}
     std::string name() const override { return "Random"; }
-
-    void state(StateArchive &ar) override { ar.io(rng_); }
 
   private:
     Rng rng_;

@@ -13,12 +13,10 @@
 
 #include <cstdint>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "cache/block.hh"
-#include "common/serialize.hh"
 #include "common/types.hh"
 
 namespace tacsim {
@@ -132,20 +130,6 @@ class ReplPolicy
      * contents do). Default: nothing to reset.
      */
     virtual void resetStats() {}
-
-    /**
-     * Save or restore the policy's training state (tacsim-ckpt-v2):
-     * RRPVs, SHCT, set-dueling PSEL, randomized-victim RNG. The default
-     * throws so a policy without support (Hawkeye's OPTgen history,
-     * dead-block and CSALT wrappers) fails a checkpoint attempt loudly
-     * instead of restoring with silently-reset predictors.
-     */
-    virtual void
-    state(StateArchive &)
-    {
-        throw std::runtime_error("checkpoint: replacement policy '" +
-                                 name() + "' does not support save/restore");
-    }
 
     std::uint32_t sets() const { return sets_; }
     std::uint32_t ways() const { return ways_; }

@@ -42,14 +42,6 @@ class RripBase : public ReplPolicy
         return rrpv_[static_cast<std::size_t>(set) * ways_ + way];
     }
 
-    void
-    state(StateArchive &ar) override
-    {
-        ar.expect(rrpv_.size(), "the RRPV array size");
-        for (std::uint8_t &v : rrpv_)
-            ar.io(v, kMaxRrpv + 1, "an RRPV");
-    }
-
   protected:
     /**
      * Apply the translation/replay insertion overrides; returns the RRPV
@@ -91,13 +83,6 @@ class BrripPolicy : public RripBase
                 const AccessInfo &ai) override;
     std::string name() const override { return "BRRIP"; }
 
-    void
-    state(StateArchive &ar) override
-    {
-        RripBase::state(ar);
-        ar.io(rng_);
-    }
-
   private:
     Rng rng_;
 };
@@ -127,16 +112,6 @@ class DrripPolicy : public RripBase
     int psel() const { return psel_; }
     bool isSrripLeader(std::uint32_t set) const;
     bool isBrripLeader(std::uint32_t set) const;
-
-    void
-    state(StateArchive &ar) override
-    {
-        RripBase::state(ar);
-        ar.io(rng_);
-        ar.io(psel_, kPselMax + 1, "the DRRIP PSEL");
-        // leaderStride_ is derived from the geometry in the constructor
-        // and never mutates, so it is not part of the payload.
-    }
 
   private:
     Rng rng_;

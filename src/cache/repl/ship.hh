@@ -45,20 +45,6 @@ class ShipPolicy : public RripBase
 
     std::uint8_t shct(std::uint32_t sig) const { return shct_[sig]; }
 
-    void
-    state(StateArchive &ar) override
-    {
-        RripBase::state(ar);
-        ar.expect(shct_.size(), "the SHCT size");
-        for (std::uint8_t &c : shct_)
-            ar.io(c, kCounterMax + 1, "an SHCT counter");
-        ar.expect(blockSig_.size(), "the SHiP block count");
-        for (std::uint32_t &sig : blockSig_)
-            ar.io(sig, kShctSize, "a SHiP block signature");
-        for (std::uint8_t &o : blockOutcome_)
-            ar.io(o, 2, "a SHiP block outcome");
-    }
-
   private:
     std::vector<std::uint8_t> shct_;
     /** Per-block training state (signature of filling access + outcome). */

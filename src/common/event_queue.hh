@@ -131,30 +131,6 @@ class EventQueue
      *  Checker paces its periodic hierarchy walks on this count. */
     std::uint64_t executed() const { return executed_; }
 
-    /** Next tie-break sequence number to be assigned (checkpoint save). */
-    std::uint64_t seq() const { return seq_; }
-
-    /**
-     * Restore the queue clock from a checkpoint: current cycle, the next
-     * tie-break sequence number, and the lifetime executed count. Only
-     * legal on an empty queue — checkpoints are taken at a quiesced
-     * boundary (System::quiesce()), so no pending events ever need to be
-     * serialized. Restoring seq_/executed_ exactly (rather than zeroing)
-     * keeps the post-restore event stream, and the `events` line of the
-     * canonical stats dump, byte-identical to a straight-through run.
-     */
-    void
-    restoreClock(Cycle now, std::uint64_t seq, std::uint64_t executed)
-    {
-        TACSIM_CHECK(size_ == 0 &&
-                     "restoreClock requires an empty (quiesced) queue");
-        now_ = now;
-        windowEnd_ = now_ + kWindow;
-        seq_ = seq;
-        executed_ = executed;
-        nextValid_ = false;
-    }
-
     /**
      * Advance time to cycle @p target, running every event scheduled at or
      * before it. Events may schedule further events; those are run too if

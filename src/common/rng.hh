@@ -87,27 +87,6 @@ class Rng
     /** Bernoulli draw with probability @p p. */
     bool chance(double p) { return uniform() < p; }
 
-    /** Number of 64-bit state words (checkpoint payload size). */
-    static constexpr std::size_t kStateWords = 4;
-
-    /** Copy the raw generator state into @p out (checkpoint save). */
-    void
-    state(std::uint64_t out[kStateWords]) const
-    {
-        for (std::size_t i = 0; i < kStateWords; ++i)
-            out[i] = s_[i];
-    }
-
-    /** Restore raw generator state captured by state() (checkpoint
-     *  load). The caller is responsible for never restoring an all-zero
-     *  state; states produced by state() can't be all-zero. */
-    void
-    setState(const std::uint64_t in[kStateWords])
-    {
-        for (std::size_t i = 0; i < kStateWords; ++i)
-            s_[i] = in[i];
-    }
-
   private:
     static constexpr std::uint64_t
     rotl(std::uint64_t x, int k)

@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <bit>
-#include <stdexcept>
-#include <utility>
 
-#include "common/serialize.hh"
 #include "obs/chrome_trace.hh"
 #include "obs/registry.hh"
 
@@ -109,35 +106,9 @@ Core::tick()
     if (count_ && !head().complete)
         chargeHeadStall(1);
 
-    // 2. Dispatch new instructions (suspended while draining so the
-    //    ROB empties for a quiesce point).
-    if (!draining_)
-        for (unsigned d = 0; d < params_.issueWidth && !robFull(); ++d)
-            dispatchOne();
-}
-
-void
-Core::state(StateArchive &ar)
-{
-    TACSIM_CHECK(count_ == 0 &&
-                 "core checkpoint requires an empty (drained) ROB");
-    ar.io(headSeq_);
-    ar.io(nextSeq_);
-    ar.io(lastLoadSeq_);
-    // A drained core has dispatched nothing past its head, and its last
-    // load (if any) has retired; other cursors would stall it forever.
-    if (nextSeq_ != headSeq_ || lastLoadSeq_ < -1 ||
-        std::cmp_greater_equal(lastLoadSeq_, headSeq_))
-        throw std::runtime_error(
-            "checkpoint: a core's sequence cursors are inconsistent");
-    if (ar.loading()) {
-        // Stale ring contents are unreachable after a drain (the only
-        // cross-retire reference, lastLoadSeq_, is guarded by
-        // `>= headSeq_`), but reset them anyway so a restored core is
-        // bitwise-independent of pre-checkpoint history.
-        for (auto &e : rob_)
-            e = RobEntry{};
-    }
+    // 2. Dispatch new instructions.
+    for (unsigned d = 0; d < params_.issueWidth && !robFull(); ++d)
+        dispatchOne();
 }
 
 void

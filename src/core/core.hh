@@ -107,27 +107,6 @@ class Core
      *  is emitted as a span on @p track. Pass nullptr to detach. */
     void setTracer(obs::ChromeTracer *tracer, std::uint32_t track);
 
-    /**
-     * Drain mode (System::quiesce): suspend dispatch so in-flight ROB
-     * entries retire and the core winds down to an empty ROB without
-     * consuming further workload records. Retire/issue/wakeup proceed
-     * normally during drain.
-     */
-    void beginDrain() { draining_ = true; }
-    void endDrain() { draining_ = false; }
-    bool robEmpty() const { return count_ == 0; }
-
-    /**
-     * Save or restore the architectural cursor (tacsim-ckpt-v2). Only legal
-     * when the ROB is empty (post-quiesce): with all entries retired,
-     * the sequence cursors fully determine future behaviour. Stale
-     * rob_ ring contents are unreachable: an entry's producerSeq and
-     * wake-list links only ever name entries in flight with it, and
-     * dispatch clears them; the only cross-retire reference,
-     * lastLoadSeq_, is guarded by `>= headSeq_` at every use.
-     */
-    void state(StateArchive &ar);
-
   private:
     static constexpr std::uint64_t kNoSeq = ~std::uint64_t{0};
 
@@ -188,7 +167,6 @@ class Core
     unsigned count_ = 0;
 
     std::int64_t lastLoadSeq_ = -1;
-    bool draining_ = false; ///< dispatch suspended (System::quiesce)
 
     obs::ChromeTracer *tracer_ = nullptr; ///< null = tracing disabled
     std::uint32_t track_ = 0;

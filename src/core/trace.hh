@@ -12,7 +12,6 @@
 #define TACSIM_CORE_TRACE_HH
 
 #include <memory>
-#include <stdexcept>
 #include <string>
 
 #include "common/types.hh"
@@ -28,7 +27,6 @@ struct TraceRecord
         Load,
         Store,
     };
-    static constexpr unsigned kNumKinds = 3;
 
     Addr ip = 0;
     Kind kind = Kind::NonMem;
@@ -46,8 +44,6 @@ struct TraceRecord
     bool isMem() const { return kind != Kind::NonMem; }
 };
 
-class StateArchive;
-
 /** An endless instruction stream. */
 class Workload
 {
@@ -62,21 +58,6 @@ class Workload
 
     /** Virtual footprint in bytes (for reports). */
     virtual Addr footprint() const = 0;
-
-    /**
-     * Checkpoint seam (tacsim-ckpt-v2): save or restore the generator
-     * state. It must round-trip exactly: after a restore the stream it
-     * produces is identical to the one the saved instance would have
-     * produced. The default throws, so a workload type that never
-     * gained support fails a checkpoint attempt loudly instead of
-     * silently replaying from the start.
-     */
-    virtual void
-    state(StateArchive &)
-    {
-        throw std::runtime_error("checkpoint: workload '" + name() +
-                                 "' does not support save/restore");
-    }
 };
 
 } // namespace tacsim

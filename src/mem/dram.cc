@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "common/rng.hh"
-#include "common/serialize.hh"
 #include "obs/chrome_trace.hh"
 #include "obs/registry.hh"
 #include "sim/verify.hh"
@@ -188,21 +187,6 @@ Dram::checkInvariants() const
            << stats_.rowConflicts << " != reads=" << stats_.reads
            << " + writes=" << stats_.writes;
         throw InvariantViolation(name_, "row-conservation", os.str());
-    }
-}
-
-void
-Dram::state(StateArchive &ar)
-{
-    ar.expect(channels_.size(), "the DRAM channel count");
-    for (Channel &ch : channels_) {
-        ar.io(ch.busFreeAt);
-        ar.expect(ch.banks.size(), "the DRAM bank count");
-        for (Bank &b : ch.banks) {
-            ar.io(b.readyAt);
-            ar.io(b.openRow);
-            ar.io(b.rowValid);
-        }
     }
 }
 

@@ -33,8 +33,6 @@ class ChromeTracer;
 class Registry;
 } // namespace obs
 
-class StateArchive;
-
 /** Tuning knobs for one DRAM channel (all in core cycles @ 4 GHz). */
 struct DramParams
 {
@@ -104,14 +102,6 @@ class Dram : public MemDevice
      *  parameters, row-state accounting conserves requests, open-row
      *  bookkeeping is coherent. Throws verify::InvariantViolation. */
     void checkInvariants() const;
-
-    /**
-     * Save or restore bank/bus timing state (tacsim-ckpt-v2). Times
-     * are absolute cycles; the owner restores the event-queue clock to
-     * the same instant, so they remain directly comparable after
-     * restore.
-     */
-    void state(StateArchive &ar);
 
   private:
     struct Bank

@@ -19,44 +19,26 @@ canonicalSpec(const std::string &spec)
     return spec;
 }
 
-std::string
-digestPoint(const SystemConfig &cfg,
-            const std::vector<std::string> &specs,
-            std::uint64_t instructions, std::uint64_t warmup,
-            bool includeInstructions)
-{
-    std::string text;
-    // tacsim-lint: allow(magic-page-constant) string capacity hint, not page math
-    text.reserve(4096);
-    text += includeInstructions ? "tacsim-point-v1\n" : "tacsim-warm-v1\n";
-    text += canonicalConfigText(cfg);
-    text += "threads " + std::to_string(specs.size()) + '\n';
-    for (const std::string &s : specs)
-        text += "spec " + canonicalSpec(s) + '\n';
-    if (includeInstructions)
-        text += "instructions " +
-            std::to_string(instructions ? instructions
-                                        : defaultInstructions()) +
-            '\n';
-    text += "warmup " +
-        std::to_string(warmup ? warmup : defaultWarmup()) + '\n';
-    return sha256Hex(text);
-}
-
 } // namespace
 
 std::string
 pointKey(const SystemConfig &cfg, const std::vector<std::string> &specs,
          std::uint64_t instructions, std::uint64_t warmup)
 {
-    return digestPoint(cfg, specs, instructions, warmup, true);
-}
-
-std::string
-warmKey(const SystemConfig &cfg, const std::vector<std::string> &specs,
-        std::uint64_t warmup)
-{
-    return digestPoint(cfg, specs, 0, warmup, false);
+    std::string text;
+    // tacsim-lint: allow(magic-page-constant) string capacity hint, not page math
+    text.reserve(4096);
+    text += "tacsim-point-v1\n";
+    text += canonicalConfigText(cfg);
+    text += "threads " + std::to_string(specs.size()) + '\n';
+    for (const std::string &s : specs)
+        text += "spec " + canonicalSpec(s) + '\n';
+    text += "instructions " +
+        std::to_string(instructions ? instructions : defaultInstructions()) +
+        '\n';
+    text += "warmup " +
+        std::to_string(warmup ? warmup : defaultWarmup()) + '\n';
+    return sha256Hex(text);
 }
 
 } // namespace serve

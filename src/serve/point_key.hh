@@ -15,8 +15,7 @@
  * pointKey() digests all of that into 64 hex chars. The in-process
  * sweep memo (sim/sweep.hh) keys on it, so one point registered under
  * two names runs once, and every tacsim-sweep-v1 run record carries it
- * as `point_key`, so reports can be joined by identity. warmKey() is
- * the stamp inside every checkpoint (sim/checkpoint.hh).
+ * as `point_key`, so reports can be joined by identity.
  *
  * The key does not cover the simulator itself: the same point simulated
  * by a different build hashes the same. That is why no result is kept
@@ -47,18 +46,6 @@ namespace serve {
 std::string pointKey(const SystemConfig &cfg,
                      const std::vector<std::string> &specs,
                      std::uint64_t instructions, std::uint64_t warmup);
-
-/**
- * Identity of a *warmed machine state* rather than a finished result:
- * like pointKey but excluding the measured-instruction budget. Two
- * points that differ only in how long they measure share warm state,
- * which is what makes a checkpoint (sim/checkpoint.hh) reusable across
- * measurement budgets. It is the stamp inside every checkpoint the
- * runner writes (sim/runner.hh RunCheckpoint).
- */
-std::string warmKey(const SystemConfig &cfg,
-                    const std::vector<std::string> &specs,
-                    std::uint64_t warmup);
 
 } // namespace serve
 } // namespace tacsim

@@ -4,7 +4,7 @@
  *
  * Point keys (serve/point_key.hh) are a cryptographic digest of
  * everything that determines a simulation's outcome. CRC-32, the repo's
- * integrity check for trace and checkpoint files, is fine for detecting
+ * integrity check for trace files, is fine for detecting
  * corruption but far too collision-prone to *identify* by: the sweep
  * memo aliases points with equal keys, so two different points that
  * collided would silently share one result. SHA-256 makes that

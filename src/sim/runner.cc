@@ -4,8 +4,6 @@
 #include <cstdlib>
 #include <stdexcept>
 
-#include "serve/point_key.hh"
-#include "sim/checkpoint.hh"
 #include "sim/verify.hh"
 
 namespace tacsim {
@@ -167,24 +165,20 @@ joinedNames(const std::vector<std::unique_ptr<Workload>> &workloads)
     return label;
 }
 
+} // namespace
+
 /**
- * The one run protocol behind both entry points. Build the machine; any
- * "{key}" still in the obs output paths expands with the run label (the
- * sweep runner substitutes its more specific sweep key before this
- * point). Then restore @p ckpt.load, or else warm up and optionally
- * save to @p ckpt.save (saving quiesces first, so the measured run
- * continues from the same drained boundary a restored run starts at);
- * then reset the statistics and measure. With no checkpoint path this
- * is exactly System::warmup() + run(). @p stamp is the checkpoint's
- * point identity (serve::warmKey). Verify builds attach a
- * verify::Checker to every run; walking a mapped page table is
+ * The one run protocol. Build the machine; any "{key}" still in the obs
+ * output paths expands with the run label (the sweep runner substitutes
+ * its more specific sweep key before this point). Then warm up, reset
+ * the statistics and measure: System::warmup() + run(). Verify builds
+ * attach a verify::Checker to every run; walking a mapped page table is
  * side-effect free, so results are unchanged.
  */
 RunResult
-runPoint(const SystemConfig &cfg,
-         std::vector<std::unique_ptr<Workload>> workloads,
-         std::uint64_t instructionsPerThread, std::uint64_t warmup,
-         const RunCheckpoint &ckpt, const std::string &stamp)
+runWorkloads(const SystemConfig &cfg,
+             std::vector<std::unique_ptr<Workload>> workloads,
+             std::uint64_t instructionsPerThread, std::uint64_t warmup)
 {
     const std::string label = joinedNames(workloads);
     System sys(configForPoint(cfg, label), std::move(workloads));
@@ -192,44 +186,18 @@ runPoint(const SystemConfig &cfg,
     verify::Checker checker(sys);
     sys.attachChecker(&checker);
 #endif
-    if (!ckpt.load.empty()) {
-        loadCheckpoint(ckpt.load, sys, stamp);
-    } else {
-        sys.run(warmup ? warmup : defaultWarmup());
-        if (!ckpt.save.empty())
-            saveCheckpoint(ckpt.save, sys, stamp);
-    }
-    sys.resetStats();
+    sys.warmup(warmup ? warmup : defaultWarmup());
     sys.run(instructionsPerThread ? instructionsPerThread
                                   : defaultInstructions());
     return collectResult(sys, label);
 }
 
-} // namespace
-
 RunResult
 runSpecMix(const SystemConfig &cfg, const std::vector<std::string> &specs,
-           std::uint64_t instructionsPerThread, std::uint64_t warmup,
-           const RunCheckpoint &ckpt)
+           std::uint64_t instructionsPerThread, std::uint64_t warmup)
 {
-    if (!ckpt.save.empty() && !ckpt.load.empty())
-        throw std::invalid_argument(
-            "runSpecMix: a run either saves or loads a checkpoint, not "
-            "both");
-    const std::string stamp = ckpt.save.empty() && ckpt.load.empty()
-        ? std::string()
-        : serve::warmKey(cfg, specs, warmup);
-    return runPoint(cfg, makeWorkloads(cfg, specs), instructionsPerThread,
-                    warmup, ckpt, stamp);
-}
-
-RunResult
-runWorkloads(const SystemConfig &cfg,
-             std::vector<std::unique_ptr<Workload>> workloads,
-             std::uint64_t instructionsPerThread, std::uint64_t warmup)
-{
-    return runPoint(cfg, std::move(workloads), instructionsPerThread,
-                    warmup, {}, "");
+    return runWorkloads(cfg, makeWorkloads(cfg, specs),
+                        instructionsPerThread, warmup);
 }
 
 double

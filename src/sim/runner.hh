@@ -167,43 +167,24 @@ std::uint64_t defaultInstructions();
 std::uint64_t defaultWarmup();
 
 /**
- * Optional checkpoint files of one run (sim/checkpoint.hh). At most one
- * path may be set: `save` writes the warmed machine, `load` replaces
- * the warm-up with it. The members are value-initialized so a
- * designated initializer can name just one: `{.load = path}`.
- */
-struct RunCheckpoint
-{
-    /** After warm-up, quiesce and write the machine here, then
-     *  measure. Saving is observation, not perturbation: the result is
-     *  byte-identical to a run that restores the file. */
-    std::string save{};
-    /** Restore the machine from here instead of warming up, then
-     *  measure. The file must have been saved from the same point
-     *  (config, specs and warm-up budget) or the run throws. */
-    std::string load{};
-};
-
-/**
  * Run one simulation point: @p specs holds exactly one workload spec per
  * hardware thread of @p cfg ("mcf", or "trace:<path>" to replay a
  * recorded tacsim-trace-v1 file). Warm up for @p warmup instructions per
  * thread, reset the statistics, and measure @p instructionsPerThread
  * (0 budgets = the defaults above). The result is labelled with the
  * workloads' names joined by "-". Throws std::invalid_argument when the
- * spec count is not the thread count or when @p ckpt sets both paths.
+ * spec count is not the thread count.
  */
 RunResult runSpecMix(const SystemConfig &cfg,
                      const std::vector<std::string> &specs,
                      std::uint64_t instructionsPerThread = 0,
-                     std::uint64_t warmup = 0,
-                     const RunCheckpoint &ckpt = {});
+                     std::uint64_t warmup = 0);
 
 /**
  * runSpecMix over pre-built workloads (one per thread), for callers
  * that wrap workloads themselves: the trace CLI tees a run through a
- * RecordingWorkload. Workloads have no spec, so this path does not
- * checkpoint.
+ * RecordingWorkload. runSpecMix builds its workloads and calls this, so
+ * every run goes through one body.
  */
 RunResult runWorkloads(const SystemConfig &cfg,
                        std::vector<std::unique_ptr<Workload>> workloads,

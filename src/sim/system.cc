@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "common/serialize.hh"
-
 #include "cache/repl/csalt.hh"
 #include "cache/repl/deadblock.hh"
 #include "cache/slice_router.hh"
@@ -366,97 +364,6 @@ System::run(std::uint64_t instrPerThread)
     if (checker_)
         checker_->onDrain();
 #endif
-}
-
-void
-System::quiesce()
-{
-    for (auto &c : cores_)
-        c->beginDrain();
-    while (true) {
-        eq_.advanceTo(cycle_);
-        bool robsEmpty = true;
-        for (auto &c : cores_) {
-            c->tick();
-            if (!c->robEmpty())
-                robsEmpty = false;
-        }
-        if (robsEmpty && eq_.empty())
-            break;
-        if (robsEmpty) {
-            // Only background events remain (store writebacks, fills
-            // with no waiter); jump straight to the next one.
-            cycle_ = std::max(cycle_ + 1, eq_.nextEventCycle());
-            continue;
-        }
-        ++cycle_;
-    }
-    for (auto &c : cores_)
-        c->endDrain();
-
-#ifdef TACSIM_VERIFY_ENABLED
-    // The drain is a natural verification point: every structure is at
-    // rest, so a full hierarchy walk is maximally meaningful.
-    if (checker_)
-        checker_->onDrain();
-#endif
-}
-
-void
-System::state(StateArchive &ar)
-{
-    if (sampler_)
-        throw std::runtime_error(
-            "checkpoint: time-series sampler attached (unsupported)");
-    if (tracer_)
-        throw std::runtime_error(
-            "checkpoint: Chrome tracer attached (unsupported)");
-    TACSIM_CHECK(eq_.empty() && eq_.now() == cycle_ &&
-                 "checkpoint requires a quiesced or freshly built system");
-
-    ar.section("clock");
-    std::uint64_t seq = eq_.seq();
-    std::uint64_t executed = eq_.executed();
-    ar.io(cycle_);
-    ar.io(seq);
-    ar.io(executed);
-    if (ar.loading()) {
-        eq_.restoreClock(cycle_, seq, executed);
-        cycleBase_ = cycle_;
-        runStartCycle_ = cycle_;
-    }
-
-    ar.section("memory");
-    frames_.state(ar);
-    hostFrames_.state(ar);
-    for (auto &pt : pageTables_)
-        pt->state(ar);
-    ar.expect(hostPageTable_ != nullptr, "the nested-translation mode");
-    if (hostPageTable_)
-        hostPageTable_->state(ar);
-    dram_->state(ar);
-
-    ar.section("caches");
-    for (auto &s : llc_)
-        s->state(ar);
-    for (auto &c : l2_)
-        c->state(ar);
-    for (auto &c : l1d_)
-        c->state(ar);
-
-    ar.section("translation");
-    for (auto &t : dtlb_)
-        t->state(ar);
-    for (auto &t : stlb_)
-        t->state(ar);
-    for (auto &p : ptw_)
-        p->state(ar);
-
-    ar.section("cores");
-    for (auto &c : cores_)
-        c->state(ar);
-    for (auto &wl : workloads_)
-        wl->state(ar);
 }
 
 void

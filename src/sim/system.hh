@@ -73,30 +73,6 @@ class System
     /** Run @p instr instructions then zero all statistics (warm-up). */
     void warmup(std::uint64_t instr);
 
-    /**
-     * Drain to a quiesced boundary: suspend dispatch on every core,
-     * keep ticking until all ROBs are empty and the event queue is dry
-     * (outstanding misses, walks and background writes complete). This
-     * is the only legal point to save state() from — with nothing in
-     * flight, the checkpoint needs no MSHR/walk/event serialization.
-     * Deterministic: a straight-through run and a restored run execute
-     * the same drain, so their stats remain byte-identical.
-     */
-    void quiesce();
-
-    /**
-     * Save or restore the full mutable simulation state (the
-     * tacsim-ckpt-v2 payload; sim/checkpoint.hh adds the file
-     * container). A save requires a quiesced system and leaves it
-     * unchanged. A restore goes into a freshly built System of the
-     * *same point* (the container checks the file's point-key stamp
-     * before calling this); after it, resetStats() + run() reproduces
-     * the original continuation byte-for-byte. Throws when a component
-     * with unsupported state is attached (sampler, tracer, prefetchers,
-     * recall profilers, policies without save support).
-     */
-    void state(StateArchive &ar);
-
     /** Zero statistics on every component; sets the measurement base. */
     void resetStats();
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "common/serialize.hh"
+
 namespace tacsim {
 namespace trace {
 

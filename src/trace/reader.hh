@@ -11,10 +11,10 @@
 
 #include <cstdio>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "common/serialize.hh"
 #include "core/trace.hh"
 #include "trace/format.hh"
 
@@ -48,9 +48,6 @@ class TraceReader
     {
         return static_cast<std::uint64_t>(payloadEnd_) + kFooterBytes;
     }
-
-    /** Records decoded since construction / the last rewind(). */
-    std::uint64_t position() const { return position_; }
 
     /** CRC-32 of the payload bytes read since construction / the last
      *  rewind(); readFooter() extends it to the whole payload. */
@@ -140,34 +137,6 @@ class TraceFileWorkload : public Workload
     Addr footprint() const override { return reader_.header().footprint; }
 
     const TraceHeader &header() const { return reader_.header(); }
-
-    /**
-     * Checkpoint support: the replay cursor is just the record position
-     * within the file (the loop count does not matter — the stream is
-     * periodic). Restore rewinds and decodes forward; the delta decoder
-     * has no random access, but checkpoint restore is a once-per-job
-     * cost and decode throughput is tens of millions of records/sec.
-     */
-    void
-    state(StateArchive &ar) override
-    {
-        std::uint64_t target = reader_.position();
-        ar.io(target);
-        if (!ar.loading())
-            return;
-        if (target > reader_.header().recordCount)
-            throw std::runtime_error(
-                "checkpoint: trace position " + std::to_string(target) +
-                " exceeds record count of " + reader_.path());
-        reader_.rewind();
-        TraceRecord scratch;
-        for (std::uint64_t i = 0; i < target; ++i) {
-            if (!reader_.next(scratch))
-                throw std::runtime_error(
-                    "checkpoint: trace ended early replaying to position " +
-                    std::to_string(target) + ": " + reader_.path());
-        }
-    }
 
   private:
     TraceReader reader_;

@@ -19,11 +19,9 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <stdexcept>
 #include <vector>
 
 #include "common/rng.hh"
-#include "common/serialize.hh"
 #include "common/types.hh"
 
 namespace tacsim {
@@ -53,9 +51,6 @@ class FrameAllocator
 
     /** Total bytes of physical memory handed out. */
     Addr allocated() const { return next_; }
-
-    /** Save or restore the allocator, which is one cursor. */
-    void state(StateArchive &ar) { ar.io(next_); }
 
   private:
     Addr next_;
@@ -191,28 +186,6 @@ class PageTable
 
     const HugePagePolicy &policy() const { return policy_; }
 
-    /**
-     * Save or restore the lazily-built radix tree as a sparse recursive
-     * dump (frame + populated leaf slots + populated children per node).
-     * The FrameAllocator cursor is saved separately by the owner;
-     * restoring both reproduces the exact first-touch frame assignment,
-     * so a restored run allocates identical frames for new pages.
-     */
-    void
-    state(StateArchive &ar)
-    {
-        // Overrides are configuration (mapRegion calls), not mutable
-        // state: the rebuilt system must have made the same calls.
-        const char *overrides = "the page-table mapRegion overrides";
-        ar.expect(overrides_.size(), overrides);
-        for (const Override &o : overrides_) {
-            ar.expect(o.begin, overrides);
-            ar.expect(o.end, overrides);
-            ar.expect(static_cast<std::uint8_t>(o.ps), overrides);
-        }
-        nodeState(ar, root_, kPtLevels);
-    }
-
   private:
     struct Node
     {
@@ -259,43 +232,6 @@ class PageTable
             if (ch)
                 c += countNodes(ch.get());
         return c;
-    }
-
-    /** A node at @p level: its frame, then each populated leaf slot
-     *  and each populated child as (slot index, content). A restore
-     *  builds the node afresh from what the file names. */
-    static void
-    nodeState(StateArchive &ar, std::unique_ptr<Node> &n, unsigned level)
-    {
-        Addr frame = ar.loading() ? 0 : n->frame;
-        ar.io(frame);
-        if (ar.loading())
-            n = std::make_unique<Node>(frame);
-
-        std::uint32_t leaves = 0;
-        for (Addr pfn : n->leafPfn)
-            leaves += pfn != 0;
-        ar.io(leaves);
-        for (std::uint32_t k = 0, i = 0; k < leaves; ++k, ++i) {
-            while (!ar.loading() && n->leafPfn[i] == 0)
-                ++i;
-            ar.io(i, kPtEntries, "a page-table leaf index");
-            ar.io(n->leafPfn[i]);
-        }
-
-        std::uint32_t kids = 0;
-        for (const auto &ch : n->children)
-            kids += ch != nullptr;
-        ar.io(kids);
-        if (kids != 0 && level == 1)
-            throw std::runtime_error(
-                "checkpoint: a level-1 page-table node has children");
-        for (std::uint32_t k = 0, i = 0; k < kids; ++k, ++i) {
-            while (!ar.loading() && !n->children[i])
-                ++i;
-            ar.io(i, kPtEntries, "a page-table child index");
-            nodeState(ar, n->children[i], level - 1);
-        }
     }
 
     FrameAllocator *alloc_;

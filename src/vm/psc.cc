@@ -162,22 +162,4 @@ PagingStructureCaches::checkInvariants() const
     }
 }
 
-void
-PagingStructureCaches::state(StateArchive &ar)
-{
-    ar.io(clock_);
-    for (auto &cache : caches_) {
-        ar.expect(cache.size(), "the PSC geometry");
-        for (Entry &e : cache) {
-            ar.io(e.tag);
-            ar.io(e.frame);
-            ar.io(e.va);
-            ar.io(e.lru);
-            ar.io(e.asid);
-            ar.io(e.leafLevel);
-            ar.io(e.valid);
-        }
-    }
-}
-
 } // namespace tacsim

@@ -22,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "common/serialize.hh"
 #include "common/types.hh"
 
 namespace tacsim {
@@ -92,9 +91,6 @@ class PagingStructureCaches
     void pokeForTest(unsigned level, std::uint32_t index,
                      std::uint16_t asid, Addr vaddr, Addr frame,
                      unsigned leafLevel = 1);
-
-    /** Save or restore the four arrays + LRU clock (tacsim-ckpt-v2). */
-    void state(StateArchive &ar);
 
     /** Tag for (asid, vaddr) at @p level — exposed for tests. */
     static std::uint64_t

@@ -165,23 +165,6 @@ class PageTableWalker
      */
     void checkInvariants() const;
 
-    /**
-     * Save or restore the walker's caches (guest + host PSCs). Only
-     * legal when no walk is in flight or queued (post-quiesce) — walk
-     * state itself is never serialized.
-     */
-    void
-    state(StateArchive &ar)
-    {
-        if (active_ != 0 || !inflight_.empty() || !queue_.empty())
-            throw std::runtime_error(
-                "checkpoint: walker has walks in flight");
-        pscs_.state(ar);
-        ar.expect(hostPscs_ != nullptr, "the nested-translation mode");
-        if (hostPscs_)
-            hostPscs_->state(ar);
-    }
-
   private:
     /** One serial memory reference of a walk, precomputed at start. */
     struct PendingRead

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <sstream>
-#include <stdexcept>
 
 #include "obs/registry.hh"
 #include "sim/verify.hh"
@@ -254,30 +253,6 @@ Tlb::checkInvariants() const
             throw InvariantViolation(name_, "mixed-size-alias", ctx.str(),
                                      cur.set, cur.way);
         }
-    }
-}
-
-void
-Tlb::state(StateArchive &ar)
-{
-    if (profiler_)
-        throw std::runtime_error(
-            "checkpoint: TLB '" + name_ +
-            "' has a recall profiler attached (unsupported)");
-    ar.io(clock_);
-    ar.expect(entries_.size(), "the TLB geometry");
-    for (Entry &e : entries_) {
-        ar.io(e.vpn);
-        ar.io(e.pfn);
-        ar.io(e.lru);
-        ar.io(e.asid);
-        ar.io(e.size, kNumPageSizes, "a TLB entry page size");
-        ar.io(e.valid);
-    }
-    if (ar.loading()) {
-        sizeCount_.fill(0);
-        for (const Entry &e : entries_)
-            sizeCount_[static_cast<unsigned>(e.size)] += e.valid;
     }
 }
 

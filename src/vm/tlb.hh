@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "cache/recall_profiler.hh"
-#include "common/serialize.hh"
 #include "common/set_index.hh"
 #include "common/types.hh"
 
@@ -119,10 +118,6 @@ class Tlb
     void pokeForTest(std::uint32_t set, std::uint32_t way,
                      std::uint16_t asid, Addr vpn, Addr pfn,
                      PageSize ps = PageSize::Size4K);
-
-    /** Save or restore the array contents + LRU clock
-     *  (tacsim-ckpt-v2). */
-    void state(StateArchive &ar);
 
   private:
     struct Entry

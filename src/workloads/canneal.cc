@@ -1,6 +1,5 @@
 #include "workloads/canneal.hh"
 
-#include "workloads/ckpt.hh"
 
 namespace tacsim {
 
@@ -80,14 +79,6 @@ CannealWorkload::refill()
         store(ip(5), a);
         store(ip(6), b);
     }
-}
-
-void
-CannealWorkload::state(StateArchive &ar)
-{
-    ar.io(rng_);
-    ar.io(poolBase_);
-    workload_ckpt::queueState(ar, queue_);
 }
 
 } // namespace tacsim

@@ -45,8 +45,6 @@ class CannealWorkload : public Workload
     std::string name() const override { return "canneal"; }
     Addr footprint() const override { return p_.footprintBytes; }
 
-    void state(StateArchive &ar) override;
-
   private:
     void refill();
 

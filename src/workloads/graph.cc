@@ -1,6 +1,5 @@
 #include "workloads/graph.hh"
 
-#include "workloads/ckpt.hh"
 
 namespace tacsim {
 
@@ -249,15 +248,6 @@ GraphWorkload::refillTc()
             emitNonMem(ip(42), p_.fillerPerEdge + 1); // compare/advance
         }
     }
-}
-
-void
-GraphWorkload::state(StateArchive &ar)
-{
-    ar.io(rng_);
-    ar.io(curVertex_);
-    ar.io(frontierBase_);
-    workload_ckpt::queueState(ar, queue_);
 }
 
 } // namespace tacsim

@@ -82,8 +82,6 @@ class GraphWorkload : public Workload
     /** Procedural @p i-th neighbour of vertex @p v. */
     std::uint64_t neighbor(std::uint64_t v, std::uint64_t i) const;
 
-    void state(StateArchive &ar) override;
-
   private:
     // Address helpers.
     Addr vertexA(std::uint64_t v) const { return baseA_ + v * 8; }

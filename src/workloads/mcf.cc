@@ -1,6 +1,5 @@
 #include "workloads/mcf.hh"
 
-#include "workloads/ckpt.hh"
 
 namespace tacsim {
 
@@ -105,17 +104,6 @@ McfWorkload::refill()
     cur_ = successor(cur_, hop_++);
     if (hop_ % 8 == 0)
         poolBase_ = (poolBase_ + 1) % nodes_; // pool slides slowly
-}
-
-void
-McfWorkload::state(StateArchive &ar)
-{
-    ar.io(rng_);
-    ar.io(cur_);
-    ar.io(hop_);
-    ar.io(poolBase_);
-    ar.io(scan_);
-    workload_ckpt::queueState(ar, queue_);
 }
 
 } // namespace tacsim

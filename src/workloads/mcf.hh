@@ -48,8 +48,6 @@ class McfWorkload : public Workload
      *  hop so revisiting a node does not cycle the chain. */
     std::uint64_t successor(std::uint64_t node, std::uint64_t hop) const;
 
-    void state(StateArchive &ar) override;
-
   private:
     void refill();
 

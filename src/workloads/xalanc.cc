@@ -1,6 +1,5 @@
 #include "workloads/xalanc.hh"
 
-#include "workloads/ckpt.hh"
 
 namespace tacsim {
 
@@ -92,15 +91,6 @@ XalancWorkload::refill()
         ++out_;
         queue_.push_back(st);
     }
-}
-
-void
-XalancWorkload::state(StateArchive &ar)
-{
-    ar.io(rng_);
-    ar.io(poolBase_);
-    ar.io(out_);
-    workload_ckpt::queueState(ar, queue_);
 }
 
 } // namespace tacsim

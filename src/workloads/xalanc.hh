@@ -48,8 +48,6 @@ class XalancWorkload : public Workload
     std::string name() const override { return "xalancbmk"; }
     Addr footprint() const override { return p_.coldBytes; }
 
-    void state(StateArchive &ar) override;
-
   private:
     void refill();
 

@@ -139,7 +139,10 @@ TEST_F(CacheTest, DirtyEvictionGeneratesWriteback)
 
 TEST_F(CacheTest, WritebackFromAboveHitsInPlace)
 {
-    auto c = makeCache(smallParams());
+    auto p = smallParams();
+    p.sets = 1;
+    p.ways = 1; // single frame: every new block evicts
+    auto c = makeCache(p);
     auto r = makeLoad(0x5000);
     c->access(r);
     test::drain(eq);
@@ -150,10 +153,19 @@ TEST_F(CacheTest, WritebackFromAboveHitsInPlace)
     c->access(wb);
     test::drain(eq);
     EXPECT_EQ(lower.countOf(ReqType::Writeback), 0u); // absorbed here
+    EXPECT_TRUE(c->contains(0x5000));
 
-    // Evicting it now must push the dirty copy down.
-    auto p = smallParams();
-    (void)p;
+    // Evicting it now must push the dirty copy down, once.
+    auto evict = makeLoad(0x6000);
+    c->access(evict);
+    test::drain(eq);
+    std::vector<Addr> written;
+    for (const auto &req : lower.requests)
+        if (req->type == ReqType::Writeback)
+            written.push_back(req->paddr);
+    EXPECT_EQ(written, (std::vector<Addr>{0x5000}));
+    EXPECT_EQ(c->stats().writebacksOut, 1u);
+    EXPECT_FALSE(c->contains(0x5000));
 }
 
 TEST_F(CacheTest, WritebackMissForwardsWithoutAllocation)

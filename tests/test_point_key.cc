@@ -142,18 +142,6 @@ TEST(PointKey, TraceSpecsHashContentNotName)
                  std::runtime_error);
 }
 
-TEST(PointKey, WarmKeyIgnoresMeasuredBudget)
-{
-    SystemConfig cfg;
-    const std::vector<std::string> specs(cfg.threads(), "mcf");
-    const std::string w = serve::warmKey(cfg, specs, 5000);
-    EXPECT_TRUE(isHexKey(w)) << w;
-    EXPECT_EQ(w, serve::warmKey(cfg, specs, 5000));
-    EXPECT_NE(w, serve::warmKey(cfg, specs, 6000));
-    // warmKey must differ from every pointKey for the same inputs.
-    EXPECT_NE(w, serve::pointKey(cfg, specs, 20000, 5000));
-}
-
 TEST(PointKey, CanonicalConfigTextIsVersionedAndComplete)
 {
     SystemConfig cfg;

@@ -16,6 +16,7 @@
 #include <iterator>
 #include <limits>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -92,6 +93,40 @@ TEST(TraceFormat, Crc32MatchesKnownVector)
     std::uint32_t crc = crc32(0, s, 4);
     crc = crc32(crc, s + 4, 5);
     EXPECT_EQ(crc, 0xCBF43926u);
+}
+
+TEST(TraceFormat, CodecRoundTripsAndRejectsOverruns)
+{
+    SerialWriter w;
+    w.putU8(0xA5);
+    w.putU16(0xBEEF);
+    w.putU32(0xDEADBEEFu);
+    w.putU64(0x0123456789ABCDEFull);
+    w.putString("tacsim");
+    // 1 + 2 + 4 + 8 bytes, then an 8-byte length prefix and 6 bytes.
+    EXPECT_EQ(w.bytes().size(), 29u);
+    EXPECT_EQ(w.bytes().substr(0, 3), std::string("\xA5\xEF\xBE"));
+
+    SerialReader r(w.bytes());
+    EXPECT_EQ(r.getU8(), 0xA5u);
+    EXPECT_EQ(r.getU16(), 0xBEEFu);
+    EXPECT_EQ(r.getU32(), 0xDEADBEEFu);
+    EXPECT_EQ(r.getU64(), 0x0123456789ABCDEFull);
+    EXPECT_EQ(r.getString(), "tacsim");
+    EXPECT_EQ(r.remaining(), 0u);
+
+    // A byte run longer than what is left throws, whatever its size.
+    SerialReader shortRead(w.bytes());
+    shortRead.getU8();
+    EXPECT_THROW(shortRead.getBytes(w.bytes().size()), std::runtime_error);
+    EXPECT_THROW(shortRead.getBytes(~std::uint64_t{0}), std::runtime_error);
+
+    // So does a length prefix that claims more bytes than follow it.
+    SerialWriter lie;
+    lie.putU64(7);
+    lie.putBytes("abc");
+    SerialReader liar(lie.bytes());
+    EXPECT_THROW(liar.getString(), std::runtime_error);
 }
 
 // --- writer ↔ reader ---
