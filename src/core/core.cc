@@ -204,14 +204,14 @@ Core::issueMemOp(std::uint64_t seq)
     e.stlbMiss = true;
     e.wait = StallKind::Translation;
     ++stats_.stlbMissAccesses;
-    const Addr vaddr = e.vaddr;
-    const Addr ip = e.ip;
-    eq_.schedule(dtlb_.latency() + stlb_.latency(), [this, seq, vaddr,
-                                                     ip] {
-        ptw_.walk(params_.asid, vaddr, ip, params_.cpuId,
-                  [this, seq, vaddr](Addr dataPaddr, PageSize ps,
-                                     RespSource) {
-                      dtlb_.fill(params_.asid, vaddr,
+    // The entry stays in the ROB until its replay completes, so the
+    // walk and its callback read vaddr and ip from it; capturing only
+    // [this, seq] keeps the callback in std::function's local buffer.
+    eq_.schedule(dtlb_.latency() + stlb_.latency(), [this, seq] {
+        const RobEntry &w = entryFor(seq);
+        ptw_.walk(params_.asid, w.vaddr, w.ip, params_.cpuId,
+                  [this, seq](Addr dataPaddr, PageSize ps, RespSource) {
+                      dtlb_.fill(params_.asid, entryFor(seq).vaddr,
                                  pageAlign(dataPaddr, ps), ps);
                       // The replay re-issues only after the STLB and
                       // DTLB fills complete — the window ATP exploits.

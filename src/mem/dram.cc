@@ -1,7 +1,6 @@
 #include "mem/dram.hh"
 
 #include <sstream>
-#include <stdexcept>
 
 #include "common/rng.hh"
 #include "obs/chrome_trace.hh"

@@ -20,8 +20,9 @@ fail(const std::string &path, const std::string &what)
 
 } // namespace
 
-TraceReader::TraceReader(const std::string &path)
-    : path_(path), file_(std::fopen(path.c_str(), "rb"))
+TraceReader::TraceReader(const std::string &path, bool checksum)
+    : path_(path), file_(std::fopen(path.c_str(), "rb")),
+      checksum_(checksum)
 {
     if (!file_)
         fail(path, "cannot open");
@@ -75,7 +76,8 @@ TraceReader::refill()
         std::fread(buffer_.data(), 1, buffer_.size(), file_.get());
     buffer_.resize(got);
     bufPos_ = 0;
-    crc_ = crc32(crc_, buffer_.data(), got);
+    if (checksum_)
+        crc_ = crc32(crc_, buffer_.data(), got);
     return got != 0;
 }
 
@@ -159,7 +161,7 @@ verifyTraceFile(const std::string &path)
 {
     VerifyResult v;
     try {
-        TraceReader reader(path);
+        TraceReader reader(path, /*checksum=*/true);
         v.header = reader.header();
         if (v.header.recordCount == 0) {
             v.error = "empty trace (0 records)";

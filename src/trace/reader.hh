@@ -29,12 +29,13 @@ namespace trace {
  * is checked by verifyTraceFile(), which decodes the whole file.
  * Decoding never reads past the footer boundary, so a truncated
  * payload reports the truncation instead of misdecoding footer bytes
- * as records. Every payload byte read is folded into a running CRC.
+ * as records. A reader made with @p checksum folds every payload byte
+ * it reads into a running CRC; a replay makes none.
  */
 class TraceReader
 {
   public:
-    explicit TraceReader(const std::string &path);
+    explicit TraceReader(const std::string &path, bool checksum = false);
 
     const TraceHeader &header() const { return header_; }
     const std::string &path() const { return path_; }
@@ -50,7 +51,8 @@ class TraceReader
     }
 
     /** CRC-32 of the payload bytes read since construction / the last
-     *  rewind(); readFooter() extends it to the whole payload. */
+     *  rewind(); readFooter() extends it to the whole payload. Stays 0
+     *  unless the reader was made with checksum. */
     std::uint32_t payloadCrc() const { return crc_; }
 
     /**
@@ -86,6 +88,7 @@ class TraceReader
     std::size_t bufPos_ = 0;
     DeltaState delta_;
     std::uint64_t position_ = 0;
+    bool checksum_;
     std::uint32_t crc_ = 0;
 };
 

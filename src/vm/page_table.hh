@@ -187,16 +187,16 @@ class PageTable
     const HugePagePolicy &policy() const { return policy_; }
 
   private:
+    /** One table page: its children and leaf frames inline, so a
+     *  page is one allocation and each level one dependent load. */
     struct Node
     {
-        explicit Node(Addr f) : frame(f), leafPfn(kPtEntries, 0)
-        {
-            children.resize(kPtEntries);
-        }
+        explicit Node(Addr f) : frame(f) {}
 
         Addr frame;
-        std::vector<std::unique_ptr<Node>> children;
-        std::vector<Addr> leafPfn; ///< nonzero where this node holds leaves
+        std::array<std::unique_ptr<Node>, kPtEntries> children;
+        /** Nonzero where this node holds leaves. */
+        std::array<Addr, kPtEntries> leafPfn = {};
     };
 
     struct Override

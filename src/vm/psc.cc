@@ -1,7 +1,6 @@
 #include "vm/psc.hh"
 
 #include <sstream>
-#include <stdexcept>
 
 #include "sim/verify.hh"
 

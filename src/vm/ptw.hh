@@ -25,15 +25,18 @@
  * between concurrent walks is approximated).
  *
  * Walks to the same (asid, VPN) merge; a bounded number of walks may be
- * in flight, the rest queue.
+ * in flight, the rest queue. Walking allocates nothing in steady state:
+ * in-flight walks live in a fixed walk file addressed by slot, a queued
+ * walk is a small record in a ring, one index finds either for a merge,
+ * and callbacks wait in pooled nodes.
  */
 
 #ifndef TACSIM_VM_PTW_HH
 #define TACSIM_VM_PTW_HH
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -154,18 +157,40 @@ class PageTableWalker
      *  on @p track. Pass nullptr to detach. */
     void setTracer(obs::ChromeTracer *tracer, std::uint32_t track);
 
-    unsigned activeWalks() const { return active_; }
+    unsigned
+    activeWalks() const
+    {
+        return static_cast<unsigned>(slots_.size() - freeSlots_.size());
+    }
 
     /**
-     * Verify walker invariants: active count matches the in-flight map,
-     * concurrency bound respected, queue only backs up when saturated,
-     * in-flight keys consistent with their walk state (including that no
-     * walk starts below its mapping's leaf level), and PSC state
-     * well-formed. Throws verify::InvariantViolation.
+     * Verify walker invariants: every walk-file slot is either indexed
+     * once or free (and a free slot holds no callbacks), every queued
+     * walk is indexed once, the queue only backs up when the file is
+     * full, every callback list is non-empty, acyclic and ends at its
+     * tail, no pooled callback is lost, in-flight keys match their
+     * slot (no walk starts below its mapping's leaf level), and PSC
+     * state is well-formed. Throws verify::InvariantViolation.
      */
     void checkInvariants() const;
 
   private:
+    /** Null link of the walk-file lists. */
+    static constexpr std::uint32_t kNone = 0xffffffffu;
+
+    /** Most reads one walk issues: a nested 4K walk reads
+     *  (gL + 1) * hL + gL, 35 with five-level tables. A slot's read
+     *  list grows to its deepest walk once, then keeps its storage. */
+    static constexpr std::size_t kMaxWalkReads =
+        (kPtLevels + 1) * kPtLevels + kPtLevels;
+
+    /** Walk-index values of queued walks: kQueued | sequence number.
+     *  Any other value is a walk-file slot. */
+    static constexpr std::uint64_t kQueued = std::uint64_t{1} << 63;
+
+    /** Initial size of the queue ring; it doubles when full. */
+    static constexpr std::size_t kInitialQueue = 16;
+
     /** One serial memory reference of a walk, precomputed at start. */
     struct PendingRead
     {
@@ -176,22 +201,42 @@ class PageTableWalker
         bool leafPte = false; ///< the guest leaf PTE (ends translation)
     };
 
-    struct WalkState
+    /** One pooled walk callback. */
+    struct CallbackNode
     {
-        std::uint16_t asid;
-        Addr vaddr;
-        Addr ip;
-        std::uint16_t cpu;
+        WalkCallback cb;
+        std::uint32_t next = kNone; ///< next callback of the walk, or free
+    };
+
+    /** What a walk translates and whom it answers: all a queued walk
+     *  holds, and the head of an active one. */
+    struct WalkRequest
+    {
+        Addr vaddr = 0;
+        Addr ip = 0;
+        std::uint16_t asid = 0;
+        std::uint16_t cpu = 0;
+        /** Callbacks in arrival order: a FIFO of callbacks_ nodes
+         *  threaded through their next links. */
+        std::uint32_t firstCallback = kNone;
+        std::uint32_t lastCallback = kNone;
+    };
+
+    /** One slot of the walk file. Slots never move: a walk names its
+     *  slot from start to finish, and its read list keeps its storage
+     *  from one walk to the next. */
+    struct WalkSlot
+    {
+        WalkRequest req;
         PageTable::WalkResult info; ///< guest-dimension walk result
-        unsigned startLevel;        ///< first guest level actually read
-        Cycle startedAt;
+        unsigned startLevel = 0;    ///< first guest level actually read
+        Cycle startedAt = 0;
         std::vector<PendingRead> reads; ///< serial reference list
         std::size_t nextRead = 0;
         Addr finalPaddr = 0;   ///< host-physical data address
         Addr fillBase = 0;     ///< STLB fill physical base
         PageSize fillSize = PageSize::Size4K; ///< STLB fill granule
         RespSource leafSource = RespSource::None;
-        std::vector<WalkCallback> callbacks;
     };
 
     std::uint64_t keyOf(std::uint16_t asid, Addr vaddr) const
@@ -199,14 +244,41 @@ class PageTableWalker
         return (static_cast<std::uint64_t>(asid) << 48) ^ pageNumber(vaddr);
     }
 
-    void startWalk(std::unique_ptr<WalkState> ws);
-    /** Append the host sub-walk @p h of @p gpa to ws->reads and fill
-     *  the host PSCs from it (nested mode only). */
-    void appendHostWalk(WalkState &ws, Addr gpa,
+    /** The walk queued with sequence number @p seq. */
+    WalkRequest &queued(std::uint64_t seq)
+    {
+        return queue_[seq & (queue_.size() - 1)];
+    }
+    const WalkRequest &queued(std::uint64_t seq) const
+    {
+        return queue_[seq & (queue_.size() - 1)];
+    }
+
+    /** Append @p cb to @p w's callbacks, in a pooled node. */
+    void addCallback(WalkRequest &w, WalkCallback cb);
+    /** Queue @p w behind the concurrency limit; returns its sequence
+     *  number. */
+    std::uint64_t enqueue(const WalkRequest &w);
+
+    /** Start the walk whose request @p slot holds. */
+    void startWalk(std::uint32_t slot);
+    /** Append the host sub-walk @p h of @p gpa to @p ws's reads and
+     *  fill the host PSCs from it (nested mode only). */
+    void appendHostWalk(WalkSlot &ws, Addr gpa,
                         const PageTable::WalkResult &h);
-    void issueNext(std::shared_ptr<WalkState> ws);
-    void finishWalk(const std::shared_ptr<WalkState> &ws);
+    void issueNext(std::uint32_t slot);
+    void readDone(std::uint32_t slot, RespSource source);
+    void finishWalk(std::uint32_t slot);
     void drainQueue();
+
+    /** Check one callback list: non-empty, links in range, no node
+     *  reached twice across all lists (@p seen), a correct tail. */
+    void checkCallbacks(const WalkRequest &w, std::vector<bool> &seen,
+                        const std::string &ctx) const;
+
+    /** Verifier tests (tests/test_verify.cc) seed corrupted walk-file
+     *  state through this. */
+    friend struct PtwTestAccess;
 
     EventQueue &eq_;
     MemDevice *port_;
@@ -225,9 +297,21 @@ class PageTableWalker
     /** Page table per ASID. A handful of entries probed once per walk:
      *  a flat array beats a node-based map (no hashing, no chase). */
     std::vector<std::pair<std::uint16_t, PageTable *>> spaces_;
-    AddrMap<std::shared_ptr<WalkState>> inflight_;
-    std::deque<std::unique_ptr<WalkState>> queue_;
-    unsigned active_ = 0;
+
+    /** The walk file: maxConcurrentWalks slots, addressed by index. */
+    std::vector<WalkSlot> slots_;
+    std::vector<std::uint32_t> freeSlots_; ///< stack of free slots
+    /** Walks behind the concurrency limit: a ring of power-of-two size
+     *  indexed by sequence number, oldest at queueHead_. */
+    std::vector<WalkRequest> queue_;
+    std::uint64_t queueHead_ = 0;
+    std::uint64_t queueTail_ = 0; ///< sequence number of the next queued
+    /** (asid, VPN) -> slot of the walk in flight, or kQueued | sequence
+     *  number of the walk queued; merges find either in one probe. */
+    AddrMap<std::uint64_t> walkIndex_;
+    /** Callback pool; free nodes form a stack through their links. */
+    std::vector<CallbackNode> callbacks_;
+    std::uint32_t freeCallbacks_ = kNone;
     PtwStats stats_;
 };
 

@@ -10,11 +10,10 @@
 #ifndef TACSIM_WORKLOADS_CANNEAL_HH
 #define TACSIM_WORKLOADS_CANNEAL_HH
 
-#include <deque>
 #include <string>
 
 #include "common/rng.hh"
-#include "core/trace.hh"
+#include "workloads/generator.hh"
 
 namespace tacsim {
 
@@ -36,24 +35,22 @@ struct CannealParams
     std::uint64_t seed = 11;
 };
 
-class CannealWorkload : public Workload
+class CannealWorkload : public Generator
 {
   public:
     explicit CannealWorkload(CannealParams p = {});
 
-    TraceRecord next() override;
     std::string name() const override { return "canneal"; }
     Addr footprint() const override { return p_.footprintBytes; }
 
   private:
-    void refill();
+    void refill() override;
 
     CannealParams p_;
     Rng rng_;
     std::uint64_t poolBase_ = 0;
     Addr base_;
     std::uint64_t elems_;
-    std::deque<TraceRecord> queue_;
 };
 
 } // namespace tacsim

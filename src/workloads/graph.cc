@@ -73,47 +73,6 @@ GraphWorkload::name() const
 }
 
 void
-GraphWorkload::emitNonMem(Addr pc, unsigned n)
-{
-    TraceRecord t;
-    t.ip = pc;
-    t.kind = TraceRecord::Kind::NonMem;
-    for (unsigned i = 0; i < n; ++i)
-        queue_.push_back(t);
-}
-
-void
-GraphWorkload::emitLoad(Addr pc, Addr va, bool dep)
-{
-    TraceRecord t;
-    t.ip = pc;
-    t.kind = TraceRecord::Kind::Load;
-    t.vaddr = va;
-    t.dependsOnPrevLoad = dep;
-    queue_.push_back(t);
-}
-
-void
-GraphWorkload::emitStore(Addr pc, Addr va)
-{
-    TraceRecord t;
-    t.ip = pc;
-    t.kind = TraceRecord::Kind::Store;
-    t.vaddr = va;
-    queue_.push_back(t);
-}
-
-TraceRecord
-GraphWorkload::next()
-{
-    while (queue_.empty())
-        refill();
-    TraceRecord t = queue_.front();
-    queue_.pop_front();
-    return t;
-}
-
-void
 GraphWorkload::refill()
 {
     switch (algo_) {

@@ -19,11 +19,10 @@
 #ifndef TACSIM_WORKLOADS_GRAPH_HH
 #define TACSIM_WORKLOADS_GRAPH_HH
 
-#include <deque>
 #include <string>
 
 #include "common/rng.hh"
-#include "core/trace.hh"
+#include "workloads/generator.hh"
 
 namespace tacsim {
 
@@ -68,12 +67,11 @@ struct GraphParams
     std::uint64_t seed = 42;
 };
 
-class GraphWorkload : public Workload
+class GraphWorkload : public Generator
 {
   public:
     GraphWorkload(GraphAlgo algo, GraphParams p = {});
 
-    TraceRecord next() override;
     std::string name() const override;
     Addr footprint() const override;
 
@@ -89,11 +87,7 @@ class GraphWorkload : public Workload
     Addr offsetAddr(std::uint64_t v) const { return baseOff_ + v * 8; }
     Addr edgeAddr(std::uint64_t e) const { return baseEdge_ + e * 8; }
 
-    void emitNonMem(Addr ip, unsigned n);
-    void emitLoad(Addr ip, Addr va, bool dep = false);
-    void emitStore(Addr ip, Addr va);
-
-    void refill();
+    void refill() override;
     void refillPr();
     void refillBf();
     void refillCc();
@@ -108,7 +102,6 @@ class GraphWorkload : public Workload
     Addr baseA_, baseB_, baseOff_, baseEdge_;
     std::uint64_t curVertex_ = 0;
     std::uint64_t frontierBase_ = 0;
-    std::deque<TraceRecord> queue_;
 };
 
 } // namespace tacsim

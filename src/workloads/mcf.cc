@@ -37,68 +37,29 @@ McfWorkload::successor(std::uint64_t node, std::uint64_t hop) const
     return (poolBase_ + hashMix(h ^ 0x51ca) % poolNodes) % nodes_;
 }
 
-TraceRecord
-McfWorkload::next()
-{
-    while (queue_.empty())
-        refill();
-    TraceRecord t = queue_.front();
-    queue_.pop_front();
-    return t;
-}
-
 void
 McfWorkload::refill()
 {
-    auto push = [&](TraceRecord t) { queue_.push_back(t); };
-    auto nonmem = [&](Addr pc, unsigned n) {
-        TraceRecord t;
-        t.ip = pc;
-        for (unsigned i = 0; i < n; ++i)
-            push(t);
-    };
-
     // One pointer hop: the address of the next node comes from the data
     // of the previous load (dependsOnPrevLoad) — this is what makes mcf's
     // replay loads serialize at the ROB head.
     const Addr nodeAddr = base_ + cur_ * p_.nodeStride;
-    TraceRecord chase;
-    chase.ip = ip(0);
-    chase.kind = TraceRecord::Kind::Load;
-    chase.vaddr = nodeAddr;
-    chase.dependsOnPrevLoad = true;
-    push(chase);
+    emitLoad(ip(0), nodeAddr, true);
 
     // A second field of the node (same cache line: merges in the MSHR).
-    TraceRecord field;
-    field.ip = ip(1);
-    field.kind = TraceRecord::Kind::Load;
-    field.vaddr = nodeAddr + 16;
-    field.dependsOnPrevLoad = true;
-    push(field);
+    emitLoad(ip(1), nodeAddr + 16, true);
 
-    nonmem(ip(2), p_.fillerPerHop);
+    emitNonMem(ip(2), p_.fillerPerHop);
 
     // Occasional cost update (store to the node, after its data is in).
-    if (rng_.chance(0.2)) {
-        TraceRecord st;
-        st.ip = ip(3);
-        st.kind = TraceRecord::Kind::Store;
-        st.vaddr = nodeAddr + 32;
-        st.dependsOnPrevLoad = true;
-        push(st);
-    }
+    if (rng_.chance(0.2))
+        emitStore(ip(3), nodeAddr + 32, true);
 
     // Light bookkeeping scan over the ~4MB price array (LLC-resident,
     // L2-missing: the paper's small non-replay MPKI for mcf).
     if (rng_.chance(0.25)) {
-        TraceRecord seq;
-        seq.ip = ip(4);
-        seq.kind = TraceRecord::Kind::Load;
-        seq.vaddr =
-            base_ + p_.arenaBytes + (scan_++ % (1u << 19)) * 8;
-        push(seq);
-        nonmem(ip(5), 2);
+        emitLoad(ip(4), base_ + p_.arenaBytes + (scan_++ % (1u << 19)) * 8);
+        emitNonMem(ip(5), 2);
     }
 
     cur_ = successor(cur_, hop_++);

@@ -10,11 +10,10 @@
 #ifndef TACSIM_WORKLOADS_MCF_HH
 #define TACSIM_WORKLOADS_MCF_HH
 
-#include <deque>
 #include <string>
 
 #include "common/rng.hh"
-#include "core/trace.hh"
+#include "workloads/generator.hh"
 
 namespace tacsim {
 
@@ -35,12 +34,11 @@ struct McfParams
     std::uint64_t seed = 7;
 };
 
-class McfWorkload : public Workload
+class McfWorkload : public Generator
 {
   public:
     explicit McfWorkload(McfParams p = {});
 
-    TraceRecord next() override;
     std::string name() const override { return "mcf"; }
     Addr footprint() const override { return p_.arenaBytes; }
 
@@ -49,7 +47,7 @@ class McfWorkload : public Workload
     std::uint64_t successor(std::uint64_t node, std::uint64_t hop) const;
 
   private:
-    void refill();
+    void refill() override;
 
     McfParams p_;
     Rng rng_;
@@ -59,7 +57,6 @@ class McfWorkload : public Workload
     std::uint64_t hop_ = 0;
     std::uint64_t poolBase_ = 0;
     std::uint64_t scan_ = 0;
-    std::deque<TraceRecord> queue_;
 };
 
 } // namespace tacsim

@@ -11,11 +11,10 @@
 #ifndef TACSIM_WORKLOADS_XALANC_HH
 #define TACSIM_WORKLOADS_XALANC_HH
 
-#include <deque>
 #include <string>
 
 #include "common/rng.hh"
-#include "core/trace.hh"
+#include "workloads/generator.hh"
 
 namespace tacsim {
 
@@ -39,17 +38,16 @@ struct XalancParams
     std::uint64_t seed = 17;
 };
 
-class XalancWorkload : public Workload
+class XalancWorkload : public Generator
 {
   public:
     explicit XalancWorkload(XalancParams p = {});
 
-    TraceRecord next() override;
     std::string name() const override { return "xalancbmk"; }
     Addr footprint() const override { return p_.coldBytes; }
 
   private:
-    void refill();
+    void refill() override;
 
     XalancParams p_;
     Rng rng_;
@@ -57,7 +55,6 @@ class XalancWorkload : public Workload
     Addr coldBase_;
     Addr poolBase_ = 0;
     std::uint64_t out_ = 0;
-    std::deque<TraceRecord> queue_;
 };
 
 } // namespace tacsim

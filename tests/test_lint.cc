@@ -267,6 +267,10 @@ TEST(LintChecks, HotPathContainer)
     EXPECT_TRUE(hasActive(r, "hot-path-container", "src/cache/hot.cc", 8));
     EXPECT_TRUE(hasSuppressed(r, "hot-path-container", "src/cache/hot.cc",
                               10));
+    // A per-object shared_ptr: a control block per walk, say.
+    EXPECT_TRUE(hasActive(r, "hot-path-container", "src/cache/hot.cc", 11));
+    EXPECT_TRUE(hasActive(r, "hot-path-container", "src/cache/hot.cc", 13));
+    EXPECT_EQ(countActive(r, "hot-path-container", "src/cache/hot.cc"), 3);
     // Same container type outside the hot-path directories: not flagged
     // by this check (nondeterminism-hazard owns the iteration angle).
     EXPECT_EQ(countActive(r, "hot-path-container", "src/sim/nondet.cc"), 0);

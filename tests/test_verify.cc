@@ -5,7 +5,8 @@
  * out-of-range RRPV, stale eviction metadata, MSHR for a resident line,
  * cyclic MSHR waiter list, TLB entry disagreeing with the page table)
  * must trip exactly the invariant it targets, identified by its stable
- * tag and component.
+ * tag and component. The walker's walk-file corruptions go through
+ * PtwTestAccess, which PageTableWalker befriends.
  */
 
 #include <gtest/gtest.h>
@@ -15,10 +16,47 @@
 #include "sim/runner.hh"
 #include "sim/system.hh"
 #include "sim/verify.hh"
+#include "vm/ptw.hh"
 #include "vm/tlb.hh"
 #include "test_util.hh"
 
 namespace tacsim {
+
+/** Reaches into a walker's walk file to seed corruptions. */
+struct PtwTestAccess
+{
+    static constexpr std::uint32_t kNone = PageTableWalker::kNone;
+
+    /** The request of the walk for @p vaddr (ASID 0), in flight or
+     *  queued. */
+    static PageTableWalker::WalkRequest &
+    requestOf(PageTableWalker &w, Addr vaddr)
+    {
+        const std::uint64_t ref = *w.walkIndex_.find(w.keyOf(0, vaddr));
+        return ref & PageTableWalker::kQueued
+            ? w.queued(ref & ~PageTableWalker::kQueued)
+            : w.slots_[ref].req;
+    }
+
+    static std::uint32_t &
+    nextCallback(PageTableWalker &w, std::uint32_t node)
+    {
+        return w.callbacks_[node].next;
+    }
+
+    static std::vector<std::uint32_t> &
+    freeSlots(PageTableWalker &w)
+    {
+        return w.freeSlots_;
+    }
+
+    static void
+    unindex(PageTableWalker &w, Addr vaddr)
+    {
+        w.walkIndex_.erase(w.keyOf(0, vaddr));
+    }
+};
+
 namespace {
 
 using test::MockMemory;
@@ -369,6 +407,111 @@ TEST(VerifyTlbTest, UnalignedPfnTrips)
     } catch (const InvariantViolation &v) {
         EXPECT_EQ(v.invariant(), "pfn-align");
     }
+}
+
+/** A walker with one slot: the walk to kInFlight holds it and the walk
+ *  to kWaiting is queued; each has two callbacks (one merged). */
+struct VerifyWalkerTest : ::testing::Test
+{
+    static constexpr Addr kInFlight = 0x1000;
+    static constexpr Addr kWaiting = 0x2000;
+
+    static PtwParams
+    oneSlot()
+    {
+        PtwParams p;
+        p.maxConcurrentWalks = 1;
+        return p;
+    }
+
+    EventQueue eq;
+    MockMemory mem{eq, 50};
+    FrameAllocator frames;
+    PageTable pt{frames};
+    PageTableWalker w{eq, &mem, oneSlot()};
+    int done = 0;
+
+    void
+    SetUp() override
+    {
+        w.addAddressSpace(0, &pt);
+        for (const Addr v : {kInFlight, kWaiting, kInFlight + 8, kWaiting + 8})
+            w.walk(0, v, 0, 0, [this](Addr, PageSize, RespSource) {
+                ++done;
+            });
+        ASSERT_EQ(w.activeWalks(), 1u);
+        ASSERT_EQ(w.stats().queued, 1u);
+        ASSERT_EQ(w.stats().merged, 2u);
+    }
+
+    auto &
+    request(Addr vaddr)
+    {
+        return PtwTestAccess::requestOf(w, vaddr);
+    }
+
+    void
+    expectTrips(const char *tag)
+    {
+        auto v = expectViolation([&] { w.checkInvariants(); });
+        EXPECT_EQ(v.invariant(), tag) << v.what();
+        EXPECT_EQ(v.component(), "PTW");
+    }
+};
+
+TEST_F(VerifyWalkerTest, CleanWalkFilePasses)
+{
+    EXPECT_NO_THROW(w.checkInvariants());
+    eq.advanceTo(100); // mid-walk: the first reads are in flight
+    EXPECT_NO_THROW(w.checkInvariants());
+    test::drain(eq);
+    EXPECT_EQ(done, 4);
+    EXPECT_NO_THROW(w.checkInvariants());
+}
+
+TEST_F(VerifyWalkerTest, SlotIndexedAndFreeTrips)
+{
+    PtwTestAccess::freeSlots(w).push_back(0); // the in-flight walk's slot
+    expectTrips("walk-slot");
+}
+
+TEST_F(VerifyWalkerTest, UnindexedQueuedWalkTrips)
+{
+    PtwTestAccess::unindex(w, kWaiting);
+    expectTrips("walk-queue");
+}
+
+TEST_F(VerifyWalkerTest, WalkWithoutCallbacksTrips)
+{
+    auto &r = request(kInFlight);
+    r.firstCallback = r.lastCallback = PtwTestAccess::kNone;
+    expectTrips("walk-callbacks");
+}
+
+TEST_F(VerifyWalkerTest, CyclicCallbackListTrips)
+{
+    // Close the queued walk's two-node list into a ring: the checker
+    // must stop at the first repeat instead of walking it forever.
+    auto &r = request(kWaiting);
+    PtwTestAccess::nextCallback(w, r.lastCallback) = r.firstCallback;
+    expectTrips("walk-callback-cycle");
+}
+
+TEST_F(VerifyWalkerTest, StaleCallbackTailTrips)
+{
+    auto &r = request(kInFlight);
+    r.lastCallback = r.firstCallback; // the list goes on past its tail
+    expectTrips("walk-callback-tail");
+}
+
+TEST_F(VerifyWalkerTest, LostCallbackTrips)
+{
+    // Cut the in-flight walk's list after its first node: a consistent
+    // one-node list, and a pooled callback that no walk will ever run.
+    auto &r = request(kInFlight);
+    PtwTestAccess::nextCallback(w, r.firstCallback) = PtwTestAccess::kNone;
+    r.lastCallback = r.firstCallback;
+    expectTrips("walk-callback-leak");
 }
 
 TEST(VerifyViolationTest, MessageCarriesContext)

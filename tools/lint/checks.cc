@@ -565,10 +565,13 @@ class HotPathContainer : public Check
     const char *
     description() const override
     {
-        return "node-based std::map/std::unordered_map/set in hot-path "
-               "directories (src/cache, src/vm, src/mem, src/common): "
-               "a heap node per insert and a pointer chase per lookup; "
-               "use AddrMap (common/addr_map.hh) or a flat vector";
+        return "node-based std::map/std::unordered_map/set or "
+               "std::shared_ptr in hot-path directories (src/cache, "
+               "src/vm, src/mem, src/common): a heap node per insert "
+               "and a pointer chase per lookup, or a control block and "
+               "atomic counts per object; use AddrMap "
+               "(common/addr_map.hh), a flat vector or a slot-addressed "
+               "pool";
     }
 
     void
@@ -584,6 +587,7 @@ class HotPathContainer : public Check
         static const char *const kBanned[] = {
             "unordered_map", "unordered_set", "unordered_multimap",
             "unordered_multiset", "map", "multimap", "multiset",
+            "shared_ptr", "make_shared",
         };
         const auto &toks = f.tokens;
         for (std::size_t i = 1; i < toks.size(); ++i) {
@@ -599,13 +603,21 @@ class HotPathContainer : public Check
                              [&](const char *b) { return t.text == b; }) ==
                 std::end(kBanned))
                 continue;
+            const bool shared =
+                t.text == "shared_ptr" || t.text == "make_shared";
             out.push_back(makeFinding(
                 id(), f, t,
                 "std::" + t.text +
-                    " in a hot-path directory: node allocation + "
-                    "pointer chasing; use AddrMap "
-                    "(common/addr_map.hh), a flat vector, or allow() "
-                    "with a cold-path justification"));
+                    (shared
+                         ? " in a hot-path directory: a control block "
+                           "allocation + atomic reference counts per "
+                           "object; use a slot-addressed pool or "
+                           "unique_ptr, or allow() with a cold-path "
+                           "justification"
+                         : " in a hot-path directory: node allocation + "
+                           "pointer chasing; use AddrMap "
+                           "(common/addr_map.hh), a flat vector, or "
+                           "allow() with a cold-path justification")));
         }
     }
 };
