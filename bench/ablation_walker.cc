@@ -9,64 +9,68 @@
 
 #include <array>
 
-#include "bench_common.hh"
+#include "figures.hh"
 
 using namespace tacbench;
 
-int
-main(int argc, char **argv)
+namespace {
+
+const Benchmark kSubset[] = {Benchmark::mcf, Benchmark::pr, Benchmark::cc};
+
+// --- walker-count sweep ---
+const unsigned kWalkerCounts[] = {1, 2, 4, 8};
+
+const auto walkerKey = [](unsigned walkers, Benchmark b) {
+    return "ablation_walker/walkers" + std::to_string(walkers) + "/" +
+        benchmarkName(b);
+};
+
+// --- PSC sweep: none / Table I / doubled ---
+struct PscCfg
 {
-    const Benchmark subset[] = {Benchmark::mcf, Benchmark::pr,
-                                Benchmark::cc};
+    const char *name;
+    std::array<std::uint32_t, 4> sizes;
+};
 
-    // --- walker-count sweep ---
-    const unsigned walkerCounts[] = {1, 2, 4, 8};
-    auto walkerKey = [](unsigned walkers, Benchmark b) {
-        return "ablation_walker/walkers" + std::to_string(walkers) + "/" +
-            benchmarkName(b);
-    };
-    for (unsigned walkers : walkerCounts) {
-        SystemConfig cfg = baselineConfig();
-        cfg.ptw.maxConcurrentWalks = walkers;
-        for (Benchmark b : subset)
-            registerPoint(walkerKey(walkers, b), cfg, b);
-    }
+const PscCfg kPscs[] = {
+    {"psc=off", {1, 1, 1, 1}}, // 1-entry: effectively useless
+    {"psc=TableI", {32, 8, 4, 2}},
+    {"psc=2x", {64, 16, 8, 4}},
+};
 
-    // --- PSC sweep: none / Table I / doubled ---
-    struct PscCfg
-    {
-        const char *name;
-        std::array<std::uint32_t, 4> sizes;
-    };
-    const PscCfg pscs[] = {
-        {"psc=off", {1, 1, 1, 1}}, // 1-entry: effectively useless
-        {"psc=TableI", {32, 8, 4, 2}},
-        {"psc=2x", {64, 16, 8, 4}},
-    };
-    auto pscKey = [](const PscCfg &p, Benchmark b) {
-        return std::string("ablation_walker/") + p.name + "/" +
-            benchmarkName(b);
-    };
-    for (const PscCfg &p : pscs) {
-        SystemConfig cfg = baselineConfig();
-        cfg.ptw.pscSizes = p.sizes;
-        for (Benchmark b : subset)
-            registerPoint(pscKey(p, b), cfg, b);
-    }
+const auto pscKey = [](const PscCfg &p, Benchmark b) {
+    return std::string("ablation_walker/") + p.name + "/" + benchmarkName(b);
+};
 
-    return benchMain(argc, argv,
-                     "Ablation — page-walker concurrency and PSC sizing",
-                     [&] {
-        for (unsigned walkers : walkerCounts)
-            for (Benchmark b : subset)
-                addRow("walkers=" + std::to_string(walkers),
+} // namespace
+
+const Figure tacbench::ablationWalker{
+    "ablation-walker", "Ablation — page-walker concurrency and PSC sizing",
+    [](SweepRunner &sweep) {
+        for (unsigned walkers : kWalkerCounts) {
+            SystemConfig cfg = baselineConfig();
+            cfg.ptw.maxConcurrentWalks = walkers;
+            for (Benchmark b : kSubset)
+                registerPoint(sweep, walkerKey(walkers, b), cfg, b);
+        }
+        for (const PscCfg &p : kPscs) {
+            SystemConfig cfg = baselineConfig();
+            cfg.ptw.pscSizes = p.sizes;
+            for (Benchmark b : kSubset)
+                registerPoint(sweep, pscKey(p, b), cfg, b);
+        }
+    },
+    [](const SweepRunner &sweep) {
+        Rows rows;
+        for (unsigned walkers : kWalkerCounts)
+            for (Benchmark b : kSubset)
+                addRow(rows, "walkers=" + std::to_string(walkers),
                        benchmarkName(b),
-                       sweep().result(walkerKey(walkers, b)).ipc,
-                       std::nan(""), "IPC");
-        for (const PscCfg &p : pscs)
-            for (Benchmark b : subset)
-                addRow(p.name, benchmarkName(b),
-                       sweep().result(pscKey(p, b)).ipc, std::nan(""),
+                       sweep.result(walkerKey(walkers, b)).ipc, std::nan(""),
                        "IPC");
-    });
-}
+        for (const PscCfg &p : kPscs)
+            for (Benchmark b : kSubset)
+                addRow(rows, p.name, benchmarkName(b),
+                       sweep.result(pscKey(p, b)).ipc, std::nan(""), "IPC");
+        return rows;
+    }};

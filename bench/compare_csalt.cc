@@ -8,65 +8,63 @@
  * are larger (corroborating the CSALT paper).
  */
 
-#include "bench_common.hh"
+#include "figures.hh"
 
 using namespace tacbench;
 
-int
-main(int argc, char **argv)
-{
-    const Benchmark subset[] = {Benchmark::canneal, Benchmark::mcf,
-                                Benchmark::cc, Benchmark::pr,
-                                Benchmark::xalancbmk};
+const Benchmark kSubset[] = {Benchmark::canneal, Benchmark::mcf,
+                             Benchmark::cc, Benchmark::pr,
+                             Benchmark::xalancbmk};
 
-    // CSALT on the strong (DRRIP+SHiP) baseline.
-    SystemConfig cs = baselineConfig();
-    cs.llcCsalt = true;
-    // CSALT over a weak LRU baseline (the CSALT paper's own setting,
-    // corroborated by §V-B).
-    SystemConfig lru = baselineConfig();
-    lru.l2Policy = PolicyKind::LRU;
-    lru.llcPolicy = PolicyKind::LRU;
-    SystemConfig lruCs = lru;
-    lruCs.llcCsalt = true;
+const Figure tacbench::csalt{
+    "csalt", "§V-B — comparison with CSALT partitioning",
+    [](SweepRunner &sweep) {
+        // CSALT on the strong (DRRIP+SHiP) baseline.
+        SystemConfig cs = baselineConfig();
+        cs.llcCsalt = true;
+        // CSALT over a weak LRU baseline (the CSALT paper's own setting,
+        // corroborated by §V-B).
+        SystemConfig lru = baselineConfig();
+        lru.l2Policy = PolicyKind::LRU;
+        lru.llcPolicy = PolicyKind::LRU;
+        SystemConfig lruCs = lru;
+        lruCs.llcCsalt = true;
 
-    for (Benchmark b : subset) {
-        const std::string name = benchmarkName(b);
-        registerPoint("base/" + name, baselineConfig(), b);
-        registerPoint("csalt/" + name, cs, b);
-        registerPoint("lru/" + name, lru, b);
-        registerPoint("lru-csalt/" + name, lruCs, b);
-        registerPoint("prop/" + name, proposedConfig(), b);
-    }
-
-    return benchMain(argc, argv,
-                     "§V-B — comparison with CSALT partitioning", [&] {
-        std::vector<double> csaltOverStrong, csaltOverLru, propGain;
-        for (Benchmark b : subset) {
+        for (Benchmark b : kSubset) {
             const std::string name = benchmarkName(b);
-            const RunResult &base = sweep().result("base/" + name);
-            const double sStrong =
-                speedup(base, sweep().result("csalt/" + name));
-            const double sLru = speedup(sweep().result("lru/" + name),
-                                        sweep().result("lru-csalt/" + name));
-            const double sProp =
-                speedup(base, sweep().result("prop/" + name));
-            addRow("CSALT over strong base", name, (sStrong - 1) * 100,
+            registerPoint(sweep, "base/" + name, baselineConfig(), b);
+            registerPoint(sweep, "csalt/" + name, cs, b);
+            registerPoint(sweep, "lru/" + name, lru, b);
+            registerPoint(sweep, "lru-csalt/" + name, lruCs, b);
+            registerPoint(sweep, "prop/" + name, proposedConfig(), b);
+        }
+    },
+    [](const SweepRunner &sweep) {
+        Rows rows;
+        std::vector<double> csaltOverStrong, csaltOverLru, propGain;
+        for (Benchmark b : kSubset) {
+            const std::string name = benchmarkName(b);
+            const RunResult &base = sweep.result("base/" + name);
+            const double sStrong = speedup(base, sweep.result("csalt/" + name));
+            const double sLru = speedup(sweep.result("lru/" + name),
+                                        sweep.result("lru-csalt/" + name));
+            const double sProp = speedup(base, sweep.result("prop/" + name));
+            addRow(rows, "CSALT over strong base", name, (sStrong - 1) * 100,
                    std::nan(""), "%");
-            addRow("CSALT over LRU base", name, (sLru - 1) * 100,
+            addRow(rows, "CSALT over LRU base", name, (sLru - 1) * 100,
                    std::nan(""), "%");
-            addRow("proposal over strong base", name, (sProp - 1) * 100,
+            addRow(rows, "proposal over strong base", name, (sProp - 1) * 100,
                    std::nan(""), "%");
             csaltOverStrong.push_back(sStrong);
             csaltOverLru.push_back(sLru);
             propGain.push_back(sProp);
         }
-        addRow("CSALT over strong base", "geomean",
+        addRow(rows, "CSALT over strong base", "geomean",
                (geomean(csaltOverStrong) - 1) * 100, 1.0, "%");
-        addRow("CSALT over LRU base", "geomean",
+        addRow(rows, "CSALT over LRU base", "geomean",
                (geomean(csaltOverLru) - 1) * 100, std::nan(""),
                "% (paper: larger than strong)");
-        addRow("proposal over strong base", "geomean",
+        addRow(rows, "proposal over strong base", "geomean",
                (geomean(propGain) - 1) * 100, 5.1, "%");
-    });
-}
+        return rows;
+    }};

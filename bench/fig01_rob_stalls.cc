@@ -11,28 +11,28 @@
 
 #include <algorithm>
 
-#include "bench_common.hh"
+#include "figures.hh"
 
 using namespace tacbench;
 
-int
-main(int argc, char **argv)
-{
-    for (Benchmark b : kAllBenchmarks)
-        registerPoint("base/" + benchmarkName(b), baselineConfig(), b);
-
-    return benchMain(argc, argv,
-                     "Fig. 1 — ROB-head stall cycles (T / R / non-replay)",
-                     [] {
+const Figure tacbench::fig01{
+    "fig01", "Fig. 1 — ROB-head stall cycles (T / R / non-replay)",
+    [](SweepRunner &sweep) {
+        for (Benchmark b : kAllBenchmarks)
+            registerPoint(sweep, "base/" + benchmarkName(b), baselineConfig(),
+                          b);
+    },
+    [](const SweepRunner &sweep) {
+        Rows rows;
         std::vector<double> avgT, avgR, avgN;
         for (Benchmark b : kAllBenchmarks) {
             const std::string name = benchmarkName(b);
-            const RunResult &r = sweep().result("base/" + name);
-            addRow("T-stall avg", name, r.avgStallPerWalk, std::nan(""),
+            const RunResult &r = sweep.result("base/" + name);
+            addRow(rows, "T-stall avg", name, r.avgStallPerWalk, std::nan(""),
                    "cycles");
-            addRow("R-stall avg", name, r.avgStallPerReplay, std::nan(""),
-                   "cycles");
-            addRow("NonReplay-stall avg", name, r.avgStallPerNonReplay,
+            addRow(rows, "R-stall avg", name, r.avgStallPerReplay,
+                   std::nan(""), "cycles");
+            addRow(rows, "NonReplay-stall avg", name, r.avgStallPerNonReplay,
                    std::nan(""), "cycles");
             avgT.push_back(r.avgStallPerWalk);
             avgR.push_back(r.avgStallPerReplay);
@@ -44,10 +44,10 @@ main(int argc, char **argv)
                 m = std::max(m, x);
             return m;
         };
-        addRow("T-stall", "suite avg", mean(avgT), 33, "cycles");
-        addRow("T-stall", "suite max", vmax(avgT), 54, "cycles");
-        addRow("R-stall", "suite avg", mean(avgR), 191, "cycles");
-        addRow("R-stall", "suite max", vmax(avgR), 226, "cycles");
-        addRow("NonReplay-stall", "suite avg", mean(avgN), 47, "cycles");
-    });
-}
+        addRow(rows, "T-stall", "suite avg", mean(avgT), 33, "cycles");
+        addRow(rows, "T-stall", "suite max", vmax(avgT), 54, "cycles");
+        addRow(rows, "R-stall", "suite avg", mean(avgR), 191, "cycles");
+        addRow(rows, "R-stall", "suite max", vmax(avgR), 226, "cycles");
+        addRow(rows, "NonReplay-stall", "suite avg", mean(avgN), 47, "cycles");
+        return rows;
+    }};

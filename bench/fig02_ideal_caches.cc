@@ -10,7 +10,7 @@
  * ideal L2C for R only = +30.2%.
  */
 
-#include "bench_common.hh"
+#include "figures.hh"
 
 using namespace tacbench;
 
@@ -44,42 +44,44 @@ const Variant kVariants[] = {
      }},
 };
 
+// A memory-intensive subset keeps the figure fast; the suite-average
+// rows are computed over it.
+const Benchmark kSubset[] = {Benchmark::canneal, Benchmark::mcf,
+                             Benchmark::cc, Benchmark::pr,
+                             Benchmark::radii};
+
+const auto key = [](const Variant &v, Benchmark b) {
+    return std::string("fig02/") + v.name + "/" + benchmarkName(b);
+};
+
 } // namespace
 
-int
-main(int argc, char **argv)
-{
-    // A memory-intensive subset keeps the binary fast; the suite-average
-    // rows are computed over it.
-    const Benchmark subset[] = {Benchmark::canneal, Benchmark::mcf,
-                                Benchmark::cc, Benchmark::pr,
-                                Benchmark::radii};
-
-    auto key = [](const Variant &v, Benchmark b) {
-        return std::string("fig02/") + v.name + "/" + benchmarkName(b);
-    };
-    for (const Variant &v : kVariants) {
-        SystemConfig cfg = baselineConfig();
-        v.apply(cfg);
-        for (Benchmark b : subset) {
-            registerPoint("base/" + benchmarkName(b), baselineConfig(), b);
-            registerPoint(key(v, b), cfg, b);
+const Figure tacbench::fig02{
+    "fig02", "Fig. 2 — speedup with ideal L2C/LLC for T/R/TR",
+    [](SweepRunner &sweep) {
+        for (const Variant &v : kVariants) {
+            SystemConfig cfg = baselineConfig();
+            v.apply(cfg);
+            for (Benchmark b : kSubset) {
+                registerPoint(sweep, "base/" + benchmarkName(b),
+                              baselineConfig(), b);
+                registerPoint(sweep, key(v, b), cfg, b);
+            }
         }
-    }
-
-    return benchMain(argc, argv,
-                     "Fig. 2 — speedup with ideal L2C/LLC for T/R/TR", [&] {
+    },
+    [](const SweepRunner &sweep) {
+        Rows rows;
         for (const Variant &v : kVariants) {
             std::vector<double> speedups;
-            for (Benchmark b : subset) {
+            for (Benchmark b : kSubset) {
                 const std::string name = benchmarkName(b);
-                const double s = speedup(sweep().result("base/" + name),
-                                         sweep().result(key(v, b)));
-                addRow(v.name, name, (s - 1) * 100, std::nan(""), "%");
+                const double s = speedup(sweep.result("base/" + name),
+                                         sweep.result(key(v, b)));
+                addRow(rows, v.name, name, (s - 1) * 100, std::nan(""), "%");
                 speedups.push_back(s);
             }
-            addRow(v.name, "geomean", (geomean(speedups) - 1) * 100,
+            addRow(rows, v.name, "geomean", (geomean(speedups) - 1) * 100,
                    v.paperAvg, "%");
         }
-    });
-}
+        return rows;
+    }};

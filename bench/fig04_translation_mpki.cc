@@ -9,37 +9,38 @@
 
 #include <map>
 
-#include "bench_common.hh"
+#include "figures.hh"
 
 using namespace tacbench;
 
-int
-main(int argc, char **argv)
-{
-    const std::pair<const char *, PolicyKind> policies[] = {
-        {"LRU", PolicyKind::LRU},       {"SRRIP", PolicyKind::SRRIP},
-        {"DRRIP", PolicyKind::DRRIP},   {"SHiP", PolicyKind::SHiP},
-        {"Hawkeye", PolicyKind::Hawkeye},
-    };
+const std::pair<const char *, PolicyKind> kPolicies[] = {
+    {"LRU", PolicyKind::LRU},       {"SRRIP", PolicyKind::SRRIP},
+    {"DRRIP", PolicyKind::DRRIP},   {"SHiP", PolicyKind::SHiP},
+    {"Hawkeye", PolicyKind::Hawkeye},
+};
 
-    auto key = [](const char *pname, Benchmark b) {
-        return std::string("fig04/") + pname + "/" + benchmarkName(b);
-    };
-    for (auto [pname, kind] : policies) {
-        SystemConfig cfg = baselineConfig();
-        cfg.llcPolicy = kind;
-        for (Benchmark b : kAllBenchmarks)
-            registerPoint(key(pname, b), cfg, b);
-    }
+const auto key = [](const char *pname, Benchmark b) {
+    return std::string("fig04/") + pname + "/" + benchmarkName(b);
+};
 
-    return benchMain(argc, argv,
-                     "Fig. 4 — leaf-translation MPKI at LLC by policy", [&] {
+const Figure tacbench::fig04{
+    "fig04", "Fig. 4 — leaf-translation MPKI at LLC by policy",
+    [](SweepRunner &sweep) {
+        for (auto [pname, kind] : kPolicies) {
+            SystemConfig cfg = baselineConfig();
+            cfg.llcPolicy = kind;
+            for (Benchmark b : kAllBenchmarks)
+                registerPoint(sweep, key(pname, b), cfg, b);
+        }
+    },
+    [](const SweepRunner &sweep) {
+        Rows rows;
         std::map<std::string, std::vector<double>> series;
-        for (auto [pname, kind] : policies) {
+        for (auto [pname, kind] : kPolicies) {
             for (Benchmark b : kAllBenchmarks) {
-                const RunResult &r = sweep().result(key(pname, b));
-                addRow(pname, benchmarkName(b), r.llcPtl1Mpki, std::nan(""),
-                       "MPKI");
+                const RunResult &r = sweep.result(key(pname, b));
+                addRow(rows, pname, benchmarkName(b), r.llcPtl1Mpki,
+                       std::nan(""), "MPKI");
                 series[pname].push_back(r.llcPtl1Mpki);
             }
         }
@@ -48,12 +49,12 @@ main(int argc, char **argv)
             {"SRRIP", -14.72}, {"DRRIP", -27.45}, {"SHiP", -33.3},
             {"Hawkeye", +44.1},
         };
-        addRow("LRU", "suite avg MPKI", lru, std::nan(""), "MPKI");
+        addRow(rows, "LRU", "suite avg MPKI", lru, std::nan(""), "MPKI");
         for (auto d : deltas) {
             const double pct =
                 lru > 0 ? (mean(series[d.n]) / lru - 1) * 100 : 0.0;
-            addRow(std::string(d.n) + " vs LRU", "suite avg", pct,
+            addRow(rows, std::string(d.n) + " vs LRU", "suite avg", pct,
                    d.paper, "%");
         }
-    });
-}
+        return rows;
+    }};

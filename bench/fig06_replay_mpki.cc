@@ -10,43 +10,43 @@
 
 #include <map>
 
-#include "bench_common.hh"
+#include "figures.hh"
 
 using namespace tacbench;
 
-int
-main(int argc, char **argv)
-{
-    const std::pair<const char *, PolicyKind> policies[] = {
-        {"LRU", PolicyKind::LRU},       {"SRRIP", PolicyKind::SRRIP},
-        {"DRRIP", PolicyKind::DRRIP},   {"SHiP", PolicyKind::SHiP},
-        {"Hawkeye", PolicyKind::Hawkeye},
-    };
+const std::pair<const char *, PolicyKind> kPolicies[] = {
+    {"LRU", PolicyKind::LRU},       {"SRRIP", PolicyKind::SRRIP},
+    {"DRRIP", PolicyKind::DRRIP},   {"SHiP", PolicyKind::SHiP},
+    {"Hawkeye", PolicyKind::Hawkeye},
+};
 
-    auto key = [](const char *pname, Benchmark b) {
-        return std::string("fig06/") + pname + "/" + benchmarkName(b);
-    };
-    for (auto [pname, kind] : policies) {
-        SystemConfig cfg = baselineConfig();
-        cfg.llcPolicy = kind;
-        for (Benchmark b : kAllBenchmarks)
-            registerPoint(key(pname, b), cfg, b);
-    }
+const auto key = [](const char *pname, Benchmark b) {
+    return std::string("fig06/") + pname + "/" + benchmarkName(b);
+};
 
-    return benchMain(argc, argv,
-                     "Fig. 6 — replay MPKI at LLC by replacement policy",
-                     [&] {
+const Figure tacbench::fig06{
+    "fig06", "Fig. 6 — replay MPKI at LLC by replacement policy",
+    [](SweepRunner &sweep) {
+        for (auto [pname, kind] : kPolicies) {
+            SystemConfig cfg = baselineConfig();
+            cfg.llcPolicy = kind;
+            for (Benchmark b : kAllBenchmarks)
+                registerPoint(sweep, key(pname, b), cfg, b);
+        }
+    },
+    [](const SweepRunner &sweep) {
+        Rows rows;
         std::map<std::string, std::vector<double>> series;
-        for (auto [pname, kind] : policies) {
+        for (auto [pname, kind] : kPolicies) {
             for (Benchmark b : kAllBenchmarks) {
-                const RunResult &r = sweep().result(key(pname, b));
-                addRow(pname, benchmarkName(b), r.llcReplayMpki,
+                const RunResult &r = sweep.result(key(pname, b));
+                addRow(rows, pname, benchmarkName(b), r.llcReplayMpki,
                        std::nan(""), "MPKI");
                 series[pname].push_back(r.llcReplayMpki);
             }
         }
         for (auto &kv : series)
-            addRow(kv.first, "suite avg", mean(kv.second), std::nan(""),
+            addRow(rows, kv.first, "suite avg", mean(kv.second), std::nan(""),
                    "MPKI (policy-invariant per paper)");
-    });
-}
+        return rows;
+    }};

@@ -11,49 +11,55 @@
 
 #include <map>
 
-#include "bench_common.hh"
+#include "figures.hh"
 
 using namespace tacbench;
 
-int
-main(int argc, char **argv)
+namespace {
+
+struct Pf
 {
-    struct Pf
-    {
-        const char *name;
-        PrefetcherKind l1;
-        PrefetcherKind l2;
-    };
-    const Pf pfs[] = {
-        {"no-prefetch", PrefetcherKind::None, PrefetcherKind::None},
-        {"IPCP", PrefetcherKind::Ipcp, PrefetcherKind::None},
-        {"SPP", PrefetcherKind::None, PrefetcherKind::Spp},
-        {"Bingo", PrefetcherKind::None, PrefetcherKind::Bingo},
-        {"ISB", PrefetcherKind::None, PrefetcherKind::Isb},
-    };
+    const char *name;
+    PrefetcherKind l1;
+    PrefetcherKind l2;
+};
 
-    const Benchmark subset[] = {Benchmark::xalancbmk, Benchmark::mcf,
-                                Benchmark::canneal, Benchmark::cc,
-                                Benchmark::pr, Benchmark::bf};
+const Pf kPfs[] = {
+    {"no-prefetch", PrefetcherKind::None, PrefetcherKind::None},
+    {"IPCP", PrefetcherKind::Ipcp, PrefetcherKind::None},
+    {"SPP", PrefetcherKind::None, PrefetcherKind::Spp},
+    {"Bingo", PrefetcherKind::None, PrefetcherKind::Bingo},
+    {"ISB", PrefetcherKind::None, PrefetcherKind::Isb},
+};
 
-    auto key = [](const Pf &p, Benchmark b) {
-        return std::string("fig08/") + p.name + "/" + benchmarkName(b);
-    };
-    for (const Pf &p : pfs) {
-        SystemConfig cfg = baselineConfig();
-        cfg.l1Prefetcher = p.l1;
-        cfg.l2Prefetcher = p.l2;
-        for (Benchmark b : subset)
-            registerPoint(key(p, b), cfg, b);
-    }
+const Benchmark kSubset[] = {Benchmark::xalancbmk, Benchmark::mcf,
+                             Benchmark::canneal, Benchmark::cc,
+                             Benchmark::pr, Benchmark::bf};
 
-    return benchMain(argc, argv,
-                     "Fig. 8 — LLC replay MPKI with prefetchers", [&] {
+const auto key = [](const Pf &p, Benchmark b) {
+    return std::string("fig08/") + p.name + "/" + benchmarkName(b);
+};
+
+} // namespace
+
+const Figure tacbench::fig08{
+    "fig08", "Fig. 8 — LLC replay MPKI with prefetchers",
+    [](SweepRunner &sweep) {
+        for (const Pf &p : kPfs) {
+            SystemConfig cfg = baselineConfig();
+            cfg.l1Prefetcher = p.l1;
+            cfg.l2Prefetcher = p.l2;
+            for (Benchmark b : kSubset)
+                registerPoint(sweep, key(p, b), cfg, b);
+        }
+    },
+    [](const SweepRunner &sweep) {
+        Rows rows;
         std::map<std::string, std::vector<double>> series;
-        for (const Pf &p : pfs) {
-            for (Benchmark b : subset) {
-                const RunResult &r = sweep().result(key(p, b));
-                addRow(p.name, benchmarkName(b), r.llcReplayMpki,
+        for (const Pf &p : kPfs) {
+            for (Benchmark b : kSubset) {
+                const RunResult &r = sweep.result(key(p, b));
+                addRow(rows, p.name, benchmarkName(b), r.llcReplayMpki,
                        std::nan(""), "MPKI");
                 series[p.name].push_back(r.llcReplayMpki);
             }
@@ -65,10 +71,10 @@ main(int argc, char **argv)
                                 ? 0.0
                                 : (mean(kv.second) / base - 1) * 100)
                          : 0.0;
-            addRow(kv.first, "replay MPKI vs none", delta,
+            addRow(rows, kv.first, "replay MPKI vs none", delta,
                    kv.first == std::string("no-prefetch") ? 0.0
                                                           : std::nan(""),
                    "%");
         }
-    });
-}
+        return rows;
+    }};

@@ -8,12 +8,10 @@
  * Compares, against the plain baseline: (a) the correct T-DRRIP/T-SHiP
  * insertion (translations 0, replays evict-fast) and (b) the ablated
  * RRPV0-for-both variant. The paper reports (b) losing performance.
- *
- * The 18 points (6 benchmarks x {base, correct, ablated}) are registered
- * up front and executed by the parallel sweep runner.
+ * 18 points: 6 benchmarks x {base, correct, ablated}.
  */
 
-#include "bench_common.hh"
+#include "figures.hh"
 
 using namespace tacbench;
 
@@ -40,43 +38,42 @@ ablatedConfig()
     return cfg;
 }
 
+const Benchmark kSubset[] = {Benchmark::canneal, Benchmark::mcf,
+                             Benchmark::cc, Benchmark::pr,
+                             Benchmark::radii, Benchmark::bf};
+
 } // namespace
 
-int
-main(int argc, char **argv)
-{
-    const Benchmark subset[] = {Benchmark::canneal, Benchmark::mcf,
-                                Benchmark::cc, Benchmark::pr,
-                                Benchmark::radii, Benchmark::bf};
-
-    for (Benchmark b : subset) {
-        const std::string name = benchmarkName(b);
-        registerPoint("base/" + name, baselineConfig(), b);
-        registerPoint("fig10/T/" + name, correctConfig(), b);
-        registerPoint("fig10/ablate/" + name, ablatedConfig(), b);
-    }
-
-    return benchMain(argc, argv,
-                     "Fig. 10 — RRPV=0 insertion for replays (ablation)",
-                     [&] {
-        std::vector<double> good, bad;
-        for (Benchmark b : subset) {
+const Figure tacbench::fig10{
+    "fig10", "Fig. 10 — RRPV=0 insertion for replays (ablation)",
+    [](SweepRunner &sweep) {
+        for (Benchmark b : kSubset) {
             const std::string name = benchmarkName(b);
-            const RunResult &base = sweep().result("base/" + name);
-            const RunResult &tRes = sweep().result("fig10/T/" + name);
-            const RunResult &aRes = sweep().result("fig10/ablate/" + name);
+            registerPoint(sweep, "base/" + name, baselineConfig(), b);
+            registerPoint(sweep, "fig10/T/" + name, correctConfig(), b);
+            registerPoint(sweep, "fig10/ablate/" + name, ablatedConfig(), b);
+        }
+    },
+    [](const SweepRunner &sweep) {
+        Rows rows;
+        std::vector<double> good, bad;
+        for (Benchmark b : kSubset) {
+            const std::string name = benchmarkName(b);
+            const RunResult &base = sweep.result("base/" + name);
+            const RunResult &tRes = sweep.result("fig10/T/" + name);
+            const RunResult &aRes = sweep.result("fig10/ablate/" + name);
             const double sGood = (speedup(base, tRes) - 1) * 100;
             const double sBad = (speedup(base, aRes) - 1) * 100;
-            addRow("T-insertion (correct)", name, sGood, std::nan(""),
+            addRow(rows, "T-insertion (correct)", name, sGood, std::nan(""),
                    "%");
-            addRow("RRPV0-for-replays (ablated)", name, sBad,
+            addRow(rows, "RRPV0-for-replays (ablated)", name, sBad,
                    std::nan(""), "%");
             good.push_back(sGood);
             bad.push_back(sBad);
         }
-        addRow("T-insertion (correct)", "suite avg", mean(good),
+        addRow(rows, "T-insertion (correct)", "suite avg", mean(good),
                std::nan(""), "% (paper: positive)");
-        addRow("RRPV0-for-replays (ablated)", "suite avg", mean(bad),
+        addRow(rows, "RRPV0-for-replays (ablated)", "suite avg", mean(bad),
                std::nan(""), "% (paper: degradation vs correct)");
-    });
-}
+        return rows;
+    }};

@@ -11,60 +11,64 @@
 
 #include <map>
 
-#include "bench_common.hh"
+#include "figures.hh"
 
 using namespace tacbench;
 
-int
-main(int argc, char **argv)
+namespace {
+
+struct Variant
 {
-    struct Variant
-    {
-        const char *name;
-        PolicyKind kind;
-        bool newSig;
-        bool tr0;
-    };
-    const Variant variants[] = {
-        {"SHiP", PolicyKind::SHiP, false, false},
-        {"SHiP+NewSign", PolicyKind::SHiP, true, false},
-        {"T-SHiP", PolicyKind::SHiP, true, true},
-        {"Hawkeye", PolicyKind::Hawkeye, false, false},
-        {"Hawkeye+NewSign", PolicyKind::Hawkeye, true, false},
-        {"T-Hawkeye", PolicyKind::Hawkeye, true, true},
-    };
+    const char *name;
+    PolicyKind kind;
+    bool newSig;
+    bool tr0;
+};
 
-    const Benchmark subset[] = {Benchmark::canneal, Benchmark::mcf,
-                                Benchmark::cc, Benchmark::pr,
-                                Benchmark::radii, Benchmark::tc};
+const Variant kVariants[] = {
+    {"SHiP", PolicyKind::SHiP, false, false},
+    {"SHiP+NewSign", PolicyKind::SHiP, true, false},
+    {"T-SHiP", PolicyKind::SHiP, true, true},
+    {"Hawkeye", PolicyKind::Hawkeye, false, false},
+    {"Hawkeye+NewSign", PolicyKind::Hawkeye, true, false},
+    {"T-Hawkeye", PolicyKind::Hawkeye, true, true},
+};
 
-    auto key = [](const Variant &v, Benchmark b) {
-        return std::string("fig12/") + v.name + "/" + benchmarkName(b);
-    };
-    for (const Variant &v : variants) {
-        SystemConfig cfg = baselineConfig();
-        cfg.llcPolicy = v.kind;
-        cfg.llcOpts.newSignatures = v.newSig;
-        cfg.llcOpts.translationRrpv0 = v.tr0;
-        for (Benchmark b : subset)
-            registerPoint(key(v, b), cfg, b);
-    }
+const Benchmark kSubset[] = {Benchmark::canneal, Benchmark::mcf,
+                             Benchmark::cc, Benchmark::pr,
+                             Benchmark::radii, Benchmark::tc};
 
-    return benchMain(
-        argc, argv,
-        "Fig. 12 — LLC translation MPKI: signatures and T-insertion", [&] {
-            std::map<std::string, std::vector<double>> series;
-            for (const Variant &v : variants) {
-                for (Benchmark b : subset) {
-                    const RunResult &r = sweep().result(key(v, b));
-                    addRow(v.name, benchmarkName(b), r.llcPtl1Mpki,
-                           std::nan(""), "MPKI");
-                    series[v.name].push_back(r.llcPtl1Mpki);
-                }
+const auto key = [](const Variant &v, Benchmark b) {
+    return std::string("fig12/") + v.name + "/" + benchmarkName(b);
+};
+
+} // namespace
+
+const Figure tacbench::fig12{
+    "fig12", "Fig. 12 — LLC translation MPKI: signatures and T-insertion",
+    [](SweepRunner &sweep) {
+        for (const Variant &v : kVariants) {
+            SystemConfig cfg = baselineConfig();
+            cfg.llcPolicy = v.kind;
+            cfg.llcOpts.newSignatures = v.newSig;
+            cfg.llcOpts.translationRrpv0 = v.tr0;
+            for (Benchmark b : kSubset)
+                registerPoint(sweep, key(v, b), cfg, b);
+        }
+    },
+    [](const SweepRunner &sweep) {
+        Rows rows;
+        std::map<std::string, std::vector<double>> series;
+        for (const Variant &v : kVariants) {
+            for (Benchmark b : kSubset) {
+                const RunResult &r = sweep.result(key(v, b));
+                addRow(rows, v.name, benchmarkName(b), r.llcPtl1Mpki,
+                       std::nan(""), "MPKI");
+                series[v.name].push_back(r.llcPtl1Mpki);
             }
-            for (auto &kv : series)
-                addRow(kv.first, "suite avg", mean(kv.second),
-                       std::nan(""),
-                       "MPKI (paper: SHiP > NewSign > T-SHiP)");
-        });
-}
+        }
+        for (auto &kv : series)
+            addRow(rows, kv.first, "suite avg", mean(kv.second), std::nan(""),
+                   "MPKI (paper: SHiP > NewSign > T-SHiP)");
+        return rows;
+    }};

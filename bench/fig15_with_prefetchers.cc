@@ -11,61 +11,66 @@
 
 #include <map>
 
-#include "bench_common.hh"
+#include "figures.hh"
 
 using namespace tacbench;
 
-int
-main(int argc, char **argv)
+namespace {
+
+struct Pf
 {
-    struct Pf
-    {
-        const char *name;
-        PrefetcherKind l1;
-        PrefetcherKind l2;
-        double paperAvg;
-    };
-    const Pf pfs[] = {
-        {"IPCP", PrefetcherKind::Ipcp, PrefetcherKind::None, 11.2},
-        {"Bingo", PrefetcherKind::None, PrefetcherKind::Bingo, 7.5},
-        {"SPP", PrefetcherKind::None, PrefetcherKind::Spp, 6.4},
-        {"ISB", PrefetcherKind::None, PrefetcherKind::Isb, 7.2},
-    };
+    const char *name;
+    PrefetcherKind l1;
+    PrefetcherKind l2;
+    double paperAvg;
+};
 
-    const Benchmark subset[] = {Benchmark::xalancbmk, Benchmark::canneal,
-                                Benchmark::mcf, Benchmark::cc,
-                                Benchmark::pr, Benchmark::radii};
+const Pf kPfs[] = {
+    {"IPCP", PrefetcherKind::Ipcp, PrefetcherKind::None, 11.2},
+    {"Bingo", PrefetcherKind::None, PrefetcherKind::Bingo, 7.5},
+    {"SPP", PrefetcherKind::None, PrefetcherKind::Spp, 6.4},
+    {"ISB", PrefetcherKind::None, PrefetcherKind::Isb, 7.2},
+};
 
-    auto key = [](const Pf &p, Benchmark b) {
-        return std::string("fig15/") + p.name + "/" + benchmarkName(b);
-    };
-    for (const Pf &p : pfs) {
-        SystemConfig base = baselineConfig();
-        base.l1Prefetcher = p.l1;
-        base.l2Prefetcher = p.l2;
-        for (Benchmark b : subset) {
-            registerPoint(key(p, b) + "/base", base, b);
-            registerPoint(key(p, b) + "/proposed", proposedConfig(base), b);
-        }
-    }
+const Benchmark kSubset[] = {Benchmark::xalancbmk, Benchmark::canneal,
+                             Benchmark::mcf, Benchmark::cc,
+                             Benchmark::pr, Benchmark::radii};
 
-    return benchMain(
-        argc, argv, "Fig. 15 — proposal speedup on prefetching baselines",
-        [&] {
-            std::map<std::string, std::vector<double>> series;
-            for (const Pf &p : pfs) {
-                for (Benchmark b : subset) {
-                    const double sp =
-                        speedup(sweep().result(key(p, b) + "/base"),
-                                sweep().result(key(p, b) + "/proposed"));
-                    addRow(p.name, benchmarkName(b), (sp - 1) * 100,
-                           std::nan(""), "%");
-                    series[p.name].push_back(sp);
-                }
+const auto key = [](const Pf &p, Benchmark b) {
+    return std::string("fig15/") + p.name + "/" + benchmarkName(b);
+};
+
+} // namespace
+
+const Figure tacbench::fig15{
+    "fig15", "Fig. 15 — proposal speedup on prefetching baselines",
+    [](SweepRunner &sweep) {
+        for (const Pf &p : kPfs) {
+            SystemConfig base = baselineConfig();
+            base.l1Prefetcher = p.l1;
+            base.l2Prefetcher = p.l2;
+            for (Benchmark b : kSubset) {
+                registerPoint(sweep, key(p, b) + "/base", base, b);
+                registerPoint(sweep, key(p, b) + "/proposed",
+                              proposedConfig(base), b);
             }
-            for (const Pf &p : pfs)
-                addRow(p.name, "geomean",
-                       (geomean(series[p.name]) - 1) * 100, p.paperAvg,
-                       "%");
-        });
-}
+        }
+    },
+    [](const SweepRunner &sweep) {
+        Rows rows;
+        std::map<std::string, std::vector<double>> series;
+        for (const Pf &p : kPfs) {
+            for (Benchmark b : kSubset) {
+                const double sp =
+                    speedup(sweep.result(key(p, b) + "/base"),
+                            sweep.result(key(p, b) + "/proposed"));
+                addRow(rows, p.name, benchmarkName(b), (sp - 1) * 100,
+                       std::nan(""), "%");
+                series[p.name].push_back(sp);
+            }
+        }
+        for (const Pf &p : kPfs)
+            addRow(rows, p.name, "geomean",
+                   (geomean(series[p.name]) - 1) * 100, p.paperAvg, "%");
+        return rows;
+    }};

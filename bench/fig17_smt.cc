@@ -6,10 +6,8 @@
  *
  * The mix table is generated combinatorially: all 45 unordered pairs
  * (including self-pairs) of the 9-benchmark suite, on the baseline
- * machine with threadsPerCore = 2. Solo references and both mix
- * policies are all registered up front and executed by the parallel
- * sweep runner; the pairs the paper reports carry its reference
- * numbers.
+ * machine with threadsPerCore = 2. The pairs the paper reports carry
+ * its reference numbers.
  *
  * Paper reference points: suite average +6.3%, max +12.6% (pr-cc);
  * radii-bf +6.5%, tc-pr +11.1%, canneal-xalancbmk +3.5%,
@@ -19,7 +17,7 @@
 #include <map>
 #include <utility>
 
-#include "bench_common.hh"
+#include "figures.hh"
 
 using namespace tacbench;
 
@@ -46,54 +44,55 @@ paperGain(B t0, B t1)
     return it == known.end() ? std::nan("") : it->second;
 }
 
+const auto pairName = [](B t0, B t1) {
+    return benchmarkName(t0) + "-" + benchmarkName(t1);
+};
+
 } // namespace
 
-int
-main(int argc, char **argv)
-{
-    SystemConfig smtBase = baselineConfig();
-    smtBase.threadsPerCore = 2;
-    const SystemConfig smtEnh = proposedConfig(smtBase);
+const Figure tacbench::fig17{
+    "fig17", "Fig. 17 — 2-way SMT speedup, all 45 pairs",
+    [](SweepRunner &sweep) {
+        // 9 solos (baseline, for the harmonic denominator) plus both
+        // policies for each of the 45 unordered pairs: 99 points.
+        SystemConfig smtBase = baselineConfig();
+        smtBase.threadsPerCore = 2;
+        const SystemConfig smtEnh = proposedConfig(smtBase);
 
-    // 9 solos (baseline, for the harmonic denominator) plus both
-    // policies for each of the 45 unordered pairs: 99 points.
-    auto pairName = [](B t0, B t1) {
-        return benchmarkName(t0) + "-" + benchmarkName(t1);
-    };
-    for (B b : kAllBenchmarks)
-        registerPoint("base/" + benchmarkName(b), baselineConfig(), b);
-    for (std::size_t i = 0; i < kAllBenchmarks.size(); ++i) {
-        for (std::size_t j = i; j < kAllBenchmarks.size(); ++j) {
-            const B t0 = kAllBenchmarks[i], t1 = kAllBenchmarks[j];
-            registerMixPoint("smt/base/" + pairName(t0, t1), smtBase,
-                             {t0, t1});
-            registerMixPoint("smt/enh/" + pairName(t0, t1), smtEnh,
-                             {t0, t1});
+        for (B b : kAllBenchmarks)
+            registerPoint(sweep, "base/" + benchmarkName(b), baselineConfig(),
+                          b);
+        for (std::size_t i = 0; i < kAllBenchmarks.size(); ++i) {
+            for (std::size_t j = i; j < kAllBenchmarks.size(); ++j) {
+                const B t0 = kAllBenchmarks[i], t1 = kAllBenchmarks[j];
+                registerMixPoint(sweep, "smt/base/" + pairName(t0, t1),
+                                 smtBase, {t0, t1});
+                registerMixPoint(sweep, "smt/enh/" + pairName(t0, t1), smtEnh,
+                                 {t0, t1});
+            }
         }
-    }
-
-    return benchMain(argc, argv,
-                     "Fig. 17 — 2-way SMT speedup, all 45 pairs", [&] {
+    },
+    [](const SweepRunner &sweep) {
+        Rows rows;
         std::vector<double> gains;
         for (std::size_t i = 0; i < kAllBenchmarks.size(); ++i) {
             for (std::size_t j = i; j < kAllBenchmarks.size(); ++j) {
                 const B t0 = kAllBenchmarks[i], t1 = kAllBenchmarks[j];
                 const std::string name = pairName(t0, t1);
                 const std::vector<double> soloIpc = {
-                    sweep().result("base/" + benchmarkName(t0)).ipc,
-                    sweep().result("base/" + benchmarkName(t1)).ipc};
-                const double hBase = harmonicSpeedup(
-                    soloIpc, sweep().result("smt/base/" + name));
-                const double hEnh = harmonicSpeedup(
-                    soloIpc, sweep().result("smt/enh/" + name));
-                const double gain =
-                    hBase > 0 ? (hEnh / hBase - 1) * 100 : 0.0;
-                addRow("SMT harmonic-speedup gain", name, gain,
+                    sweep.result("base/" + benchmarkName(t0)).ipc,
+                    sweep.result("base/" + benchmarkName(t1)).ipc};
+                const double hBase =
+                    harmonicSpeedup(soloIpc, sweep.result("smt/base/" + name));
+                const double hEnh =
+                    harmonicSpeedup(soloIpc, sweep.result("smt/enh/" + name));
+                const double gain = hBase > 0 ? (hEnh / hBase - 1) * 100 : 0.0;
+                addRow(rows, "SMT harmonic-speedup gain", name, gain,
                        paperGain(t0, t1), "%");
                 gains.push_back(gain);
             }
         }
-        addRow("SMT harmonic-speedup gain", "pair avg", mean(gains), 6.3,
+        addRow(rows, "SMT harmonic-speedup gain", "pair avg", mean(gains), 6.3,
                "%");
-    });
-}
+        return rows;
+    }};

@@ -7,34 +7,34 @@
  * misses.
  */
 
-#include "bench_common.hh"
+#include "figures.hh"
 
 using namespace tacbench;
 
-int
-main(int argc, char **argv)
-{
-    auto key = [](Benchmark b) {
-        return std::string("fig18/") + benchmarkName(b);
-    };
-    SystemConfig cfg = baselineConfig();
-    cfg.profileStlbRecall = true;
-    for (Benchmark b : kAllBenchmarks)
-        registerPoint(key(b), cfg, b);
+const auto key = [](Benchmark b) {
+    return std::string("fig18/") + benchmarkName(b);
+};
 
-    return benchMain(argc, argv,
-                     "Fig. 18 — recall distance of translations at STLB",
-                     [&] {
+const Figure tacbench::fig18{
+    "fig18", "Fig. 18 — recall distance of translations at STLB",
+    [](SweepRunner &sweep) {
+        SystemConfig cfg = baselineConfig();
+        cfg.profileStlbRecall = true;
+        for (Benchmark b : kAllBenchmarks)
+            registerPoint(sweep, key(b), cfg, b);
+    },
+    [](const SweepRunner &sweep) {
+        Rows rows;
         std::vector<double> over50;
         for (Benchmark b : kAllBenchmarks) {
             const Histogram &h =
-                sweep().result(key(b)).recall.at("stlb.recall.translation");
+                sweep.result(key(b)).recall.at("stlb.recall.translation");
             const double f = (1 - h.fractionAtOrBelow(50)) * 100;
-            addRow("STLB recall>50", benchmarkName(b), f, std::nan(""),
+            addRow(rows, "STLB recall>50", benchmarkName(b), f, std::nan(""),
                    "%");
             over50.push_back(f);
         }
-        addRow("STLB recall>50", "suite avg", mean(over50), 40.0,
+        addRow(rows, "STLB recall>50", "suite avg", mean(over50), 40.0,
                "% (paper: >40%)");
-    });
-}
+        return rows;
+    }};

@@ -11,56 +11,63 @@
 
 #include <map>
 
-#include "bench_common.hh"
+#include "figures.hh"
 
 using namespace tacbench;
 
-int
-main(int argc, char **argv)
+namespace {
+
+struct Geom
 {
-    struct Geom
-    {
-        std::uint32_t sizeKb;
-        std::uint32_t ways;
-        Cycle latency;
-    };
-    const Geom geoms[] = {
-        {256, 8, 9}, {512, 8, 10}, {768, 12, 11}, {1024, 16, 12}};
+    std::uint32_t sizeKb;
+    std::uint32_t ways;
+    Cycle latency;
+};
 
-    const Benchmark subset[] = {Benchmark::xalancbmk, Benchmark::canneal,
-                                Benchmark::mcf, Benchmark::cc,
-                                Benchmark::pr};
+const Geom kGeoms[] = {
+    {256, 8, 9}, {512, 8, 10}, {768, 12, 11}, {1024, 16, 12}};
 
-    auto key = [](const Geom &g, Benchmark b) {
-        return "fig20/l2_" + std::to_string(g.sizeKb) + "K/" +
-            benchmarkName(b);
-    };
-    for (const Geom &g : geoms) {
-        SystemConfig base = baselineConfig();
-        base.l2.sizeBytes = g.sizeKb * 1024;
-        base.l2.ways = g.ways;
-        base.l2.latency = g.latency;
-        for (Benchmark b : subset) {
-            registerPoint(key(g, b) + "/base", base, b);
-            registerPoint(key(g, b) + "/proposed", proposedConfig(base), b);
+const Benchmark kSubset[] = {Benchmark::xalancbmk, Benchmark::canneal,
+                             Benchmark::mcf, Benchmark::cc,
+                             Benchmark::pr};
+
+const auto key = [](const Geom &g, Benchmark b) {
+    return "fig20/l2_" + std::to_string(g.sizeKb) + "K/" + benchmarkName(b);
+};
+
+} // namespace
+
+const Figure tacbench::fig20{
+    "fig20", "Fig. 20 — L2C size sensitivity",
+    [](SweepRunner &sweep) {
+        for (const Geom &g : kGeoms) {
+            SystemConfig base = baselineConfig();
+            base.l2.sizeBytes = g.sizeKb * 1024;
+            base.l2.ways = g.ways;
+            base.l2.latency = g.latency;
+            for (Benchmark b : kSubset) {
+                registerPoint(sweep, key(g, b) + "/base", base, b);
+                registerPoint(sweep, key(g, b) + "/proposed",
+                              proposedConfig(base), b);
+            }
         }
-    }
-
-    return benchMain(argc, argv, "Fig. 20 — L2C size sensitivity", [&] {
+    },
+    [](const SweepRunner &sweep) {
+        Rows rows;
         std::map<std::uint32_t, std::vector<double>> series;
-        for (const Geom &g : geoms) {
-            for (Benchmark b : subset) {
+        for (const Geom &g : kGeoms) {
+            for (Benchmark b : kSubset) {
                 const double sp =
-                    speedup(sweep().result(key(g, b) + "/base"),
-                            sweep().result(key(g, b) + "/proposed"));
-                addRow("L2C=" + std::to_string(g.sizeKb) + "KB",
+                    speedup(sweep.result(key(g, b) + "/base"),
+                            sweep.result(key(g, b) + "/proposed"));
+                addRow(rows, "L2C=" + std::to_string(g.sizeKb) + "KB",
                        benchmarkName(b), (sp - 1) * 100, std::nan(""), "%");
                 series[g.sizeKb].push_back(sp);
             }
         }
-        for (const Geom &g : geoms)
-            addRow("L2C=" + std::to_string(g.sizeKb) + "KB", "geomean",
+        for (const Geom &g : kGeoms)
+            addRow(rows, "L2C=" + std::to_string(g.sizeKb) + "KB", "geomean",
                    (geomean(series[g.sizeKb]) - 1) * 100, std::nan(""),
                    "% (paper: flat to declining past 512KB)");
-    });
-}
+        return rows;
+    }};

@@ -10,55 +10,61 @@
 
 #include <map>
 
-#include "bench_common.hh"
+#include "figures.hh"
 
 using namespace tacbench;
 
-int
-main(int argc, char **argv)
+namespace {
+
+struct Geom
 {
-    struct Geom
-    {
-        std::uint32_t sizeMb;
-        Cycle latency;
-        double paperAvg;
-    };
-    const Geom geoms[] = {
-        {1, 18, 6.3}, {2, 20, 5.1}, {4, 22, std::nan("")}, {8, 24, 4.2}};
+    std::uint32_t sizeMb;
+    Cycle latency;
+    double paperAvg;
+};
 
-    const Benchmark subset[] = {Benchmark::xalancbmk, Benchmark::canneal,
-                                Benchmark::mcf, Benchmark::cc,
-                                Benchmark::pr};
+const Geom kGeoms[] = {
+    {1, 18, 6.3}, {2, 20, 5.1}, {4, 22, std::nan("")}, {8, 24, 4.2}};
 
-    auto key = [](const Geom &g, Benchmark b) {
-        return "fig21/llc_" + std::to_string(g.sizeMb) + "M/" +
-            benchmarkName(b);
-    };
-    for (const Geom &g : geoms) {
-        SystemConfig base = baselineConfig();
-        base.llcPerCore.sizeBytes = g.sizeMb * 1024 * 1024;
-        base.llcPerCore.latency = g.latency;
-        for (Benchmark b : subset) {
-            registerPoint(key(g, b) + "/base", base, b);
-            registerPoint(key(g, b) + "/proposed", proposedConfig(base), b);
+const Benchmark kSubset[] = {Benchmark::xalancbmk, Benchmark::canneal,
+                             Benchmark::mcf, Benchmark::cc,
+                             Benchmark::pr};
+
+const auto key = [](const Geom &g, Benchmark b) {
+    return "fig21/llc_" + std::to_string(g.sizeMb) + "M/" + benchmarkName(b);
+};
+
+} // namespace
+
+const Figure tacbench::fig21{
+    "fig21", "Fig. 21 — LLC size sensitivity",
+    [](SweepRunner &sweep) {
+        for (const Geom &g : kGeoms) {
+            SystemConfig base = baselineConfig();
+            base.llcPerCore.sizeBytes = g.sizeMb * 1024 * 1024;
+            base.llcPerCore.latency = g.latency;
+            for (Benchmark b : kSubset) {
+                registerPoint(sweep, key(g, b) + "/base", base, b);
+                registerPoint(sweep, key(g, b) + "/proposed",
+                              proposedConfig(base), b);
+            }
         }
-    }
-
-    return benchMain(argc, argv, "Fig. 21 — LLC size sensitivity", [&] {
+    },
+    [](const SweepRunner &sweep) {
+        Rows rows;
         std::map<std::uint32_t, std::vector<double>> series;
-        for (const Geom &g : geoms) {
-            for (Benchmark b : subset) {
+        for (const Geom &g : kGeoms) {
+            for (Benchmark b : kSubset) {
                 const double sp =
-                    speedup(sweep().result(key(g, b) + "/base"),
-                            sweep().result(key(g, b) + "/proposed"));
-                addRow("LLC=" + std::to_string(g.sizeMb) + "MB",
+                    speedup(sweep.result(key(g, b) + "/base"),
+                            sweep.result(key(g, b) + "/proposed"));
+                addRow(rows, "LLC=" + std::to_string(g.sizeMb) + "MB",
                        benchmarkName(b), (sp - 1) * 100, std::nan(""), "%");
                 series[g.sizeMb].push_back(sp);
             }
         }
-        for (const Geom &g : geoms)
-            addRow("LLC=" + std::to_string(g.sizeMb) + "MB", "geomean",
-                   (geomean(series[g.sizeMb]) - 1) * 100, g.paperAvg,
-                   "%");
-    });
-}
+        for (const Geom &g : kGeoms)
+            addRow(rows, "LLC=" + std::to_string(g.sizeMb) + "MB", "geomean",
+                   (geomean(series[g.sizeMb]) - 1) * 100, g.paperAvg, "%");
+        return rows;
+    }};

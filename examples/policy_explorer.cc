@@ -9,10 +9,12 @@
  * workers); TACSIM_JSON_OUT=<path> writes the table as a JSON report.
  *
  * Usage: example_policy_explorer [benchmark]
+ * (default pr; a name that is not a benchmark, or a second argument,
+ * exits 2).
  */
 
 #include <cstdio>
-#include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -23,12 +25,17 @@ main(int argc, char **argv)
 {
     using namespace tacsim;
 
-    Benchmark bench = Benchmark::pr;
-    if (argc > 1) {
+    const std::optional<Benchmark> chosen =
+        argc > 1 ? benchmarkFromName(argv[1]) : Benchmark::pr;
+    if (!chosen || argc > 2) {
+        std::string names;
         for (Benchmark b : kAllBenchmarks)
-            if (benchmarkName(b) == argv[1])
-                bench = b;
+            names += " " + benchmarkName(b);
+        std::fprintf(stderr, "usage: %s [benchmark], benchmark one of:%s\n",
+                     argv[0], names.c_str());
+        return 2;
     }
+    const Benchmark bench = *chosen;
 
     struct LlcChoice
     {
@@ -77,7 +84,8 @@ main(int argc, char **argv)
     // Phase 3: report in registration order.
     std::printf("%-10s %-10s | %7s | %9s %9s %9s\n", "L2C", "LLC", "IPC",
                 "LLC.ptl1", "LLC.rep", "LLC.nrep");
-    std::vector<ReportRow> rows;
+    ReportTable table{"policy_explorer",
+                      "L2C x LLC policies on " + benchmarkName(bench), {}};
     for (auto [l2name, tdrrip] : l2s) {
         for (const LlcChoice &llc : llcs) {
             const std::string key =
@@ -92,10 +100,9 @@ main(int argc, char **argv)
             std::printf("%-10s %-10s | %7.3f | %9.3f %9.3f %9.3f\n",
                         l2name, llc.name, r.ipc, r.llcPtl1Mpki,
                         r.llcReplayMpki, r.llcNonReplayMpki);
-            rows.push_back({key, benchmarkName(bench), r.ipc,
-                            std::nan(""), "IPC"});
+            table.rows.push_back({key, benchmarkName(bench), r.ipc,
+                                  std::nan(""), "IPC"});
         }
     }
-    sweep.writeJsonFromEnv("policy_explorer", rows);
-    return 0;
+    return sweep.writeJsonFromEnv({table}) ? 0 : 1;
 }

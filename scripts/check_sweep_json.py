@@ -1,20 +1,21 @@
 #!/usr/bin/env python3
-"""Validate a tacsim-sweep-v1 JSON report (the format the bench
-binaries write via TACSIM_JSON_OUT).
+"""Validate a tacsim-sweep-v2 JSON report (the format tacsim-paper
+writes via TACSIM_JSON_OUT).
 
 Usage:
     scripts/check_sweep_json.py REPORT.json [--min-points N]
         [--require-ok] [--require-topology]
 
 Checks, in order:
-  * the file parses as JSON and carries schema "tacsim-sweep-v1";
-  * the top level has the expected fields (title, jobs, points, rows,
-    runs) with the expected types;
+  * the file parses as JSON and carries schema "tacsim-sweep-v2";
+  * the top level has the expected fields (jobs, points, tables, runs)
+    with the expected types;
   * every run entry has the per-run metadata fields (key, point_key,
-    benchmark, topology, instructions, warmup, seed, ok, cached,
-    wall_ms, cycles, ipc, error), keys are unique, and point_key is 64
+    benchmark, topology, instructions, warmup, seed, ok, wall_ms,
+    cycles, ipc, error), keys are unique, and point_key is 64
     lowercase hex chars (or "" for custom jobs);
-  * every row entry has series/label/measured/paper/unit;
+  * every table has figure/title/rows, figures are unique, and every
+    row has series/label/measured/paper/unit;
   * --min-points N: at least N run entries (a combinatorial sweep that
     silently registered nothing still writes a well-formed report —
     this catches that);
@@ -46,11 +47,16 @@ RUN_FIELDS = {
     "warmup": int,
     "seed": int,
     "ok": bool,
-    "cached": bool,
     "wall_ms": (int, float),
     "cycles": int,
     "ipc": (int, float, type(None)),
     "error": (str, type(None)),
+}
+
+TABLE_FIELDS = {
+    "figure": str,
+    "title": str,
+    "rows": list,
 }
 
 ROW_FIELDS = {
@@ -88,7 +94,7 @@ def check_fields(path, kind, index, entry, spec):
 
 def main():
     ap = argparse.ArgumentParser(
-        description="Validate a tacsim-sweep-v1 JSON report.")
+        description="Validate a tacsim-sweep-v2 JSON report.")
     ap.add_argument("report", help="JSON file written via TACSIM_JSON_OUT")
     ap.add_argument("--min-points", type=int, default=1,
                     help="minimum number of run entries (default: 1)")
@@ -111,12 +117,12 @@ def main():
 
     if not isinstance(report, dict):
         malformed(args.report, "top level is not an object")
-    if report.get("schema") != "tacsim-sweep-v1":
+    if report.get("schema") != "tacsim-sweep-v2":
         malformed(args.report,
-                  f"expected schema tacsim-sweep-v1, "
+                  f"expected schema tacsim-sweep-v2, "
                   f"got {report.get('schema')!r}")
-    for field, types in (("title", str), ("jobs", int), ("points", int),
-                         ("rows", list), ("runs", list)):
+    for field, types in (("jobs", int), ("points", int), ("tables", list),
+                         ("runs", list)):
         if not isinstance(report.get(field), types):
             malformed(args.report, f"missing or mistyped '{field}'")
 
@@ -141,8 +147,16 @@ def main():
                       f"run {run['key']!r} has a malformed point_key "
                       f"{pk!r} (want 64 lowercase hex chars or \"\")")
 
-    for i, row in enumerate(report["rows"]):
-        check_fields(args.report, "rows", i, row, ROW_FIELDS)
+    figures = set()
+    for t, table in enumerate(report["tables"]):
+        check_fields(args.report, "tables", t, table, TABLE_FIELDS)
+        if table["figure"] in figures:
+            malformed(args.report,
+                      f"duplicate table for figure {table['figure']!r}")
+        figures.add(table["figure"])
+        for i, row in enumerate(table["rows"]):
+            check_fields(args.report, f"tables[{t}].rows", i, row,
+                         ROW_FIELDS)
 
     if len(runs) < args.min_points:
         fail(EXIT_FAILED,
@@ -169,8 +183,9 @@ def main():
                  f"{missing}")
 
     ok = sum(1 for r in runs if r["ok"])
+    rows = sum(len(t["rows"]) for t in report["tables"])
     print(f"sweep check passed: {len(runs)} run(s) ({ok} ok), "
-          f"{len(report['rows'])} row(s), schema tacsim-sweep-v1")
+          f"{len(figures)} table(s) of {rows} row(s), schema tacsim-sweep-v2")
 
 
 if __name__ == "__main__":

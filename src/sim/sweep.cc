@@ -225,30 +225,38 @@ SweepRunner::outcomes() const
 }
 
 bool
-SweepRunner::writeJson(const std::string &path, const std::string &title,
-                       const std::vector<ReportRow> &rows) const
+SweepRunner::writeJson(const std::string &path,
+                       const std::vector<ReportTable> &tables) const
 {
     std::FILE *f = std::fopen(path.c_str(), "w");
     if (!f)
         return false;
 
     std::fprintf(f, "{\n");
-    std::fprintf(f, "  \"schema\": \"tacsim-sweep-v1\",\n");
-    std::fprintf(f, "  \"title\": %s,\n", serve::jsonQuote(title).c_str());
+    std::fprintf(f, "  \"schema\": \"tacsim-sweep-v2\",\n");
     std::fprintf(f, "  \"jobs\": %u,\n", threads_);
     std::fprintf(f, "  \"points\": %zu,\n", jobs_.size());
 
-    std::fprintf(f, "  \"rows\": [");
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        const ReportRow &r = rows[i];
+    std::fprintf(f, "  \"tables\": [");
+    for (std::size_t t = 0; t < tables.size(); ++t) {
+        const ReportTable &table = tables[t];
         std::fprintf(f,
-                     "%s\n    {\"series\": %s, \"label\": %s, "
-                     "\"measured\": %s, \"paper\": %s, \"unit\": %s}",
-                     i ? "," : "", serve::jsonQuote(r.series).c_str(),
-                     serve::jsonQuote(r.label).c_str(),
-                     jsonNumber(r.measured).c_str(),
-                     jsonNumber(r.paper).c_str(),
-                     serve::jsonQuote(r.unit).c_str());
+                     "%s\n    {\"figure\": %s, \"title\": %s, "
+                     "\"rows\": [",
+                     t ? "," : "", serve::jsonQuote(table.figure).c_str(),
+                     serve::jsonQuote(table.title).c_str());
+        for (std::size_t i = 0; i < table.rows.size(); ++i) {
+            const ReportRow &r = table.rows[i];
+            std::fprintf(f,
+                         "%s\n      {\"series\": %s, \"label\": %s, "
+                         "\"measured\": %s, \"paper\": %s, \"unit\": %s}",
+                         i ? "," : "", serve::jsonQuote(r.series).c_str(),
+                         serve::jsonQuote(r.label).c_str(),
+                         jsonNumber(r.measured).c_str(),
+                         jsonNumber(r.paper).c_str(),
+                         serve::jsonQuote(r.unit).c_str());
+        }
+        std::fprintf(f, "\n    ]}");
     }
     std::fprintf(f, "\n  ],\n");
 
@@ -258,15 +266,13 @@ SweepRunner::writeJson(const std::string &path, const std::string &title,
         const SweepOutcome &o = *all[i];
         const std::string err =
             o.ok ? "null" : serve::jsonQuote(o.error);
-        // "cached" stays in the tacsim-sweep-v1 row for its readers; every
-        // point is simulated, so it is always false.
         std::fprintf(
             f,
             "%s\n    {\"key\": %s, \"point_key\": %s, "
             "\"benchmark\": %s, "
             "\"topology\": %s, "
             "\"instructions\": %llu, \"warmup\": %llu, \"seed\": %llu, "
-            "\"ok\": %s, \"cached\": false, \"wall_ms\": %s, "
+            "\"ok\": %s, \"wall_ms\": %s, "
             "\"cycles\": %llu, "
             "\"ipc\": %s, \"error\": %s}",
             i ? "," : "", serve::jsonQuote(o.key).c_str(),
@@ -289,13 +295,12 @@ SweepRunner::writeJson(const std::string &path, const std::string &title,
 }
 
 bool
-SweepRunner::writeJsonFromEnv(const std::string &title,
-                              const std::vector<ReportRow> &rows) const
+SweepRunner::writeJsonFromEnv(const std::vector<ReportTable> &tables) const
 {
     const char *path = std::getenv("TACSIM_JSON_OUT");
     if (!path || !*path)
-        return false;
-    const bool ok = writeJson(path, title, rows);
+        return true;
+    const bool ok = writeJson(path, tables);
     if (ok)
         std::fprintf(stderr, "tacsim: JSON report written to %s\n", path);
     else

@@ -14,8 +14,8 @@
  *
  * The runner doubles as the structured-results layer: writeJson() (or
  * writeJsonFromEnv(), keyed on TACSIM_JSON_OUT) emits a machine-readable
- * report with the series/label/measured/paper rows of the bench harness
- * plus per-run metadata (config key, point key, benchmark, topology,
+ * report with one series/label/measured/paper table per figure plus
+ * per-run metadata (config key, point key, benchmark, topology,
  * instruction budgets, seed, wall time, errors).
  *
  * Results live only in the runner's in-process memo. There is no
@@ -46,6 +46,14 @@ struct ReportRow
     double measured = 0;
     double paper = std::nan(""); ///< NaN when the paper gives no number
     std::string unit;
+};
+
+/** One figure's table in a report. */
+struct ReportTable
+{
+    std::string figure; ///< e.g. "fig14"
+    std::string title;
+    std::vector<ReportRow> rows;
 };
 
 /** Outcome of one sweep point (success or captured failure). */
@@ -124,14 +132,14 @@ class SweepRunner
      *  std::invalid_argument. */
     static unsigned defaultJobs();
 
-    /** Write the JSON report to @p path; false on I/O failure. */
-    bool writeJson(const std::string &path, const std::string &title,
-                   const std::vector<ReportRow> &rows) const;
+    /** Write the tacsim-sweep-v2 report (@p tables plus every run) to
+     *  @p path; false on I/O failure. */
+    bool writeJson(const std::string &path,
+                   const std::vector<ReportTable> &tables) const;
 
-    /** writeJson() to $TACSIM_JSON_OUT; false when unset or on I/O
-     *  failure. */
-    bool writeJsonFromEnv(const std::string &title,
-                          const std::vector<ReportRow> &rows) const;
+    /** writeJson() to $TACSIM_JSON_OUT when it is set, saying so on
+     *  stderr; false only when the report could not be written. */
+    bool writeJsonFromEnv(const std::vector<ReportTable> &tables) const;
 
   private:
     struct Job

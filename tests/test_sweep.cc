@@ -249,12 +249,12 @@ TEST(Sweep, JsonReportIsWrittenAndWellFormed)
     });
     sw.run();
 
-    std::vector<ReportRow> rows;
-    rows.push_back({"series-a", "label-1", 1.5, 2.5, "%"});
-    rows.push_back({"series-b", "label-2", 0.25, std::nan(""), "IPC"});
+    ReportTable table{"fig-a", "unit \"test\"", {}};
+    table.rows.push_back({"series-a", "label-1", 1.5, 2.5, "%"});
+    table.rows.push_back({"series-b", "label-2", 0.25, std::nan(""), "IPC"});
 
     const std::string path = ::testing::TempDir() + "tacsim_sweep.json";
-    ASSERT_TRUE(sw.writeJson(path, "unit \"test\"", rows));
+    ASSERT_TRUE(sw.writeJson(path, {table, {"fig-b", "empty", {}}}));
 
     std::ifstream f(path);
     ASSERT_TRUE(f.good());
@@ -262,10 +262,12 @@ TEST(Sweep, JsonReportIsWrittenAndWellFormed)
     ss << f.rdbuf();
     const std::string text = ss.str();
 
-    EXPECT_NE(text.find("\"schema\": \"tacsim-sweep-v1\""),
+    EXPECT_NE(text.find("\"schema\": \"tacsim-sweep-v2\""),
               std::string::npos);
-    EXPECT_NE(text.find("\"title\": \"unit \\\"test\\\"\""),
+    EXPECT_NE(text.find("\"figure\": \"fig-a\", "
+                        "\"title\": \"unit \\\"test\\\"\""),
               std::string::npos);
+    EXPECT_NE(text.find("\"figure\": \"fig-b\""), std::string::npos);
     EXPECT_NE(text.find("\"measured\": 1.5"), std::string::npos);
     // NaN paper values must serialize as null, never bare nan.
     EXPECT_NE(text.find("\"paper\": null"), std::string::npos);
@@ -341,14 +343,15 @@ TEST(Sweep, OutcomesCarryThePointKey)
 
     const std::string path =
         ::testing::TempDir() + "tacsim_sweep_pk.json";
-    ASSERT_TRUE(sw.writeJson(path, "point keys", {}));
+    ASSERT_TRUE(sw.writeJson(path, {}));
     std::ifstream f(path);
     std::stringstream ss;
     ss << f.rdbuf();
     EXPECT_NE(ss.str().find("\"point_key\": \"" + spec->pointKey +
                             "\""),
               std::string::npos);
-    EXPECT_NE(ss.str().find("\"cached\": false"), std::string::npos);
+    // tacsim-sweep-v2 dropped v1's always-false "cached" field.
+    EXPECT_EQ(ss.str().find("\"cached\""), std::string::npos);
     std::remove(path.c_str());
 }
 
