@@ -6,8 +6,7 @@
  * of seeded heterogeneous mixes, and runs each under the baseline and
  * the full proposal: 15 mixes x 2 policies = 30 points. Each machine is
  * the baseline with its composition fields assigned (sim/topology.hh):
- * sliced LLC with a ring-hop latency, per-core MSHR quotas and
- * bandwidth tokens at the LLC, and auto-derived DRAM channels.
+ * sliced LLC with a ring-hop latency and auto-derived DRAM channels.
  *
  * Metrics per mix: weighted speedup (mean of per-thread IPC ratios)
  * and harmonic speedup of the proposal, both against the baseline run
@@ -29,14 +28,10 @@ namespace {
 using B = Benchmark;
 
 /**
- * The baseline machine with @p cores cores: LLC auto-sized at 2MB/core
+ * The baseline machine with @p cores cores: LLC sized at 2MB/core
  * (16 ways) and sliced one slice per 4 cores with a 2-cycle ring hop,
- * DRAM channels auto-derived, and LLC arbitration tightened as the
- * machine grows (the per-core MSHR quota shrinks from the full
- * 128-entry fair share at 8 cores down to 16 entries at 64, modelling a
- * fixed arbiter budget, while bandwidth tokens stay at 32 demands per
- * 64 cycles). Throws std::invalid_argument (validateTopology) when
- * @p cores builds no machine that runs.
+ * and DRAM channels auto-derived. Throws std::invalid_argument
+ * (validateTopology) when @p cores builds no machine that runs.
  */
 SystemConfig
 machineFor(unsigned cores)
@@ -45,8 +40,6 @@ machineFor(unsigned cores)
     cfg.numCores = cores;
     cfg.llcSlices = cores / 4;
     cfg.llcSliceHopLatency = 2;
-    cfg.llcMshrQuotaPerCore = std::max(16u, 1024u / cores);
-    cfg.llcBwTokensPerCore = 32;
     validateTopology(cfg);
     return cfg;
 }

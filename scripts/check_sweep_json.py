@@ -12,7 +12,7 @@ Checks, in order:
     with the expected types;
   * every run entry has the per-run metadata fields (key, point_key,
     benchmark, topology, instructions, warmup, seed, ok, wall_ms,
-    cycles, ipc, error), keys are unique, and point_key is 64
+    cycles, ipc, error), keys are unique, and point_key is 32
     lowercase hex chars (or "" for custom jobs);
   * every table has figure/title/rows, figures are unique, and every
     row has series/label/measured/paper/unit;
@@ -77,6 +77,13 @@ def malformed(path, what):
     fail(EXIT_MALFORMED, f"error: {path}: {what}")
 
 
+def type_names(types):
+    """'int' for one accepted type, 'int or float' for a tuple."""
+    if isinstance(types, type):
+        types = (types,)
+    return " or ".join(t.__name__ for t in types)
+
+
 def check_fields(path, kind, index, entry, spec):
     if not isinstance(entry, dict):
         malformed(path, f"{kind}[{index}] is not an object")
@@ -88,7 +95,7 @@ def check_fields(path, kind, index, entry, spec):
                 path,
                 f"{kind}[{index}].{field} has type "
                 f"{type(entry[field]).__name__}, expected "
-                f"{types if isinstance(types, type) else types}",
+                f"{type_names(types)}",
             )
 
 
@@ -137,15 +144,15 @@ def main():
         if not run["ok"] and not run["error"]:
             malformed(args.report,
                       f"run {run['key']!r} failed without an error")
-        # point_key is the canonical content hash: 64 lowercase hex
+        # point_key is the canonical content hash: 32 lowercase hex
         # chars, or "" for custom jobs whose behavior the runner cannot
         # hash.
         pk = run["point_key"]
-        if pk and (len(pk) != 64
+        if pk and (len(pk) != 32
                    or any(c not in "0123456789abcdef" for c in pk)):
             malformed(args.report,
                       f"run {run['key']!r} has a malformed point_key "
-                      f"{pk!r} (want 64 lowercase hex chars or \"\")")
+                      f"{pk!r} (want 32 lowercase hex chars or \"\")")
 
     figures = set()
     for t, table in enumerate(report["tables"]):

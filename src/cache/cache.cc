@@ -1,6 +1,5 @@
 #include "cache/cache.hh"
 
-#include <algorithm>
 #include <sstream>
 #include <unordered_set>
 
@@ -30,12 +29,6 @@ Cache::Cache(CacheParams params, EventQueue &eq, MemDevice *lower,
         prefetcher_->setIssuer(this);
     if (params_.profileRecall)
         profiler_ = std::make_unique<RecallProfiler>(params_.sets);
-    if (params_.arb.cores) {
-        TACSIM_CHECK(params_.arb.smt > 0 &&
-                     "arbitration needs a nonzero smt divisor");
-        arbMshrsByCore_.assign(params_.arb.cores, 0);
-        arbTokens_.assign(params_.arb.cores, 0);
-    }
 }
 
 void
@@ -77,10 +70,6 @@ Cache::registerMetrics(obs::Registry &registry, const std::string &prefix)
     registry.addCounter(prefix + ".atp.useful", &stats_.atpUseful);
     registry.addCounter(prefix + ".tempo.useful", &stats_.tempoUseful);
     registry.addCounter(prefix + ".ideal_grants", &stats_.idealGrants);
-    registry.addCounter(prefix + ".arb.mshr_deferred",
-                        &stats_.arbMshrDeferred);
-    registry.addCounter(prefix + ".arb.bw_deferred",
-                        &stats_.arbBwDeferred);
     if (profiler_) {
         registry.addHistogram(prefix + ".recall.translation",
                               &profiler_->translationHist());
@@ -142,50 +131,8 @@ Cache::access(const MemRequestPtr &req)
         return;
     }
 
-    if (params_.arb.bwOn() && arbBwDefer(req))
-        return;
-
     MemRequestPtr keep = req;
     eq_.schedule(params_.latency, [this, keep] { lookup(keep); });
-}
-
-std::uint32_t
-Cache::arbOwnerOf(const MemRequestPtr &req) const
-{
-    // Prefetch children carry no issuing context (cpu 0 by default) —
-    // charging them all to core 0 would be arbitrary, and prefetches
-    // are already throttled by the demand MSHR reserve. Exempt them.
-    if (req->type == ReqType::Prefetch)
-        return kNoOwner;
-    const std::uint32_t core = req->cpu / params_.arb.smt;
-    return core < params_.arb.cores ? core : params_.arb.cores - 1;
-}
-
-bool
-Cache::arbBwDefer(const MemRequestPtr &req)
-{
-    const std::uint32_t owner = arbOwnerOf(req);
-    if (owner == kNoOwner)
-        return false;
-
-    const Cycle window = eq_.now() / params_.arb.bwWindow;
-    if (window != arbWindow_) {
-        arbWindow_ = window;
-        std::fill(arbTokens_.begin(), arbTokens_.end(), 0u);
-    }
-    if (arbTokens_[owner] >= params_.arb.bwTokens) {
-        // Over budget: retry at the next window boundary. Deferred
-        // requests re-enter access() in their original event order, so
-        // the first bwTokens of them win the fresh bucket — fair and
-        // deterministic.
-        ++stats_.arbBwDeferred;
-        const Cycle retryAt = (window + 1) * params_.arb.bwWindow;
-        MemRequestPtr keep = req;
-        eq_.schedule(retryAt - eq_.now(), [this, keep] { access(keep); });
-        return true;
-    }
-    ++arbTokens_[owner];
-    return false;
 }
 
 void
@@ -298,19 +245,6 @@ Cache::handleMiss(const MemRequestPtr &req, const AccessInfo &ai)
     }
 
     const bool isPrefetch = req->type == ReqType::Prefetch;
-    const std::uint32_t owner =
-        params_.arb.cores ? arbOwnerOf(req) : kNoOwner;
-
-    // Per-core MSHR quota (shared-LLC arbitration): a core at its cap
-    // parks further demands in pending_ even while slots remain free
-    // for other cores. Quota release (handleFill) re-drains the queue.
-    if (owner != kNoOwner && params_.arb.quotaOn() &&
-        arbMshrsByCore_[owner] >= params_.arb.mshrQuota) {
-        ++stats_.arbMshrDeferred;
-        pending_.push_back(req);
-        return;
-    }
-
     const auto freeMshrs = static_cast<std::uint32_t>(freeMshrs_.size());
     if (freeMshrs == 0 ||
         (isPrefetch && freeMshrs <= params_.mshrReserveForDemand)) {
@@ -332,9 +266,6 @@ Cache::handleMiss(const MemRequestPtr &req, const AccessInfo &ai)
     e.makeDirty = req->type == ReqType::Store;
     e.origin = req->prefetchOrigin;
     e.addWaiter(req);
-    e.owner = owner;
-    if (owner != kNoOwner)
-        ++arbMshrsByCore_[owner];
     mshrSlots_.insert(blockAddr, slot);
     if (tracer_)
         tracer_->counter(track_, mshrNameId_, eq_.now(),
@@ -402,11 +333,6 @@ Cache::handleFill(std::uint32_t slot, RespSource src)
     const PrefetchOrigin origin = e.origin;
     MemRequestPtr waiter = std::move(e.firstWaiter);
     e.lastWaiter = nullptr;
-    if (e.owner != kNoOwner) {
-        TACSIM_DCHECK(arbMshrsByCore_[e.owner] > 0 &&
-                      "arbitration count underflow on fill");
-        --arbMshrsByCore_[e.owner];
-    }
     const Addr blockAddr = fillInfo.blockAddr;
     mshrSlots_.erase(blockAddr);
     freeMshrs_.push_back(slot);
@@ -496,14 +422,9 @@ Cache::evictWay(std::uint32_t set, std::uint32_t way)
 void
 Cache::drainPending()
 {
-    // One pass over the queue as it stood at entry. With the per-core
-    // MSHR quota on, a drained request can land right back in pending_
-    // (its core still at cap) while MSHRs sit free — an unbounded
-    // while-loop would spin on it forever. One pass reaches the
-    // fixpoint: nothing a requeued request is waiting on changes until
-    // the next fill.
-    std::size_t budget = pending_.size();
-    while (budget-- > 0 && !pending_.empty() && !freeMshrs_.empty()) {
+    // A drained request hits, merges or takes a free MSHR; only a
+    // demand that finds none parks again, and that ends the loop.
+    while (!pending_.empty() && !freeMshrs_.empty()) {
         MemRequestPtr req = pending_.front();
         pending_.pop_front();
         // Re-enter through lookup, not handleMiss: the fill that freed
@@ -697,74 +618,17 @@ Cache::checkInvariants() const
                     " is neither indexed nor free");
     }
 
-    // Requests only queue while every MSHR is taken — or, with the
-    // per-core quota on, while their owning core is at its cap — and
-    // only demands (prefetches are dropped, not queued).
-    for (const auto &req : pending_) {
+    // Requests only queue while every MSHR is taken, and only demands
+    // (prefetches are dropped, not queued).
+    for (const auto &req : pending_)
         if (req->type == ReqType::Prefetch)
             throw InvariantViolation(who, "pending-class",
                                      "prefetch parked in pending queue");
-        if (freeMshrs_.empty())
-            continue;
-        if (params_.arb.quotaOn()) {
-            const std::uint32_t owner = arbOwnerOf(req);
-            if (owner != kNoOwner &&
-                arbMshrsByCore_[owner] >= params_.arb.mshrQuota)
-                continue;
-        }
+    if (!pending_.empty() && !freeMshrs_.empty()) {
         std::ostringstream os;
         os << pending_.size() << " queued with only " << liveMshrs()
-           << "/" << params_.mshrs << " MSHRs in use and no quota "
-           << "explanation";
+           << "/" << params_.mshrs << " MSHRs in use";
         throw InvariantViolation(who, "pending-backlog", os.str());
-    }
-
-    // Arbitration bookkeeping: the per-core counters must equal the
-    // live MSHR ownership they cache, never exceed the quota, and the
-    // token bucket can never record more spend than one window grants.
-    if (params_.arb.cores) {
-        std::vector<std::uint32_t> live(params_.arb.cores, 0);
-        mshrSlots_.forEach([&](Addr addr, std::uint32_t slot) {
-            const MshrEntry &e = mshrFile_[slot];
-            if (e.owner == kNoOwner)
-                return;
-            if (e.owner >= params_.arb.cores) {
-                std::ostringstream os;
-                os << std::hex << "mshr 0x" << addr << std::dec
-                   << " owned by core " << e.owner << " but only "
-                   << params_.arb.cores << " cores arbitrate";
-                throw InvariantViolation(who, "arb-owner-range",
-                                         os.str());
-            }
-            ++live[e.owner];
-        });
-        for (std::uint32_t c = 0; c < params_.arb.cores; ++c) {
-            if (live[c] != arbMshrsByCore_[c]) {
-                std::ostringstream os;
-                os << "core " << c << " owns " << live[c]
-                   << " live MSHRs but the arbiter counter says "
-                   << arbMshrsByCore_[c];
-                throw InvariantViolation(who, "arb-mshr-quota", os.str());
-            }
-            if (params_.arb.mshrQuota &&
-                arbMshrsByCore_[c] > params_.arb.mshrQuota) {
-                std::ostringstream os;
-                os << "core " << c << " holds " << arbMshrsByCore_[c]
-                   << " MSHRs over its quota of "
-                   << params_.arb.mshrQuota;
-                throw InvariantViolation(who, "arb-mshr-quota", os.str());
-            }
-            const std::uint32_t granted =
-                params_.arb.bwOn() ? params_.arb.bwTokens : 0;
-            if (arbTokens_[c] > granted) {
-                std::ostringstream os;
-                os << "core " << c << " spent " << arbTokens_[c]
-                   << " bandwidth tokens of " << granted
-                   << " granted per window";
-                throw InvariantViolation(who, "arb-token-conservation",
-                                         os.str());
-            }
-        }
     }
 
     policy_->checkInvariants(who);

@@ -59,12 +59,6 @@ struct CacheStats
     std::uint64_t tempoUseful = 0;
     std::uint64_t idealGrants = 0;
 
-    /** Demands parked in pending_ because their core hit its MSHR
-     *  quota (arbitration on; distinct from mshrFullEvents). */
-    std::uint64_t arbMshrDeferred = 0;
-    /** Lookups pushed to the next window by the bandwidth bucket. */
-    std::uint64_t arbBwDeferred = 0;
-
     std::uint64_t
     at(const std::uint64_t (&a)[kNumBlockCats], BlockCat c) const
     {
@@ -90,40 +84,6 @@ struct CacheStats
     void reset() { *this = CacheStats{}; }
 };
 
-/**
- * Per-core fairness arbitration at a shared cache (the LLC). cores == 0
- * disables everything (private levels). With arbitration on, a request's
- * owning core is cpu / smt; unattributed traffic (self-issued
- * prefetches, writebacks) is exempt. Two mechanisms, both deterministic:
- *
- *  - MSHR quota: a core may hold at most mshrQuota live MSHRs; excess
- *    demands park in the pending queue until one of the core's fills
- *    returns (prefetch children are already throttled by the demand
- *    reserve, so quota applies to demands only).
- *  - Bandwidth tokens: each core gets bwTokens demand lookups per
- *    bwWindow cycles; an over-budget lookup is rescheduled at the next
- *    window boundary (arrival order preserved by the event queue).
- */
-struct CacheArbParams
-{
-    std::uint32_t cores = 0; ///< sharers; 0 = arbitration off
-    std::uint32_t smt = 1;   ///< hardware threads per core (cpu mapping)
-    std::uint32_t mshrQuota = 0; ///< live MSHRs per core; 0 = no cap
-    std::uint32_t bwTokens = 0;  ///< lookups per core per window; 0 = off
-    Cycle bwWindow = 64;
-
-    bool
-    quotaOn() const
-    {
-        return cores > 0 && mshrQuota > 0;
-    }
-    bool
-    bwOn() const
-    {
-        return cores > 0 && bwTokens > 0;
-    }
-};
-
 /** Construction parameters for a cache level. */
 struct CacheParams
 {
@@ -139,8 +99,6 @@ struct CacheParams
      *  2^k-way interleave indexes above the slice-select bits
      *  (kBlockBits + k), so sibling slices never alias sets. */
     unsigned setShift = kBlockBits;
-
-    CacheArbParams arb; ///< per-core fairness (shared LLC only)
 
     bool idealTranslations = false; ///< Fig. 2 ideal mode for leaf PTEs
     bool idealReplays = false;      ///< Fig. 2 ideal mode for replay loads
@@ -211,28 +169,12 @@ class Cache : public MemDevice, public PrefetchIssuer
     }
 
     /**
-     * Walk tags, MSHRs, the pending queue, per-class statistics, the
-     * arbitration counters and the replacement policy's state, throwing
-     * verify::InvariantViolation on the first structural inconsistency.
-     * Intended to be called at quiescent points (between run-loop
-     * iterations, at drain).
+     * Walk tags, MSHRs, the pending queue, per-class statistics and the
+     * replacement policy's state, throwing verify::InvariantViolation
+     * on the first structural inconsistency. Intended to be called at
+     * quiescent points (between run-loop iterations, at drain).
      */
     void checkInvariants() const;
-
-    /** Mutable arbitration counters — verifier tests use these to seed
-     *  deliberate corruption (counter drift, token over-spend). */
-    std::uint32_t &
-    arbMshrCountFor(std::uint32_t core)
-    {
-        return arbMshrsByCore_[core];
-    }
-    std::uint32_t &
-    arbTokensFor(std::uint32_t core)
-    {
-        return arbTokens_[core];
-    }
-
-    static constexpr std::uint32_t kNoOwner = 0xffffffffu;
 
   private:
     /** One MSHR. Entries live in mshrFile_ and never move: a miss
@@ -249,9 +191,6 @@ class Cache : public MemDevice, public PrefetchIssuer
         bool demandWaiting = false; ///< false while only prefetches wait
         bool makeDirty = false;   ///< a store is waiting on this line
         PrefetchOrigin origin = PrefetchOrigin::None;
-        /** Arbitration owner (core index); kNoOwner for unattributed
-         *  traffic or when arbitration is off. */
-        std::uint32_t owner = kNoOwner;
 
         /** Append @p req at the tail of the waiter list. */
         void addWaiter(const MemRequestPtr &req);
@@ -261,12 +200,6 @@ class Cache : public MemDevice, public PrefetchIssuer
      *  waiting in pending_: its access/miss was counted on first entry. */
     void lookup(const MemRequestPtr &req, bool countStats = true);
     void handleMiss(const MemRequestPtr &req, const AccessInfo &ai);
-    /** Arbitration owner for @p req (kNoOwner when exempt). */
-    std::uint32_t arbOwnerOf(const MemRequestPtr &req) const;
-    /** True when the bandwidth bucket deferred @p req to the next
-     *  window (the retry is already scheduled). Only called with the
-     *  bucket on (arb.bwOn()). */
-    bool arbBwDefer(const MemRequestPtr &req);
     void forwardMiss(std::uint32_t slot);
     void handleFill(std::uint32_t slot, RespSource src);
     void installBlock(Addr blockAddr, const AccessInfo &ai, bool dirty);
@@ -300,11 +233,6 @@ class Cache : public MemDevice, public PrefetchIssuer
     AddrMap<std::uint32_t> mshrSlots_;     ///< block address -> slot
     std::deque<MemRequestPtr> pending_; ///< waiting for a free MSHR
     CacheStats stats_;
-
-    // Arbitration state (sized to arb.cores; empty when off).
-    std::vector<std::uint32_t> arbMshrsByCore_; ///< live MSHRs per core
-    std::vector<std::uint32_t> arbTokens_; ///< lookups spent this window
-    Cycle arbWindow_ = 0; ///< window index arbTokens_ covers
 };
 
 } // namespace tacsim

@@ -3,7 +3,6 @@
 #include "prefetch/bingo.hh"
 #include "prefetch/ipcp.hh"
 #include "prefetch/isb.hh"
-#include "prefetch/simple.hh"
 #include "prefetch/spp.hh"
 
 namespace tacsim {
@@ -13,8 +12,6 @@ prefetcherKindName(PrefetcherKind kind)
 {
     switch (kind) {
       case PrefetcherKind::None: return "none";
-      case PrefetcherKind::NextLine: return "next-line";
-      case PrefetcherKind::IpStride: return "ip-stride";
       case PrefetcherKind::Spp: return "SPP";
       case PrefetcherKind::Bingo: return "Bingo";
       case PrefetcherKind::Ipcp: return "IPCP";
@@ -29,10 +26,6 @@ makePrefetcher(PrefetcherKind kind)
     switch (kind) {
       case PrefetcherKind::None:
         return nullptr;
-      case PrefetcherKind::NextLine:
-        return std::make_unique<NextLinePrefetcher>();
-      case PrefetcherKind::IpStride:
-        return std::make_unique<IpStridePrefetcher>();
       case PrefetcherKind::Spp:
         return std::make_unique<SppPrefetcher>();
       case PrefetcherKind::Bingo:

@@ -16,8 +16,6 @@ namespace tacsim {
 enum class PrefetcherKind
 {
     None,
-    NextLine,
-    IpStride,
     Spp,
     Bingo,
     Ipcp,

@@ -1,7 +1,7 @@
 /**
  * @file
  * JSON string escaping for the reports tacsim writes: the
- * tacsim-sweep-v1 sweep report (sim/sweep.hh) and the benchmark's host
+ * tacsim-sweep-v2 sweep report (sim/sweep.hh) and the benchmark's host
  * metadata. tacsim writes JSON but never reads it back, so there is no
  * parser here.
  */

@@ -8,14 +8,16 @@
  *   - the canonical config text (sim/config.hh canonicalConfigText —
  *     behavior-complete, ObsConfig excluded),
  *   - the per-thread workload specs, with "trace:<path>" specs resolved
- *     to the SHA-256 of the trace file's *bytes* (so renaming or moving
+ *     to the digest of the trace file's *bytes* (so renaming or moving
  *     a trace does not change identity, and editing one does),
  *   - the measured-instruction and warm-up budgets.
  *
- * pointKey() digests all of that into 64 hex chars. The in-process
- * sweep memo (sim/sweep.hh) keys on it, so one point registered under
- * two names runs once, and every tacsim-sweep-v1 run record carries it
- * as `point_key`, so reports can be joined by identity.
+ * pointKey() digests all of that with 128-bit FNV-1a into 32 hex chars.
+ * The in-process sweep memo (sim/sweep.hh) keys on it, so one point
+ * registered under two names runs once, and every tacsim-sweep-v2 run
+ * record carries it as `point_key`, so reports can be joined by
+ * identity. The key only has to tell apart points that are not
+ * adversarial; a cryptographic digest buys nothing here.
  *
  * The key does not cover the simulator itself: the same point simulated
  * by a different build hashes the same. That is why no result is kept
@@ -36,7 +38,7 @@ struct SystemConfig;
 namespace serve {
 
 /**
- * Content hash (64 lowercase hex chars) of the point
+ * Content hash (32 lowercase hex chars) of the point
  * (@p cfg, @p specs, @p instructions, @p warmup). Budgets of 0 are
  * hashed as the resolved defaults (TACSIM_INSTRUCTIONS / TACSIM_WARMUP
  * environment overrides included), so a spelled-out default and an

@@ -136,15 +136,9 @@ canonicalConfigText(const SystemConfig &cfg)
     emitGeometry(out, "l2", cfg.l2);
     emitGeometry(out, "llc_per_core", cfg.llcPerCore);
 
-    emit(out, "llc.total_bytes", std::uint64_t{cfg.llcTotalBytes});
     emit(out, "llc.slices", std::uint64_t{cfg.llcSlices});
     emit(out, "llc.slice_hop_latency",
          std::uint64_t{cfg.llcSliceHopLatency});
-    emit(out, "llc.mshr_quota_per_core",
-         std::uint64_t{cfg.llcMshrQuotaPerCore});
-    emit(out, "llc.bw_tokens_per_core",
-         std::uint64_t{cfg.llcBwTokensPerCore});
-    emit(out, "llc.bw_window", std::uint64_t{cfg.llcBwWindow});
 
     emit(out, "l2.policy", policyKindName(cfg.l2Policy));
     emitOpts(out, "l2.opts", cfg.l2Opts);

@@ -107,18 +107,12 @@ struct SystemConfig
     // Shared-LLC composition. These, numCores, threadsPerCore,
     // llcPerCore.ways and dram.channels are the machine's shape, which
     // topologyText (sim/topology.hh) prints; the defaults reproduce the
-    // fixed pre-topology machine exactly.
-    /** Total LLC bytes; 0 derives llcPerCore.sizeBytes * numCores. */
-    std::uint64_t llcTotalBytes = 0;
+    // fixed pre-topology machine exactly. The LLC holds
+    // llcPerCore.sizeBytes per core.
     /** Address-interleaved LLC slices (power of two; 1 = monolithic). */
     unsigned llcSlices = 1;
     /** Extra cycles per ring hop from a core to a remote slice. */
     Cycle llcSliceHopLatency = 0;
-    /** Per-core cap on live MSHRs in each LLC slice; 0 disables. */
-    std::uint32_t llcMshrQuotaPerCore = 0;
-    /** Per-core LLC demand lookups per llcBwWindow cycles; 0 = off. */
-    std::uint32_t llcBwTokensPerCore = 0;
-    Cycle llcBwWindow = 64;
 
     PolicyKind l2Policy = PolicyKind::DRRIP;
     ReplOpts l2Opts{};

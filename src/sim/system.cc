@@ -107,14 +107,6 @@ System::System(SystemConfig cfg,
             p.idealReplays = cfg_.idealLlcReplays;
             p.atp = cfg_.atpLlc;
             p.profileRecall = cfg_.profileCacheRecall;
-            p.arb.cores = cfg_.llcMshrQuotaPerCore ||
-                    cfg_.llcBwTokensPerCore
-                ? cfg_.numCores
-                : 0;
-            p.arb.smt = cfg_.threadsPerCore;
-            p.arb.mshrQuota = cfg_.llcMshrQuotaPerCore;
-            p.arb.bwTokens = cfg_.llcBwTokensPerCore;
-            p.arb.bwWindow = cfg_.llcBwWindow;
             llc_.push_back(std::make_unique<Cache>(
                 p, eq_, dram_.get(),
                 buildLlcPolicy(p.sets, p.ways, cfg_.seed + s)));

@@ -13,11 +13,9 @@
  * The machine shape is SystemConfig's composition fields
  * (sim/topology.hh), which the caller assigns: core/SMT counts, total
  * LLC capacity (llcBytesOf), the LLC's address-interleaved slicing (one
- * Cache per slice behind a SliceRouter), DRAM channels
- * (dramChannelsOf), and the per-core MSHR-quota / bandwidth-token
- * arbitration the shared slices apply. The defaults reproduce the
- * fixed pre-topology machine exactly: one monolithic slice, no router,
- * no arbitration.
+ * Cache per slice behind a SliceRouter) and DRAM channels
+ * (dramChannelsOf). The defaults reproduce the fixed pre-topology
+ * machine exactly: one monolithic slice, no router.
  */
 
 #ifndef TACSIM_SIM_SYSTEM_HH

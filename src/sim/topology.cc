@@ -60,9 +60,7 @@ formatSize(std::uint64_t bytes)
 std::uint64_t
 llcBytesOf(const SystemConfig &cfg)
 {
-    return cfg.llcTotalBytes
-        ? cfg.llcTotalBytes
-        : std::uint64_t{cfg.llcPerCore.sizeBytes} * cfg.numCores;
+    return std::uint64_t{cfg.llcPerCore.sizeBytes} * cfg.numCores;
 }
 
 unsigned
@@ -84,8 +82,6 @@ validateTopology(const SystemConfig &cfg)
         fail("llc ways must be a nonzero power of two");
     if (!isPow2(cfg.llcSlices))
         fail("slices must be a nonzero power of two");
-    if (cfg.llcBwWindow == 0)
-        fail("bw window must be nonzero");
 
     const std::uint64_t bytes = llcBytesOf(cfg);
     const std::uint64_t rowBytes =
@@ -146,26 +142,15 @@ topologyText(const SystemConfig &cfg)
     std::string out = "cores=" + std::to_string(cfg.numCores);
     if (cfg.threadsPerCore != d.threadsPerCore)
         out += ",smt=" + std::to_string(cfg.threadsPerCore);
-    if (cfg.llcTotalBytes != d.llcTotalBytes ||
-        cfg.llcPerCore.ways != d.llcPerCore.ways) {
-        out += ",llc=";
-        out += cfg.llcTotalBytes ? formatSize(cfg.llcTotalBytes)
-                                 : std::string("auto");
-        out += "/" + std::to_string(cfg.llcPerCore.ways) + "w";
-    }
+    if (cfg.llcPerCore.ways != d.llcPerCore.ways)
+        out += ",llc=" + formatSize(llcBytesOf(cfg)) + "/" +
+            std::to_string(cfg.llcPerCore.ways) + "w";
     if (cfg.llcSlices != d.llcSlices)
         out += ",slices=" + std::to_string(cfg.llcSlices);
     if (cfg.llcSliceHopLatency != d.llcSliceHopLatency)
         out += ",slice_lat=" + std::to_string(cfg.llcSliceHopLatency);
     if (cfg.dram.channels != d.dram.channels)
         out += ",chan=" + std::to_string(cfg.dram.channels);
-    if (cfg.llcMshrQuotaPerCore != d.llcMshrQuotaPerCore)
-        out += ",mshr_quota=" + std::to_string(cfg.llcMshrQuotaPerCore);
-    if (cfg.llcBwTokensPerCore != d.llcBwTokensPerCore) {
-        out += ",bw=" + std::to_string(cfg.llcBwTokensPerCore);
-        if (cfg.llcBwWindow != d.llcBwWindow)
-            out += "/" + std::to_string(cfg.llcBwWindow) + "c";
-    }
     return out;
 }
 

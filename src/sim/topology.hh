@@ -2,11 +2,10 @@
  * @file
  * The shape of the simulated machine. Machines are C++ values: a caller
  * assigns SystemConfig's composition fields (numCores, threadsPerCore,
- * llcTotalBytes, llcPerCore.ways, llcSlices, llcSliceHopLatency,
- * dram.channels, llcMshrQuotaPerCore, llcBwTokensPerCore and
- * llcBwWindow). This file derives the LLC size and the DRAM channel
- * count from them, checks that a config builds a machine that runs,
- * and prints the one-line label every sweep report carries:
+ * llcPerCore.ways, llcSlices, llcSliceHopLatency and dram.channels).
+ * This file derives the LLC size and the DRAM channel count from them,
+ * checks that a config builds a machine that runs, and prints the
+ * one-line label every sweep report carries:
  *
  *     cores=32,smt=2,llc=16MB/32w,slices=8,chan=4
  */
@@ -21,8 +20,7 @@
 
 namespace tacsim {
 
-/** Total LLC bytes: llcTotalBytes, or llcPerCore.sizeBytes per core
- *  when that is 0 ("auto"). */
+/** Total LLC bytes: llcPerCore.sizeBytes per core. */
 std::uint64_t llcBytesOf(const SystemConfig &cfg);
 
 /** DRAM channels: dram.channels, or one per four cores when that is 0
@@ -38,9 +36,9 @@ unsigned dramChannelsOf(const SystemConfig &cfg);
 void validateTopology(const SystemConfig &cfg);
 
 /** Label of @p cfg's composition fields: `key=value` pairs in the
- *  fixed order cores, smt, llc (<size>/<ways>w, the size in the largest
- *  exact unit or "auto"), slices, slice_lat, chan, mshr_quota and bw
- *  (<tokens>[/<window>c]), each omitted at its default but cores. */
+ *  fixed order cores, smt, llc (<size>/<ways>w, the total size in the
+ *  largest exact unit; printed when the ways differ from the default),
+ *  slices, slice_lat and chan, each omitted at its default but cores. */
 std::string topologyText(const SystemConfig &cfg);
 
 } // namespace tacsim

@@ -291,8 +291,6 @@ expectCacheTotals(const obs::Totals &t, const std::string &root,
         {"atp.issued", &CacheStats::atpIssued},
         {"atp.useful", &CacheStats::atpUseful},
         {"tempo.useful", &CacheStats::tempoUseful},
-        {"arb.mshr_deferred", &CacheStats::arbMshrDeferred},
-        {"arb.bw_deferred", &CacheStats::arbBwDeferred},
     };
     for (const auto &[name, field] : fields)
         EXPECT_EQ(t.counter(root + "." + name),
@@ -310,8 +308,7 @@ TEST(ObsTotals, EqualTheTypedStatsOfEveryInstance)
     // optional metric family is registered. No golden covers SMT, so
     // the typed stats are the reference.
     SystemConfig cfg{.numCores = 4, .threadsPerCore = 2, .llcSlices = 2,
-                     .llcSliceHopLatency = 2, .llcMshrQuotaPerCore = 16,
-                     .llcBwTokensPerCore = 32};
+                     .llcSliceHopLatency = 2};
     TranslationAwareOptions ta;
     ta.tempo = true;
     applyTranslationAware(cfg, ta);

@@ -1,10 +1,10 @@
 /**
  * @file
- * Tests for the canonical point hash (serve/point_key.hh) and its
- * SHA-256 primitive: NIST vectors, stability of the key, sensitivity
- * to exactly the inputs that determine a simulation's outcome (config,
- * workload content, budgets) — and insensitivity to everything else
- * (trace file names, explicitly-spelled default budgets).
+ * Tests for the canonical point hash (serve/point_key.hh): its shape,
+ * stability of the key, sensitivity to exactly the inputs that
+ * determine a simulation's outcome (config, workload content, budgets)
+ * — and insensitivity to everything else (trace file names,
+ * explicitly-spelled default budgets).
  */
 
 #include <gtest/gtest.h>
@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "serve/point_key.hh"
-#include "serve/sha256.hh"
 #include "sim/config.hh"
 #include "sim/runner.hh"
 
@@ -41,49 +40,14 @@ writeFile(const std::string &path, const std::string &bytes)
     ASSERT_TRUE(f.good());
 }
 
-/** True iff @p s has a point key's shape: 64 lowercase hex chars. */
+/** True iff @p s has a point key's shape: 32 lowercase hex chars. */
 bool
 isHexKey(const std::string &s)
 {
-    return s.size() == 64 &&
+    return s.size() == 32 &&
         std::all_of(s.begin(), s.end(), [](char c) {
                return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f');
            });
-}
-
-TEST(Sha256, NistVectors)
-{
-    // FIPS 180-4 examples.
-    EXPECT_EQ(serve::sha256Hex(""),
-              "e3b0c44298fc1c149afbf4c8996fb924"
-              "27ae41e4649b934ca495991b7852b855");
-    EXPECT_EQ(serve::sha256Hex("abc"),
-              "ba7816bf8f01cfea414140de5dae2223"
-              "b00361a396177a9cb410ff61f20015ad");
-    EXPECT_EQ(serve::sha256Hex("abcdbcdecdefdefgefghfghighijhijk"
-                               "ijkljklmklmnlmnomnopnopq"),
-              "248d6a61d20638b8e5c026930c3e6039"
-              "a33ce45964ff2167f6ecedd419db06c1");
-}
-
-TEST(Sha256, IncrementalMatchesOneShot)
-{
-    const std::string msg(1000, 'a');
-    serve::Sha256 h;
-    for (std::size_t i = 0; i < msg.size(); i += 7)
-        h.update(msg.data() + i, std::min<std::size_t>(7,
-                                                       msg.size() - i));
-    EXPECT_EQ(h.hexDigest(), serve::sha256Hex(msg));
-}
-
-TEST(Sha256, FileDigestMatchesBytes)
-{
-    const std::string path = tmpPath("sha_file");
-    const std::string bytes = "tacsim sha256 file digest\n";
-    writeFile(path, bytes);
-    EXPECT_EQ(serve::sha256FileHex(path), serve::sha256Hex(bytes));
-    std::remove(path.c_str());
-    EXPECT_THROW(serve::sha256FileHex(path), std::runtime_error);
 }
 
 TEST(PointKey, ShapeAndStability)
@@ -157,14 +121,10 @@ TEST(PointKey, CanonicalConfigTextIsVersionedAndComplete)
     const std::vector<void (*)(SystemConfig &)> toggles = {
         [](SystemConfig &c) { c.numCores = 2; },
         [](SystemConfig &c) { c.threadsPerCore = 2; },
-        [](SystemConfig &c) { c.llcTotalBytes = 4 << 20; },
         [](SystemConfig &c) { c.llcPerCore.ways = 8; },
         [](SystemConfig &c) { c.llcSlices = 2; },
         [](SystemConfig &c) { c.llcSliceHopLatency = 1; },
         [](SystemConfig &c) { c.dram.channels = 1; },
-        [](SystemConfig &c) { c.llcMshrQuotaPerCore = 8; },
-        [](SystemConfig &c) { c.llcBwTokensPerCore = 8; },
-        [](SystemConfig &c) { c.llcBwWindow = 32; },
     };
     for (std::size_t i = 0; i < toggles.size(); ++i) {
         SystemConfig changed = cfg;

@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for the data prefetchers: next-line, IP-stride, SPP,
- * Bingo, IPCP (incl. the TLB-gated cross-page path) and ISB.
+ * Unit tests for the data prefetchers: SPP, Bingo, IPCP (incl. the
+ * TLB-gated cross-page path) and ISB.
  */
 
 #include <gtest/gtest.h>
@@ -12,7 +12,6 @@
 #include "prefetch/bingo.hh"
 #include "prefetch/ipcp.hh"
 #include "prefetch/isb.hh"
-#include "prefetch/simple.hh"
 #include "prefetch/spp.hh"
 
 namespace tacsim {
@@ -49,50 +48,6 @@ demand(Addr paddr, Addr ip, Addr vaddr = 0)
     ai.ip = ip;
     ai.cat = BlockCat::NonReplay;
     return ai;
-}
-
-TEST(NextLine, PrefetchesNextBlockSamePage)
-{
-    NextLinePrefetcher pf(1);
-    CaptureIssuer sink;
-    pf.setIssuer(&sink);
-    pf.onAccess(demand(0x1000, 0x400000), false);
-    ASSERT_EQ(sink.issued.size(), 1u);
-    EXPECT_EQ(sink.issued[0].first, 0x1040u);
-}
-
-TEST(NextLine, ClampsAtPageBoundary)
-{
-    NextLinePrefetcher pf(2);
-    CaptureIssuer sink;
-    pf.setIssuer(&sink);
-    pf.onAccess(demand(0x1fc0, 0x400000), false); // last block of page
-    EXPECT_TRUE(sink.issued.empty());
-}
-
-TEST(IpStride, DetectsStrideAfterConfidence)
-{
-    IpStridePrefetcher pf(2);
-    CaptureIssuer sink;
-    pf.setIssuer(&sink);
-    const Addr ip = 0x400100;
-    // Stride of 2 blocks (128B) within one page.
-    for (Addr a = 0x2000; a <= 0x2400; a += 0x80)
-        pf.onAccess(demand(a, ip), false);
-    EXPECT_TRUE(sink.has(0x2480));
-    EXPECT_TRUE(sink.has(0x2500));
-}
-
-TEST(IpStride, NoPrefetchWithoutPattern)
-{
-    IpStridePrefetcher pf(2);
-    CaptureIssuer sink;
-    pf.setIssuer(&sink);
-    const Addr ip = 0x400200;
-    const Addr irregular[] = {0x2000, 0x2240, 0x2080, 0x2680, 0x2140};
-    for (Addr a : irregular)
-        pf.onAccess(demand(a, ip), false);
-    EXPECT_TRUE(sink.issued.empty());
 }
 
 TEST(Spp, SignatureUpdateFoldsDelta)

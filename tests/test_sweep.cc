@@ -315,7 +315,7 @@ TEST(Sweep, SamePointUnderTwoNamesRunsOnce)
     const SweepOutcome *o = sw.outcome("alias");
     ASSERT_NE(o, nullptr);
     EXPECT_TRUE(o->ok);
-    EXPECT_EQ(o->pointKey.size(), 64u);
+    EXPECT_EQ(o->pointKey.size(), 32u);
 }
 
 TEST(Sweep, OutcomesCarryThePointKey)
@@ -333,8 +333,8 @@ TEST(Sweep, OutcomesCarryThePointKey)
     ASSERT_NE(spec, nullptr);
     ASSERT_NE(other, nullptr);
     ASSERT_NE(custom, nullptr);
-    EXPECT_EQ(spec->pointKey.size(), 64u);
-    EXPECT_EQ(other->pointKey.size(), 64u);
+    EXPECT_EQ(spec->pointKey.size(), 32u);
+    EXPECT_EQ(other->pointKey.size(), 32u);
     // Another workload is another simulation: its own identity.
     EXPECT_NE(spec->pointKey, other->pointKey);
     EXPECT_EQ(sw.points(), 3u);

@@ -1,11 +1,10 @@
 /**
  * @file
  * Machine-shape unit tests: the topology label (canonical key order,
- * defaults omitted, every key, LLC size units and "auto", the bandwidth
- * window), validateTopology's exact messages, the DRAM channel rule as
- * System builds it, and a seeded property loop asserting that the label
- * tells apart any two valid machines that differ in one composition
- * field.
+ * defaults omitted, every key, LLC size units), validateTopology's
+ * exact messages, the DRAM channel rule as System builds it, and a
+ * seeded property loop asserting that the label tells apart any two
+ * valid machines that differ in one composition field.
  */
 
 #include <gtest/gtest.h>
@@ -37,11 +36,11 @@ refusal(const SystemConfig &cfg)
     return "accepted";
 }
 
-/** @p cfg with @p bytes of LLC in total (0 = auto) in @p ways ways. */
+/** @p cfg with @p bytes of LLC per core in @p ways ways. */
 SystemConfig
-withLlc(SystemConfig cfg, std::uint64_t bytes, std::uint32_t ways)
+withLlc(SystemConfig cfg, std::uint32_t bytes, std::uint32_t ways)
 {
-    cfg.llcTotalBytes = bytes;
+    cfg.llcPerCore.sizeBytes = bytes;
     cfg.llcPerCore.ways = ways;
     return cfg;
 }
@@ -54,7 +53,7 @@ TEST(TopologySpecTest, DumpIsCanonicalAndOmitsDefaults)
     // fields left at their defaults are omitted.
     SystemConfig cfg =
         withLlc({.numCores = 32, .threadsPerCore = 2, .llcSlices = 8},
-                16u << 20, 32);
+                512u << 10, 32);
     cfg.dram.channels = 4;
     EXPECT_EQ(refusal(cfg), "accepted");
     EXPECT_EQ(topologyText(cfg), "cores=32,smt=2,llc=16MB/32w,slices=8,chan=4");
@@ -64,46 +63,32 @@ TEST(TopologySpecTest, PrintsEveryKey)
 {
     SystemConfig cfg = withLlc(
         {.numCores = 64, .threadsPerCore = 4, .llcSlices = 16,
-         .llcSliceHopLatency = 3, .llcMshrQuotaPerCore = 24,
-         .llcBwTokensPerCore = 16, .llcBwWindow = 128},
-        128u << 20, 32);
+         .llcSliceHopLatency = 3},
+        2u << 20, 32);
     cfg.dram.channels = 8;
     EXPECT_EQ(refusal(cfg), "accepted");
     EXPECT_EQ(topologyText(cfg),
-              "cores=64,smt=4,llc=128MB/32w,slices=16,slice_lat=3,chan=8,"
-              "mshr_quota=24,bw=16/128c");
+              "cores=64,smt=4,llc=128MB/32w,slices=16,slice_lat=3,chan=8");
 }
 
 TEST(TopologySpecTest, LlcSizesAcceptAllUnitsAndAuto)
 {
     // Every size validates and prints in the largest unit that divides
     // it exactly, or in plain bytes when none does.
-    const auto label = [](std::uint64_t bytes, std::uint32_t ways) {
+    const auto label = [](std::uint32_t bytes, std::uint32_t ways) {
         const SystemConfig cfg = withLlc({}, bytes, ways);
         EXPECT_EQ(refusal(cfg), "accepted") << bytes;
         return topologyText(cfg);
     };
     EXPECT_EQ(label(512u << 10, 8), "cores=1,llc=512KB/8w");
-    EXPECT_EQ(label(std::uint64_t{1} << 30, 16), "cores=1,llc=1GB/16w");
+    EXPECT_EQ(label(1u << 30, 32), "cores=1,llc=1GB/32w");
     EXPECT_EQ(label(65536, 4), "cores=1,llc=64KB/4w");
     EXPECT_EQ(label(512, 1), "cores=1,llc=512/1w");
 
-    // 0 sizes the LLC from the per-core capacity.
-    const SystemConfig a = withLlc({.numCores = 4}, 0, 32);
+    // The label prints the whole LLC: the per-core size times the cores.
+    const SystemConfig a = withLlc({.numCores = 4}, 2u << 20, 32);
     EXPECT_EQ(llcBytesOf(a), 8u * 1024 * 1024);
-    EXPECT_EQ(topologyText(a), "cores=4,llc=auto/32w");
-}
-
-TEST(TopologySpecTest, BwWindowDefaultIsOmitted)
-{
-    EXPECT_EQ(topologyText({.numCores = 2, .llcBwTokensPerCore = 32}),
-              "cores=2,bw=32");
-    EXPECT_EQ(topologyText({.numCores = 2, .llcBwTokensPerCore = 32,
-                            .llcBwWindow = 128}),
-              "cores=2,bw=32/128c");
-    // Without tokens the window does nothing, and is not printed.
-    EXPECT_EQ(topologyText({.numCores = 2, .llcBwWindow = 128}),
-              "cores=2");
+    EXPECT_EQ(topologyText(a), "cores=4,llc=8MB/32w");
 }
 
 TEST(TopologySpecTest, RejectsWithExactMessages)
@@ -113,14 +98,11 @@ TEST(TopologySpecTest, RejectsWithExactMessages)
               "topology: cores must be <= 1024");
     EXPECT_EQ(refusal({.numCores = 4, .threadsPerCore = 9}),
               "topology: smt must be in 1..8");
-    EXPECT_EQ(refusal(withLlc({.numCores = 4}, 8u << 20, 12)),
+    EXPECT_EQ(refusal(withLlc({.numCores = 4}, 2u << 20, 12)),
               "topology: llc ways must be a nonzero power of two");
     EXPECT_EQ(refusal({.numCores = 4, .llcSlices = 3}),
               "topology: slices must be a nonzero power of two");
-    EXPECT_EQ(refusal({.numCores = 4, .llcBwTokensPerCore = 8,
-                       .llcBwWindow = 0}),
-              "topology: bw window must be nonzero");
-    EXPECT_EQ(refusal(withLlc({.numCores = 4}, 3u << 20, 16)),
+    EXPECT_EQ(refusal(withLlc({.numCores = 4}, 768u << 10, 16)),
               "topology: llc size 3MB with 16 ways does not yield a "
               "power-of-two set count");
     EXPECT_EQ(refusal(withLlc({.numCores = 1, .llcSlices = 128}, 64u << 10,
@@ -128,7 +110,7 @@ TEST(TopologySpecTest, RejectsWithExactMessages)
               "topology: slices (128) exceed llc sets (64)");
     // 2^34 sets: more than CacheParams::sets holds, so a System would
     // narrow the count to 0 and abort the whole process.
-    EXPECT_EQ(refusal(withLlc({}, std::uint64_t{1024} << 30, 1)),
+    EXPECT_EQ(refusal(withLlc({.numCores = 512}, 2u << 30, 1)),
               "topology: llc size 1024GB with 1 ways needs 17179869184 "
               "sets, more than a cache can index");
 }
@@ -138,8 +120,8 @@ TEST(TopologySpecTest, ApplyValidatesAgainstTheConfigsLlcSizing)
     // 3 slices is structurally invalid no matter the capacity.
     EXPECT_THROW(validateTopology({.llcSlices = 3}), std::invalid_argument);
 
-    // An auto-sized LLC takes the config's per-core capacity: 1.5MB
-    // per core gives no power-of-two set count.
+    // The LLC takes the config's per-core capacity: 1.5MB per core
+    // gives no power-of-two set count.
     SystemConfig cfg;
     EXPECT_EQ(refusal(cfg), "accepted");
     cfg.llcPerCore.sizeBytes = 3 * 512 * 1024;
@@ -182,7 +164,7 @@ TEST(TopologySpecTest, ChanIsTheChannelCountSystemBuilds)
     four.dram.channels = 3;
     EXPECT_EQ(channelsBuilt(four), 3u);
 
-    EXPECT_EQ(dramChannelsOf(withLlc({.numCores = 9}, 16u << 20, 16)), 3u);
+    EXPECT_EQ(dramChannelsOf({.numCores = 9}), 3u);
 }
 
 TEST(TopologySpecTest, PropertyStressRoundTrip)
@@ -190,8 +172,7 @@ TEST(TopologySpecTest, PropertyStressRoundTrip)
     // The label must still pin a machine's shape, as the text -> config
     // -> text round trip once did: on a random valid machine, changing
     // any one composition field to another valid value changes
-    // topologyText. The bandwidth window counts only while tokens are
-    // nonzero. The generator is seeded, so a failure reproduces
+    // topologyText. The generator is seeded, so a failure reproduces
     // exactly.
     using Draw = void (*)(SystemConfig &, Rng &);
     struct Field
@@ -208,13 +189,6 @@ TEST(TopologySpecTest, PropertyStressRoundTrip)
          }},
         {"llcPerCore.ways",
          [](SystemConfig &c, Rng &r) { c.llcPerCore.ways = 1u << r.range(6); }},
-        {"llcTotalBytes",
-         [](SystemConfig &c, Rng &r) {
-             c.llcTotalBytes = r.range(2)
-                 ? (std::uint64_t{c.llcPerCore.ways} * kBlockSize)
-                     << r.range(12)
-                 : 0;
-         }},
         {"llcSlices",
          [](SystemConfig &c, Rng &r) { c.llcSlices = 1u << r.range(7); }},
         {"llcSliceHopLatency",
@@ -224,23 +198,12 @@ TEST(TopologySpecTest, PropertyStressRoundTrip)
          [](SystemConfig &c, Rng &r) {
              c.dram.channels = static_cast<unsigned>(r.range(9));
          }},
-        {"llcMshrQuotaPerCore",
-         [](SystemConfig &c, Rng &r) {
-             c.llcMshrQuotaPerCore = static_cast<std::uint32_t>(r.range(256));
-         }},
-        {"llcBwTokensPerCore",
-         [](SystemConfig &c, Rng &r) {
-             c.llcBwTokensPerCore = static_cast<std::uint32_t>(r.range(64));
-         }},
-        {"llcBwWindow",
-         [](SystemConfig &c, Rng &r) { c.llcBwWindow = 1 + r.range(256); }},
     };
 
     Rng rng(0x70b0106fu);
     std::vector<unsigned> checked(std::size(fields), 0);
     for (int i = 0; i < 500; ++i) {
-        // A valid machine: slices at most the LLC's set count, and the
-        // window at its default while there are no tokens.
+        // A valid machine: slices at most the LLC's set count.
         SystemConfig cfg;
         for (const Field &f : fields)
             f.draw(cfg, rng);
@@ -248,15 +211,10 @@ TEST(TopologySpecTest, PropertyStressRoundTrip)
             llcBytesOf(cfg) / (std::uint64_t{cfg.llcPerCore.ways} * kBlockSize);
         while (cfg.llcSlices > sets)
             cfg.llcSlices /= 2;
-        if (!cfg.llcBwTokensPerCore)
-            cfg.llcBwWindow = 64;
         const std::string text = topologyText(cfg);
         ASSERT_EQ(refusal(cfg), "accepted") << text;
 
         for (std::size_t f = 0; f < std::size(fields); ++f) {
-            if (std::string(fields[f].name) == "llcBwWindow" &&
-                !cfg.llcBwTokensPerCore)
-                continue;
             SystemConfig other = cfg;
             for (int tries = 0; tries < 16 && canonicalConfigText(other) ==
                      canonicalConfigText(cfg); ++tries)

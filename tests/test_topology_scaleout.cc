@@ -4,10 +4,9 @@
  * composition fields: 16/32/64-core machines from those fields alone,
  * byte-identical determinism between a serial sweep and a 4-worker
  * pool, pin tests that the default 1-core and 8-core machines' derived
- * sizes (auto LLC, DRAM channels) build bit-exactly the machines with
- * those sizes spelled out (so the pre-existing goldens stay valid), an
- * arbitration-engagement sanity check, and the death-tested accessor
- * guards on System::threadCycles()/finishCycle().
+ * DRAM channel counts build bit-exactly the machines with those counts
+ * spelled out (so the pre-existing goldens stay valid), and the
+ * death-tested accessor guards on System::threadCycles()/finishCycle().
  */
 
 #include <gtest/gtest.h>
@@ -29,11 +28,9 @@ namespace {
 constexpr std::uint64_t kInstr = 3000;
 constexpr std::uint64_t kWarm = 500;
 
-/** 16 cores, 4 LLC slices at 2 cycles per ring hop, per-core MSHR
- *  quotas and bandwidth tokens. */
+/** 16 cores, 4 LLC slices at 2 cycles per ring hop. */
 const SystemConfig kSixteenCores{
-    .numCores = 16, .llcSlices = 4, .llcSliceHopLatency = 2,
-    .llcMshrQuotaPerCore = 64, .llcBwTokensPerCore = 32};
+    .numCores = 16, .llcSlices = 4, .llcSliceHopLatency = 2};
 
 /** Deterministic heterogeneous mix: cycle through the suite. */
 std::vector<std::string>
@@ -65,7 +62,7 @@ TEST(TopologyScaleoutTest, SixteenCoreMachineRunsFromSpecAlone)
     ASSERT_EQ(sys.threads(), 16u);
     ASSERT_EQ(sys.llcSlices(), 4u);
     ASSERT_NE(sys.llcRouter(), nullptr);
-    // Slices split the auto-sized 32MB LLC evenly: 32768 sets over 4.
+    // Slices split the 32MB LLC evenly: 32768 sets over 4.
     EXPECT_EQ(sys.llc(0).params().sets, 8192u);
 
     sys.warmup(kWarm);
@@ -96,8 +93,8 @@ TEST(TopologyScaleoutTest, LargeMachinesBuildFromSpecAlone)
         EXPECT_EQ(sys.llcSlices(), 8u);
     }
     {
-        SystemConfig cfg{.numCores = 64, .llcTotalBytes = 128u << 20,
-                         .llcSlices = 16, .llcSliceHopLatency = 2};
+        SystemConfig cfg{.numCores = 64, .llcSlices = 16,
+                         .llcSliceHopLatency = 2};
         cfg.llcPerCore.ways = 32;
         System sys(cfg, workloadsFor(cfg));
         EXPECT_EQ(sys.threads(), 64u);
@@ -131,13 +128,12 @@ TEST(TopologyScaleoutTest, SerialAndPooledSweepsAreByteIdentical)
 
 TEST(TopologyScaleoutTest, DefaultMachinesPinnedThroughTopologyPath)
 {
-    // The derived sizes (an LLC of 2MB per core, one DRAM channel per
-    // four cores) must build bit-exactly the machine with those sizes
-    // spelled out, the hand-wired machine the pre-existing golden
-    // snapshots were taken on.
+    // The derived DRAM channel count (one per four cores) must build
+    // bit-exactly the machine with that count spelled out, the
+    // hand-wired machine the pre-existing golden snapshots were taken
+    // on.
     {
         SystemConfig spelled;
-        spelled.llcTotalBytes = 2u << 20;
         spelled.dram.channels = 1;
         const RunResult derived =
             runSpecMix(SystemConfig{}, {"mcf"}, 20000, 5000);
@@ -145,7 +141,7 @@ TEST(TopologyScaleoutTest, DefaultMachinesPinnedThroughTopologyPath)
         EXPECT_EQ(dumpRunResult(derived), dumpRunResult(direct));
     }
     {
-        SystemConfig spelled{.numCores = 8, .llcTotalBytes = 16u << 20};
+        SystemConfig spelled{.numCores = 8};
         spelled.dram.channels = 2;
         const std::vector<std::string> mix = cyclingMix(8);
         const RunResult derived =
@@ -153,25 +149,6 @@ TEST(TopologyScaleoutTest, DefaultMachinesPinnedThroughTopologyPath)
         const RunResult direct = runSpecMix(spelled, mix, kInstr, kWarm);
         EXPECT_EQ(dumpRunResult(derived), dumpRunResult(direct));
     }
-}
-
-TEST(TopologyScaleoutTest, TightArbitrationEngagesAndStaysConsistent)
-{
-    // A deliberately starved LLC: 2 MSHRs and 4 demand lookups per
-    // window per core. The arbiter must actually defer work, and the
-    // invariant walk must accept the resulting state.
-    const SystemConfig cfg{.numCores = 8, .llcMshrQuotaPerCore = 2,
-                           .llcBwTokensPerCore = 4};
-    System sys(cfg, workloadsFor(cfg));
-    sys.run(4000);
-
-    const obs::Totals totals = sys.metrics().totals();
-    EXPECT_GT(totals.counter("llc.arb.mshr_deferred") +
-                  totals.counter("llc.arb.bw_deferred"),
-              0u)
-        << "starved arbitration never deferred anything";
-    for (std::size_t s = 0; s < sys.llcSlices(); ++s)
-        EXPECT_NO_THROW(sys.llc(s).checkInvariants());
 }
 
 #if defined(TACSIM_VERIFY_ENABLED) || !defined(NDEBUG)

@@ -271,97 +271,6 @@ TEST_F(VerifyCacheTest, RrpvOutOfRangeTrips)
     EXPECT_EQ(v.way(), 1);
 }
 
-/**
- * LLC-arbitration bookkeeping: a small shared cache with the per-core
- * MSHR quota and bandwidth-token bucket on, corrupted through the
- * cache's test hooks so each arb invariant trips by its exact tag.
- */
-struct VerifyArbTest : VerifyCacheTest
-{
-    CacheParams
-    arbParams()
-    {
-        CacheParams p = smallParams();
-        p.name = "LLC";
-        p.mshrs = 8;
-        p.level = RespSource::LLC;
-        p.arb.cores = 2;
-        p.arb.smt = 1;
-        p.arb.mshrQuota = 2;
-        p.arb.bwTokens = 4;
-        p.arb.bwWindow = 64;
-        return p;
-    }
-
-    /** A demand load attributed to @p core. */
-    MemRequestPtr
-    ownedLoad(Addr paddr, std::uint16_t core)
-    {
-        MemRequestPtr req = makeLoad(paddr);
-        req->cpu = core;
-        return req;
-    }
-};
-
-TEST_F(VerifyArbTest, CleanArbitratedTrafficPasses)
-{
-    auto c = makeCache(arbParams());
-    for (Addr a : {0x1000, 0x2000, 0x3000, 0x4000})
-        c->access(ownedLoad(a, static_cast<std::uint16_t>(a >> 12 & 1)));
-    // Mid-flight (MSHRs live, tokens spent) and drained states must
-    // both pass.
-    eq.advanceTo(20);
-    EXPECT_NO_THROW(c->checkInvariants());
-    test::drain(eq);
-    EXPECT_NO_THROW(c->checkInvariants());
-}
-
-TEST_F(VerifyArbTest, MshrCounterDriftTrips)
-{
-    auto c = makeCache(arbParams());
-    c->access(ownedLoad(0x1000, 0));
-    eq.advanceTo(20); // MSHR allocated, fill still 80 cycles out
-
-    // Model a leaked decrement: the arbiter thinks core 0 freed an
-    // MSHR it still holds.
-    c->arbMshrCountFor(0) = 0;
-
-    auto v = expectViolation([&] { c->checkInvariants(); });
-    EXPECT_EQ(v.invariant(), "arb-mshr-quota");
-    EXPECT_EQ(v.component(), "LLC");
-    EXPECT_NE(std::string(v.what()).find(
-                  "owns 1 live MSHRs but the arbiter counter says 0"),
-              std::string::npos);
-}
-
-TEST_F(VerifyArbTest, PhantomOwnershipTrips)
-{
-    auto c = makeCache(arbParams());
-    // No traffic at all, but the counter claims core 1 holds MSHRs.
-    c->arbMshrCountFor(1) = 3;
-
-    auto v = expectViolation([&] { c->checkInvariants(); });
-    EXPECT_EQ(v.invariant(), "arb-mshr-quota");
-    EXPECT_NE(std::string(v.what()).find(
-                  "owns 0 live MSHRs but the arbiter counter says 3"),
-              std::string::npos);
-}
-
-TEST_F(VerifyArbTest, TokenOverspendTrips)
-{
-    auto c = makeCache(arbParams());
-    // 4 tokens granted per 64-cycle window; a spend of 999 cannot be
-    // the result of legal metering.
-    c->arbTokensFor(1) = 999;
-
-    auto v = expectViolation([&] { c->checkInvariants(); });
-    EXPECT_EQ(v.invariant(), "arb-token-conservation");
-    EXPECT_EQ(v.component(), "LLC");
-    EXPECT_NE(std::string(v.what()).find(
-                  "spent 999 bandwidth tokens of 4 granted per window"),
-              std::string::npos);
-}
-
 TEST(VerifyTlbTest, DuplicateKeyTrips)
 {
     Tlb t("STLB", 64, 4, 1);
