@@ -5,8 +5,8 @@
  * Each generates every homogeneous mix (one per benchmark) plus a set
  * of seeded heterogeneous mixes, and runs each under the baseline and
  * the full proposal: 15 mixes x 2 policies = 30 points. Each machine is
- * the baseline with its composition fields assigned (sim/topology.hh):
- * sliced LLC with a ring-hop latency and auto-derived DRAM channels.
+ * the baseline with its core count assigned (sim/topology.hh): one
+ * shared LLC of 2MB per core and auto-derived DRAM channels.
  *
  * Metrics per mix: weighted speedup (mean of per-thread IPC ratios)
  * and harmonic speedup of the proposal, both against the baseline run
@@ -28,18 +28,16 @@ namespace {
 using B = Benchmark;
 
 /**
- * The baseline machine with @p cores cores: LLC sized at 2MB/core
- * (16 ways) and sliced one slice per 4 cores with a 2-cycle ring hop,
- * and DRAM channels auto-derived. Throws std::invalid_argument
- * (validateTopology) when @p cores builds no machine that runs.
+ * The baseline machine with @p cores cores: one LLC sized at 2MB/core
+ * (16 ways) and DRAM channels auto-derived. Throws
+ * std::invalid_argument (validateTopology) when @p cores builds no
+ * machine that runs.
  */
 SystemConfig
 machineFor(unsigned cores)
 {
     SystemConfig cfg = baselineConfig();
     cfg.numCores = cores;
-    cfg.llcSlices = cores / 4;
-    cfg.llcSliceHopLatency = 2;
     validateTopology(cfg);
     return cfg;
 }

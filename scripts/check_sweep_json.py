@@ -21,8 +21,8 @@ Checks, in order:
     this catches that);
   * --require-ok: every run succeeded (ok == true, error == null);
   * --require-topology: every run built from a config path carries a
-    nonempty canonical topology spec (custom jobs are exempt only when
-    their key starts with "custom/").
+    nonempty topology label (custom jobs are exempt only when their key
+    starts with "custom/").
 
 Exit status: 0 on pass, 1 on a failed content check, 3 when the report
 is missing/unreadable, 4 when it exists but is malformed (bad JSON,
@@ -109,7 +109,7 @@ def main():
                     help="fail if any run entry failed")
     ap.add_argument("--require-topology", action="store_true",
                     help="fail if any non-custom run lacks a topology "
-                         "spec")
+                         "label")
     args = ap.parse_args()
 
     try:
@@ -186,7 +186,7 @@ def main():
                    and not r["key"].startswith("custom/")]
         if missing:
             fail(EXIT_FAILED,
-                 f"error: {args.report}: runs without a topology spec: "
+                 f"error: {args.report}: runs without a topology label: "
                  f"{missing}")
 
     ok = sum(1 for r in runs if r["ok"])

@@ -17,7 +17,7 @@ Cache::Cache(CacheParams params, EventQueue &eq, MemDevice *lower,
       lower_(lower),
       policy_(std::move(policy)),
       prefetcher_(std::move(prefetcher)),
-      indexer_(params_.sets, params_.setShift),
+      indexer_(params_.sets, kBlockBits),
       blocks_(static_cast<std::size_t>(params_.sets) * params_.ways),
       mshrFile_(params_.mshrs),
       mshrSlots_(params_.mshrs)

@@ -95,11 +95,6 @@ struct CacheParams
     std::uint32_t mshrReserveForDemand = 2; ///< prefetches may not take these
     RespSource level = RespSource::L1D;     ///< for response attribution
 
-    /** Low address bits below the set-index field. An LLC slice in a
-     *  2^k-way interleave indexes above the slice-select bits
-     *  (kBlockBits + k), so sibling slices never alias sets. */
-    unsigned setShift = kBlockBits;
-
     bool idealTranslations = false; ///< Fig. 2 ideal mode for leaf PTEs
     bool idealReplays = false;      ///< Fig. 2 ideal mode for replay loads
     bool atp = false;               ///< enable the ATP trigger here

@@ -136,10 +136,6 @@ canonicalConfigText(const SystemConfig &cfg)
     emitGeometry(out, "l2", cfg.l2);
     emitGeometry(out, "llc_per_core", cfg.llcPerCore);
 
-    emit(out, "llc.slices", std::uint64_t{cfg.llcSlices});
-    emit(out, "llc.slice_hop_latency",
-         std::uint64_t{cfg.llcSliceHopLatency});
-
     emit(out, "l2.policy", policyKindName(cfg.l2Policy));
     emitOpts(out, "l2.opts", cfg.l2Opts);
     emit(out, "llc.policy", policyKindName(cfg.llcPolicy));

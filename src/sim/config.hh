@@ -102,17 +102,10 @@ struct SystemConfig
     // memory-level parallelism a 352-entry ROB exposes.
     CacheGeometry l1d{48 * 1024, 12, 5, 32};
     CacheGeometry l2{512 * 1024, 8, 10, 64};
+    /** The shared LLC is one cache of llcPerCore.sizeBytes per core.
+     *  Its ways, numCores, threadsPerCore and dram.channels are the
+     *  machine's shape, which topologyText (sim/topology.hh) prints. */
     CacheGeometry llcPerCore{2 * 1024 * 1024, 16, 20, 128};
-
-    // Shared-LLC composition. These, numCores, threadsPerCore,
-    // llcPerCore.ways and dram.channels are the machine's shape, which
-    // topologyText (sim/topology.hh) prints; the defaults reproduce the
-    // fixed pre-topology machine exactly. The LLC holds
-    // llcPerCore.sizeBytes per core.
-    /** Address-interleaved LLC slices (power of two; 1 = monolithic). */
-    unsigned llcSlices = 1;
-    /** Extra cycles per ring hop from a core to a remote slice. */
-    Cycle llcSliceHopLatency = 0;
 
     PolicyKind l2Policy = PolicyKind::DRRIP;
     ReplOpts l2Opts{};

@@ -64,7 +64,7 @@ collectResult(System &sys, const std::string &name)
     r.ipc = r.cycles ? double(r.instructions) / double(r.cycles) : 0.0;
     for (std::size_t th = 0; th < sys.threads(); ++th) {
         r.threadCycles.push_back(sys.threadCycles(th));
-        r.threadInstructions.push_back(sys.core(th).retired());
+        r.threadInstructions.push_back(sys.threadInstructions(th));
     }
 
     const double kilo = double(r.instructions) / 1000.0;

@@ -65,7 +65,8 @@ struct RunResult
     std::uint64_t atpIssued = 0, atpUseful = 0;
     std::uint64_t tempoIssued = 0;
 
-    // Per-thread cycles for SMT/multicore speedups.
+    // Per-thread cycles and instructions for SMT/multicore speedups,
+    // both taken when the thread reached its budget.
     std::vector<std::uint64_t> threadCycles;
     std::vector<std::uint64_t> threadInstructions;
 

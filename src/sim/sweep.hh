@@ -71,8 +71,8 @@ struct SweepOutcome
 
     // Job metadata echoed for the JSON report.
     std::string benchmark;
-    /** Canonical topology spec of the point's config ("" for custom
-     *  jobs; see sim/topology.hh). */
+    /** Topology label of the point's config, as topologyText prints it
+     *  ("" for custom jobs; see sim/topology.hh). */
     std::string topology;
     std::uint64_t instructions = 0;
     std::uint64_t warmup = 0;

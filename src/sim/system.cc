@@ -5,7 +5,6 @@
 
 #include "cache/repl/csalt.hh"
 #include "cache/repl/deadblock.hh"
-#include "cache/slice_router.hh"
 #include "obs/chrome_trace.hh"
 #include "obs/timeseries.hh"
 #include "sim/topology.hh"
@@ -15,39 +14,29 @@ namespace tacsim {
 
 namespace {
 
-unsigned
-log2OfPow2(std::uint64_t v)
-{
-    unsigned bits = 0;
-    while (v > 1) {
-        v >>= 1;
-        ++bits;
-    }
-    return bits;
-}
-
-} // namespace
-
+/** The LLC's policy: cfg.llcPolicy, under the wrapper cfg selects. */
 std::unique_ptr<ReplPolicy>
-System::buildLlcPolicy(std::uint32_t sets, std::uint32_t ways,
-                       std::uint64_t seed) const
+makeLlcPolicy(const SystemConfig &cfg, std::uint32_t sets,
+              std::uint32_t ways)
 {
-    auto base = makePolicy(cfg_.llcPolicy, sets, ways, cfg_.llcOpts, seed);
-    if (cfg_.llcDeadBlock)
-        return std::make_unique<DeadBlockPolicy>(sets, ways, cfg_.llcOpts,
+    auto base = makePolicy(cfg.llcPolicy, sets, ways, cfg.llcOpts, cfg.seed);
+    if (cfg.llcDeadBlock)
+        return std::make_unique<DeadBlockPolicy>(sets, ways, cfg.llcOpts,
                                                  std::move(base));
-    if (cfg_.llcCsalt)
-        return std::make_unique<CsaltPolicy>(sets, ways, cfg_.llcOpts,
+    if (cfg.llcCsalt)
+        return std::make_unique<CsaltPolicy>(sets, ways, cfg.llcOpts,
                                              std::move(base));
     return base;
 }
+
+} // namespace
 
 System::System(SystemConfig cfg,
                std::vector<std::unique_ptr<Workload>> workloads)
     : cfg_(cfg), workloads_(std::move(workloads))
 {
-    // Reject shapes that cannot be built (bad slice/set ratios, zero
-    // cores) before building anything.
+    // Reject shapes that cannot be built (zero cores, a non-power-of-two
+    // LLC set count) before building anything.
     validateTopology(cfg_);
 
     const unsigned threads = cfg_.threads();
@@ -82,57 +71,29 @@ System::System(SystemConfig cfg,
     dp.channels = dramChannelsOf(cfg_);
     dram_ = std::make_unique<Dram>("DRAM", eq_, dp);
 
-    // Shared LLC: llcBytesOf(cfg) (default 2MB per core),
-    // address-interleaved across llcSlices independent Cache instances.
-    // Each slice indexes above the slice-select bits so sibling slices
-    // cover disjoint sets of the monolithic geometry.
-    const unsigned slices = cfg_.llcSlices;
+    // Shared LLC: one cache of llcBytesOf(cfg) (default 2MB per core)
+    // with llcPerCore.mshrs per core.
     {
-        const std::uint32_t ways = cfg_.llcPerCore.ways;
-        const std::uint32_t setsTotal = static_cast<std::uint32_t>(
-            llcBytesOf(cfg_) / (std::uint64_t{ways} * kBlockSize));
-        const std::uint32_t mshrsTotal =
-            cfg_.llcPerCore.mshrs * cfg_.numCores;
-
-        for (unsigned s = 0; s < slices; ++s) {
-            CacheParams p;
-            p.name = slices > 1 ? "LLC." + std::to_string(s) : "LLC";
-            p.ways = ways;
-            p.sets = setsTotal / slices;
-            p.setShift = kBlockBits + log2OfPow2(slices);
-            p.latency = cfg_.llcPerCore.latency;
-            p.mshrs = std::max<std::uint32_t>(1, mshrsTotal / slices);
-            p.level = RespSource::LLC;
-            p.idealTranslations = cfg_.idealLlcTranslations;
-            p.idealReplays = cfg_.idealLlcReplays;
-            p.atp = cfg_.atpLlc;
-            p.profileRecall = cfg_.profileCacheRecall;
-            llc_.push_back(std::make_unique<Cache>(
-                p, eq_, dram_.get(),
-                buildLlcPolicy(p.sets, p.ways, cfg_.seed + s)));
-        }
+        CacheParams p;
+        p.name = "LLC";
+        p.ways = cfg_.llcPerCore.ways;
+        p.sets = static_cast<std::uint32_t>(
+            llcBytesOf(cfg_) / (std::uint64_t{p.ways} * kBlockSize));
+        p.latency = cfg_.llcPerCore.latency;
+        p.mshrs = std::max<std::uint32_t>(
+            1, cfg_.llcPerCore.mshrs * cfg_.numCores);
+        p.level = RespSource::LLC;
+        p.idealTranslations = cfg_.idealLlcTranslations;
+        p.idealReplays = cfg_.idealLlcReplays;
+        p.atp = cfg_.atpLlc;
+        p.profileRecall = cfg_.profileCacheRecall;
+        llc_ = std::make_unique<Cache>(p, eq_, dram_.get(),
+                                       makeLlcPolicy(cfg_, p.sets, p.ways));
     }
-
-    // The slice interconnect fronts the L2s only when there is
-    // something to route; a monolithic LLC keeps the direct path (and
-    // byte-identical behavior with the pre-topology composition).
-    if (slices > 1) {
-        std::vector<Cache *> homes;
-        homes.reserve(slices);
-        for (auto &s : llc_)
-            homes.push_back(s.get());
-        llcRouter_ = std::make_unique<SliceRouter>(
-            "LLCRouter", eq_, std::move(homes), cfg_.threadsPerCore,
-            cfg_.llcSliceHopLatency);
-    }
-    MemDevice *llcFront =
-        llcRouter_ ? static_cast<MemDevice *>(llcRouter_.get())
-                   : static_cast<MemDevice *>(llc_[0].get());
 
     if (cfg_.dram.tempo) {
         dram_->setTempoHook([this](Addr block, Addr ip) {
-            llcSliceFor(block).issuePrefetch(block, PrefetchOrigin::Tempo,
-                                             ip);
+            llc_->issuePrefetch(block, PrefetchOrigin::Tempo, ip);
         });
     }
 
@@ -156,7 +117,7 @@ System::System(SystemConfig cfg,
             auto pol = makePolicy(cfg_.l2Policy, p.sets, p.ways,
                                   cfg_.l2Opts, cfg_.seed + c);
             auto pf = makePrefetcher(cfg_.l2Prefetcher);
-            l2_.push_back(std::make_unique<Cache>(p, eq_, llcFront,
+            l2_.push_back(std::make_unique<Cache>(p, eq_, llc_.get(),
                                                   std::move(pol),
                                                   std::move(pf)));
         }
@@ -220,6 +181,7 @@ System::System(SystemConfig cfg,
     }
 
     finishCycle_.assign(threads, 0);
+    finishInstructions_.assign(threads, 0);
 
     // Metrics registration. Every component catalogues its counters /
     // gauges / histograms once, here; the per-core prefix carries an
@@ -239,13 +201,7 @@ System::System(SystemConfig cfg,
         l1d_[c]->registerMetrics(registry_, "l1d" + suffix);
         l2_[c]->registerMetrics(registry_, "l2c" + suffix);
     }
-    for (std::size_t s = 0; s < llc_.size(); ++s) {
-        const std::string ssuffix =
-            llc_.size() > 1 ? "." + std::to_string(s) : "";
-        llc_[s]->registerMetrics(registry_, "llc" + ssuffix);
-    }
-    if (llcRouter_)
-        llcRouter_->registerMetrics(registry_, "noc");
+    llc_->registerMetrics(registry_, "llc");
     dram_->registerMetrics(registry_, "dram");
 
     // Timeline tracing (off unless a path was configured; components
@@ -265,8 +221,7 @@ System::System(SystemConfig cfg,
             l2_[c]->setTracer(
                 tracer_.get(), tracer_->addTrack(l2_[c]->name()));
         }
-        for (auto &s : llc_)
-            s->setTracer(tracer_.get(), tracer_->addTrack(s->name()));
+        llc_->setTracer(tracer_.get(), tracer_->addTrack(llc_->name()));
         dram_->setTracer(tracer_.get(),
                          tracer_->addTrack(dram_->name()));
     }
@@ -290,20 +245,14 @@ System::~System()
         tracer_->finish();
 }
 
-Cache &
-System::llcSliceFor(Addr paddr)
-{
-    return llcRouter_ ? *llc_[llcRouter_->sliceOf(paddr)] : *llc_[0];
-}
-
 void
 System::run(std::uint64_t instrPerThread)
 {
     const std::size_t n = cores_.size();
-    std::vector<std::uint64_t> target(n);
+    std::vector<std::uint64_t> start(n);
     std::vector<bool> reached(n, false);
     for (std::size_t t = 0; t < n; ++t)
-        target[t] = cores_[t]->retired() + instrPerThread;
+        start[t] = cores_[t]->retired();
     runStartCycle_ = cycle_;
 
     std::size_t remaining = n;
@@ -322,9 +271,11 @@ System::run(std::uint64_t instrPerThread)
             cores_[t]->tick();
             if (!cores_[t]->blocked())
                 allBlocked = false;
-            if (!reached[t] && cores_[t]->retired() >= target[t]) {
+            const std::uint64_t done = cores_[t]->retired() - start[t];
+            if (!reached[t] && done >= instrPerThread) {
                 reached[t] = true;
                 finishCycle_[t] = cycle_;
+                finishInstructions_[t] = done;
                 --remaining;
             }
         }

@@ -11,11 +11,9 @@
  * evaluations (§V).
  *
  * The machine shape is SystemConfig's composition fields
- * (sim/topology.hh), which the caller assigns: core/SMT counts, total
- * LLC capacity (llcBytesOf), the LLC's address-interleaved slicing (one
- * Cache per slice behind a SliceRouter) and DRAM channels
- * (dramChannelsOf). The defaults reproduce the fixed pre-topology
- * machine exactly: one monolithic slice, no router.
+ * (sim/topology.hh), which the caller assigns: core/SMT counts, LLC
+ * associativity (one shared Cache of llcBytesOf) and DRAM channels
+ * (dramChannelsOf).
  */
 
 #ifndef TACSIM_SIM_SYSTEM_HH
@@ -46,8 +44,6 @@ namespace verify {
 class Checker;
 } // namespace verify
 
-class SliceRouter;
-
 class System
 {
   public:
@@ -63,8 +59,10 @@ class System
     /**
      * Run until every thread has retired @p instrPerThread more
      * instructions. Threads that finish early keep running (standard
-     * multi-programmed methodology); per-thread finish cycles are
-     * recorded for weighted/harmonic speedups.
+     * multi-programmed methodology). For weighted/harmonic speedups each
+     * thread's finish is recorded: the cycle it reached its target and
+     * how many instructions it had retired since the run began by then
+     * (threadCycles, threadInstructions).
      */
     void run(std::uint64_t instrPerThread);
 
@@ -99,6 +97,18 @@ class System
                       "threadCycles() thread index out of range");
         return finishCycle_[t] - runStartCycle_;
     }
+    /** Instructions thread @p t had retired in the last run() when it
+     *  reached its target: the budget plus at most retireWidth - 1.
+     *  Meaningless before the first run() completes. */
+    std::uint64_t
+    threadInstructions(std::size_t t) const
+    {
+        TACSIM_DCHECK(ranOnce_ &&
+                      "threadInstructions() before any run() completed");
+        TACSIM_DCHECK(t < finishInstructions_.size() &&
+                      "threadInstructions() thread index out of range");
+        return finishInstructions_[t];
+    }
 
     std::size_t threads() const { return cores_.size(); }
     Core &core(std::size_t t) { return *cores_[t]; }
@@ -106,14 +116,10 @@ class System
 
     Cache &l1d(std::size_t coreIdx = 0) { return *l1d_[coreIdx]; }
     Cache &l2(std::size_t coreIdx = 0) { return *l2_[coreIdx]; }
-    /** LLC slice @p slice (the whole LLC when unsliced). */
-    Cache &llc(std::size_t slice = 0) { return *llc_[slice]; }
-    std::size_t llcSlices() const { return llc_.size(); }
-    /** Home slice of @p paddr: the router's interleave, or the whole
-     *  LLC when it is monolithic. */
-    Cache &llcSliceFor(Addr paddr);
-    /** Slice interconnect; null when the LLC is monolithic. */
-    SliceRouter *llcRouter() { return llcRouter_.get(); }
+    /** The shared LLC. The index and llcSlices() remain only for
+     *  perfbench, which predates the one-cache LLC. */
+    Cache &llc(std::size_t = 0) { return *llc_; }
+    std::size_t llcSlices() const { return 1; }
     Dram &dram() { return *dram_; }
     Tlb &dtlb(std::size_t coreIdx = 0) { return *dtlb_[coreIdx]; }
     Tlb &stlb(std::size_t coreIdx = 0) { return *stlb_[coreIdx]; }
@@ -140,10 +146,6 @@ class System
     void attachChecker(verify::Checker *checker) { checker_ = checker; }
 
   private:
-    std::unique_ptr<ReplPolicy> buildLlcPolicy(std::uint32_t sets,
-                                               std::uint32_t ways,
-                                               std::uint64_t seed) const;
-
     SystemConfig cfg_;
     EventQueue eq_;
     Cycle cycle_ = 0;
@@ -157,8 +159,7 @@ class System
     std::unique_ptr<PageTable> hostPageTable_; ///< non-null when nested
 
     std::unique_ptr<Dram> dram_;
-    std::vector<std::unique_ptr<Cache>> llc_; ///< one entry per slice
-    std::unique_ptr<SliceRouter> llcRouter_;  ///< non-null when sliced
+    std::unique_ptr<Cache> llc_;
     std::vector<std::unique_ptr<Cache>> l2_;
     std::vector<std::unique_ptr<Cache>> l1d_;
     std::vector<std::unique_ptr<Tlb>> dtlb_;
@@ -167,7 +168,8 @@ class System
     std::vector<std::unique_ptr<Core>> cores_;
 
     std::vector<Cycle> finishCycle_;
-    bool ranOnce_ = false; ///< finish cycles valid after first run()
+    std::vector<std::uint64_t> finishInstructions_;
+    bool ranOnce_ = false; ///< finish records valid after first run()
     verify::Checker *checker_ = nullptr;
 
     obs::Registry registry_;

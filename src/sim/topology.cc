@@ -80,8 +80,6 @@ validateTopology(const SystemConfig &cfg)
         fail("smt must be in 1..8");
     if (!isPow2(cfg.llcPerCore.ways))
         fail("llc ways must be a nonzero power of two");
-    if (!isPow2(cfg.llcSlices))
-        fail("slices must be a nonzero power of two");
 
     const std::uint64_t bytes = llcBytesOf(cfg);
     const std::uint64_t rowBytes =
@@ -95,9 +93,6 @@ validateTopology(const SystemConfig &cfg)
         fail("llc size " + formatSize(bytes) + " with " +
              std::to_string(cfg.llcPerCore.ways) + " ways needs " +
              std::to_string(sets) + " sets, more than a cache can index");
-    if (cfg.llcSlices > sets)
-        fail("slices (" + std::to_string(cfg.llcSlices) +
-             ") exceed llc sets (" + std::to_string(sets) + ")");
 
     // The private structures. Their constructors assert the same
     // shapes; an exception here fails one sweep point, not the process.
@@ -145,10 +140,6 @@ topologyText(const SystemConfig &cfg)
     if (cfg.llcPerCore.ways != d.llcPerCore.ways)
         out += ",llc=" + formatSize(llcBytesOf(cfg)) + "/" +
             std::to_string(cfg.llcPerCore.ways) + "w";
-    if (cfg.llcSlices != d.llcSlices)
-        out += ",slices=" + std::to_string(cfg.llcSlices);
-    if (cfg.llcSliceHopLatency != d.llcSliceHopLatency)
-        out += ",slice_lat=" + std::to_string(cfg.llcSliceHopLatency);
     if (cfg.dram.channels != d.dram.channels)
         out += ",chan=" + std::to_string(cfg.dram.channels);
     return out;

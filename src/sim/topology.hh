@@ -2,12 +2,12 @@
  * @file
  * The shape of the simulated machine. Machines are C++ values: a caller
  * assigns SystemConfig's composition fields (numCores, threadsPerCore,
- * llcPerCore.ways, llcSlices, llcSliceHopLatency and dram.channels).
+ * llcPerCore.ways and dram.channels).
  * This file derives the LLC size and the DRAM channel count from them,
  * checks that a config builds a machine that runs, and prints the
  * one-line label every sweep report carries:
  *
- *     cores=32,smt=2,llc=16MB/32w,slices=8,chan=4
+ *     cores=32,smt=2,llc=16MB/32w,chan=4
  */
 
 #ifndef TACSIM_SIM_TOPOLOGY_HH
@@ -37,8 +37,8 @@ void validateTopology(const SystemConfig &cfg);
 
 /** Label of @p cfg's composition fields: `key=value` pairs in the
  *  fixed order cores, smt, llc (<size>/<ways>w, the total size in the
- *  largest exact unit; printed when the ways differ from the default),
- *  slices, slice_lat and chan, each omitted at its default but cores. */
+ *  largest exact unit; printed when the ways differ from the default)
+ *  and chan, each omitted at its default but cores. */
 std::string topologyText(const SystemConfig &cfg);
 
 } // namespace tacsim

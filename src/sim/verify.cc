@@ -62,8 +62,7 @@ Checker::checkAll()
         checkTlbAgainstPageTable(sys_.dtlb(c));
         checkTlbAgainstPageTable(sys_.stlb(c));
     }
-    for (std::size_t s = 0; s < sys_.llcSlices(); ++s)
-        sys_.llc(s).checkInvariants();
+    sys_.llc().checkInvariants();
     sys_.dram().checkInvariants();
 }
 

@@ -1,11 +1,10 @@
 /**
  * @file
  * Multicore golden-run snapshots: tiny-budget 16-core and 32-core
- * heterogeneous mixes on machines with sliced LLCs (sim/topology.hh),
- * compared field by field against snapshots in tests/golden/. This
- * pins the scale-out composition path (slicing, ring hops, derived
- * DRAM channels) the same way test_golden.cc pins the single-core
- * machine.
+ * heterogeneous mixes (sim/topology.hh), compared field by field
+ * against snapshots in tests/golden/. This pins the multicore
+ * composition path (one shared LLC, derived DRAM channels) the same
+ * way test_golden.cc pins the single-core machine.
  *
  * Budgets are fixed constants (not TACSIM_INSTRUCTIONS) so the
  * snapshots cannot drift with the environment. Regeneration:
@@ -108,14 +107,8 @@ TEST_P(MulticoreGoldenTest, MatchesSnapshot)
 INSTANTIATE_TEST_SUITE_P(
     Matrix, MulticoreGoldenTest,
     ::testing::Values(
-        MulticoreGoldenPoint{"mc16_mix",
-                             {.numCores = 16, .llcSlices = 4,
-                              .llcSliceHopLatency = 2},
-                             4000, 1000},
-        MulticoreGoldenPoint{"mc32_mix",
-                             {.numCores = 32, .llcSlices = 8,
-                              .llcSliceHopLatency = 2},
-                             2000, 500}),
+        MulticoreGoldenPoint{"mc16_mix", {.numCores = 16}, 4000, 1000},
+        MulticoreGoldenPoint{"mc32_mix", {.numCores = 32}, 2000, 500}),
     [](const ::testing::TestParamInfo<MulticoreGoldenPoint> &info) {
         return std::string(info.param.name);
     });

@@ -302,13 +302,12 @@ expectCacheTotals(const obs::Totals &t, const std::string &root,
 
 TEST(ObsTotals, EqualTheTypedStatsOfEveryInstance)
 {
-    // 4 cores x 2 SMT threads, 2 LLC slices, the full proposal, both
-    // recall profilers, nested translation and IPCP/SPP prefetchers:
-    // every component root but dram and noc is indexed, and every
-    // optional metric family is registered. No golden covers SMT, so
-    // the typed stats are the reference.
-    SystemConfig cfg{.numCores = 4, .threadsPerCore = 2, .llcSlices = 2,
-                     .llcSliceHopLatency = 2};
+    // 4 cores x 2 SMT threads, the full proposal, both recall
+    // profilers, nested translation and IPCP/SPP prefetchers: every
+    // component root but llc and dram is indexed, and every optional
+    // metric family is registered. No golden covers SMT, so the typed
+    // stats are the reference.
+    SystemConfig cfg{.numCores = 4, .threadsPerCore = 2};
     TranslationAwareOptions ta;
     ta.tempo = true;
     applyTranslationAware(cfg, ta);
@@ -340,10 +339,9 @@ TEST(ObsTotals, EqualTheTypedStatsOfEveryInstance)
     }
 
     const obs::Totals t = sys.metrics().totals();
-    const std::size_t cores = cfg.numCores, threads = sys.threads(),
-                      slices = sys.llcSlices();
-    expectCacheTotals(t, "llc", slices,
-                      [&](std::size_t i) -> Cache & { return sys.llc(i); });
+    const std::size_t cores = cfg.numCores, threads = sys.threads();
+    expectCacheTotals(t, "llc", 1,
+                      [&](std::size_t) -> Cache & { return sys.llc(); });
     expectCacheTotals(t, "l2c", cores,
                       [&](std::size_t i) -> Cache & { return sys.l2(i); });
     expectCacheTotals(t, "l1d", cores,
@@ -404,10 +402,7 @@ TEST(ObsTotals, EqualTheTypedStatsOfEveryInstance)
     EXPECT_EQ(perWalk.max(), maxPerWalk);
 
     EXPECT_EQ(t.histogram("llc.recall.translation").count(),
-              sumOver(slices, [&](std::size_t s) {
-                  return sys.llc(s).recallProfiler()->translationHist()
-                      .count();
-              }));
+              sys.llc().recallProfiler()->translationHist().count());
     EXPECT_EQ(t.histogram("l2c.recall.replay").count(),
               sumOver(cores, [&](std::size_t c) {
                   return sys.l2(c).recallProfiler()->replayHist().count();

@@ -122,8 +122,6 @@ TEST(PointKey, CanonicalConfigTextIsVersionedAndComplete)
         [](SystemConfig &c) { c.numCores = 2; },
         [](SystemConfig &c) { c.threadsPerCore = 2; },
         [](SystemConfig &c) { c.llcPerCore.ways = 8; },
-        [](SystemConfig &c) { c.llcSlices = 2; },
-        [](SystemConfig &c) { c.llcSliceHopLatency = 1; },
         [](SystemConfig &c) { c.dram.channels = 1; },
     };
     for (std::size_t i = 0; i < toggles.size(); ++i) {

@@ -175,6 +175,31 @@ TEST(SystemTest, PerThreadFinishCyclesRecorded)
     EXPECT_GT(sys.threadCycles(1), 0u);
 }
 
+TEST(SystemTest, ThreadIpcIsMeasuredAtEachThreadsFinish)
+{
+    // A fast and a slow benchmark on two cores: the fast thread reaches
+    // its budget first and keeps running until the slow one does. Its
+    // IPC must count only what it retired by its own finish cycle.
+    constexpr std::uint64_t budget = 20000;
+    SystemConfig cfg{.numCores = 2};
+    std::vector<std::unique_ptr<Workload>> w;
+    w.push_back(makeWorkload(Benchmark::xalancbmk, cfg.seed));
+    w.push_back(makeWorkload(Benchmark::pr, cfg.seed + 1));
+    System sys(cfg, std::move(w));
+    sys.warmup(5000);
+    sys.run(budget);
+    const RunResult r = collectResult(sys, "xalancbmk-pr");
+
+    // A retire step may overshoot the budget by up to a width less one.
+    const std::uint64_t slack = cfg.core.retireWidth - 1;
+    for (std::size_t t = 0; t < 2; ++t) {
+        EXPECT_GE(r.threadInstructions[t], budget) << "thread " << t;
+        EXPECT_LE(r.threadInstructions[t], budget + slack) << "thread " << t;
+    }
+    const std::size_t fast = r.threadCycles[0] < r.threadCycles[1] ? 0 : 1;
+    EXPECT_GT(sys.core(fast).retired(), budget + slack);
+}
+
 TEST(TranslationAware, AppliesAllFlags)
 {
     SystemConfig cfg;

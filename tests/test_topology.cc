@@ -52,23 +52,19 @@ TEST(TopologySpecTest, DumpIsCanonicalAndOmitsDefaults)
     // The header's example: keys print in canonical order, and the
     // fields left at their defaults are omitted.
     SystemConfig cfg =
-        withLlc({.numCores = 32, .threadsPerCore = 2, .llcSlices = 8},
-                512u << 10, 32);
+        withLlc({.numCores = 32, .threadsPerCore = 2}, 512u << 10, 32);
     cfg.dram.channels = 4;
     EXPECT_EQ(refusal(cfg), "accepted");
-    EXPECT_EQ(topologyText(cfg), "cores=32,smt=2,llc=16MB/32w,slices=8,chan=4");
+    EXPECT_EQ(topologyText(cfg), "cores=32,smt=2,llc=16MB/32w,chan=4");
 }
 
 TEST(TopologySpecTest, PrintsEveryKey)
 {
-    SystemConfig cfg = withLlc(
-        {.numCores = 64, .threadsPerCore = 4, .llcSlices = 16,
-         .llcSliceHopLatency = 3},
-        2u << 20, 32);
+    SystemConfig cfg =
+        withLlc({.numCores = 64, .threadsPerCore = 4}, 2u << 20, 32);
     cfg.dram.channels = 8;
     EXPECT_EQ(refusal(cfg), "accepted");
-    EXPECT_EQ(topologyText(cfg),
-              "cores=64,smt=4,llc=128MB/32w,slices=16,slice_lat=3,chan=8");
+    EXPECT_EQ(topologyText(cfg), "cores=64,smt=4,llc=128MB/32w,chan=8");
 }
 
 TEST(TopologySpecTest, LlcSizesAcceptAllUnitsAndAuto)
@@ -100,14 +96,9 @@ TEST(TopologySpecTest, RejectsWithExactMessages)
               "topology: smt must be in 1..8");
     EXPECT_EQ(refusal(withLlc({.numCores = 4}, 2u << 20, 12)),
               "topology: llc ways must be a nonzero power of two");
-    EXPECT_EQ(refusal({.numCores = 4, .llcSlices = 3}),
-              "topology: slices must be a nonzero power of two");
     EXPECT_EQ(refusal(withLlc({.numCores = 4}, 768u << 10, 16)),
               "topology: llc size 3MB with 16 ways does not yield a "
               "power-of-two set count");
-    EXPECT_EQ(refusal(withLlc({.numCores = 1, .llcSlices = 128}, 64u << 10,
-                              16)),
-              "topology: slices (128) exceed llc sets (64)");
     // 2^34 sets: more than CacheParams::sets holds, so a System would
     // narrow the count to 0 and abort the whole process.
     EXPECT_EQ(refusal(withLlc({.numCores = 512}, 2u << 30, 1)),
@@ -117,9 +108,6 @@ TEST(TopologySpecTest, RejectsWithExactMessages)
 
 TEST(TopologySpecTest, ApplyValidatesAgainstTheConfigsLlcSizing)
 {
-    // 3 slices is structurally invalid no matter the capacity.
-    EXPECT_THROW(validateTopology({.llcSlices = 3}), std::invalid_argument);
-
     // The LLC takes the config's per-core capacity: 1.5MB per core
     // gives no power-of-two set count.
     SystemConfig cfg;
@@ -189,10 +177,6 @@ TEST(TopologySpecTest, PropertyStressRoundTrip)
          }},
         {"llcPerCore.ways",
          [](SystemConfig &c, Rng &r) { c.llcPerCore.ways = 1u << r.range(6); }},
-        {"llcSlices",
-         [](SystemConfig &c, Rng &r) { c.llcSlices = 1u << r.range(7); }},
-        {"llcSliceHopLatency",
-         [](SystemConfig &c, Rng &r) { c.llcSliceHopLatency = r.range(8); }},
         // Includes 1 channel on machines of more than four cores.
         {"dram.channels",
          [](SystemConfig &c, Rng &r) {
@@ -203,14 +187,9 @@ TEST(TopologySpecTest, PropertyStressRoundTrip)
     Rng rng(0x70b0106fu);
     std::vector<unsigned> checked(std::size(fields), 0);
     for (int i = 0; i < 500; ++i) {
-        // A valid machine: slices at most the LLC's set count.
         SystemConfig cfg;
         for (const Field &f : fields)
             f.draw(cfg, rng);
-        const std::uint64_t sets =
-            llcBytesOf(cfg) / (std::uint64_t{cfg.llcPerCore.ways} * kBlockSize);
-        while (cfg.llcSlices > sets)
-            cfg.llcSlices /= 2;
         const std::string text = topologyText(cfg);
         ASSERT_EQ(refusal(cfg), "accepted") << text;
 

@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "cache/slice_router.hh"
 #include "sim/runner.hh"
 #include "sim/stats_dump.hh"
 #include "sim/sweep.hh"
@@ -28,9 +27,8 @@ namespace {
 constexpr std::uint64_t kInstr = 3000;
 constexpr std::uint64_t kWarm = 500;
 
-/** 16 cores, 4 LLC slices at 2 cycles per ring hop. */
-const SystemConfig kSixteenCores{
-    .numCores = 16, .llcSlices = 4, .llcSliceHopLatency = 2};
+/** 16 cores sharing one LLC. */
+const SystemConfig kSixteenCores{.numCores = 16};
 
 /** Deterministic heterogeneous mix: cycle through the suite. */
 std::vector<std::string>
@@ -60,10 +58,8 @@ TEST(TopologyScaleoutTest, SixteenCoreMachineRunsFromSpecAlone)
     System sys(cfg, workloadsFor(cfg));
 
     ASSERT_EQ(sys.threads(), 16u);
-    ASSERT_EQ(sys.llcSlices(), 4u);
-    ASSERT_NE(sys.llcRouter(), nullptr);
-    // Slices split the 32MB LLC evenly: 32768 sets over 4.
-    EXPECT_EQ(sys.llc(0).params().sets, 8192u);
+    // One 32MB LLC of 16 ways: 32768 sets.
+    EXPECT_EQ(sys.llc().params().sets, 32768u);
 
     sys.warmup(kWarm);
     sys.run(kInstr);
@@ -77,30 +73,24 @@ TEST(TopologyScaleoutTest, SixteenCoreMachineRunsFromSpecAlone)
             accesses += n;
     }
     EXPECT_GT(accesses, 0u);
-    // The ring model charged remote-slice hops.
-    EXPECT_GT(sys.llcRouter()->stats().routed, 0u);
-    EXPECT_GT(sys.llcRouter()->stats().hopCycles, 0u);
 }
 
 TEST(TopologyScaleoutTest, LargeMachinesBuildFromSpecAlone)
 {
     {
-        SystemConfig cfg{.numCores = 32, .threadsPerCore = 2,
-                         .llcSlices = 8};
+        SystemConfig cfg{.numCores = 32, .threadsPerCore = 2};
         cfg.dram.channels = 4;
         System sys(cfg, workloadsFor(cfg));
         EXPECT_EQ(sys.threads(), 64u);
-        EXPECT_EQ(sys.llcSlices(), 8u);
+        EXPECT_EQ(sys.dram().params().channels, 4u);
     }
     {
-        SystemConfig cfg{.numCores = 64, .llcSlices = 16,
-                         .llcSliceHopLatency = 2};
+        SystemConfig cfg{.numCores = 64};
         cfg.llcPerCore.ways = 32;
         System sys(cfg, workloadsFor(cfg));
         EXPECT_EQ(sys.threads(), 64u);
-        EXPECT_EQ(sys.llcSlices(), 16u);
-        // 128MB / (32w * 64B) = 65536 sets, 4096 per slice.
-        EXPECT_EQ(sys.llc(0).params().sets, 4096u);
+        // 128MB / (32w * 64B) = 65536 sets.
+        EXPECT_EQ(sys.llc().params().sets, 65536u);
     }
 }
 
